@@ -17,6 +17,7 @@ import yaml
 
 from . import geometries
 from .forms import DecOperators, MaterialField, reduce_relative
+from .io import sparse_triplets
 from .mesh import MeshError, boundary_components, carve_obstacle, load_complex
 from .spectral import assemble_laplacian, eig
 
@@ -443,12 +444,9 @@ def export_matrices_cmd(geometry, res, degree, out):
     ):
         if mat is None:
             continue
-        coo = mat.tocoo()
         path = os.path.join(out, name + ".txt")
         with open(path, "w") as fh:
-            fh.write(f"# sparse triplet: rows cols nnz\n{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for r, c, v in sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1])):
-                fh.write(f"{int(r)} {int(c)} {v!r}\n")
+            fh.write(sparse_triplets(mat))
         click.echo(f"wrote {path}")
 
 

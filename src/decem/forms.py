@@ -9,6 +9,7 @@ by removing every degree of freedom sitting inside a marked boundary facet.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import SimplicialComplex
+from .mesh import SimplicialComplex, faces_of
 
 
 @dataclass
@@ -99,15 +100,13 @@ def build_d(cplx: SimplicialComplex, p: int) -> sp.csr_matrix:
     """Signed incidence matrix mapping p-cochains to (p+1)-cochains."""
     if not (0 <= p < cplx.dim):
         raise ValueError(f"degree {p} out of range for dim {cplx.dim}")
-    idx = cplx.index(p)
-    rows, cols, vals = [], [], []
-    for i, s in enumerate(cplx.simplices[p + 1]):
-        for k in range(p + 2):
-            rows.append(i)
-            cols.append(idx[tuple(np.delete(s, k))])
-            vals.append((-1) ** k)
+    n = cplx.n(p + 1)
+    # face k of a simplex omits vertex k and enters with sign (-1)**k
+    faces = faces_of(cplx.simplices[p + 1], p + 1)[:, ::-1]
+    rows = np.repeat(np.arange(n), p + 2)
+    vals = np.tile((-1) ** np.arange(p + 2), n)
     return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(cplx.n(p + 1), cplx.n(p)), dtype=np.int64
+        (vals, (rows, cplx.lookup(p, faces))), shape=(n, cplx.n(p)), dtype=np.int64
     )
 
 
@@ -129,12 +128,6 @@ def local_mass_blocks(
 
     faces = list(combinations(range(d + 1), p + 1))
     nloc = len(faces)
-    idx = cplx.index(p)
-    cells = cplx.simplices[d]
-    face_ids = np.empty((nc, nloc), dtype=np.int64)
-    for li, comb in enumerate(faces):
-        sub = cells[:, comb]
-        face_ids[:, li] = [idx[tuple(row)] for row in sub]
 
     pf = factorial(p) ** 2
     blocks = np.zeros((nc, nloc, nloc))
@@ -157,7 +150,7 @@ def local_mass_blocks(
             blocks[:, a, b] = pf * acc
             blocks[:, b, a] = blocks[:, a, b]
     blocks *= weights[:, None, None]
-    return face_ids, blocks
+    return cplx.face_ids(p), blocks
 
 
 def build_mass(
@@ -206,30 +199,31 @@ class DecOperators:
             keep = np.ones(cplx.n(p), dtype=bool)
             keep[masked] = False
             self.kept[p] = np.nonzero(keep)[0]
-        self._mass_factor: dict[int, object] = {}
-        self._codiff: dict[int, np.ndarray] = {}
+        # per-view caches keyed by (kind, degree): reduced slices, factors, codifferentials
+        self._cache: dict[tuple[str, int], object] = {}
 
     # matrix access -----------------------------------------------------------
 
     def n(self, p: int) -> int:
         return len(self.kept[p]) if self.reduced else self.complex.n(p)
 
-    def d(self, p: int) -> sp.csr_matrix:
-        mat = self._d_full[p]
+    def _kept_slice(self, kind: str, p: int, full: sp.csr_matrix, rows, cols) -> sp.csr_matrix:
         if not self.reduced:
-            return mat
-        return mat[self.kept[p + 1]][:, self.kept[p]].tocsr()
+            return full
+        if (kind, p) not in self._cache:
+            self._cache[kind, p] = full[rows][:, cols].tocsr()
+        return self._cache[kind, p]
+
+    def d(self, p: int) -> sp.csr_matrix:
+        return self._kept_slice("d", p, self._d_full[p], self.kept[p + 1], self.kept[p])
 
     def mass(self, p: int) -> sp.csr_matrix:
-        mat = self._mass_full[p]
-        if not self.reduced:
-            return mat
-        return mat[self.kept[p]][:, self.kept[p]].tocsr()
+        return self._kept_slice("mass", p, self._mass_full[p], self.kept[p], self.kept[p])
 
     def mass_factor(self, p: int):
-        if p not in self._mass_factor:
-            self._mass_factor[p] = spla.splu(self.mass(p).tocsc())
-        return self._mass_factor[p]
+        if ("factor", p) not in self._cache:
+            self._cache["factor", p] = spla.splu(self.mass(p).tocsc())
+        return self._cache["factor", p]
 
     def mass_solve(self, p: int, rhs: np.ndarray) -> np.ndarray:
         out = self.mass_factor(p).solve(np.asarray(rhs, dtype=float))
@@ -251,10 +245,10 @@ class DecOperators:
 
     def codifferential(self, p: int) -> np.ndarray:
         """Dense codifferential matrix (cached)."""
-        if p not in self._codiff:
+        if ("codiff", p) not in self._cache:
             rhs = (self.d(p - 1).T @ self.mass(p)).toarray()
-            self._codiff[p] = self.mass_factor(p - 1).solve(rhs)
-        return self._codiff[p]
+            self._cache["codiff", p] = self.mass_factor(p - 1).solve(rhs)
+        return self._cache["codiff", p]
 
     def inner(self, p: int, x: np.ndarray, y: np.ndarray) -> float | complex:
         return np.vdot(y, self.mass(p) @ x) if np.iscomplexobj(x) or np.iscomplexobj(y) else float(
@@ -276,8 +270,11 @@ class DecOperators:
         out[self.kept[p]] = kept_values
         return out
 
-    def kept_pos(self, p: int) -> dict[int, int]:
-        return {int(g): i for i, g in enumerate(self.kept[p])}
+    def kept_pos(self, p: int) -> np.ndarray:
+        """Position of each p-simplex among the kept DOFs, -1 where masked."""
+        pos = np.full(self.complex.n(p), -1, dtype=np.int64)
+        pos[self.kept[p]] = np.arange(len(self.kept[p]))
+        return pos
 
     # per-cell data for local traces ----------------------------------------------
 
@@ -302,11 +299,6 @@ class DecOperators:
         ) * vols
 
         faces = list(combinations(range(4), p + 1))
-        idx = cplx.index(p)
-        cells = cplx.simplices[3]
-        face_ids = np.empty((nc, len(faces)), dtype=np.int64)
-        for li, comb in enumerate(faces):
-            face_ids[:, li] = [idx[tuple(row)] for row in cells[:, comb]]
 
         # terms of each Whitney basis function: list of (lambda index, vector (nc,3))
         def terms(comb):
@@ -331,20 +323,17 @@ class DecOperators:
                         acc += lam[la, lb] * np.einsum("cj,ck->cjk", va, vb)
                 blocks[:, i, l] = acc
         blocks *= weights[:, None, None, None, None]
-        return face_ids, blocks
+        return cplx.face_ids(p), blocks
 
 
 def reduce_relative(ops: DecOperators) -> DecOperators:
-    """Return the operator bundle restricted to kept (relative) DOFs."""
+    """Return the operator bundle restricted to kept (relative) DOFs.
+
+    The result shares the assembled full matrices and masks of ``ops``.
+    """
     if ops.reduced:
         return ops
-    out = DecOperators.__new__(DecOperators)
-    out.complex = ops.complex
-    out.material = ops.material
+    out = copy.copy(ops)
     out.reduced = True
-    out._d_full = ops._d_full
-    out._mass_full = ops._mass_full
-    out.kept = ops.kept
-    out._mass_factor = {}
-    out._codiff = {}
+    out._cache = {}
     return out

@@ -25,6 +25,7 @@ from .mesh import (
     SimplicialComplex,
     boundary_components,
     carve_obstacle,
+    faces_of,
     glue_vertices,
 )
 
@@ -210,29 +211,29 @@ def _wormhole_build(res: int = 1):
     # boundary spheres of the two removed balls, identified by proximity
     comps = boundary_components(pierced)
     facets = pierced.simplices[2]
-    sphere_verts = {1: set(), 2: set()}
+    sphere_verts = {1: [], 2: []}
     for marker, comp in comps:
         if marker != OBSTACLE:
             continue
-        verts = set(int(v) for i in comp for v in facets[i])
-        probe = pierced.vertices[next(iter(verts))]
+        verts = np.unique(facets[comp])
+        probe = pierced.vertices[verts[0]]
         key = 1 if abs(probe[0] - c1[0]) < abs(probe[0] - c2[0]) else 2
-        sphere_verts[key] |= verts
+        sphere_verts[key].append(verts)
     if not sphere_verts[1] or not sphere_verts[2]:
         raise MeshError("wormhole construction did not produce two glue spheres")
 
     h = 1.0 / res
-    coord_key = {
-        tuple(np.round(v / h).astype(int)): i for i, v in enumerate(pierced.vertices)
-    }
     mirror_x = c1[0] + c2[0]
-    vmap = {}
-    for v in sorted(sphere_verts[2]):
-        x, y, z = pierced.vertices[v]
-        tgt = coord_key.get(tuple(np.round(np.array([mirror_x - x, y, z]) / h).astype(int)))
-        if tgt is None or tgt not in sphere_verts[1]:
-            raise MeshError("wormhole glue map does not match the opposite sphere")
-        vmap[int(v)] = int(tgt)
+    src = np.unique(np.concatenate(sphere_verts[2]))
+    dst = np.unique(np.concatenate(sphere_verts[1]))
+    x, y, z = pierced.vertices[src].T
+    image = np.round(np.column_stack([mirror_x - x, y, z]) / h).astype(int)
+    grid = np.round(pierced.vertices[dst] / h).astype(int)
+    # hit[i, j]: sphere-1 vertex j sits at the mirror image of sphere-2 vertex i
+    hit = np.all(image[:, None, :] == grid[None, :, :], axis=2)
+    if np.any(hit.sum(axis=1) != 1):
+        raise MeshError("wormhole glue map does not match the opposite sphere")
+    vmap = dict(zip(src.tolist(), dst[hit.argmax(axis=1)].tolist()))
     glued = glue_vertices(pierced, vmap)
     return glued, {"obstacle_ball"}
 
@@ -374,17 +375,11 @@ def ball_shell_complex(
                     cells.append(tet)
     core_cells = np.array(cells, dtype=np.int64)
 
-    # boundary triangles of the core
-    from collections import Counter
-
-    face_count: Counter = Counter()
-    for tet in core_cells:
-        s = np.sort(tet)
-        for m in range(4):
-            face_count[tuple(np.delete(s, m))] += 1
-    btris = sorted(f for f, cnt in face_count.items() if cnt == 1)
-    bverts = sorted({v for f in btris for v in f})
-    bpos = {v: i for i, v in enumerate(bverts)}
+    # boundary triangles of the core: the faces of exactly one tetrahedron
+    faces = faces_of(np.sort(core_cells, axis=1), 3).reshape(-1, 3)
+    tris, counts = np.unique(faces, axis=0, return_counts=True)
+    btris = tris[counts == 1]
+    bverts = np.unique(btris)
     rays = core_vertices[bverts]
     rays = rays / np.linalg.norm(rays, axis=1, keepdims=True)
 
@@ -404,19 +399,17 @@ def ball_shell_complex(
         layers.append(nv_core + ell * nb)
     vertices = np.vstack(all_vertices)
 
-    def layer_id(ell: int, v: int) -> int:
-        if ell == 0:
-            return v
-        return layers[ell] + bpos[v]
+    bpos = np.searchsorted(bverts, btris)  # triangle vertices as positions in bverts
+
+    def layer_ids(ell: int) -> np.ndarray:
+        return btris if ell == 0 else layers[ell] + bpos
 
     tet_list = [list(t) for t in core_cells]
     regions = ["core"] * len(core_cells)
     n_lay = len(radii)
     for ell in range(n_lay):
         inside_core = ell == 0  # prisms between the cube surface and the r_in sphere
-        for tri in btris:
-            bottom = tuple(layer_id(ell, v) for v in tri)
-            top = tuple(layer_id(ell + 1, v) for v in tri)
+        for bottom, top in zip(layer_ids(ell).tolist(), layer_ids(ell + 1).tolist()):
             for tet in _pull_prism(bottom, top):
                 tet_list.append(tet)
                 regions.append("core" if inside_core else "")

@@ -48,18 +48,10 @@ class HelmholtzSplit:
         return ops.norm(p, r) / max(ops.norm(p, self.phi), 1e-300)
 
 
-def _boundary_node_positions(ops: DecOperators, markers) -> np.ndarray:
-    """Positions (0-simplex indices) of nodes lying on the given markers."""
-    cplx = ops.complex
-    d = cplx.dim
-    facets = cplx.simplices[d - 1]
-    idx0 = cplx.index(0)
-    nodes = set()
-    for marker in markers:
-        for i in cplx.boundary_markers.get(marker, ()):
-            for v in facets[i]:
-                nodes.add(idx0[(int(v),)])
-    return np.array(sorted(nodes), dtype=np.int64)
+def _node_positions(cplx, facets: np.ndarray) -> np.ndarray:
+    """Sorted positions (0-simplex indices) of the vertices of the given facets."""
+    rows = cplx.simplices[cplx.dim - 1][facets]
+    return np.unique(cplx.lookup(0, rows.reshape(-1, 1)))
 
 
 def dirichlet_potential(
@@ -103,17 +95,13 @@ def capacity_and_psiL(
     comps = [c for m, c in boundary_components(cplx) if m == OBSTACLE]
     if not comps:
         raise ValueError("no obstacle boundary present")
-    outer_nodes = _boundary_node_positions(ops, [m for m in cplx.boundary_markers if m != OBSTACLE])
+    # the markers cover the boundary facets, so the others are the non-obstacle ones
+    outer = np.setdiff1d(cplx.boundary_facets(), cplx.boundary_markers[OBSTACLE])
+    outer_nodes = _node_positions(cplx, outer)
     bvals: list[tuple[np.ndarray, float]] = [(outer_nodes, 0.0)]
-    d = cplx.dim
-    facets = cplx.simplices[d - 1]
-    idx0 = cplx.index(0)
     for ci, comp in enumerate(comps):
-        nodes = np.array(
-            sorted({idx0[(int(v),)] for i in comp for v in facets[i]}), dtype=np.int64
-        )
         on = charge_component is None or charge_component == ci
-        bvals.append((nodes, 1.0 if on else 0.0))
+        bvals.append((_node_positions(cplx, comp), 1.0 if on else 0.0))
     u = dirichlet_potential(ops, bvals)
     du_full = ops._d_full[0] @ u
     m1 = ops._mass_full[1]

@@ -41,16 +41,15 @@ def vtk_celldata(cplx: SimplicialComplex, fields: dict[str, np.ndarray]) -> str:
     return out.getvalue()
 
 
-def timeseries_csv(rows: list[dict], columns: list[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(repr(float(row[c])) for c in columns))
-    return "\n".join(lines) + "\n"
-
-
 def sparse_triplets(mat) -> str:
+    """Header lines, then one "row col value" line per entry in row-major order.
+
+    Values of integer matrices are written as integers, others as float reprs.
+    """
     coo = mat.tocoo()
-    out = [f"# sparse triplet: rows cols nnz", f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
-    for r, c, v in sorted(zip(coo.row, coo.col, coo.data), key=lambda t: (t[0], t[1])):
-        out.append(f"{int(r)} {int(c)} {v!r}")
+    value = int if np.issubdtype(coo.dtype, np.integer) else lambda v: repr(float(v))
+    out = ["# sparse triplet: rows cols nnz", f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
+    order = np.lexsort((coo.col, coo.row))
+    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+        out.append(f"{int(r)} {int(c)} {value(v)}")
     return "\n".join(out) + "\n"

@@ -6,8 +6,18 @@ so incidence matrices and file dumps are reproducible bit for bit.  The sign
 of a face in the incidence matrix is the parity of the deleted position, which
 is the sorted-vertex-permutation convention.
 
-Complexes are immutable after construction: all derived quantities (face
-indices, coface counts, boundary facets) are computed once and cached.
+Faces are found with array lookups, not per-simplex loops.  A sorted row
+(v0, ..., vp) packs into one int64 key, ((v0*nv + v1)*nv + ...)*nv + vp with
+nv the number of vertex rows.  The lexsorted list of a degree then has
+increasing keys, so :meth:`SimplicialComplex.lookup` is one ``searchsorted``.
+The keys of degree p fit in int64 only while nv**(p+1) < 2**63: at most
+2097151 vertices for triangles and 55108 for tetrahedra.  A lookup past that
+limit raises :class:`MeshError`; no degree-d lookup is needed to build,
+validate, carve or assemble a d-dimensional complex.
+
+Complexes are immutable after construction: all derived quantities (packed
+keys, per-cell face tables, coface counts, boundary facets) are computed once
+and cached.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -27,37 +38,31 @@ class MeshError(ValueError):
     """Raised for malformed meshes: dangling faces, bad markers, non-manifold carves."""
 
 
-def _canonical_rows(rows: np.ndarray) -> np.ndarray:
-    """Sort each row ascending, then lexsort rows.  Raises on repeated vertices."""
+def faces_of(rows: np.ndarray, k: int) -> np.ndarray:
+    """(n, C(m, k), k) array of the k-vertex faces of each m-vertex row.
+
+    Faces come in ``itertools.combinations`` order, so face j of an m-vertex
+    row omits vertex m-1-j when k = m-1.
+    """
+    return rows[:, list(combinations(range(rows.shape[1]), k))]
+
+
+def _canonical_rows(rows: np.ndarray, unique: bool = False) -> np.ndarray:
+    """Sort each row ascending, then lexsort the rows; ``unique`` drops repeats.
+
+    Raises on a row with a repeated vertex.
+    """
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim == 1:
-        rows = rows.reshape(-1, 1)
-    rows = np.sort(rows, axis=1)
+    rows = np.sort(rows.reshape(-1, rows.shape[-1]), axis=1)
     if rows.shape[1] > 1 and np.any(rows[:, :-1] == rows[:, 1:]):
         bad = int(np.nonzero(np.any(rows[:, :-1] == rows[:, 1:], axis=1))[0][0])
         raise MeshError(f"degenerate simplex with repeated vertex: row {bad}")
-    order = np.lexsort(rows.T[::-1])
-    return rows[order]
-
-
-def _faces_of(simplices: np.ndarray) -> np.ndarray:
-    """All (p-1)-faces of the given p-simplices, with repetitions."""
-    p1 = simplices.shape[1]
-    out = []
-    for k in range(p1):
-        out.append(np.delete(simplices, k, axis=1))
-    return np.vstack(out)
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    rows = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    if len(rows) == 0:
-        return rows
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return rows[keep]
+    rows = rows[np.lexsort(rows.T[::-1])]
+    if unique and len(rows):
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+        rows = rows[keep]
+    return rows
 
 
 @dataclass
@@ -76,7 +81,8 @@ class SimplicialComplex:
     regions: list[str]
     boundary_markers: dict[str, np.ndarray]
     cell_coords: np.ndarray | None = None
-    _index: dict[int, dict[tuple, int]] = field(default_factory=dict, repr=False)
+    _keys: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _face_ids: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _bfacets: np.ndarray | None = field(default=None, repr=False)
 
     # -- construction -------------------------------------------------------
@@ -104,19 +110,15 @@ class SimplicialComplex:
         regions = list(regions) if regions is not None else [""] * len(cells)
         regions = [regions[i] for i in order]
         if cell_coords is not None:
-            cell_coords = np.asarray(cell_coords, dtype=float)[order]
             # coordinates follow the vertex sort of each cell
-            cc = []
-            for row, orig in zip(cells[order], cell_coords):
-                perm = np.argsort(row)
-                cc.append(orig[perm])
-            cell_coords = np.array(cc)
+            perm = np.argsort(cells[order], axis=1)
+            cell_coords = np.take_along_axis(
+                np.asarray(cell_coords, dtype=float)[order], perm[:, :, None], axis=1
+            )
 
         simplices: dict[int, np.ndarray] = {dim: cells_sorted}
-        cur = cells_sorted
         for p in range(dim - 1, 0, -1):
-            cur = _unique_rows(_faces_of(cur))
-            simplices[p] = cur
+            simplices[p] = _canonical_rows(faces_of(simplices[p + 1], p + 1), unique=True)
         # 0-simplices are the vertices actually used by the cells, so a carved
         # complex is literally a sub-list of its reference in every degree
         simplices[0] = np.unique(cells_sorted).reshape(-1, 1)
@@ -140,19 +142,62 @@ class SimplicialComplex:
     def n(self, p: int) -> int:
         return len(self.simplices[p])
 
-    def index(self, p: int) -> dict[tuple, int]:
-        if p not in self._index:
-            self._index[p] = {tuple(row): i for i, row in enumerate(self.simplices[p])}
-        return self._index[p]
+    def _pack(self, p: int, rows: np.ndarray) -> np.ndarray:
+        """One int64 key per sorted row of p+1 vertex ids."""
+        nv = len(self.vertices)
+        top = np.iinfo(np.int64).max
+        if nv ** (p + 1) > top:
+            limit = int(2 ** (63 / (p + 1)))
+            while limit ** (p + 1) > top:
+                limit -= 1
+            raise MeshError(
+                f"{nv} vertices overflow the int64 keys of {p}-simplices "
+                f"(limit {limit} vertices)"
+            )
+        key = np.zeros(len(rows), dtype=np.int64)
+        for col in rows.T:
+            key = key * nv + col
+        return key
+
+    def _find(self, p: int, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of the rows in ``simplices[p]`` and a mask of rows found."""
+        rows = np.sort(np.asarray(rows, dtype=np.int64).reshape(-1, p + 1), axis=1)
+        if p not in self._keys:
+            self._keys[p] = self._pack(p, self.simplices[p])
+        table, keys = self._keys[p], self._pack(p, rows)
+        pos = np.searchsorted(table, keys)
+        found = (pos < len(table)) & (rows[:, 0] >= 0) & (rows[:, -1] < len(self.vertices))
+        found[found] = table[pos[found]] == keys[found]
+        return pos, found
+
+    def lookup(self, p: int, rows) -> np.ndarray:
+        """Indices of p-simplices given as rows of vertex ids (in any order)."""
+        pos, found = self._find(p, rows)
+        if not found.all():
+            bad = np.asarray(rows).reshape(-1, p + 1)[np.argmin(found)]
+            raise MeshError(f"{p}-simplex {tuple(map(int, bad))} is not in the complex")
+        return pos
+
+    def face_ids(self, p: int) -> np.ndarray:
+        """(n_cells, C(d+1, p+1)) indices of each top cell's p-faces.
+
+        Columns follow :func:`faces_of` (``combinations``) order.  The table is
+        cached and read-only.
+        """
+        if p not in self._face_ids:
+            cells = self.simplices[self.dim]
+            if p == self.dim:
+                ids = np.arange(len(cells)).reshape(-1, 1)
+            else:
+                ids = self.lookup(p, faces_of(cells, p + 1)).reshape(len(cells), -1)
+            ids.flags.writeable = False
+            self._face_ids[p] = ids
+        return self._face_ids[p]
 
     def coface_counts(self, p: int) -> np.ndarray:
         """Number of (p+1)-cofaces of each p-simplex."""
-        counts = np.zeros(self.n(p), dtype=np.int64)
-        idx = self.index(p)
-        for s in self.simplices[p + 1]:
-            for k in range(len(s)):
-                counts[idx[tuple(np.delete(s, k))]] += 1
-        return counts
+        faces = faces_of(self.simplices[p + 1], p + 1)
+        return np.bincount(self.lookup(p, faces), minlength=self.n(p))
 
     def boundary_facets(self) -> np.ndarray:
         """Indices of (d-1)-simplices with exactly one coface."""
@@ -161,7 +206,7 @@ class SimplicialComplex:
             if np.any(counts > 2):
                 bad = int(np.nonzero(counts > 2)[0][0])
                 raise MeshError(
-                    f"facet {tuple(self.simplices[self.dim - 1][bad])} has "
+                    f"facet {tuple(map(int, self.simplices[self.dim - 1][bad]))} has "
                     f"{counts[bad]} cofaces; complex is not a manifold"
                 )
             self._bfacets = np.nonzero(counts == 1)[0]
@@ -175,14 +220,7 @@ class SimplicialComplex:
             return self.boundary_facets().copy()
         if p >= d or len(bf) == 0:
             return np.zeros(0, dtype=np.int64)
-        idx = self.index(p)
-        out = set()
-        from itertools import combinations
-
-        for facet in bf:
-            for comb in combinations(facet, p + 1):
-                out.add(idx[comb])
-        return np.array(sorted(out), dtype=np.int64)
+        return np.unique(self.lookup(p, faces_of(bf, p + 1)))
 
     def cell_vertex_coords(self) -> np.ndarray:
         """(n_cells, dim+1, ambient) coordinates used for metric assembly."""
@@ -212,21 +250,21 @@ class SimplicialComplex:
         before :meth:`boundary_facets` is first called on a parsed complex.
         """
         for p in range(1, self.dim + 1):
-            idx = self.index(p - 1)
-            for s in self.simplices[p]:
-                for k in range(p + 1):
-                    face = tuple(np.delete(s, k))
-                    if face not in idx:
-                        raise MeshError(
-                            f"dangling face: {tuple(map(int, face))} of "
-                            f"{tuple(map(int, s))} not stored"
-                        )
+            simplices = self.simplices[p]
+            faces = faces_of(simplices, p)[:, ::-1].reshape(-1, p)  # face k omits vertex k
+            _, found = self._find(p - 1, faces)
+            if not found.all():
+                j = int(np.argmin(found))
+                raise MeshError(
+                    f"dangling face: {tuple(map(int, faces[j]))} of "
+                    f"{tuple(map(int, simplices[j // (p + 1)]))} not stored"
+                )
 
     def validate(self) -> None:
         d = self.dim
         self.check_closure()
-        bf = set(self.boundary_facets().tolist())
-        marked: set[int] = set()
+        bf = self.boundary_facets()
+        marked = np.zeros(self.n(d - 1), dtype=bool)
         facet_rows = self.simplices[d - 1]
         for marker, facets in self.boundary_markers.items():
             ids, counts = np.unique(np.asarray(facets, dtype=np.int64), return_counts=True)
@@ -236,13 +274,12 @@ class SimplicialComplex:
                     f"marker {marker!r} names facet {tuple(map(int, facet_rows[rep]))} "
                     "more than once"
                 )
-            fs = set(ids.tolist())
-            if not fs <= bf:
+            if not np.isin(ids, bf).all():
                 raise MeshError(f"marker {marker!r} contains non-boundary facets")
-            if fs & marked:
+            if marked[ids].any():
                 raise MeshError(f"marker {marker!r} overlaps another marker")
-            marked |= fs
-        if marked != bf:
+            marked[ids] = True
+        if np.count_nonzero(marked) != len(bf):
             raise MeshError("boundary markers do not cover all boundary facets")
         if len(self.regions) != self.n(d):
             raise MeshError("one region tag per top simplex required")
@@ -349,7 +386,7 @@ def _parse_decmesh(text: str) -> SimplicialComplex:
             if np.any(rows < 0) or np.any(rows >= nv):
                 raise MeshError(f"simplex vertex id out of range in degree {p}")
             simplices[p] = _canonical_rows(rows)
-            if len(_unique_rows(rows)) != n:
+            if len(_canonical_rows(rows, unique=True)) != n:
                 raise MeshError(f"duplicate simplex in degree {p}")
         elif tok[0] == "regions":
             n = int(tok[1])
@@ -377,15 +414,14 @@ def _parse_decmesh(text: str) -> SimplicialComplex:
     cplx.check_closure()
     bf = cplx.boundary_facets()
     if markers_raw:
-        fidx = cplx.index(dim - 1)
-        markers: dict[str, list[int]] = {}
-        for marker, verts in markers_raw:
-            if verts not in fidx:
-                raise MeshError(f"marker {marker!r} names unknown facet {verts}")
-            markers.setdefault(marker, []).append(fidx[verts])
-        cplx.boundary_markers = {
-            m: np.array(sorted(v), dtype=np.int64) for m, v in markers.items()
-        }
+        # a row of the wrong length gets negative ids, which are never found
+        rows = [v if len(v) == dim else (-1,) * dim for _, v in markers_raw]
+        ids, found = cplx._find(dim - 1, rows)
+        if not found.all():
+            marker, verts = markers_raw[int(np.argmin(found))]
+            raise MeshError(f"marker {marker!r} names unknown facet {verts}")
+        names = np.array([m for m, _ in markers_raw], dtype=object)
+        cplx.boundary_markers = {m: np.sort(ids[names == m]) for m in dict.fromkeys(names)}
     elif len(bf):
         cplx.boundary_markers = {OUTER: bf.copy()}
     cplx.validate()
@@ -471,31 +507,20 @@ def carve_obstacle(reference: SimplicialComplex, obstacle_tags: Iterable[str]) -
     carved = SimplicialComplex.from_top_cells(
         reference.vertices, cells, regions, cell_coords=cc
     )
+    # the kept cells are already sorted rows in lexsorted order, so they keep it
+    injections = {p: reference.lookup(p, carved.simplices[p]) for p in range(d)}
+    injections[d] = keep_cells
 
     # markers: inherited where the facet was already boundary in Z0, obstacle otherwise
-    ref_facets = reference.simplices[d - 1]
-    ref_marker_of: dict[tuple, str] = {}
-    for marker, facets in reference.boundary_markers.items():
-        for i in facets:
-            ref_marker_of[tuple(ref_facets[i])] = marker
-    new_markers: dict[str, list[int]] = {}
-    carved_facets = carved.simplices[d - 1]
-    for i in carved.boundary_facets():
-        key = tuple(carved_facets[i])
-        marker = ref_marker_of.get(key, OBSTACLE)
-        new_markers.setdefault(marker, []).append(int(i))
-    carved.boundary_markers = {
-        m: np.array(sorted(v), dtype=np.int64) for m, v in new_markers.items()
-    }
+    names = np.array([*reference.boundary_markers, OBSTACLE], dtype=object)
+    code = np.full(reference.n(d - 1), len(names) - 1)
+    for j, facets in enumerate(reference.boundary_markers.values()):
+        code[facets] = j
+    bf = carved.boundary_facets()
+    labels = names[code[injections[d - 1][bf]]]
+    carved.boundary_markers = {m: bf[labels == m] for m in dict.fromkeys(labels)}
     carved.validate()
     _check_manifold_boundary(carved)
-
-    injections = {}
-    for p in range(d + 1):
-        ref_idx = reference.index(p)
-        injections[p] = np.array(
-            [ref_idx[tuple(s)] for s in carved.simplices[p]], dtype=np.int64
-        )
     return ObstacleScenario(reference, carved, tags, injections)
 
 
@@ -505,54 +530,37 @@ def _check_manifold_boundary(cplx: SimplicialComplex) -> None:
     if d < 2:
         return
     bf = cplx.simplices[d - 1][cplx.boundary_facets()]
-    from collections import Counter
-
-    ridge_count: Counter = Counter()
-    for facet in bf:
-        for k in range(d):
-            ridge_count[tuple(np.delete(facet, k))] += 1
-    bad = [r for r, c in ridge_count.items() if c != 2]
-    if bad:
-        raise MeshError(f"non-manifold carve boundary at ridge {bad[0]}")
+    ridges, counts = np.unique(faces_of(bf, d - 1).reshape(-1, d - 1), axis=0, return_counts=True)
+    if np.any(counts != 2):
+        bad = ridges[np.argmax(counts != 2)]
+        raise MeshError(f"non-manifold carve boundary at ridge {tuple(map(int, bad))}")
 
 
 def boundary_components(cplx: SimplicialComplex) -> list[tuple[str, np.ndarray]]:
     """Connected components of the boundary facet graph with their marker."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     d = cplx.dim
     bf = cplx.boundary_facets()
-    facets = cplx.simplices[d - 1]
-    marker_of = {}
+    nb = len(bf)
+    marker_of = np.full(cplx.n(d - 1), "?", dtype=object)
     for marker, fs in cplx.boundary_markers.items():
-        for i in fs:
-            marker_of[int(i)] = marker
-    # adjacency via shared ridges
-    ridge_map: dict[tuple, list[int]] = {}
-    for i in bf:
-        for k in range(d):
-            ridge_map.setdefault(tuple(np.delete(facets[i], k)), []).append(int(i))
-    adj: dict[int, set[int]] = {int(i): set() for i in bf}
-    for members in ridge_map.values():
-        for a in members:
-            for b in members:
-                if a != b:
-                    adj[a].add(b)
-    seen: set[int] = set()
+        marker_of[fs] = marker
+    # facets are adjacent when they share a ridge; in 1D all boundary points share the empty one
+    if d == 1:
+        ridges, n_ridges = np.zeros((nb, 1), dtype=np.int64), 1
+    else:
+        ridges = cplx.lookup(d - 2, faces_of(cplx.simplices[d - 1][bf], d - 1)).reshape(nb, d)
+        n_ridges = cplx.n(d - 2)
+    rows = np.repeat(np.arange(nb), ridges.shape[1])
+    inc = sp.csr_matrix((np.ones(ridges.size), (rows, ridges.ravel())), shape=(nb, n_ridges))
+    n_comp, label = connected_components(inc @ inc.T, directed=False)
     comps = []
-    for i in sorted(int(j) for j in bf):
-        if i in seen:
-            continue
-        stack, comp = [i], []
-        seen.add(i)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nb in adj[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        markers = sorted({marker_of.get(j, "?") for j in comp})
-        comps.append(("+".join(markers), np.array(sorted(comp), dtype=np.int64)))
-    comps.sort(key=lambda mc: (mc[0], mc[1][0] if len(mc[1]) else -1))
+    for c in range(n_comp):
+        comp = bf[label == c]
+        comps.append(("+".join(sorted(set(marker_of[comp]))), comp))
+    comps.sort(key=lambda mc: (mc[0], mc[1][0]))
     return comps
 
 
@@ -597,29 +605,25 @@ def glue_vertices(cplx: SimplicialComplex, vmap: Mapping[int, int]) -> Simplicia
 def orientable(cplx: SimplicialComplex) -> bool:
     """Check for a consistent orientation of the top cells (sign propagation)."""
     d = cplx.dim
-    cells = cplx.simplices[d]
-    idx_f = cplx.index(d - 1)
-    # facet -> list of (cell, incidence sign)
-    inc: dict[int, list[tuple[int, int]]] = {}
-    for c, s in enumerate(cells):
-        for k in range(d + 1):
-            f = idx_f[tuple(np.delete(s, k))]
-            inc.setdefault(f, []).append((c, (-1) ** k))
-    sign = np.zeros(len(cells), dtype=np.int64)
-    for start in range(len(cells)):
-        if sign[start]:
+    fids = cplx.face_ids(d - 1)
+    inc = (-1) ** (d - np.arange(d + 1))  # face j omits vertex d - j
+    # the cofaces of facet f sit at flat slots order[start[f]:start[f + 1]]
+    order = np.argsort(fids.ravel(), kind="stable")
+    start = np.searchsorted(fids.ravel()[order], np.arange(cplx.n(d - 1) + 1))
+    sign = np.zeros(len(fids), dtype=np.int64)
+    for root in range(len(fids)):
+        if sign[root]:
             continue
-        sign[start] = 1
-        stack = [start]
+        sign[root] = 1
+        stack = [root]
         while stack:
             c = stack.pop()
-            for k in range(d + 1):
-                f = idx_f[tuple(np.delete(cells[c], k))]
-                for c2, s2 in inc[f]:
+            for j, f in enumerate(fids[c]):
+                for slot in order[start[f] : start[f + 1]]:
+                    c2, j2 = divmod(int(slot), d + 1)
                     if c2 == c:
                         continue
-                    s1 = (-1) ** k
-                    want = -sign[c] * s1 * s2
+                    want = -sign[c] * inc[j] * inc[j2]
                     if sign[c2] == 0:
                         sign[c2] = want
                         stack.append(c2)

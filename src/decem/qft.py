@@ -111,12 +111,7 @@ class FieldCalculus:
                 terms.append(
                     FormTerm(t.profile, "dt", ops.apply_codifferential(1, t.cochain))
                 )
-                dprof = (
-                    t.profile.derivative()
-                    if isinstance(t.profile, TimeProfile)
-                    else t.profile.derivative()
-                )
-                terms.append(FormTerm(dprof, "spatial", -t.cochain))
+                terms.append(FormTerm(t.profile.derivative(), "spatial", -t.cochain))
             elif t.part == "b":
                 terms.append(
                     FormTerm(t.profile, "spatial", ops.apply_codifferential(2, t.cochain))
@@ -380,7 +375,3 @@ class FieldCalculus:
             if t.part == "e" and np.any(np.abs(t.cochain[shell]) > 1e-12 * max(np.abs(t.cochain).max(), 1e-300)):
                 return True
         return False
-
-
-def time_shifted(f: TestForm, dt: float) -> TestForm:
-    return f.shifted(dt)

@@ -49,7 +49,6 @@ def assemble_laplacian(
     if not ops.reduced:
         raise ValueError("assemble_laplacian expects relatively reduced operators")
     d = ops.complex.dim
-    n = ops.n(p)
     up = None
     if p < d:
         dp = ops.d(p)
@@ -73,12 +72,7 @@ def assemble_laplacian(
         S = down + (up.toarray() if up is not None else 0.0)
         S = 0.5 * (S + S.T)
     M = ops.mass(p).tocsr()
-    op = LaplaceOperator(p, ops, S, M, exact_down=not lumped_down, side=side)
-    scale = abs(S).max() if n else 1.0
-    asym = 0.0  # symmetrized above; assembly symmetry checked in forms
-    if asym > 1e-12 * scale:
-        raise AssertionError("Laplacian stiffness asymmetric")
-    return op
+    return LaplaceOperator(p, ops, S, M, exact_down=not lumped_down, side=side)
 
 
 @dataclass

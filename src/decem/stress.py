@@ -88,13 +88,9 @@ class ScenarioStress:
 
     def _kept_map(self, p: int) -> np.ndarray:
         inj = self.scenario.injections[p]
-        ref_pos = self.reference.ops.kept_pos(p)
-        out = np.empty(len(self.sigma.ops.kept[p]), dtype=np.int64)
-        for i, g in enumerate(self.sigma.ops.kept[p]):
-            tgt = int(inj[g])
-            if tgt not in ref_pos:
-                raise ValueError("injection image is not an interior reference DOF")
-            out[i] = ref_pos[tgt]
+        out = self.reference.ops.kept_pos(p)[inj[self.sigma.ops.kept[p]]]
+        if np.any(out < 0):
+            raise ValueError("injection image is not an interior reference DOF")
         return out
 
     def scatter(self, p: int, x: np.ndarray) -> np.ndarray:
@@ -212,19 +208,22 @@ def quadrature_agreement(st: ScenarioStress, which: str = "D1", n_probes: int = 
 # -- local traces --------------------------------------------------------------------
 
 
-def _cell_trace_weights(ops: DecOperators, p: int):
-    face_ids, blocks = ops.local_mass(p)
-    pos = ops.kept_pos(p)
+def _cell_gather(ops: DecOperators, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per cell: local slots of its kept p-faces and their kept-DOF positions."""
+    pos = ops.kept_pos(p)[ops.complex.face_ids(p)]
     out = []
-    for c in range(face_ids.shape[0]):
-        loc = [(li, pos[int(g)]) for li, g in enumerate(face_ids[c]) if int(g) in pos]
-        if not loc:
-            out.append((np.zeros(0, dtype=np.int64), np.zeros((0, 0))))
-            continue
-        lidx = np.array([li for li, _ in loc])
-        gidx = np.array([gi for _, gi in loc])
-        out.append((gidx, blocks[c][np.ix_(lidx, lidx)]))
+    for row in pos:
+        lidx = np.nonzero(row >= 0)[0]
+        out.append((lidx, row[lidx]))
     return out
+
+
+def _cell_trace_weights(ops: DecOperators, p: int):
+    _, blocks = ops.local_mass(p)
+    return [
+        (gidx, blocks[c][np.ix_(lidx, lidx)])
+        for c, (lidx, gidx) in enumerate(_cell_gather(ops, p))
+    ]
 
 
 def cell_traces(st: ScenarioStress, D: np.ndarray, p: int) -> np.ndarray:
@@ -354,14 +353,10 @@ def maxwell_tensor(st: ScenarioStress, D1: np.ndarray | None = None,
     H = np.zeros((len(report.t00), 3, 3))
     for p, D in ((1, D1), (2, D2)):
         X = ops.mass_factor(p).solve(D.T).T
-        face_ids, blocks = ops.component_blocks(p)
-        pos = ops.kept_pos(p)
-        for c in range(face_ids.shape[0]):
-            loc = [(li, pos[int(g)]) for li, g in enumerate(face_ids[c]) if int(g) in pos]
-            if not loc:
+        _, blocks = ops.component_blocks(p)
+        for c, (lidx, gidx) in enumerate(_cell_gather(ops, p)):
+            if len(lidx) == 0:
                 continue
-            lidx = np.array([li for li, _ in loc])
-            gidx = np.array([gi for _, gi in loc])
             H[c] += 0.5 * np.einsum(
                 "il,iljk->jk", X[np.ix_(gidx, gidx)], blocks[c][np.ix_(lidx, lidx)]
             )
@@ -396,50 +391,32 @@ def divergence_residual(st: ScenarioStress, H: np.ndarray | None = None,
     from .mesh import OBSTACLE
 
     vols, grads, _ = _cell_geometry(cplx)
-    cells = cplx.simplices[3]
-    idx0 = cplx.index(0)
+    vpos = cplx.face_ids(0)  # 0-simplex index of each cell's vertices
     n0 = cplx.n(0)
     r = np.zeros((n0, 3))
     volv = np.zeros(n0)
     bad = np.zeros(n0, dtype=bool)
-    obstacle_facets = {
-        int(i) for i in cplx.boundary_markers.get(OBSTACLE, np.zeros(0, dtype=np.int64))
-    }
-    facet_idx = cplx.index(2)
+    obstacle_facets = cplx.boundary_markers.get(OBSTACLE, np.zeros(0, dtype=np.int64))
     vacuum = np.array(
         [st.material.eps_of(t) == 1.0 and st.material.mu_of(t) == 1.0 for t in cplx.regions]
     )
-    for c in range(len(cells)):
-        verts = [idx0[(int(v),)] for v in cells[c]]
-        touches = not vacuum[c]
-        if not touches and obstacle_facets:
-            for k in range(4):
-                if facet_idx[tuple(np.delete(cells[c], k))] in obstacle_facets:
-                    touches = True
-                    break
-        for li, vpos in enumerate(verts):
-            r[vpos] += vols[c] * (H[c].T @ grads[c, li])
-            volv[vpos] += vols[c] / 4.0
-            if touches:
-                bad[vpos] = True
-    if obstacle_margin > 0 and obstacle_facets:
-        overts = sorted(
-            {int(v) for i in obstacle_facets for v in cplx.simplices[2][i]}
-        )
-        ocoords = cplx.vertices[overts]
+    touches = ~vacuum | np.isin(cplx.face_ids(2), obstacle_facets).any(axis=1)
+    for c in range(len(vpos)):
+        for li, v in enumerate(vpos[c]):
+            r[v] += vols[c] * (H[c].T @ grads[c, li])
+            volv[v] += vols[c] / 4.0
+    bad[vpos[touches]] = True
+    if obstacle_margin > 0 and len(obstacle_facets):
+        ocoords = cplx.vertices[np.unique(cplx.simplices[2][obstacle_facets])]
         nodes = cplx.simplices[0][:, 0]
         dist = np.min(
             np.linalg.norm(cplx.vertices[nodes][:, None, :] - ocoords[None, :, :], axis=2),
             axis=1,
         )
         bad |= dist <= obstacle_margin
-    kept0 = set(int(i) for i in ops.kept[0])
-    usable = np.array(
-        [i for i in range(n0) if i in kept0 and not bad[i] and volv[i] > 0],
-        dtype=np.int64,
-    )
-    est = np.array([-r[v] / volv[v] for v in usable]) if len(usable) else np.zeros((0, 3))
-    mags = np.linalg.norm(est, axis=1) if len(usable) else np.zeros(0)
+    usable = np.nonzero((ops.kept_pos(0) >= 0) & ~bad & (volv > 0))[0]
+    est = -r[usable] / volv[usable, None]
+    mags = np.linalg.norm(est, axis=1)
     out = {
         "n_vertices": int(len(usable)),
         "max": float(mags.max()) if len(mags) else 0.0,
@@ -462,12 +439,8 @@ def interior_window(st: ScenarioStress, p: int = 1, margin: float = 1.0) -> np.n
     cplx = ops.complex
     simp = cplx.simplices[p][ops.kept[p]]
     mids = cplx.vertices[simp].mean(axis=1)
-    d = cplx.dim
-    bnodes = set()
-    for marker, fs in cplx.boundary_markers.items():
-        for i in fs:
-            bnodes.update(int(v) for v in cplx.simplices[d - 1][i])
-    bcoords = cplx.vertices[sorted(bnodes)]
+    bnodes = np.unique(cplx.simplices[cplx.dim - 1][cplx.boundary_facets()])
+    bcoords = cplx.vertices[bnodes]
     dist = np.min(np.linalg.norm(mids[:, None, :] - bcoords[None, :, :], axis=2), axis=1)
     return np.nonzero(dist > margin)[0]
 
@@ -504,10 +477,3 @@ def loglog_slope(table: list[tuple[float, float]], upper_fraction: float = 0.5) 
     k = max(2, int(np.ceil(n * upper_fraction)))
     x, y = np.log(lam[-k:]), np.log(val[-k:])
     return float(np.polyfit(x, y, 1)[0])
-
-
-def decay_table_csv(table: list[tuple[float, float]]) -> str:
-    lines = ["lambda,norm"]
-    for lam, v in table:
-        lines.append(f"{lam!r},{v!r}")
-    return "\n".join(lines) + "\n"

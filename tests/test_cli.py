@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -100,10 +101,19 @@ def test_export_matrices(runner, tmp_path):
         ["export-matrices", "--geometry", "balls:1", "--degree", "1", "--out", str(tmp_path)],
     )
     assert res.exit_code == 0
-    header = (tmp_path / "d1.txt").read_text().splitlines()
-    assert header[0].startswith("# sparse triplet")
-    rows, cols, nnz = (int(x) for x in header[1].split())
-    assert nnz == len(header) - 2
+    for name in ("d1", "mass1"):
+        lines = (tmp_path / f"{name}.txt").read_text().splitlines()
+        assert lines[0].startswith("# sparse triplet")
+        rows, cols, nnz = (int(x) for x in lines[1].split())
+        assert nnz == len(lines) - 2
+        body = [ln.split() for ln in lines[2:]]
+        assert all(len(b) == 3 for b in body)
+        r = np.array([int(b[0]) for b in body])
+        c = np.array([int(b[1]) for b in body])
+        v = np.array([float(b[2]) for b in body])
+        assert r.min() >= 0 and r.max() < rows and c.min() >= 0 and c.max() < cols
+        if name == "d1":
+            assert set(np.abs(v)) == {1.0}
 
 
 def test_stress_empty_pipeline(runner, tmp_path):

@@ -96,6 +96,14 @@ def test_bad_marker_rejected():
         load_complex("\n".join(lines))
 
 
+@pytest.mark.parametrize("line", ["inner 0 1 7", "inner 0 1", "inner 0 1 2 3", "inner 0 0 1"])
+def test_marker_naming_unknown_facet_rejected(line):
+    lines = TET.to_text().splitlines()
+    lines.insert(-1, line)
+    with pytest.raises(MeshError, match="'inner' names unknown facet"):
+        load_complex("\n".join(lines))
+
+
 def test_nonmanifold_facet_rejected():
     # three tets sharing one triangle
     verts = np.array(
@@ -161,7 +169,8 @@ def test_obstacle_touching_outer_at_a_vertex_rejected():
     # the tetrahedron (1,1,0) (1,1,1) (1,2,1) (2,2,1) meets the hull only at (1, 1, 0)
     box = box_complex((4, 4, 4))
     vid = {tuple(v): i for i, v in enumerate(box.vertices)}
-    tip = box.index(3)[tuple(sorted(vid[c] for c in [(1, 1, 0), (1, 1, 1), (1, 2, 1), (2, 2, 1)]))]
+    cell_id = {tuple(row): i for i, row in enumerate(box.simplices[3])}
+    tip = cell_id[tuple(sorted(vid[c] for c in [(1, 1, 0), (1, 1, 1), (1, 2, 1), (2, 2, 1)]))]
     box.regions = ["o" if i == tip else "" for i in range(box.n(3))]
     with pytest.raises(MeshError, match="outer boundary at vertex"):
         carve_obstacle(box, {"o"})
@@ -232,3 +241,150 @@ def test_metadata_json_stable():
     assert sc.carved.metadata_json() == sc.carved.metadata_json()
     meta = sc.carved.metadata()
     assert meta["counts"]["3"] == sc.carved.n(3)
+
+
+# -- array lookups against the tuple-dict algorithm they replace ---------------------
+
+
+def _tuple_dict_oracle(cplx):
+    """Face tables of ``cplx`` built with per-simplex tuple dicts and loops."""
+    from collections import Counter
+    from itertools import combinations
+
+    d = cplx.dim
+    rows = {p: [tuple(map(int, r)) for r in cplx.simplices[p]] for p in range(d + 1)}
+    index = {p: {r: i for i, r in enumerate(rows[p])} for p in range(d + 1)}
+
+    def faces(s):  # face k omits vertex k
+        return [tuple(int(v) for v in np.delete(s, k)) for k in range(len(s))]
+
+    d_p = {p: {(i, index[p][f]): (-1) ** k for i, s in enumerate(cplx.simplices[p + 1])
+               for k, f in enumerate(faces(s))} for p in range(d)}
+    counts = Counter(f for s in cplx.simplices[d] for f in faces(s))
+    bf = sorted(index[d - 1][f] for f, c in counts.items() if c == 1)
+    bsub = {p: sorted({index[p][c] for i in bf for c in combinations(rows[d - 1][i], p + 1)})
+            for p in range(d)}
+    face_ids = {p: [[index[p][c] for c in combinations(s, p + 1)] for s in rows[d]]
+                for p in range(d)}
+    # boundary components: facets joined by shared ridges, searched depth first
+    by_ridge: dict = {}
+    for i in bf:
+        for r in faces(cplx.simplices[d - 1][i]):
+            by_ridge.setdefault(r, []).append(i)
+    comps, seen = [], set()
+    for i in bf:
+        if i not in seen:
+            stack, comp = [i], set()
+            seen.add(i)
+            while stack:
+                cur = stack.pop()
+                comp.add(cur)
+                for r in faces(cplx.simplices[d - 1][cur]):
+                    stack += [j for j in by_ridge[r] if j not in seen]
+                    seen.update(by_ridge[r])
+            comps.append(sorted(comp))
+    # orientability: propagate cell signs across shared facets
+    cofaces: dict = {}
+    for c, s in enumerate(cplx.simplices[d]):
+        for k, f in enumerate(faces(s)):
+            cofaces.setdefault(f, []).append((c, (-1) ** k))
+    sign, ok = {}, True
+    for root in range(cplx.n(d)):
+        if root in sign:
+            continue
+        sign[root], stack = 1, [root]
+        while stack:
+            c = stack.pop()
+            for k, f in enumerate(faces(cplx.simplices[d][c])):
+                for c2, s2 in cofaces[f]:
+                    want = -sign[c] * (-1) ** k * s2
+                    if c2 == c:
+                        continue
+                    if c2 not in sign:
+                        sign[c2] = want
+                        stack.append(c2)
+                    ok &= sign[c2] == want
+    return index, d_p, bf, bsub, face_ids, sorted(comps), ok
+
+
+def _check_against_oracle(cplx):
+    from decem.forms import build_d
+
+    index, d_p, bf, bsub, face_ids, comps, ok = _tuple_dict_oracle(cplx)
+    d = cplx.dim
+    for p in range(d + 1):
+        rows = list(index[p])
+        assert np.array_equal(cplx.lookup(p, rows), list(index[p].values()))
+        assert np.array_equal(cplx.lookup(p, [r[::-1] for r in rows]), list(index[p].values()))
+    for p in range(d):
+        coo = build_d(cplx, p).tocoo()
+        assert dict(zip(zip(coo.row.tolist(), coo.col.tolist()), coo.data.tolist())) == d_p[p]
+        assert np.array_equal(cplx.face_ids(p), face_ids[p])
+        assert np.array_equal(cplx.boundary_subsimplices(p), bsub[p])
+    assert np.array_equal(cplx.boundary_facets(), bf)
+    assert sorted(c.tolist() for _, c in boundary_components(cplx)) == comps
+    assert orientable(cplx) == ok
+    return index
+
+
+@pytest.mark.parametrize(
+    "name", ["balls:2", "hopf_link", "solid_torus", "wormhole_obstacle", "concentric_spheres"]
+)
+def test_array_lookups_match_tuple_dicts(name):
+    sc = canned_scenario(name, 1)
+    ref_index = _check_against_oracle(sc.reference)
+    _check_against_oracle(sc.carved)
+    for p in range(sc.carved.dim + 1):
+        want = [ref_index[p][tuple(map(int, s))] for s in sc.carved.simplices[p]]
+        assert np.array_equal(sc.injections[p], want)
+
+
+def test_moebius_band_is_not_orientable():
+    # the five-vertex Moebius band: triangles {i, i+1, i+2} mod 5, one boundary circle
+    cells = np.array([[i, (i + 1) % 5, (i + 2) % 5] for i in range(5)])
+    band = SimplicialComplex.from_top_cells(np.zeros((5, 2)), cells)
+    _check_against_oracle(band)
+    assert not orientable(band)
+    assert len(boundary_components(band)) == 1
+
+
+def test_lookup_names_a_missing_row():
+    assert np.array_equal(TET.lookup(1, [[3, 0], [1, 2]]), [2, 3])
+    with pytest.raises(MeshError, match=r"1-simplex \(0, 4\) is not in the complex"):
+        TET.lookup(1, [[0, 1], [0, 4], [1, 9]])
+    with pytest.raises(MeshError, match=r"2-simplex \(-1, 1, 2\)"):
+        TET.lookup(2, [[-1, 1, 2]])
+
+
+def test_lookup_overflow_guard_names_the_limit():
+    verts = np.zeros((60000, 3))
+    verts[1:4] = np.eye(3)
+    c = SimplicialComplex.from_top_cells(verts, np.array([[0, 1, 2, 3]]))
+    assert np.array_equal(c.lookup(2, [[0, 1, 2]]), [0])
+    assert np.array_equal(c.face_ids(3), [[0]])
+    with pytest.raises(MeshError, match=r"60000 vertices overflow .*limit 55108"):
+        c.lookup(3, [[0, 1, 2, 3]])
+
+
+# sha256 of dump-mesh's outputs (carved mesh text, metadata JSON) at res 1, as
+# written before faces were found by array lookup
+GOLDEN_DUMPS = {
+    "balls:1": (
+        "f6da2fec59691084665719a724d630c9fbc8e28fd786d37e7ac3fb5789bfe4c7",
+        "312466dc636d39a0402abfba4898956c799f72953965a57b72a579de56598421",
+    ),
+    "hopf_link": (
+        "970745ca09234e9d4e03720f30ffde1076bc881347602ca41e7f923e7f049c03",
+        "7d6e44d3e71af382687ef5ea265ff527538499c18dc69816dee4ce5a2e1e4bfb",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DUMPS))
+def test_dump_mesh_golden(name):
+    import hashlib
+
+    c = canned_scenario(name, 1).carved
+    text = hashlib.sha256(c.to_text().encode()).hexdigest()
+    meta = hashlib.sha256(c.metadata_json().encode()).hexdigest()
+    assert (text, meta) == GOLDEN_DUMPS[name]
