@@ -4,7 +4,7 @@ Modules
 -------
 mesh         simplicial complexes, obstacle carving, gluing
 geometries   canned obstacle scenarios on structured meshes
-forms        cochains, weighted mass matrices, codifferential, masks
+forms        incidence and weighted mass matrices, codifferential, masks
 spectral     Hodge Laplacians, operator functions, the Q_eps projector
 topology     exact relative cohomology over the rationals
 hodge        harmonic bases, capacity mode, Helmholtz split
@@ -16,7 +16,7 @@ cli          scenario runner
 
 __version__ = "0.1.0"
 
-from .forms import Cochain, DecOperators, MaterialField, reduce_relative
+from .forms import DecOperators, MaterialField, reduce_relative
 from .mesh import (
     ObstacleScenario,
     SimplicialComplex,
@@ -26,7 +26,6 @@ from .mesh import (
 )
 
 __all__ = [
-    "Cochain",
     "DecOperators",
     "MaterialField",
     "ObstacleScenario",

@@ -18,7 +18,7 @@ import yaml
 from . import geometries
 from .forms import DecOperators, MaterialField, reduce_relative
 from .io import sparse_triplets
-from .mesh import MeshError, boundary_components, carve_obstacle, load_complex
+from .mesh import MeshError, carve_obstacle, load_complex
 from .spectral import assemble_laplacian, eig
 
 CONFIG_VERSION = 1
@@ -59,20 +59,32 @@ def validate_config(cfg: dict) -> dict:
     return cfg
 
 
+def _canned_name(name: str) -> str:
+    """``name`` if it names a canned geometry; otherwise a config error."""
+    if name not in geometries.CANNED:
+        raise ConfigError(f"/geometry: unknown canned geometry {name!r}; see `decem list`")
+    return name
+
+
 def build_scenario(cfg: dict):
     geo = cfg["geometry"]
     res = int(cfg.get("res", 1))
     if "canned" in geo:
-        name = geo["canned"]
+        name = _canned_name(geo["canned"])
         if cfg.get("empty"):
             ref, _tags = geometries.CANNED[name].build(res)
             return carve_obstacle(ref, set())
         return geometries.canned_scenario(name, res)
     if "mesh" in geo:
-        cplx = load_complex(
-            open(geo["mesh"]).read() if geo.get("format", "decmesh") == "decmesh" else geo["mesh"],
-            geo.get("format", "decmesh"),
-        )
+        fmt = geo.get("format", "decmesh")
+        try:
+            if fmt == "decmesh":
+                with open(geo["mesh"]) as fh:
+                    cplx = load_complex(fh)
+            else:
+                cplx = load_complex(geo["mesh"], fmt)
+        except FileNotFoundError as exc:
+            raise ConfigError(f"/geometry/mesh: no such mesh file: {exc.filename}") from exc
         return carve_obstacle(cplx, set(geo.get("obstacle_tags", [])))
     raise ConfigError("/geometry: needs 'canned' or 'mesh'")
 
@@ -127,7 +139,7 @@ def pipeline_topology(cfg, scenario, material):
 
 
 def pipeline_hodge(cfg, scenario, material):
-    from .hodge import capacity_and_psiL, harmonic_basis, helmholtz
+    from .hodge import HelmholtzSolver, capacity_and_psiL, harmonic_basis
 
     params = cfg["params"]
     ops = reduce_relative(DecOperators(scenario.carved, material))
@@ -142,6 +154,7 @@ def pipeline_hodge(cfg, scenario, material):
             rows.append(_assert_row("capacity", rel <= tol, rel, tol))
     L1 = assemble_laplacian(ops, 1)
     dec1 = eig(L1)
+    solver = HelmholtzSolver(dec1, L1)
     hb = harmonic_basis(dec1, ops)
     out["harmonic_dim"] = hb.L
     rng = np.random.default_rng(cfg["seed"])
@@ -150,7 +163,7 @@ def pipeline_hodge(cfg, scenario, material):
     M = ops.mass(1)
     for _ in range(n_checks):
         phi = rng.standard_normal(ops.n(1))
-        hs = helmholtz(phi, dec1, L1)
+        hs = solver.split(phi)
         worst_rec = max(worst_rec, hs.recomposition_error(ops, 1))
         pairs = (
             abs(hs.harmonic @ (M @ hs.exact)),
@@ -206,7 +219,6 @@ def pipeline_qft(cfg, scenario, material):
     ops = reduce_relative(DecOperators(scenario.carved, material))
     dec0 = eig(assemble_laplacian(ops, 0))
     dec1 = eig(assemble_laplacian(ops, 1))
-    dec2 = eig(assemble_laplacian(ops, 2))
     Q = None
     if scenario.has_obstacle and dec1.kernel_dim > 0:
         cap, u, _psi = capacity_and_psiL(ops)
@@ -222,7 +234,7 @@ def pipeline_qft(cfg, scenario, material):
             r_plateau=float(qp.get("r_plateau", 0.55 * rmax)),
             r_zero=float(qp.get("r_zero", 0.8 * rmax)),
         )
-    fc = FieldCalculus(ops, dec0, dec1, dec2, Q=Q)
+    fc = FieldCalculus(ops, dec0, dec1, Q=Q)
     rng = np.random.default_rng(cfg["seed"])
 
     def rand2():
@@ -383,7 +395,7 @@ def run_cmd(pipeline, geometry, config_path, res, seed, empty, output_dir):
             cfg["empty"] = True
         cfg["pipeline"] = pipeline
         code, summary = run_config(cfg)
-    except (ConfigError, MeshError, KeyError) as exc:
+    except (ConfigError, MeshError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     for row in summary["result"].get("assertions", []):
@@ -410,8 +422,8 @@ def list_cmd():
 def dump_mesh_cmd(geometry, res, out, carved):
     """Write a canned mesh in the decmesh text format (plus metadata JSON)."""
     try:
-        sc = geometries.canned_scenario(geometry, res)
-    except (KeyError, MeshError) as exc:
+        sc = geometries.canned_scenario(_canned_name(geometry), res)
+    except (ConfigError, MeshError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     cplx = sc.carved if carved else sc.reference
@@ -432,8 +444,8 @@ def dump_mesh_cmd(geometry, res, out, carved):
 def export_matrices_cmd(geometry, res, degree, out):
     """Export incidence and mass matrices in sparse triplet text format."""
     try:
-        sc = geometries.canned_scenario(geometry, res)
-    except (KeyError, MeshError) as exc:
+        sc = geometries.canned_scenario(_canned_name(geometry), res)
+    except (ConfigError, MeshError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
     ops = reduce_relative(DecOperators(sc.carved))

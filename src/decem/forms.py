@@ -22,19 +22,6 @@ from .mesh import SimplicialComplex, faces_of
 
 
 @dataclass
-class Cochain:
-    """Coefficient vector over the (kept) p-simplices of a complex."""
-
-    degree: int
-    values: np.ndarray
-    complex: SimplicialComplex
-    basis: str = "whitney"
-
-    def copy(self) -> "Cochain":
-        return Cochain(self.degree, self.values.copy(), self.complex, self.basis)
-
-
-@dataclass
 class MaterialField:
     """Piecewise-constant permittivity and permeability, one value per region tag."""
 
@@ -231,9 +218,6 @@ class DecOperators:
 
     # calculus ------------------------------------------------------------------
 
-    def apply_d(self, p: int, x: np.ndarray) -> np.ndarray:
-        return self.d(p) @ x
-
     def apply_codifferential(self, p: int, x: np.ndarray) -> np.ndarray:
         """delta-twiddle on p-cochains: M_{p-1}^{-1} d_{p-1}^T M_p x."""
         if p <= 0:
@@ -259,16 +243,6 @@ class DecOperators:
         xr = np.asarray(x)
         v = np.vdot(xr, self.mass(p) @ xr)
         return float(np.sqrt(abs(v)))
-
-    # restriction helpers ---------------------------------------------------------
-
-    def restrict(self, p: int, full_values: np.ndarray) -> np.ndarray:
-        return np.asarray(full_values)[self.kept[p]]
-
-    def extend(self, p: int, kept_values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.complex.n(p), dtype=np.asarray(kept_values).dtype)
-        out[self.kept[p]] = kept_values
-        return out
 
     def kept_pos(self, p: int) -> np.ndarray:
         """Position of each p-simplex among the kept DOFs, -1 where masked."""

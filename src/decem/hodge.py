@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .forms import DecOperators
-from .mesh import OBSTACLE, OUTER, boundary_components
-from .spectral import LaplaceOperator, SpectralDecomposition, assemble_laplacian
+from .mesh import OBSTACLE, boundary_components
+from .spectral import LaplaceOperator, SpectralDecomposition
 
 
 @dataclass
@@ -41,7 +41,6 @@ class HelmholtzSplit:
     harmonic: np.ndarray
     exact: np.ndarray
     coexact: np.ndarray
-    potential: np.ndarray
 
     def recomposition_error(self, ops: DecOperators, p: int) -> float:
         r = self.phi - (self.harmonic + self.exact + self.coexact)
@@ -198,11 +197,9 @@ def threshold_integral(dec: SpectralDecomposition, phi: np.ndarray, delta: float
 
 
 class HelmholtzSolver:
-    """Kernel-constrained solver for the three-way split, factorized once."""
+    """Three-way Hodge-Kodaira split via a kernel-constrained solve, factorized once."""
 
     def __init__(self, dec: SpectralDecomposition, op: LaplaceOperator):
-        import scipy.linalg as sla
-
         self.dec = dec
         self.op = op
         K = dec.kernel_basis()
@@ -220,8 +217,6 @@ class HelmholtzSolver:
         self._n, self._L = n, L
 
     def split(self, phi: np.ndarray) -> HelmholtzSplit:
-        import scipy.linalg as sla
-
         op, dec = self.op, self.dec
         ops, p = op.ops, op.p
         M = op.M
@@ -241,14 +236,4 @@ class HelmholtzSolver:
             harmonic=harmonic,
             exact=exact,
             coexact=coexact,
-            potential=phi1,
         )
-
-
-def helmholtz(
-    phi: np.ndarray,
-    dec: SpectralDecomposition,
-    op: LaplaceOperator,
-) -> HelmholtzSplit:
-    """Three-way Hodge-Kodaira split via a kernel-constrained linear solve."""
-    return HelmholtzSolver(dec, op).split(phi)

@@ -308,10 +308,6 @@ class SimplicialComplex:
         out.write("end\n")
         return out.getvalue()
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
-
     def metadata(self) -> dict:
         """Canonical JSON-able summary used for golden tests."""
         comps = boundary_components(self)

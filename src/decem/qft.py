@@ -83,11 +83,10 @@ class FieldCalculus:
         ops: DecOperators,
         dec0: SpectralDecomposition,
         dec1: SpectralDecomposition,
-        dec2: SpectralDecomposition | None = None,
         Q: ProjectorQ | None = None,
     ):
         self.ops = ops
-        self.dec = {0: dec0, 1: dec1, 2: dec2}
+        self.dec = {0: dec0, 1: dec1}
         self.Q = Q
         lam = {}
         for p, dec in self.dec.items():

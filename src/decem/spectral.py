@@ -29,8 +29,7 @@ class LaplaceOperator:
     ops: DecOperators
     S: np.ndarray | sp.csr_matrix
     M: sp.csr_matrix
-    exact_down: bool
-    side: str = ""
+    exact_nonzero: bool  # nonzero spectrum exact (False with a lumped down-term)
 
     @property
     def n(self) -> int:
@@ -39,13 +38,8 @@ class LaplaceOperator:
     def S_dense(self) -> np.ndarray:
         return self.S if isinstance(self.S, np.ndarray) else self.S.toarray()
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.S @ x
 
-
-def assemble_laplacian(
-    ops: DecOperators, p: int, lumped_down: bool = False, side: str = ""
-) -> LaplaceOperator:
+def assemble_laplacian(ops: DecOperators, p: int, lumped_down: bool = False) -> LaplaceOperator:
     if not ops.reduced:
         raise ValueError("assemble_laplacian expects relatively reduced operators")
     d = ops.complex.dim
@@ -72,7 +66,7 @@ def assemble_laplacian(
         S = down + (up.toarray() if up is not None else 0.0)
         S = 0.5 * (S + S.T)
     M = ops.mass(p).tocsr()
-    return LaplaceOperator(p, ops, S, M, exact_down=not lumped_down, side=side)
+    return LaplaceOperator(p, ops, S, M, exact_nonzero=not lumped_down)
 
 
 @dataclass
@@ -118,12 +112,6 @@ class SpectralDecomposition:
         vals = self._function_values(f, kernel_policy)
         return self.vectors @ (vals * coef)
 
-    def funcmat(self, f, kernel_policy="include") -> np.ndarray:
-        if not self.complete or not self.exact_nonzero:
-            raise ValueError("operator functions need a complete exact decomposition")
-        vals = self._function_values(f, kernel_policy)
-        return (self.vectors * vals[None, :]) @ (self.vectors.T @ self.M.toarray())
-
     def _function_values(self, f, kernel_policy) -> np.ndarray:
         lam2 = self.evals.copy()
         kd = self.kernel_dim
@@ -158,18 +146,6 @@ class SpectralDecomposition:
             return np.array(x, copy=True)
         return x - K @ (K.T @ (self.M @ x))
 
-    def rotate_kernel_basis(self, new_basis: np.ndarray) -> None:
-        """Replace the kernel block by an equivalent M-orthonormal basis."""
-        kd = self.kernel_dim
-        if new_basis.shape[1] != kd:
-            raise ValueError("kernel basis dimension mismatch")
-        G = new_basis.T @ (self.M @ new_basis)
-        if np.linalg.norm(G - np.eye(kd)) > 1e-8:
-            raise ValueError("replacement kernel basis is not M-orthonormal")
-        self.vectors = self.vectors.copy()
-        self.vectors[:, :kd] = new_basis
-        self._P0 = None
-
     def to_csv(self) -> str:
         lines = ["index,lambda2,residual"]
         for i, lam2 in enumerate(self.evals):
@@ -197,8 +173,11 @@ def eig(op: LaplaceOperator, count="all", threshold: float = KERNEL_THRESHOLD) -
         evals, vecs = evals[order], vecs[:, order]
         max_eval = _norm_estimate(op)
         complete = False
-    if len(evals) and evals.min() < -1e-10 * max(max_eval, 1.0):
-        raise AssertionError("Laplacian has significantly negative eigenvalues")
+    neg_tol = 1e-10 * max(max_eval, 1.0)
+    if len(evals) and evals.min() < -neg_tol:
+        raise AssertionError(
+            f"Laplacian has significantly negative eigenvalues: {evals.min():.2e} < {-neg_tol:.2e}"
+        )
     evals = np.abs(evals)
     kernel_dim = int(np.sum(evals < threshold * max(max_eval, 1e-300)))
     dec = SpectralDecomposition(
@@ -210,7 +189,7 @@ def eig(op: LaplaceOperator, count="all", threshold: float = KERNEL_THRESHOLD) -
         threshold=threshold,
         max_eval=max_eval,
         complete=complete,
-        exact_nonzero=op.exact_down,
+        exact_nonzero=op.exact_nonzero,
         ops=op.ops,
     )
     _check_residuals(op, dec)
@@ -224,7 +203,7 @@ def _norm_estimate(op: LaplaceOperator) -> float:
             op.S, k=1, M=op.M, which="LM", return_eigenvectors=False, maxiter=200, tol=1e-2
         )
         return float(abs(val[0])) * 1.2
-    except Exception:
+    except spla.ArpackNoConvergence:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(op.n)
         for _ in range(30):
@@ -242,18 +221,13 @@ def _check_residuals(op: LaplaceOperator, dec: SpectralDecomposition) -> None:
     idx = np.unique(np.linspace(0, dec.vectors.shape[1] - 1, m).astype(int))
     V = dec.vectors[:, idx]
     G = V.T @ (op.M @ V)
-    if np.linalg.norm(G - np.eye(len(idx))) > 1e-10 * max(1.0, len(idx)):
-        raise AssertionError("eigenvectors not M-orthonormal")
+    orth, orth_tol = np.linalg.norm(G - np.eye(len(idx))), 1e-10 * max(1.0, len(idx))
+    if orth > orth_tol:
+        raise AssertionError(f"eigenvectors not M-orthonormal: {orth:.2e} > {orth_tol:.2e}")
     R = op.S @ V - (op.M @ V) * dec.evals[idx][None, :]
-    scale = max(dec.max_eval, 1e-300)
-    if np.linalg.norm(R, axis=0).max() > 1e-8 * scale:
-        raise AssertionError("eigenpair residual too large")
-
-
-def kernel_projector(dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """(P0, P) as dense matrices."""
-    P0 = dec.kernel_projector()
-    return P0, np.eye(P0.shape[0]) - P0
+    res, res_tol = np.linalg.norm(R, axis=0).max(), 1e-8 * max(dec.max_eval, 1e-300)
+    if res > res_tol:
+        raise AssertionError(f"eigenpair residual {res:.2e} > {res_tol:.2e}")
 
 
 # -- resolvent quadrature for the inverse square root ------------------------------
@@ -278,13 +252,10 @@ def quadrature_rule(panels_per_side: int = 4, nodes: int = 8) -> tuple[np.ndarra
 def _spectrum_bounds(op: LaplaceOperator, kernel_basis: np.ndarray) -> tuple[float, float]:
     hi = _norm_estimate(op)
     k = kernel_basis.shape[1]
-    try:
-        lo_vals = spla.eigsh(
-            op.S, k=k + 1, M=op.M, sigma=-1e-6 * hi, which="LM", return_eigenvectors=False
-        )
-        lo = float(np.sort(np.abs(lo_vals))[-1])
-    except Exception:
-        lo = hi * 1e-6
+    lo_vals = spla.eigsh(
+        op.S, k=k + 1, M=op.M, sigma=-1e-6 * hi, which="LM", return_eigenvectors=False
+    )
+    lo = float(np.sort(np.abs(lo_vals))[-1])
     return max(lo, hi * 1e-14), hi
 
 

@@ -5,7 +5,9 @@ and D2 = d (Delta^-1/2 - Delta0^-1/2) delta~ on 2-forms only probe the
 coexact block of the Laplacian, where Delta coincides with delta~ d.  Both
 sides are therefore built from the generalized pencil (d^T M2 d, M1): zero
 modes and exact forms sit in its kernel and drop out exactly, which realizes
-the kernel-exclusion policy of the continuum formula.
+the kernel-exclusion policy of the continuum formula.  Each side's pencil is
+eigensolved by ``spectral.eig`` (with its residual checks), and the second
+path to D1 and D2 is ``spectral.inverse_sqrt_quadrature`` on the same pencil.
 
 The reference side is restricted to the shared interior DOFs as an integral
 kernel: coefficients A0 M0^-1 live in the shared Whitney basis, are
@@ -21,11 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .forms import DecOperators, MaterialField, reduce_relative
 from .mesh import ObstacleScenario
-from .spectral import SpectralDecomposition, assemble_laplacian, quadrature_rule
+from .spectral import (
+    LaplaceOperator,
+    SpectralDecomposition,
+    assemble_laplacian,
+    eig,
+    inverse_sqrt_quadrature,
+)
 
 
 @dataclass
@@ -33,8 +40,8 @@ class SideData:
     """Operators and the coexact-block eigensystem for one side."""
 
     ops: DecOperators
-    K: sp.csr_matrix  # d1^T M2 d1 on kept edges
-    dec: SpectralDecomposition  # pencil (K, M1); kernel = closed 1-forms
+    op: LaplaceOperator  # pencil (d1^T M2 d1, M1) on kept edges
+    dec: SpectralDecomposition  # eig(op); kernel = closed 1-forms
     _S1_dense: np.ndarray | None = field(default=None, repr=False)
 
     def S1_dense(self) -> np.ndarray:
@@ -51,16 +58,8 @@ class SideData:
 def build_side(cplx, material: MaterialField) -> SideData:
     ops = reduce_relative(DecOperators(cplx, material))
     K = (ops.d(1).T @ ops.mass(2) @ ops.d(1)).tocsr()
-    M = ops.mass(1)
-    evals, vecs = sla.eigh(K.toarray(), M.toarray())
-    evals = np.abs(evals)
-    max_eval = float(evals[-1]) if len(evals) else 0.0
-    kd = int(np.sum(evals < 1e-8 * max(max_eval, 1e-300)))
-    dec = SpectralDecomposition(
-        p=1, evals=evals, vectors=vecs, M=M, kernel_dim=kd, threshold=1e-8,
-        max_eval=max_eval, complete=True, exact_nonzero=True, ops=ops,
-    )
-    return SideData(ops=ops, K=K, dec=dec)
+    op = LaplaceOperator(1, ops, K, ops.mass(1), exact_nonzero=True)
+    return SideData(ops=ops, op=op, dec=eig(op))
 
 
 @dataclass
@@ -100,32 +99,20 @@ class ScenarioStress:
         return out
 
 
-def _g_values(dec: SpectralDecomposition, power: float) -> np.ndarray:
-    vals = np.zeros_like(dec.evals)
+def _side_kernel(side: SideData, power: float, through_d: bool) -> np.ndarray:
+    """Dense side operator V g V^T M, g = lambda^power on the coexact block.
+
+    V holds the pencil's eigenvectors; ``through_d`` replaces V by d1 V and M1
+    by M2.  D1 = Delta^-1/2 delta~ d is power 1/2 on 1-forms, D2 = d Delta^-1/2
+    delta~ is power -1/2 through d, and t0k_check uses Delta^-1/2 on 1-forms.
+    """
+    dec = side.dec
+    V = side.ops.d(1) @ dec.vectors if through_d else dec.vectors
+    g = np.zeros_like(dec.evals)
     kd = dec.kernel_dim
-    vals[kd:] = dec.evals[kd:] ** power
-    return vals
-
-
-def _side_D1(side: SideData) -> np.ndarray:
-    """Delta^-1/2 delta~ d = sqrt of the coexact block."""
-    dec = side.dec
-    g = _g_values(dec, 0.5)
-    return (dec.vectors * g[None, :]) @ (dec.vectors.T @ side.ops.mass(1).toarray())
-
-
-def _side_D2(side: SideData) -> np.ndarray:
-    dec = side.dec
-    dV = side.ops.d(1) @ dec.vectors
-    g = _g_values(dec, -0.5)
-    return (dV * g[None, :]) @ (dV.T @ side.ops.mass(2).toarray())
-
-
-def _side_G1(side: SideData) -> np.ndarray:
-    """f(Delta_1) with f = lambda^-1/2 on the coexact block (zero elsewhere)."""
-    dec = side.dec
-    g = _g_values(dec, -0.5)
-    return (dec.vectors * g[None, :]) @ (dec.vectors.T @ side.ops.mass(1).toarray())
+    g[kd:] = dec.evals[kd:] ** power
+    M = side.ops.mass(2 if through_d else 1)
+    return (V * g[None, :]) @ (V.T @ M.toarray())
 
 
 def restrict_reference(st: ScenarioStress, A0: np.ndarray, p: int) -> np.ndarray:
@@ -141,49 +128,36 @@ def operator_difference(st: ScenarioStress, which: str, via: str = "eig") -> np.
         raise ValueError("which must be 'D1' or 'D2'")
     p = 1 if which == "D1" else 2
     if via == "eig":
-        build = _side_D1 if which == "D1" else _side_D2
-        a = build(st.sigma)
+        power, through_d = (0.5, False) if which == "D1" else (-0.5, True)
+        a = _side_kernel(st.sigma, power, through_d)
         if st.reference is st.sigma:
             return np.zeros_like(a)
-        return a - restrict_reference(st, build(st.reference), p)
+        return a - restrict_reference(st, _side_kernel(st.reference, power, through_d), p)
     if via == "quadrature":
         n = st.sigma.ops.n(p)
-        a = _apply_quad(st.sigma, which, np.eye(n))
+        a = _side_quadrature(st.sigma, which, np.eye(n))
         if st.reference is st.sigma:
             return np.zeros_like(a)
-        b = _apply_quad(st.reference, which, np.eye(st.reference.ops.n(p)))
+        b = _side_quadrature(st.reference, which, np.eye(st.reference.ops.n(p)))
         return a - restrict_reference(st, b, p)
     raise ValueError("via must be 'eig' or 'quadrature'")
 
 
-def _apply_quad(side: SideData, which: str, X: np.ndarray) -> np.ndarray:
-    """Quadrature realization of the side operator applied to vectors.
+def _side_quadrature(side: SideData, which: str, X: np.ndarray) -> np.ndarray:
+    """The side operator of D1 or D2 applied to X through the resolvent quadrature.
 
-    Uses Delta^-1/2 = (2/pi) int (Delta + lam^2)^-1 dlam on the coexact block,
-    where the resolvent solve only needs the sparse pencil (K, M1).
+    D1 X = Delta^-1/2 (delta~ d X) and D2 X = d Delta^-1/2 (delta~ X), with
+    Delta^-1/2 evaluated on the pencil from sparse resolvent solves only.
     """
     ops = side.ops
-    lo, hi = side.positive_bounds()
-    kappa = hi / lo
-    th, w = quadrature_rule(*((4, 8) if kappa < 3e4 else (5, 12)))
-    c = np.sqrt(np.sqrt(lo * hi))
-    lam = c * np.tan(th)
-    dl = c / np.cos(th) ** 2
-    K = side.K.tocsc()
-    M = ops.mass(1).tocsc()
+    bounds = side.positive_bounds()
     if which == "D1":
-        rhs = np.asarray(K @ X)
-        post = None
-    else:
-        rhs = np.asarray(ops.d(1).T @ (ops.mass(2) @ X))  # M1 delta~ X
-        post = ops.d(1)
-    out = np.zeros_like(rhs)
-    import scipy.sparse.linalg as spla
-
-    for wi, li, dli in zip(w, lam, dl):
-        fac = spla.splu(K + (li * li) * M)
-        out += (2.0 / np.pi) * wi * dli * fac.solve(rhs)
-    return (post @ out) if post is not None else out
+        return inverse_sqrt_quadrature(
+            side.op, ops.apply_codifferential(2, ops.d(1) @ X), spectrum_bounds=bounds
+        )
+    return ops.d(1) @ inverse_sqrt_quadrature(
+        side.op, ops.apply_codifferential(2, X), spectrum_bounds=bounds
+    )
 
 
 def quadrature_agreement(st: ScenarioStress, which: str = "D1", n_probes: int = 16,
@@ -192,12 +166,12 @@ def quadrature_agreement(st: ScenarioStress, which: str = "D1", n_probes: int = 
     p = 1 if which == "D1" else 2
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((st.sigma.ops.n(p), n_probes))
-    a = _apply_quad(st.sigma, which, X)
+    a = _side_quadrature(st.sigma, which, X)
     if st.reference is not st.sigma:
         # kernel-style restriction acting on vectors: J^T A0 M0^{-1} J M x
         Y = np.zeros((st.reference.ops.n(p), n_probes))
         Y[st.kept_maps[p]] = st.sigma.ops.mass(p) @ X
-        z = _apply_quad(st.reference, which, st.reference.ops.mass_factor(p).solve(Y))
+        z = _side_quadrature(st.reference, which, st.reference.ops.mass_factor(p).solve(Y))
         a = a - z[st.kept_maps[p]]
     if D is None:
         D = operator_difference(st, which)
@@ -309,11 +283,11 @@ def t0k_check(st: ScenarioStress, n_samples: int = 12, seed: int = 0,
     """
     rng = np.random.default_rng(seed)
     ops_s = st.sigma.ops
-    G1s = _side_G1(st.sigma)
+    G1s = _side_kernel(st.sigma, -0.5, False)
     if unsymmetrize:
         n = G1s.shape[0]
         G1s = G1s @ (np.eye(n) + unsymmetrize * np.triu(np.ones((n, n)), 1))
-    G1r = _side_G1(st.reference) if st.reference is not st.sigma else None
+    G1r = _side_kernel(st.reference, -0.5, False) if st.reference is not st.sigma else None
     worst, scale = 0.0, 1e-300
 
     def side_pair(ops, G1, E, B):

@@ -44,7 +44,7 @@ def qft_bundle() -> QftBundle:
         dec1, ops, u, eps=1.0, center=np.array([3.0, 3.0, 3.0]),
         r_plateau=2.0, r_zero=2.8,
     )
-    fc = FieldCalculus(ops, dec0, dec1, dec2, Q=Q)
+    fc = FieldCalculus(ops, dec0, dec1, Q=Q)
     return QftBundle(sc, ops, L0, L1, L2, dec0, dec1, dec2, Q, fc, cap, u)
 
 
@@ -102,6 +102,6 @@ def wormhole_bundle() -> WormholeBundle:
         dec1, ops, u, eps=1.0, center=np.array([6.0, 3.0, 3.0]),
         r_plateau=2.0, r_zero=2.6,
     )
-    fc = FieldCalculus(ops, None, dec1, None, Q=Q)
+    fc = FieldCalculus(ops, None, dec1, Q=Q)
     qb, tb = sector_split(dec1, ops)
     return WormholeBundle(sc, ops, dec1, Q, fc, qb, tb)

@@ -226,7 +226,10 @@ def test_criterion_7_q_eps_suite(shell_bundle, qft_bundle):
                         r_plateau=0.6, r_zero=0.75)
         Qm = q.matrix()
         idem = max(idem, np.linalg.norm(Qm @ Qm - Qm))
-        ranks.append(np.linalg.matrix_rank(q.q0_matrix(), tol=1e-8))
+        # rank of Q0 = Q_l (R_l R_r^T) Q_r^T from the thin-QR core of its factors
+        left, right = q.q0_factors()
+        Rl, Rr = np.linalg.qr(left, mode="r"), np.linalg.qr(right.T, mode="r")
+        ranks.append(np.linalg.matrix_rank(Rl @ Rr.T, tol=1e-8))
         target = np.zeros(q.L)
         target[-1] = 1.0
         pair_err = max(pair_err, float(np.linalg.norm(q.pairings() - target)))
@@ -248,7 +251,7 @@ def test_criterion_7_q_eps_suite(shell_bundle, qft_bundle):
     for eps, (rp, rz) in ((1.0, (2.0, 2.8)), (0.9, (1.9, 2.6)), (1.1, (2.1, 2.9))):
         Q = build_Q_eps(b.dec1, b.ops, b.u, eps=eps,
                         center=np.array([3.0, 3.0, 3.0]), r_plateau=rp, r_zero=rz)
-        fc = FieldCalculus(b.ops, b.dec0, b.dec1, b.dec2, Q=Q)
+        fc = FieldCalculus(b.ops, b.dec0, b.dec1, Q=Q)
         vals.append(fc.krein_product(fc.kappa(f1), fc.kappa(f2)))
     spread = max(abs(v - vals[0]) for v in vals) / max(abs(vals[0]), 1.0)
 

@@ -136,3 +136,26 @@ def test_run_hodge_pipeline(runner, tmp_path):
     assert res.exit_code == 0, res.output
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["result"]["harmonic_dim"] == 1
+
+
+def test_missing_mesh_path_config_error(runner, tmp_path):
+    import yaml
+
+    missing = tmp_path / "no_such.decmesh"
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"geometry": {"mesh": str(missing)}}))
+    res = runner.invoke(main, ["run", "topology", "--config", str(path)])
+    assert res.exit_code == 2
+    assert str(missing) in res.output
+
+
+def test_internal_key_error_is_not_config_error(runner, monkeypatch):
+    import decem.cli as cli
+
+    def broken(cfg, scenario, material):
+        raise KeyError("planted internal lookup")
+
+    monkeypatch.setitem(cli.PIPELINES, "topology", broken)
+    res = runner.invoke(main, ["run", "topology", "--geometry", "balls:1"])
+    assert res.exit_code != 2
+    assert isinstance(res.exception, KeyError)

@@ -21,7 +21,11 @@ def test_projection_idempotent(shell_bundle):
 
 def test_rank_of_q0_is_kernel_dimension(shell_bundle):
     q = _build(shell_bundle, 0.4)
-    assert np.linalg.matrix_rank(q.q0_matrix(), tol=1e-8) == q.L
+    # left = Q_l R_l and right^T = Q_r R_r give Q0 = Q_l (R_l R_r^T) Q_r^T: Q0 and
+    # the L x L core have the same singular values, without forming the n x n Q0
+    left, right = q.q0_factors()
+    Rl, Rr = np.linalg.qr(left, mode="r"), np.linalg.qr(right.T, mode="r")
+    assert np.linalg.matrix_rank(Rl @ Rr.T, tol=1e-8) == q.L
 
 
 def test_pairing_is_kronecker(shell_bundle):

@@ -217,7 +217,7 @@ def test_kappa_eps_independence_on_coclosed(qft_bundle):
     for eps, (rp, rz) in ((1.0, (2.0, 2.8)), (0.9, (1.9, 2.6)), (1.1, (2.1, 2.9))):
         Q = build_Q_eps(b.dec1, b.ops, b.u, eps=eps, center=np.array([3.0, 3.0, 3.0]),
                         r_plateau=rp, r_zero=rz)
-        fc = FieldCalculus(b.ops, b.dec0, b.dec1, b.dec2, Q=Q)
+        fc = FieldCalculus(b.ops, b.dec0, b.dec1, Q=Q)
         vals.append(fc.krein_product(fc.kappa(f1), fc.kappa(f2)))
     spread = max(abs(v - vals[0]) for v in vals)
     assert spread <= 1e-6 * max(abs(vals[0]), 1.0)

@@ -1,13 +1,18 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from decem.forms import DecOperators, MaterialField, reduce_relative
 from decem.geometries import box_complex, chain_complex
 from decem.spectral import (
+    LaplaceOperator,
+    _check_residuals,
     assemble_laplacian,
     eig,
     inverse_sqrt_quadrature,
-    kernel_projector,
 )
 
 
@@ -121,7 +126,7 @@ def test_spectral_mapping_composition(qft_bundle):
 
 def test_kernel_projector_properties(qft_bundle):
     dec = qft_bundle.dec1
-    P0, P = kernel_projector(dec)
+    P0 = dec.kernel_projector()
     M = qft_bundle.ops.mass(1).toarray()
     assert np.linalg.norm(P0 @ P0 - P0) <= 1e-10
     assert np.linalg.norm(M @ P0 - (M @ P0).T) <= 1e-10 * np.abs(M @ P0).max()
@@ -129,7 +134,7 @@ def test_kernel_projector_properties(qft_bundle):
     assert np.linalg.norm(P0 @ k - k) <= 1e-12
     # trivial kernel case
     dec0 = qft_bundle.dec0
-    P00, _ = kernel_projector(dec0)
+    P00 = dec0.kernel_projector()
     assert np.abs(P00).max() == 0
 
 
@@ -198,3 +203,72 @@ def test_spectral_csv(qft_bundle):
     csv = qft_bundle.dec0.to_csv()
     assert csv.startswith("index,lambda2,residual")
     assert len(csv.strip().splitlines()) == len(qft_bundle.dec0.evals) + 1
+
+
+def _numbers(message: str, pattern: str) -> tuple[float, float]:
+    m = re.fullmatch(pattern, message)
+    assert m, message
+    return float(m[1]), float(m[2])
+
+
+def test_check_residuals_reports_planted_eigenvector(box_ops):
+    """A rotated eigenpair keeps M-orthonormality but breaks the residual."""
+    L1 = assemble_laplacian(box_ops, 1)
+    dec = eig(L1)
+    V = dec.vectors.copy()
+    c, s = np.cos(0.1), np.sin(0.1)
+    V[:, 0] = c * dec.vectors[:, 0] + s * dec.vectors[:, -1]
+    V[:, -1] = -s * dec.vectors[:, 0] + c * dec.vectors[:, -1]
+    with pytest.raises(AssertionError) as err:
+        _check_residuals(L1, dataclasses.replace(dec, vectors=V))
+    got, tol = _numbers(str(err.value), r"eigenpair residual (\S+) > (\S+)")
+    want = max(
+        np.linalg.norm(L1.S @ V[:, j] - dec.evals[j] * (L1.M @ V[:, j])) for j in (0, -1)
+    )
+    assert got == pytest.approx(want, rel=1e-2)
+    assert tol == pytest.approx(1e-8 * dec.max_eval, rel=1e-2)
+
+
+def test_check_residuals_reports_orthonormality(box_ops):
+    L1 = assemble_laplacian(box_ops, 1)
+    dec = eig(L1)
+    V = dec.vectors.copy()
+    V[:, 0] *= 1.001
+    with pytest.raises(AssertionError) as err:
+        _check_residuals(L1, dataclasses.replace(dec, vectors=V))
+    got, tol = _numbers(str(err.value), r"eigenvectors not M-orthonormal: (\S+) > (\S+)")
+    assert got == pytest.approx(1.001**2 - 1.0, rel=1e-2)
+    assert tol < 1e-8
+
+
+def test_eig_reports_negative_eigenvalue(box_ops):
+    L1 = assemble_laplacian(box_ops, 1)
+    dec = eig(L1)
+    flipped = LaplaceOperator(1, box_ops, -L1.S, L1.M, exact_nonzero=True)
+    with pytest.raises(AssertionError) as err:
+        eig(flipped)
+    got, tol = _numbers(
+        str(err.value), r"Laplacian has significantly negative eigenvalues: (\S+) < (\S+)"
+    )
+    assert got == pytest.approx(-dec.evals[-1], rel=1e-2)
+    assert tol == pytest.approx(-1e-10)
+
+
+@pytest.mark.parametrize("planted", ["shift_invert", "every_call"])
+def test_spectrum_bounds_failure_is_loud(box_ops, monkeypatch, planted):
+    """A failing eigsh must surface, not fall back to a guessed spectral gap."""
+    L1 = assemble_laplacian(box_ops, 1)
+    x = np.random.default_rng(5).standard_normal(box_ops.n(1))
+    real_eigsh = spla.eigsh
+
+    def eigsh(*args, **kwargs):
+        if planted == "every_call":
+            raise RuntimeError("planted eigsh failure")
+        if "sigma" in kwargs:
+            raise spla.ArpackNoConvergence("planted no convergence", np.zeros(0), np.zeros((0, 0)))
+        return real_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    expected = RuntimeError if planted == "every_call" else spla.ArpackNoConvergence
+    with pytest.raises(expected, match="planted"):
+        inverse_sqrt_quadrature(L1, x)
