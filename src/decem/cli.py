@@ -185,14 +185,13 @@ def pipeline_maxwell(cfg, scenario, material):
     params = cfg["params"]
     ops = reduce_relative(DecOperators(scenario.carved, material))
     dec1 = eig(assemble_laplacian(ops, 1))
-    dec2 = eig(assemble_laplacian(ops, 2))
     rng = np.random.default_rng(cfg["seed"])
     E0 = ops.apply_codifferential(2, rng.standard_normal(ops.n(2)))
     B0 = ops.d(1) @ rng.standard_normal(ops.n(1))
     lam_min = float(np.sqrt(dec1.evals[dec1.kernel_dim]))
     t_end = params.get("t_end", 10.0 / lam_min)
     times = np.linspace(0.0, t_end, int(params.get("n_times", 7)))
-    states = evolve(dec1, dec2, ops, MaxwellState(0.0, E0, B0), None, times)
+    states = evolve(dec1, ops, MaxwellState(0.0, E0, B0), None, times)
     e0 = classical_energy(ops, MaxwellState(0.0, E0, B0))
     drift = max(abs(classical_energy(ops, s) - e0) / e0 for s in states)
     worst = 0.0

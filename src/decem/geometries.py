@@ -233,9 +233,40 @@ def _wormhole_build(res: int = 1):
     hit = np.all(image[:, None, :] == grid[None, :, :], axis=2)
     if np.any(hit.sum(axis=1) != 1):
         raise MeshError("wormhole glue map does not match the opposite sphere")
-    vmap = dict(zip(src.tolist(), dst[hit.argmax(axis=1)].tolist()))
+    image_of = dst[hit.argmax(axis=1)]
+    _check_glue_facets(pierced, comps, src, image_of)
+    vmap = dict(zip(src.tolist(), image_of.tolist()))
     glued = glue_vertices(pierced, vmap)
     return glued, {"obstacle_ball"}
+
+
+def _check_glue_facets(pierced, comps, src: np.ndarray, image_of: np.ndarray) -> None:
+    """Reject a glue that identifies two triangles off the glue spheres.
+
+    A voxel sphere can have notches where a triangle that is not a sphere
+    facet has all three vertices on the sphere.  When the glue maps such a
+    triangle of sphere 2 onto one of sphere 1, the glued facet gets 4 cofaces.
+    """
+    facets = pierced.simplices[2]
+    on_sphere = np.zeros(len(facets), dtype=bool)
+    on_sphere[np.concatenate([c for m, c in comps if m == OBSTACLE])] = True
+    lut = np.arange(len(pierced.vertices))
+    lut[src] = image_of
+
+    def chords(verts):
+        return facets[~on_sphere & np.all(np.isin(facets, verts), axis=1)]
+
+    moved, fixed = chords(src), chords(image_of)
+    images = np.sort(lut[moved], axis=1)
+    same = np.all(images[:, None, :] == fixed[None, :, :], axis=2)
+    if same.any():
+        i, j = np.argwhere(same)[0]
+        at = [tuple(float(x) for x in pierced.vertices[v]) for v in fixed[j]]
+        raise MeshError(
+            f"wormhole glue (sphere 2 onto sphere 1) maps facet {tuple(map(int, moved[i]))} "
+            f"onto facet {tuple(map(int, fixed[j]))} at {at}; neither is a glue-sphere facet "
+            "but all their vertices are on the spheres, so the glued facet would have 4 cofaces"
+        )
 
 
 def _concentric_build(r_in: float = 1.0, r_out: float = 4.0):

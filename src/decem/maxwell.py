@@ -5,6 +5,12 @@ evaluated per eigenmode with oscillatory-safe quadrature; constraints then
 hold to quadrature precision because every algebraic identity used in the
 continuum derivation (d^2 = 0, adjointness, commutation with the Laplacian)
 is exact for the discrete operators.
+
+Only the degree-1 eigensystem is needed.  The magnetic field is closed, so it
+is exact plus harmonic; d intertwines the Laplacians, f(Delta_2) d_1 =
+d_1 f(Delta_1), so its exact part is propagated in the coefficient space of
+Delta_1 through G = d_1 V_1.  Its harmonic part is static, and it is checked
+to be co-closed before the evolution starts.
 """
 
 from __future__ import annotations
@@ -121,33 +127,72 @@ class SpectralPropagator:
         return val, dva
 
 
+class ExactTwoFormPropagator(SpectralPropagator):
+    """Propagation of exact 2-forms in the coefficient space of Delta_1.
+
+    With G = d_1 V_1, f(Delta_2) G c = G f(Lambda) c, so an exact 2-form b is
+    carried by c = Lambda^+ G^T M_2 b, for which G c = d_1 Delta_1^+ delta~ b
+    is b's exact part whatever basis V_1 picks inside a degenerate eigenspace.
+    The frequencies, and so ``homogeneous`` and ``duhamel``, are those of E.
+    """
+
+    def __init__(self, dec1: SpectralDecomposition, ops: DecOperators):
+        super().__init__(dec1)
+        self.G = ops.d(1) @ dec1.vectors
+        self.M2 = ops.mass(2)
+        self.inv = np.zeros(len(self.lam))
+        kd = dec1.kernel_dim
+        self.inv[kd:] = 1.0 / dec1.evals[kd:]
+
+    def coeffs(self, b: np.ndarray) -> np.ndarray:
+        return self.inv * (self.G.T @ (self.M2 @ b))
+
+    def synth(self, c: np.ndarray) -> np.ndarray:
+        return self.G @ c
+
+
 def evolve(
     dec1: SpectralDecomposition,
-    dec2: SpectralDecomposition,
     ops: DecOperators,
     state0: MaxwellState,
     source: CurrentSource | None,
     t_targets,
     constraint_tol: float = 1e-8,
 ) -> list[MaxwellState]:
-    """Propagate Cauchy data (E0, B0) through the twisted Maxwell system."""
+    """Propagate Cauchy data (E0, B0) through the twisted Maxwell system.
+
+    ``dec1`` is the complete eigensystem of Delta_1; no eigensystem of Delta_2
+    is needed.  E is propagated in Delta_1's coefficients.  B(t) = B_h + G c(t)
+    with G = d_1 V_1, by f(Delta_2) d_1 = d_1 f(Delta_1), where the harmonic
+    part B_h = B0 - G c(0) of the closed B0 is static.  B_h must be
+    co-closed, ||delta~ B_h|| <= constraint_tol * max(||B0||, 1); otherwise
+    Delta_1's eigensystem does not carry B0's exact part and a ValueError
+    names the measured value.
+    """
     source = source or CurrentSource()
     E0, B0 = state0.E, state0.B
     rho0 = source.rho_at(0.0, ops.n(0))
     dB0 = ops.d(2) @ B0
     gauss = ops.apply_codifferential(1, E0) + rho0
     scaleE = max(ops.norm(1, E0), 1.0)
-    if ops.norm(3, dB0) > constraint_tol * max(ops.norm(2, B0), 1.0):
+    scaleB = max(ops.norm(2, B0), 1.0)
+    if ops.norm(3, dB0) > constraint_tol * scaleB:
         raise ValueError("initial magnetic constraint d B0 = 0 violated")
     if ops.norm(0, gauss) > constraint_tol * scaleE:
         raise ValueError("initial Gauss constraint violated")
 
-    prop1, prop2 = SpectralPropagator(dec1), SpectralPropagator(dec2)
+    prop1, prop2 = SpectralPropagator(dec1), ExactTwoFormPropagator(dec1, ops)
     Edot0 = ops.apply_codifferential(2, B0) - source.j_at(0.0, ops.n(1))
     Bdot0 = -(ops.d(1) @ E0)
 
     cE0, cE1 = prop1.coeffs(E0), prop1.coeffs(Edot0)
     cB0, cB1 = prop2.coeffs(B0), prop2.coeffs(Bdot0)
+    B_h = B0 - prop2.synth(cB0)
+    coclosed, tol = ops.norm(1, ops.apply_codifferential(2, B_h)), constraint_tol * scaleB
+    if coclosed > tol:
+        raise ValueError(
+            f"harmonic part of B0 is not co-closed: |delta~ B_h| {coclosed:.2e} > {tol:.2e}"
+        )
 
     # forcing terms: alpha = -d rho_hat - dj_hat/dt ; beta = d j_hat
     alpha_terms = [(g.derivative().scaled(-1.0), prop1.coeffs(c)) for g, c in source.j_terms]
@@ -164,7 +209,7 @@ def evolve(
             MaxwellState(
                 t=float(t),
                 E=prop1.synth(ev + qv),
-                B=prop2.synth(bv + rv),
+                B=B_h + prop2.synth(bv + rv),
                 Edot=prop1.synth(ed + qd),
                 Bdot=prop2.synth(bd + rd),
             )

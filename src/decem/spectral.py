@@ -9,6 +9,7 @@ nonzero eigenvalues, so it is never used for operator functions.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,7 +204,7 @@ def _norm_estimate(op: LaplaceOperator) -> float:
             op.S, k=1, M=op.M, which="LM", return_eigenvectors=False, maxiter=200, tol=1e-2
         )
         return float(abs(val[0])) * 1.2
-    except spla.ArpackNoConvergence:
+    except spla.ArpackNoConvergence as exc:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(op.n)
         for _ in range(30):
@@ -211,7 +212,14 @@ def _norm_estimate(op: LaplaceOperator) -> float:
             z = spla.spsolve(op.M.tocsc(), y) if sp.issparse(op.M) else np.linalg.solve(op.M, y)
             nz = np.linalg.norm(z)
             x = z / nz
-        return nz * 1.5
+        bound = nz * 1.5
+        warnings.warn(
+            f"norm estimate of the degree-{op.p} Laplacian (n={op.n}): ARPACK did not "
+            f"converge ({exc}); using the power-iteration bound {bound:.6e}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return bound
 
 
 def _check_residuals(op: LaplaceOperator, dec: SpectralDecomposition) -> None:

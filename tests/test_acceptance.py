@@ -134,12 +134,12 @@ def test_criterion_5_evolution(qft_bundle):
     B0 = b.ops.d(1) @ rng.standard_normal(b.ops.n(1))
     lam_min = float(np.sqrt(b.dec1.evals[b.dec1.kernel_dim]))
     times = np.linspace(0.0, 10.0 / lam_min, 6)
-    states = evolve(b.dec1, b.dec2, b.ops, MaxwellState(0.0, E0, B0), None, times)
+    states = evolve(b.dec1, b.ops, MaxwellState(0.0, E0, B0), None, times)
     e0 = classical_energy(b.ops, MaxwellState(0.0, E0, B0))
     drift = max(abs(classical_energy(b.ops, s) - e0) / e0 for s in states)
     resid = max(max(constraint_residuals(b.ops, s).values()) for s in states)
     psi = b.dec1.kernel_basis()[:, 0]
-    hs = evolve(b.dec1, b.dec2, b.ops, MaxwellState(0.0, psi, np.zeros(b.ops.n(2))),
+    hs = evolve(b.dec1, b.ops, MaxwellState(0.0, psi, np.zeros(b.ops.n(2))),
                 None, [1.7, 5.0])
     static = max(b.ops.norm(1, s.E - psi) for s in hs)
     cplx = b.scenario.carved

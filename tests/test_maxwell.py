@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from decem.forms import DecOperators, reduce_relative
-from decem.geometries import box_complex
+from decem.geometries import box_complex, canned_scenario
 from decem.maxwell import (
     CurrentSource,
     MaxwellState,
@@ -27,7 +29,7 @@ def _random_constrained(b, seed=0):
 def test_zero_data_zero_solution(qft_bundle):
     b = qft_bundle
     s0 = MaxwellState(0.0, np.zeros(b.ops.n(1)), np.zeros(b.ops.n(2)))
-    states = evolve(b.dec1, b.dec2, b.ops, s0, None, [0.5, 2.0])
+    states = evolve(b.dec1, b.ops, s0, None, [0.5, 2.0])
     for s in states:
         assert np.abs(s.E).max() == 0 and np.abs(s.B).max() == 0
 
@@ -36,7 +38,7 @@ def test_harmonic_data_static(qft_bundle):
     b = qft_bundle
     psi = b.dec1.kernel_basis()[:, 0]
     states = evolve(
-        b.dec1, b.dec2, b.ops, MaxwellState(0.0, psi, np.zeros(b.ops.n(2))), None,
+        b.dec1, b.ops, MaxwellState(0.0, psi, np.zeros(b.ops.n(2))), None,
         [0.0, 1.3, 4.0],
     )
     for s in states:
@@ -49,7 +51,7 @@ def test_energy_conservation_and_residuals(qft_bundle):
     s0 = _random_constrained(b)
     lam_min = float(np.sqrt(b.dec1.evals[b.dec1.kernel_dim]))
     times = np.linspace(0.0, 10.0 / lam_min, 6)
-    states = evolve(b.dec1, b.dec2, b.ops, s0, None, times)
+    states = evolve(b.dec1, b.ops, s0, None, times)
     e0 = classical_energy(b.ops, s0)
     for s in states:
         assert abs(classical_energy(b.ops, s) - e0) / e0 <= 1e-8
@@ -61,7 +63,7 @@ def test_leapfrog_oracle_agreement(qft_bundle):
     b = qft_bundle
     s0 = _random_constrained(b, seed=5)
     t1 = 0.8
-    s_spec = evolve(b.dec1, b.dec2, b.ops, s0, None, [t1])[0]
+    s_spec = evolve(b.dec1, b.ops, s0, None, [t1])[0]
     s_leap = leapfrog_oracle(b.ops, s0, t1, 40000)
     assert b.ops.norm(1, s_spec.E - s_leap.E) <= 1e-7 * b.ops.norm(1, s_spec.E)
     assert b.ops.norm(2, s_spec.B - s_leap.B) <= 1e-7 * b.ops.norm(2, s_spec.B)
@@ -70,8 +72,8 @@ def test_leapfrog_oracle_agreement(qft_bundle):
 def test_time_reversal(qft_bundle):
     b = qft_bundle
     s0 = _random_constrained(b, seed=6)
-    fwd = evolve(b.dec1, b.dec2, b.ops, s0, None, [2.3])[0]
-    back = evolve(b.dec1, b.dec2, b.ops, MaxwellState(0.0, fwd.E, fwd.B), None, [-2.3])[0]
+    fwd = evolve(b.dec1, b.ops, s0, None, [2.3])[0]
+    back = evolve(b.dec1, b.ops, MaxwellState(0.0, fwd.E, fwd.B), None, [-2.3])[0]
     assert b.ops.norm(1, back.E - s0.E) <= 1e-9 * max(b.ops.norm(1, s0.E), 1.0)
     assert b.ops.norm(2, back.B - s0.B) <= 1e-9 * max(b.ops.norm(2, s0.B), 1.0)
 
@@ -82,9 +84,9 @@ def test_superposition(qft_bundle):
     s2 = _random_constrained(b, seed=8)
     both = MaxwellState(0.0, s1.E + 2 * s2.E, s1.B + 2 * s2.B)
     t = 1.44
-    a = evolve(b.dec1, b.dec2, b.ops, s1, None, [t])[0]
-    c = evolve(b.dec1, b.dec2, b.ops, s2, None, [t])[0]
-    d = evolve(b.dec1, b.dec2, b.ops, both, None, [t])[0]
+    a = evolve(b.dec1, b.ops, s1, None, [t])[0]
+    c = evolve(b.dec1, b.ops, s2, None, [t])[0]
+    d = evolve(b.dec1, b.ops, both, None, [t])[0]
     assert b.ops.norm(1, d.E - (a.E + 2 * c.E)) <= 1e-12 * max(b.ops.norm(1, d.E), 1.0)
     assert b.ops.norm(2, d.B - (a.B + 2 * c.B)) <= 1e-12 * max(b.ops.norm(2, d.B), 1.0)
 
@@ -94,11 +96,11 @@ def test_initial_constraint_violation_rejected(qft_bundle):
     rng = np.random.default_rng(9)
     bad_B = rng.standard_normal(b.ops.n(2))  # not closed
     with pytest.raises(ValueError, match="magnetic"):
-        evolve(b.dec1, b.dec2, b.ops, MaxwellState(0.0, np.zeros(b.ops.n(1)), bad_B), None, [1.0])
+        evolve(b.dec1, b.ops, MaxwellState(0.0, np.zeros(b.ops.n(1)), bad_B), None, [1.0])
     bad_E = rng.standard_normal(b.ops.n(1))
     with pytest.raises(ValueError, match="Gauss"):
         evolve(
-            b.dec1, b.dec2, b.ops,
+            b.dec1, b.ops,
             MaxwellState(0.0, bad_E, b.ops.d(1) @ rng.standard_normal(b.ops.n(1))),
             None, [1.0],
         )
@@ -107,7 +109,7 @@ def test_initial_constraint_violation_rejected(qft_bundle):
 def test_corrupted_state_residual_equals_noise(qft_bundle):
     b = qft_bundle
     s0 = _random_constrained(b, seed=10)
-    s = evolve(b.dec1, b.dec2, b.ops, s0, None, [0.9])[0]
+    s = evolve(b.dec1, b.ops, s0, None, [0.9])[0]
     rng = np.random.default_rng(11)
     noise = rng.standard_normal(b.ops.n(2))
     corrupted = MaxwellState(s.t, s.E, s.B + noise)
@@ -135,7 +137,7 @@ def test_sourced_evolution_keeps_constraints(qft_bundle):
     b = qft_bundle
     src = CurrentSource.consistent(b.ops, TimeProfile.bump(0.1, 0.9), _source_edge_cochain(b))
     s0 = MaxwellState(0.0, np.zeros(b.ops.n(1)), np.zeros(b.ops.n(2)))
-    for s in evolve(b.dec1, b.dec2, b.ops, s0, src, [0.5, 1.2, 2.0]):
+    for s in evolve(b.dec1, b.ops, s0, src, [0.5, 1.2, 2.0]):
         res = constraint_residuals(b.ops, s, src)
         assert max(res.values()) <= 1e-8
 
@@ -150,7 +152,7 @@ def test_potential_two_path_and_gauge(qft_bundle):
     trajs = potential_evolve(b.dec0, b.dec1, b.ops, A0, -E0, src, [0.0, 0.9, 1.9])
     for tr in trajs:
         assert tr.gauge_residual(b.ops) <= 1e-8
-    s_direct = evolve(b.dec1, b.dec2, b.ops, MaxwellState(0.0, E0, B0), src, [1.9])[0]
+    s_direct = evolve(b.dec1, b.ops, MaxwellState(0.0, E0, B0), src, [1.9])[0]
     s_pot = trajs[-1].field_state(b.ops)
     assert b.ops.norm(1, s_pot.E - s_direct.E) <= 1e-8 * max(b.ops.norm(1, s_direct.E), 1.0)
     assert b.ops.norm(2, s_pot.B - s_direct.B) <= 1e-8 * max(b.ops.norm(2, s_direct.B), 1.0)
@@ -200,18 +202,100 @@ def test_zero_mode_moves_linearly(qft_bundle):
         assert b.ops.norm(1, tr.A - (1.0 + tr.t) * psi) <= 1e-9
 
 
+def _delta2_oracle(b, s0, src, t):
+    """(B, Bdot) at t from Delta_2's own eigensystem, apart from evolve's d1 path.
+
+    B(t) = cos(t sqrt(D2)) B0 - t sinc(t sqrt(D2)) d1 E0 + int_0^t sin((t-s) sqrt(D2))
+    / sqrt(D2) d1 j(s) ds, with the source integral by composite Gauss-Legendre on
+    panels of at most one radian of phase.
+    """
+    dec2, d1 = b.dec2, b.ops.d(1)
+    dE = d1 @ s0.E
+    B = dec2.apply_function(lambda m: np.cos(t * np.sqrt(m)), s0.B)
+    B -= dec2.apply_function(lambda m: t * np.sinc(t * np.sqrt(m) / np.pi), dE)
+    Bdot = -dec2.apply_function(lambda m: np.sqrt(m) * np.sin(t * np.sqrt(m)), s0.B)
+    Bdot -= dec2.apply_function(lambda m: np.cos(t * np.sqrt(m)), dE)
+    lam = np.sqrt(dec2.evals)
+    lam[: dec2.kernel_dim] = 0.0
+    xs, ws = np.polynomial.legendre.leggauss(16)
+    for g, c in src.j_terms:
+        lo, hi = g.support[0], min(g.support[1], t)
+        if hi <= lo:
+            continue
+        edges = np.linspace(lo, hi, int(np.ceil((hi - lo) * lam.max())) + 2)
+        h = 0.5 * np.diff(edges)
+        s = (0.5 * (edges[:-1] + edges[1:])[:, None] + h[:, None] * xs).ravel()
+        w = (h[:, None] * ws).ravel() * g(s)
+        phase = np.multiply.outer(lam, t - s)
+        sinc_part = (np.sinc(phase / np.pi) * (t - s)) @ w
+        cos_part = np.cos(phase) @ w
+        coef = dec2.coefficients(d1 @ c)
+        B += dec2.vectors @ (sinc_part * coef)
+        Bdot += dec2.vectors @ (cos_part * coef)
+    return B, Bdot
+
+
+@pytest.mark.parametrize("sourced", [False, True])
+def test_B_through_d1_matches_delta2_oracle(qft_bundle, sourced):
+    """f(D2) d1 = d1 f(D1) on the symmetric box, whose spectrum is degenerate."""
+    b = qft_bundle
+    s0 = _random_constrained(b, seed=16)
+    src = CurrentSource()
+    if sourced:
+        src = CurrentSource.consistent(
+            b.ops, TimeProfile.bump(0.1, 0.9), _source_edge_cochain(b)
+        )
+    times = [0.4, 1.3, 2.7]
+    for s in evolve(b.dec1, b.ops, s0, src, times):
+        B, Bdot = _delta2_oracle(b, s0, src, s.t)
+        assert b.ops.norm(2, s.B - B) <= 1e-10 * b.ops.norm(2, B)
+        assert b.ops.norm(2, s.Bdot - Bdot) <= 1e-10 * b.ops.norm(2, Bdot)
+
+
+def test_harmonic_B_static_on_solid_torus():
+    """On solid_torus H^2 = 1: harmonic B0 stays put and drives no current."""
+    sc = canned_scenario("solid_torus", 1)
+    ops = reduce_relative(DecOperators(sc.carved))
+    kern = eig(assemble_laplacian(ops, 2, lumped_down=True), count=4)
+    assert kern.kernel_dim == 1
+    h = kern.kernel_basis()[:, 0]
+    dec1 = eig(assemble_laplacian(ops, 1))
+    s0 = MaxwellState(0.0, np.zeros(ops.n(1)), h)
+    for s in evolve(dec1, ops, s0, None, [0.0, 1.3, 4.0]):
+        assert ops.norm(2, s.B - h) <= 1e-10
+        assert ops.norm(1, s.Edot) <= 1e-10
+
+
+def test_non_coclosed_remainder_rejected(qft_bundle):
+    """A D1 eigensystem that misses a mode leaves B0's exact part in B_h."""
+    b = qft_bundle
+    dec = b.dec1
+    kd = dec.kernel_dim
+    curl = np.linalg.norm(b.ops.d(1) @ dec.vectors[:, kd : kd + 20], axis=0)
+    k = kd + int(np.argmax(curl))
+    V = dec.vectors.copy()
+    V[:, k] = 0.0
+    broken = dataclasses.replace(dec, vectors=V)
+    B0 = b.ops.d(1) @ dec.vectors[:, k]
+    s0 = MaxwellState(0.0, np.zeros(b.ops.n(1)), B0)
+    tol = f"{1e-8 * max(b.ops.norm(2, B0), 1.0):.2e}"
+    with pytest.raises(ValueError, match=rf"not co-closed: .* > {tol}$"):
+        evolve(broken, b.ops, s0, None, [1.0])
+    evolve(dec, b.ops, s0, None, [1.0])
+
+
 @pytest.mark.slow
 def test_finite_propagation_surrogate():
     """Smooth localized B-data stays below 1e-6 outside the light cone.
 
     With E0 = 0 and no source the engine's magnetic field is exactly
-    cos(t sqrt(Delta_2)) B0, which is what is evaluated here on a mesh fine
-    enough to resolve the datum.
+    cos(t sqrt(Delta_2)) B0, which evolve evaluates as d1 cos(t sqrt(Delta_1))
+    on a mesh fine enough to resolve the datum.
     """
     box = box_complex((4, 4, 4), res=2)
     sc = carve_obstacle(box, set())
     ops = reduce_relative(DecOperators(sc.carved))
-    dec2 = eig(assemble_laplacian(ops, 2))
+    dec1 = eig(assemble_laplacian(ops, 1))
     cplx = sc.carved
     edges = cplx.simplices[1][ops.kept[1]]
     p0, p1 = cplx.vertices[edges[:, 0]], cplx.vertices[edges[:, 1]]
@@ -225,7 +309,7 @@ def test_finite_propagation_surrogate():
     B0 = ops.d(1) @ A0
     fmid = cplx.vertices[cplx.simplices[2][ops.kept[2]]].mean(axis=1)
     t = 0.35
-    Bt = dec2.apply_function(lambda m: np.cos(t * np.sqrt(m)), B0, "include")
+    Bt = evolve(dec1, ops, MaxwellState(0.0, np.zeros(ops.n(1)), B0), None, [t])[0].B
     dist = np.linalg.norm(fmid - c0, axis=1)
     leaks = []
     for probe in (3.8, 4.3, 4.8):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,27 @@ def test_wormhole_glue_structure():
     assert sorted(m for m, _ in comps) == ["obstacle", "outer"]
     assert orientable(sc.reference)
     assert orientable(sc.carved)
+
+
+def test_wormhole_res2_notched_glue_rejected():
+    """At res 2 the voxel glue spheres have notches, and the glue is refused by name.
+
+    A triangle off sphere 2 with all vertices on it maps onto one off sphere 1,
+    which would give the glued facet 4 cofaces; the builder says so before gluing.
+    """
+    with pytest.raises(MeshError) as err:
+        canned_scenario("wormhole_obstacle", 2)
+    m = re.fullmatch(
+        r"wormhole glue \(sphere 2 onto sphere 1\) maps facet \(\d+, \d+, \d+\) "
+        r"onto facet \(\d+, \d+, \d+\) at \[(.*)\]; neither is a glue-sphere facet "
+        r"but all their vertices are on the spheres, so the glued facet would have 4 cofaces",
+        str(err.value),
+    )
+    assert m, str(err.value)
+    at = np.array([float(x) for x in re.findall(r"-?\d+\.\d+", m[1])]).reshape(3, 3)
+    # the named facet is on sphere 1: within one voxel diagonal of radius 1.2 about (3, 3, 3)
+    r = np.linalg.norm(at - 3.0, axis=1)
+    assert np.all(np.abs(r - 1.2) <= np.sqrt(3) / 2)
 
 
 def test_glue_requires_disjoint_domain_range():

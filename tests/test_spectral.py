@@ -10,6 +10,7 @@ from decem.geometries import box_complex, chain_complex
 from decem.spectral import (
     LaplaceOperator,
     _check_residuals,
+    _norm_estimate,
     assemble_laplacian,
     eig,
     inverse_sqrt_quadrature,
@@ -272,3 +273,21 @@ def test_spectrum_bounds_failure_is_loud(box_ops, monkeypatch, planted):
     expected = RuntimeError if planted == "every_call" else spla.ArpackNoConvergence
     with pytest.raises(expected, match="planted"):
         inverse_sqrt_quadrature(L1, x)
+
+
+def test_norm_estimate_fallback_warns(box_ops, monkeypatch):
+    """ARPACK failing in the norm estimate is reported with the bound used."""
+    L1 = assemble_laplacian(box_ops, 1, lumped_down=True)
+
+    def eigsh(*args, **kwargs):
+        raise spla.ArpackNoConvergence("planted no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(spla, "eigsh", eigsh)
+    with pytest.warns(RuntimeWarning, match="ARPACK did not converge") as rec:
+        bound = _norm_estimate(L1)
+    assert len(rec) == 1
+    m = re.search(r"planted no convergence.*power-iteration bound (\S+)$", str(rec[0].message))
+    assert m, str(rec[0].message)
+    assert float(m[1]) == pytest.approx(bound, rel=1e-6)
+    monkeypatch.undo()
+    assert bound >= eig(L1).evals[-1]
