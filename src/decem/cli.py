@@ -276,16 +276,13 @@ def pipeline_stress(cfg, scenario, material):
         ScenarioStress,
         local_energy_density,
         loglog_slope,
-        operator_difference,
         resolvent_difference_decay,
         t0k_check,
     )
 
     params = cfg["params"]
     st = ScenarioStress.build(scenario, material)
-    D1 = operator_difference(st, "D1")
-    D2 = operator_difference(st, "D2")
-    rep = local_energy_density(st, D1, D2)
+    rep = local_energy_density(st)
     rows = []
     if not scenario.has_obstacle and material.is_vacuum():
         null = float(np.abs(rep.t00).max())

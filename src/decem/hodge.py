@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from .forms import DecOperators
@@ -197,33 +196,21 @@ def threshold_integral(dec: SpectralDecomposition, phi: np.ndarray, delta: float
 
 
 class HelmholtzSolver:
-    """Three-way Hodge-Kodaira split via a kernel-constrained solve, factorized once."""
+    """Three-way Hodge-Kodaira split through the spectral pseudo-inverse of Delta_p.
+
+    phi1 = Delta^+ (phi - h) is ``dec.apply_function(1/m)`` with the kernel
+    excluded; the exact and coexact parts are d delta~ phi1 and delta~ d phi1.
+    """
 
     def __init__(self, dec: SpectralDecomposition, op: LaplaceOperator):
         self.dec = dec
         self.op = op
-        K = dec.kernel_basis()
-        M = op.M
-        n = op.n
-        L = K.shape[1]
-        kkt = np.zeros((n + L, n + L))
-        kkt[:n, :n] = op.S_dense()
-        if L:
-            MK = np.asarray(M @ K)
-            kkt[:n, n:] = MK
-            kkt[n:, :n] = MK.T
-        self._lu = sla.lu_factor(kkt)
-        self._K = K
-        self._n, self._L = n, L
 
     def split(self, phi: np.ndarray) -> HelmholtzSplit:
-        op, dec = self.op, self.dec
-        ops, p = op.ops, op.p
-        M = op.M
-        K = self._K
-        harmonic = K @ (K.T @ (M @ phi)) if self._L else np.zeros_like(phi)
-        rhs = np.concatenate([M @ (phi - harmonic), np.zeros(self._L)])
-        phi1 = sla.lu_solve(self._lu, rhs)[: self._n]
+        ops, p = self.op.ops, self.op.p
+        K = self.dec.kernel_basis()
+        harmonic = K @ (K.T @ (self.op.M @ phi))
+        phi1 = self.dec.apply_function(lambda m: 1.0 / m, phi, "exclude")
         d = ops.complex.dim
         exact = (
             ops.d(p - 1) @ ops.apply_codifferential(p, phi1) if p > 0 else np.zeros_like(phi)

@@ -168,11 +168,12 @@ def eig(op: LaplaceOperator, count="all", threshold: float = KERNEL_THRESHOLD) -
         k = int(count)
         if k >= n - 1:
             return eig(op, "all", threshold)
-        sigma = -1e-6 * _norm_estimate(op)
-        evals, vecs = spla.eigsh(op.S, k=k, M=op.M, sigma=sigma, which="LM")
+        max_eval = _norm_estimate(op)
+        evals, vecs = spla.eigsh(
+            op.S, k=k, M=op.M, sigma=-1e-6 * max_eval, which="LM", v0=_start_vector(op.n)
+        )
         order = np.argsort(evals)
         evals, vecs = evals[order], vecs[:, order]
-        max_eval = _norm_estimate(op)
         complete = False
     neg_tol = 1e-10 * max(max_eval, 1.0)
     if len(evals) and evals.min() < -neg_tol:
@@ -197,11 +198,17 @@ def eig(op: LaplaceOperator, count="all", threshold: float = KERNEL_THRESHOLD) -
     return dec
 
 
+def _start_vector(n: int) -> np.ndarray:
+    """Fixed-seed ARPACK start vector (not ones: symmetry can hide eigenvectors)."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
 def _norm_estimate(op: LaplaceOperator) -> float:
     """Upper bound on the largest generalized eigenvalue (a few Lanczos steps)."""
     try:
         val = spla.eigsh(
-            op.S, k=1, M=op.M, which="LM", return_eigenvectors=False, maxiter=200, tol=1e-2
+            op.S, k=1, M=op.M, which="LM", return_eigenvectors=False, maxiter=200, tol=1e-2,
+            v0=_start_vector(op.n),
         )
         return float(abs(val[0])) * 1.2
     except spla.ArpackNoConvergence as exc:
@@ -261,7 +268,8 @@ def _spectrum_bounds(op: LaplaceOperator, kernel_basis: np.ndarray) -> tuple[flo
     hi = _norm_estimate(op)
     k = kernel_basis.shape[1]
     lo_vals = spla.eigsh(
-        op.S, k=k + 1, M=op.M, sigma=-1e-6 * hi, which="LM", return_eigenvectors=False
+        op.S, k=k + 1, M=op.M, sigma=-1e-6 * hi, which="LM", return_eigenvectors=False,
+        v0=_start_vector(op.n),
     )
     lo = float(np.sort(np.abs(lo_vals))[-1])
     return max(lo, hi * 1e-14), hi

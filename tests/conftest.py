@@ -51,13 +51,13 @@ def qft_bundle() -> QftBundle:
 @pytest.fixture(scope="session")
 def stress_bundle():
     from decem.geometries import stress_box_scenario
-    from decem.stress import ScenarioStress, local_energy_density, operator_difference
+    from decem.stress import ScenarioStress, difference_kernel, local_energy_density
 
     st = ScenarioStress.build(stress_box_scenario())
-    D1 = operator_difference(st, "D1")
-    D2 = operator_difference(st, "D2")
-    rep = local_energy_density(st, D1, D2)
-    return st, D1, D2, rep
+    X1 = difference_kernel(st, "D1")
+    X2 = difference_kernel(st, "D2")
+    rep = local_energy_density(st, X1, X2)
+    return st, X1, X2, rep
 
 
 @dataclass

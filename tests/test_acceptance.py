@@ -279,7 +279,6 @@ def test_criterion_8_stress_energy(stress_bundle):
         local_energy_density,
         loglog_slope,
         maxwell_tensor,
-        operator_difference,
         quadrature_agreement,
         resolvent_difference_decay,
         t0k_check,
@@ -289,9 +288,9 @@ def test_criterion_8_stress_energy(stress_bundle):
     repe = local_energy_density(ste)
     nullity = float(np.abs(repe.t00).max())
 
-    st, D1, _D2, rep = stress_bundle
+    st, X1, _X2, rep = stress_bundle
     trace_err = rep.trace_identity_error()
-    quad = quadrature_agreement(st, "D1", n_probes=8, D=D1)
+    quad = quadrature_agreement(st, "D1", n_probes=8, X=X1)
     t0k = t0k_check(st)
 
     metrics = []

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from decem.forms import DecOperators, MaterialField, reduce_relative
-from decem.geometries import box_complex, chain_complex
+from decem.geometries import box_complex, canned_scenario, chain_complex
 from decem.spectral import (
     LaplaceOperator,
     _check_residuals,
@@ -291,3 +291,29 @@ def test_norm_estimate_fallback_warns(box_ops, monkeypatch):
     assert float(m[1]) == pytest.approx(bound, rel=1e-6)
     monkeypatch.undo()
     assert bound >= eig(L1).evals[-1]
+
+
+def test_partial_eig_is_bit_reproducible():
+    """Fixed-seed ARPACK start vectors: repeated partial solves give identical bases."""
+    ops = reduce_relative(DecOperators(canned_scenario("solid_torus", 1).carved))
+    op = assemble_laplacian(ops, 2, lumped_down=True)
+    bases = [eig(op, count=4).kernel_basis() for _ in range(3)]
+    assert bases[0].shape[1] > 0
+    assert all(np.array_equal(bases[0], b) for b in bases[1:])
+
+
+def test_partial_eig_estimates_norm_once(box_ops, monkeypatch):
+    """The shift and max_eval of eig(count=k) share one norm estimate."""
+    import decem.spectral as spectral
+
+    calls = []
+    real = spectral._norm_estimate
+
+    def counting(op):
+        calls.append(op)
+        return real(op)
+
+    monkeypatch.setattr(spectral, "_norm_estimate", counting)
+    dec = eig(assemble_laplacian(box_ops, 1, lumped_down=True), count=4)
+    assert len(calls) == 1
+    assert dec.max_eval == pytest.approx(real(calls[0]))

@@ -5,12 +5,12 @@ from decem.geometries import canned_scenario, empty_box_scenario, stress_box_sce
 from decem.stress import (
     ScenarioStress,
     cell_traces,
+    difference_kernel,
     divergence_residual,
     interior_window,
     local_energy_density,
     loglog_slope,
     maxwell_tensor,
-    operator_difference,
     quadrature_agreement,
     resolvent_difference_decay,
     t0k_check,
@@ -26,64 +26,68 @@ def tiny_stress():
 
 def test_empty_obstacle_all_zero():
     st = ScenarioStress.build(empty_box_scenario((4, 4, 4)))
-    D1 = operator_difference(st, "D1")
-    D2 = operator_difference(st, "D2")
-    assert np.abs(D1).max() == 0 and np.abs(D2).max() == 0
-    rep = local_energy_density(st, D1, D2)
+    X1 = difference_kernel(st, "D1")
+    X2 = difference_kernel(st, "D2")
+    assert np.abs(X1).max() == 0 and np.abs(X2).max() == 0
+    rep = local_energy_density(st, X1, X2)
     assert np.abs(rep.t00).max() <= 1e-10
-    H = maxwell_tensor(st, D1, D2, rep)
+    H = maxwell_tensor(st, rep)
     assert np.abs(H).max() <= 1e-10
     assert t0k_check(st) <= 1e-12
 
 
 def test_d1_m_selfadjoint(stress_bundle):
-    st, D1, _D2, _rep = stress_bundle
+    st, X1, _X2, _rep = stress_bundle
     M1 = st.sigma.ops.mass(1).toarray()
-    A = M1 @ D1
+    A = M1 @ X1 @ M1
     assert np.linalg.norm(A - A.T) <= 1e-9 * np.linalg.norm(A)
 
 
 def test_global_trace_identity(stress_bundle):
-    _st, _D1, _D2, rep = stress_bundle
+    _st, _X1, _X2, rep = stress_bundle
     assert rep.trace_identity_error() <= 1e-10
 
 
 def test_cell_trace_sum_is_matrix_trace(stress_bundle):
-    st, D1, _D2, rep = stress_bundle
-    assert abs(rep.t1_cells.sum() - np.trace(D1)) <= 1e-10 * max(abs(np.trace(D1)), 1.0)
+    st, X1, _X2, rep = stress_bundle
+    M1 = st.sigma.ops.mass(1).toarray()
+    tr = np.trace(X1 @ M1)
+    assert abs(rep.t1_cells.sum() - tr) <= 1e-10 * max(abs(tr), 1.0)
 
 
 def test_two_path_full_matrix(tiny_stress):
     st = tiny_stress
-    D1e = operator_difference(st, "D1", via="eig")
-    D1q = operator_difference(st, "D1", via="quadrature")
-    assert np.linalg.norm(D1q - D1e) <= 1e-8 * np.linalg.norm(D1e)
-    D2e = operator_difference(st, "D2", via="eig")
-    D2q = operator_difference(st, "D2", via="quadrature")
-    assert np.linalg.norm(D2q - D2e) <= 1e-8 * np.linalg.norm(D2e)
+    M1 = st.sigma.ops.mass(1).toarray()
+    M2 = st.sigma.ops.mass(2).toarray()
+    X1e = difference_kernel(st, "D1", via="eig")
+    X1q = difference_kernel(st, "D1", via="quadrature")
+    assert np.linalg.norm((X1q - X1e) @ M1) <= 1e-8 * np.linalg.norm(X1e @ M1)
+    X2e = difference_kernel(st, "D2", via="eig")
+    X2q = difference_kernel(st, "D2", via="quadrature")
+    assert np.linalg.norm((X2q - X2e) @ M2) <= 1e-8 * np.linalg.norm(X2e @ M2)
 
 
 def test_two_path_probes(stress_bundle):
-    st, D1, _D2, _rep = stress_bundle
-    assert quadrature_agreement(st, "D1", n_probes=8, D=D1) <= 1e-8
+    st, X1, _X2, _rep = stress_bundle
+    assert quadrature_agreement(st, "D1", n_probes=8, X=X1) <= 1e-8
 
 
 def test_t0k_cancellation_and_control(stress_bundle):
-    st, _D1, _D2, _rep = stress_bundle
+    st, _X1, _X2, _rep = stress_bundle
     assert t0k_check(st) <= 1e-8
     assert t0k_check(st, unsymmetrize=0.05) > 1e-3
 
 
 def test_maxwell_tensor_trace_and_symmetry(stress_bundle):
-    st, D1, D2, rep = stress_bundle
-    H = maxwell_tensor(st, D1, D2, rep)
+    st, _X1, _X2, rep = stress_bundle
+    H = maxwell_tensor(st, rep)
     scale = np.abs(rep.t00).max()
     assert np.abs(np.einsum("cjj->c", H) - rep.t00).max() <= 1e-9 * scale
     assert np.abs(H - np.transpose(H, (0, 2, 1))).max() <= 1e-9 * scale
 
 
 def test_t00_monotone_decay(stress_bundle):
-    st, _D1, _D2, rep = stress_bundle
+    st, _X1, _X2, rep = stress_bundle
     cplx = st.sigma.ops.complex
     dist = np.abs(cplx.cell_vertex_coords().mean(axis=1) - 3.5).max(axis=1)
     means = []
@@ -97,7 +101,7 @@ def test_t00_monotone_decay(stress_bundle):
 
 def test_t00_time_independent_by_construction(stress_bundle):
     """The report exposes no time parameter at all."""
-    _st, _D1, _D2, rep = stress_bundle
+    _st, _X1, _X2, rep = stress_bundle
     assert not hasattr(rep, "t")
 
 
@@ -128,7 +132,7 @@ def test_divergence_vacuum_exclusions(tiny_stress):
 
 
 def test_resolvent_decay_slope(stress_bundle):
-    st, _D1, _D2, _rep = stress_bundle
+    st, _X1, _X2, _rep = stress_bundle
     lam_max = 3 * np.sqrt(st.sigma.dec.evals[-1])
     table = resolvent_difference_decay(st, np.geomspace(1.0, lam_max, 10))
     assert loglog_slope(table) <= -3.0
@@ -146,7 +150,7 @@ def test_resolvent_decay_empty_is_zero():
 
 
 def test_interior_window_avoids_boundaries(stress_bundle):
-    st, _D1, _D2, _rep = stress_bundle
+    st, _X1, _X2, _rep = stress_bundle
     win = interior_window(st, 1)
     cplx = st.sigma.ops.complex
     edges = cplx.simplices[1][st.sigma.ops.kept[1]][win]
@@ -155,7 +159,7 @@ def test_interior_window_avoids_boundaries(stress_bundle):
 
 
 def test_report_json(stress_bundle):
-    _st, _D1, _D2, rep = stress_bundle
+    _st, _X1, _X2, rep = stress_bundle
     import json
 
     obj = json.loads(rep.to_json())
@@ -166,7 +170,103 @@ def test_report_json(stress_bundle):
 def test_celldata_export(stress_bundle):
     from decem.io import vtk_celldata
 
-    st, _D1, _D2, rep = stress_bundle
+    st, _X1, _X2, rep = stress_bundle
     text = vtk_celldata(st.sigma.ops.complex, {"t00": rep.t00})
     assert text.startswith("# vtk DataFile")
     assert "SCALARS t00 double 1" in text
+
+
+# -- oracles for the kernel-form engine --------------------------------------------------
+
+
+def test_hodge_system_is_complete_laplacian_eigensystem(tiny_stress):
+    """[K U, V_c] against the assembled Hodge Laplacian with its exact down-term."""
+    from decem.spectral import assemble_laplacian
+
+    for side in (tiny_stress.sigma, tiny_stress.reference):
+        V, evals = side.hodge_system()
+        L1 = assemble_laplacian(side.ops, 1)
+        assert V.shape == (L1.n, L1.n) and evals.shape == (L1.n,)
+        assert np.abs(V.T @ (L1.M @ V) - np.eye(L1.n)).max() <= 1e-10
+        R = L1.S_dense() @ V - (L1.M @ V) * evals[None, :]
+        assert np.linalg.norm(R, axis=0).max() <= 1e-8 * evals.max()
+
+
+def test_decay_matches_dense_resolvent_solves(tiny_stress):
+    """The eigensystem decay table against (S + lam^2 M)^-1 M by dense solves."""
+    import scipy.linalg as sla
+
+    from decem.spectral import assemble_laplacian
+
+    def window_resolvent(side, w, lam):
+        S = assemble_laplacian(side.ops, 1).S_dense()
+        M = side.ops.mass(1).toarray()
+        return sla.solve(S + lam**2 * M, M[:, w], assume_a="pos")[w, :]
+
+    st = tiny_stress
+    lam_grid = np.geomspace(1.0, 3 * np.sqrt(st.sigma.dec.evals[-1]), 10)
+    window = interior_window(st, 1)
+    for lam, val in resolvent_difference_decay(st, lam_grid, window):
+        Ds = window_resolvent(st.sigma, window, lam)
+        Dr = window_resolvent(st.reference, st.kept_maps[1][window], lam)
+        want = np.linalg.norm(Ds - Dr, 2)
+        assert abs(val - want) <= 1e-10 * want
+
+
+def _loop_blocks(ops, p, X, blocks):
+    """Per cell: the kernel block on its kept faces and the matching local block."""
+    pos = ops.kept_pos(p)[ops.complex.face_ids(p)]
+    for c, row in enumerate(pos):
+        lidx = np.nonzero(row >= 0)[0]
+        gidx = row[lidx]
+        yield c, X[np.ix_(gidx, gidx)], blocks[c][np.ix_(lidx, lidx)]
+
+
+def test_cell_gather_matches_per_cell_loops(tiny_stress):
+    """Vectorised traces and Maxwell tensor against per-cell loops, on kernels
+    that are not symmetric (so a transposed local block shows)."""
+    st = tiny_stress
+    ops = st.sigma.ops
+    rng = np.random.default_rng(7)
+    X1 = rng.standard_normal((ops.n(1), ops.n(1)))
+    X2 = rng.standard_normal((ops.n(2), ops.n(2)))
+    rep = local_energy_density(st, X1, X2)
+    H = maxwell_tensor(st, rep)
+    want_H = np.zeros_like(H)
+    for p, X in ((1, X1), (2, X2)):
+        want_t = np.zeros(len(rep.t00))
+        _, mblocks = ops.local_mass(p)
+        for c, Xc, mc in _loop_blocks(ops, p, X, mblocks):
+            want_t[c] = np.trace(Xc @ mc)
+        assert np.abs(cell_traces(st, X, p) - want_t).max() <= 1e-12 * np.abs(want_t).max()
+        _, kblocks = ops.component_blocks(p)
+        for c, Xc, kc in _loop_blocks(ops, p, X, kblocks):
+            for i in range(len(Xc)):
+                for l in range(len(Xc)):
+                    want_H[c] += 0.5 * Xc[i, l] * kc[i, l]
+    want_H /= rep.cell_volumes[:, None, None]
+    want_H += np.eye(3)[None] * rep.t00[:, None, None]
+    assert np.abs(H - want_H).max() <= 1e-12 * np.abs(want_H).max()
+
+
+def test_divergence_matches_per_vertex_loop(tiny_stress):
+    """The scattered weak divergence against the per-cell vertex loop, on a
+    stress field that is not symmetric."""
+    from decem.forms import _cell_geometry
+
+    st = tiny_stress
+    cplx = st.sigma.ops.complex
+    rep = local_energy_density(st)
+    H = np.random.default_rng(8).standard_normal((cplx.n(3), 3, 3))
+    div = divergence_residual(st, H, rep)
+    vols, grads, _ = _cell_geometry(cplx)
+    r = np.zeros((cplx.n(0), 3))
+    volv = np.zeros(cplx.n(0))
+    for c, verts in enumerate(cplx.face_ids(0)):
+        for li, v in enumerate(verts):
+            r[v] += vols[c] * (H[c].T @ grads[c, li])
+            volv[v] += vols[c] / 4.0
+    use = div["vertices"]
+    assert len(use) > 0
+    want = -r[use] / volv[use, None]
+    assert np.abs(div["values"] - want).max() <= 1e-12 * np.abs(want).max()
