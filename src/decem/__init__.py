@@ -16,7 +16,7 @@ cli          scenario runner
 
 __version__ = "0.1.0"
 
-from .forms import DecOperators, MaterialField, reduce_relative
+from .forms import DecOperators, MaterialField
 from .mesh import (
     ObstacleScenario,
     SimplicialComplex,
@@ -33,6 +33,5 @@ __all__ = [
     "boundary_components",
     "carve_obstacle",
     "load_complex",
-    "reduce_relative",
     "__version__",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import geometries
-from .forms import DecOperators, MaterialField, reduce_relative
+from .forms import DecOperators, MaterialField
 from .io import sparse_triplets
 from .mesh import MeshError, carve_obstacle, load_complex
 from .spectral import assemble_laplacian, eig
@@ -114,7 +114,7 @@ def _jsonable(v):
 def pipeline_topology(cfg, scenario, material):
     from .topology import check_harmonic_match, expected_dims, relative_cohomology_dims
 
-    ops = reduce_relative(DecOperators(scenario.carved, material))
+    ops = DecOperators(scenario.carved, material)
     report = relative_cohomology_dims(ops)
     kernel_dims = {}
     for p in (1, 2):
@@ -123,15 +123,9 @@ def pipeline_topology(cfg, scenario, material):
     flags = check_harmonic_match(report, kernel_dims)
     rows = []
     name = cfg["geometry"].get("canned")
-    expected = None
     if name and not cfg.get("empty"):
-        try:
-            expected = expected_dims(name)
-        except KeyError:
-            expected = None
-    if expected:
-        report.expected = expected
-        for p, want in sorted(expected.items()):
+        report.expected = expected_dims(name)
+        for p, want in sorted(report.expected.items()):
             rows.append(_assert_row(f"dim_H{p}", report.dims[p] == want, report.dims[p]))
     for p, ok in sorted(flags.items()):
         rows.append(_assert_row(f"harmonic_match_p{p}", ok, kernel_dims[p]))
@@ -142,7 +136,7 @@ def pipeline_hodge(cfg, scenario, material):
     from .hodge import HelmholtzSolver, capacity_and_psiL, harmonic_basis
 
     params = cfg["params"]
-    ops = reduce_relative(DecOperators(scenario.carved, material))
+    ops = DecOperators(scenario.carved, material)
     rows = []
     out = {}
     if scenario.has_obstacle and scenario.carved.dim == 3:
@@ -183,7 +177,7 @@ def pipeline_maxwell(cfg, scenario, material):
     from .maxwell import MaxwellState, classical_energy, constraint_residuals, evolve
 
     params = cfg["params"]
-    ops = reduce_relative(DecOperators(scenario.carved, material))
+    ops = DecOperators(scenario.carved, material)
     dec1 = eig(assemble_laplacian(ops, 1))
     rng = np.random.default_rng(cfg["seed"])
     E0 = ops.apply_codifferential(2, rng.standard_normal(ops.n(2)))
@@ -215,7 +209,7 @@ def pipeline_qft(cfg, scenario, material):
     from .timeprofiles import TimeProfile
 
     params = cfg["params"]
-    ops = reduce_relative(DecOperators(scenario.carved, material))
+    ops = DecOperators(scenario.carved, material)
     dec0 = eig(assemble_laplacian(ops, 0))
     dec1 = eig(assemble_laplacian(ops, 1))
     Q = None
@@ -444,7 +438,7 @@ def export_matrices_cmd(geometry, res, degree, out):
     except (ConfigError, MeshError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     os.makedirs(out, exist_ok=True)
     for name, mat in (
         (f"d{degree}", ops.d(degree) if degree < sc.carved.dim else None),

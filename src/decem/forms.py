@@ -9,7 +9,6 @@ by removing every degree of freedom sitting inside a marked boundary facet.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
@@ -162,59 +161,50 @@ def build_mass(
 
 
 class DecOperators:
-    """Incidence, weighted mass matrices and masks for one complex.
+    """Incidence and weighted mass matrices of the relative complex of one mesh.
 
-    ``reduced`` selects whether the matrices exposed by :meth:`d` and
-    :meth:`mass` are restricted to kept (interior) degrees of freedom.
+    :meth:`d`, :meth:`mass` and :meth:`n` act on the kept degrees of freedom
+    only: every simplex inside a marked boundary facet is removed, which
+    imposes the relative boundary conditions.  The matrices on all simplices
+    are kept as ``d_full`` and ``mass_full`` for boundary data (the Dirichlet
+    potential of the capacity mode lives on every vertex).
     """
 
-    def __init__(
-        self,
-        cplx: SimplicialComplex,
-        material: MaterialField | None = None,
-        reduced: bool = False,
-    ):
+    def __init__(self, cplx: SimplicialComplex, material: MaterialField | None = None):
         self.complex = cplx
         self.material = material if material is not None else MaterialField.vacuum()
-        self.reduced = reduced
         d = cplx.dim
-        self._d_full = {p: build_d(cplx, p) for p in range(d)}
-        self._mass_full = {p: build_mass(cplx, self.material, p) for p in range(d + 1)}
+        self.d_full = {p: build_d(cplx, p) for p in range(d)}
+        self.mass_full = {p: build_mass(cplx, self.material, p) for p in range(d + 1)}
         self.kept = {}
         for p in range(d + 1):
             masked = cplx.boundary_subsimplices(p)
             keep = np.ones(cplx.n(p), dtype=bool)
             keep[masked] = False
             self.kept[p] = np.nonzero(keep)[0]
-        # per-view caches keyed by (kind, degree): reduced slices, factors, codifferentials
+        # caches keyed by (kind, degree): kept slices, factors, codifferentials
         self._cache: dict[tuple[str, int], object] = {}
 
     # matrix access -----------------------------------------------------------
 
     def n(self, p: int) -> int:
-        return len(self.kept[p]) if self.reduced else self.complex.n(p)
+        return len(self.kept[p])
 
     def _kept_slice(self, kind: str, p: int, full: sp.csr_matrix, rows, cols) -> sp.csr_matrix:
-        if not self.reduced:
-            return full
         if (kind, p) not in self._cache:
             self._cache[kind, p] = full[rows][:, cols].tocsr()
         return self._cache[kind, p]
 
     def d(self, p: int) -> sp.csr_matrix:
-        return self._kept_slice("d", p, self._d_full[p], self.kept[p + 1], self.kept[p])
+        return self._kept_slice("d", p, self.d_full[p], self.kept[p + 1], self.kept[p])
 
     def mass(self, p: int) -> sp.csr_matrix:
-        return self._kept_slice("mass", p, self._mass_full[p], self.kept[p], self.kept[p])
+        return self._kept_slice("mass", p, self.mass_full[p], self.kept[p], self.kept[p])
 
     def mass_factor(self, p: int):
         if ("factor", p) not in self._cache:
             self._cache["factor", p] = spla.splu(self.mass(p).tocsc())
         return self._cache["factor", p]
-
-    def mass_solve(self, p: int, rhs: np.ndarray) -> np.ndarray:
-        out = self.mass_factor(p).solve(np.asarray(rhs, dtype=float))
-        return out
 
     # calculus ------------------------------------------------------------------
 
@@ -223,9 +213,10 @@ class DecOperators:
         if p <= 0:
             raise ValueError("codifferential needs degree >= 1")
         rhs = self.d(p - 1).T @ (self.mass(p) @ x)
+        solve = self.mass_factor(p - 1).solve
         if np.iscomplexobj(x):
-            return self.mass_solve(p - 1, rhs.real) + 1j * self.mass_solve(p - 1, rhs.imag)
-        return self.mass_solve(p - 1, rhs)
+            return solve(rhs.real) + 1j * solve(rhs.imag)
+        return solve(rhs)
 
     def codifferential(self, p: int) -> np.ndarray:
         """Dense codifferential matrix (cached)."""
@@ -299,15 +290,3 @@ class DecOperators:
         blocks *= weights[:, None, None, None, None]
         return cplx.face_ids(p), blocks
 
-
-def reduce_relative(ops: DecOperators) -> DecOperators:
-    """Return the operator bundle restricted to kept (relative) DOFs.
-
-    The result shares the assembled full matrices and masks of ``ops``.
-    """
-    if ops.reduced:
-        return ops
-    out = copy.copy(ops)
-    out.reduced = True
-    out._cache = {}
-    return out

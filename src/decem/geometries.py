@@ -14,7 +14,6 @@ the globally smallest vertex id), which is conforming across all shared faces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, ceil
 
 import numpy as np
 
@@ -111,9 +110,9 @@ def box2d_complex(shape: tuple[int, int], res: int = 1, tag_fn=None) -> Simplici
     return SimplicialComplex.from_top_cells(vertices, np.array(cells), regions)
 
 
-def chain_complex(n: int, length: float = 1.0) -> SimplicialComplex:
-    """1D interval mesh; the degenerate test case for spectral machinery."""
-    vertices = np.linspace(0.0, length, n + 1).reshape(-1, 1)
+def chain_complex(n: int) -> SimplicialComplex:
+    """1D mesh of the unit interval; the degenerate test case for spectral machinery."""
+    vertices = np.linspace(0.0, 1.0, n + 1).reshape(-1, 1)
     cells = np.array([[i, i + 1] for i in range(n)], dtype=np.int64)
     return SimplicialComplex.from_top_cells(vertices, cells, [""] * n)
 
@@ -161,7 +160,7 @@ def _balls_builder(n_balls: int):
     shape = (5 * n_balls + 3, 6, 6)
     centres = [(4.0 + 5 * k, 3.0, 3.0) for k in range(n_balls)]
 
-    def build(res: int = 1):
+    def build(res: int):
         def tag(c):
             for k, ctr in enumerate(centres):
                 if _in_ball(c, ctr, 1.2):
@@ -174,14 +173,14 @@ def _balls_builder(n_balls: int):
     return build
 
 
-def _solid_torus_build(res: int = 1):
+def _solid_torus_build(res: int):
     def tag(c):
         return "ring" if _ring_xy(c, 1, 6, 2, 5, 2, 3) else ""
 
     return box_complex((7, 7, 5), res, tag), {"ring"}
 
 
-def _hopf_link_build(res: int = 1):
+def _hopf_link_build(res: int):
     def tag(c):
         if _ring_xy(c, 1, 6, 2, 5, 3, 4):
             return "ringA"
@@ -192,7 +191,7 @@ def _hopf_link_build(res: int = 1):
     return box_complex((9, 7, 7), res, tag), {"ringA", "ringB"}
 
 
-def _wormhole_build(res: int = 1):
+def _wormhole_build(res: int):
     """Box with two mirror-image balls glued into a wormhole plus one obstacle ball."""
     c1, c2, co = (3.0, 3.0, 3.0), (9.0, 3.0, 3.0), (6.0, 3.0, 3.0)
 
@@ -269,26 +268,22 @@ def _check_glue_facets(pierced, comps, src: np.ndarray, image_of: np.ndarray) ->
         )
 
 
-def _concentric_build(r_in: float = 1.0, r_out: float = 4.0):
-    def build(res: int = 1):
-        cplx = ball_shell_complex(r_in, r_out, n_core=2 * res, n_layers=4 * res)
-        return cplx, {"core"}
-
-    return build
+def _concentric_build(res: int):
+    return ball_shell_complex(1.0, 4.0, n_core=2 * res, n_layers=4 * res), {"core"}
 
 
-def _cube_obstacle_build(res: int = 1):
+def _cube_obstacle_build(res: int):
     def tag(c):
         return "cube" if _in_box(c, (1, 2, 1, 2, 1, 2)) else ""
 
     return box_complex((4, 4, 4), res, tag), {"cube"}
 
 
-def _box_with_block(shape, block, res: int = 1):
+def _box_with_block(shape, block):
     def tag(c):
         return "block" if _in_box(c, block) else ""
 
-    return box_complex(shape, res, tag), {"block"}
+    return box_complex(shape, tag_fn=tag), {"block"}
 
 
 CANNED: dict[str, CannedGeometry] = {
@@ -309,7 +304,7 @@ CANNED: dict[str, CannedGeometry] = {
         "spherical shell between radii 1 and 4",
         1,
         0,
-        _concentric_build(1.0, 4.0),
+        _concentric_build,
     ),
     "cube_obstacle": CannedGeometry(
         "cube_obstacle", "cube obstacle in a cube box (refinement friendly)", 1, 0,
@@ -367,17 +362,15 @@ def _pull_prism(bottom: tuple[int, int, int], top: tuple[int, int, int]) -> list
 def ball_shell_complex(
     r_in: float,
     r_out: float,
-    n_core: int = 2,
-    n_layers: int | None = None,
-    extra_radii: tuple[float, ...] = (),
+    n_core: int,
+    n_layers: int,
 ) -> SimplicialComplex:
     """Ball of radius r_out, with the region inside r_in tagged ``core``.
 
-    Vertex layers sit exactly on spheres; radii between r_in and r_out are
-    geometrically graded.  ``extra_radii`` forces specific sphere layers.
+    The core is a cube of ``n_core`` cells per side.  Vertex layers sit
+    exactly on spheres; the ``n_layers`` radii between r_in and r_out are
+    geometrically graded.
     """
-    if n_layers is None:
-        n_layers = max(3, ceil(3 * log(r_out / r_in) / log(4.0)))
     c = 0.5 * r_in
     n = n_core
     h = 2 * c / n
@@ -417,7 +410,7 @@ def ball_shell_complex(
     radii = list(
         r_in * (r_out / r_in) ** (np.arange(1, n_layers + 1) / n_layers)
     )
-    radii = sorted(set(round(r, 12) for r in ([r_in] + radii + list(extra_radii))))
+    radii = sorted(set(round(r, 12) for r in ([r_in] + radii)))
     if abs(radii[-1] - r_out) > 1e-9:
         radii.append(r_out)
 
@@ -449,18 +442,18 @@ def ball_shell_complex(
     )
 
 
-def qft_box_scenario(res: int = 1) -> ObstacleScenario:
+def qft_box_scenario() -> ObstacleScenario:
     """Small box with a 2x2x2 cube obstacle; the workhorse for field identities."""
-    ref, tags = _box_with_block((6, 6, 6), (2, 4, 2, 4, 2, 4), res)
+    ref, tags = _box_with_block((6, 6, 6), (2, 4, 2, 4, 2, 4))
     return carve_obstacle(ref, tags)
 
 
-def stress_box_scenario(res: int = 1) -> ObstacleScenario:
+def stress_box_scenario() -> ObstacleScenario:
     """Box with a single-cell obstacle, leaving room for decay profiles."""
-    ref, tags = _box_with_block((7, 7, 7), (3, 4, 3, 4, 3, 4), res)
+    ref, tags = _box_with_block((7, 7, 7), (3, 4, 3, 4, 3, 4))
     return carve_obstacle(ref, tags)
 
 
-def empty_box_scenario(shape=(5, 5, 5), res: int = 1) -> ObstacleScenario:
-    ref = box_complex(shape, res)
+def empty_box_scenario(shape: tuple[int, int, int]) -> ObstacleScenario:
+    ref = box_complex(shape)
     return carve_obstacle(ref, set())

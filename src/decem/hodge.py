@@ -26,7 +26,6 @@ class HarmonicBasis:
     p: int
     vectors: np.ndarray
     capacity: float | None = None
-    u_full: np.ndarray | None = None
     distinguished: bool = False
 
     @property
@@ -61,8 +60,8 @@ def dirichlet_potential(
     Returns the full 0-cochain (indexed like the complex's 0-simplices).
     """
     cplx = ops.complex
-    d0 = ops._d_full[0]
-    m1 = ops._mass_full[1]
+    d0 = ops.d_full[0]
+    m1 = ops.mass_full[1]
     S = (d0.T @ m1 @ d0).tocsr()
     n0 = cplx.n(0)
     u = np.zeros(n0)
@@ -101,10 +100,10 @@ def capacity_and_psiL(
         on = charge_component is None or charge_component == ci
         bvals.append((_node_positions(cplx, comp), 1.0 if on else 0.0))
     u = dirichlet_potential(ops, bvals)
-    du_full = ops._d_full[0] @ u
-    m1 = ops._mass_full[1]
-    cap = float(du_full @ (m1 @ du_full))
-    psi = du_full[ops.kept[1]]
+    du = ops.d_full[0] @ u
+    m1 = ops.mass_full[1]
+    cap = float(du @ (m1 @ du))
+    psi = du[ops.kept[1]]
     nrm = np.sqrt(psi @ (ops.mass(1) @ psi))
     if nrm == 0:
         raise ValueError("capacity potential has vanishing gradient; mesh disconnected?")
@@ -129,7 +128,7 @@ def harmonic_basis(
 
         cap, u, _psi = capacity_and_psiL(ops)
         basis = harmonic_basis_with_distinguished(dec, ops, u)
-        hb = HarmonicBasis(p, basis, capacity=cap, u_full=u, distinguished=True)
+        hb = HarmonicBasis(p, basis, capacity=cap, distinguished=True)
     else:
         hb = HarmonicBasis(p, dec.kernel_basis().copy())
     _check_harmonic(ops, hb)

@@ -1,4 +1,4 @@
-"""Artifact writers: legacy-VTK cell data, CSV tables, sparse triplets."""
+"""Artifact writers: legacy-VTK cell data and sparse triplets."""
 
 from __future__ import annotations
 

@@ -23,6 +23,8 @@ from .forms import DecOperators
 from .spectral import SpectralDecomposition
 from .timeprofiles import TimeProfile
 
+CONSTRAINT_TOL = 1e-8  # relative bound on the initial constraints and co-closedness
+
 
 @dataclass
 class MaxwellState:
@@ -90,7 +92,7 @@ class SpectralPropagator:
     """cos / sinc propagation plus Duhamel terms over one decomposition."""
 
     def __init__(self, dec: SpectralDecomposition):
-        if not (dec.complete and dec.exact_nonzero):
+        if not dec.exact:
             raise ValueError("evolution needs a complete exact decomposition")
         self.dec = dec
         lam2 = dec.evals.copy()
@@ -157,7 +159,6 @@ def evolve(
     state0: MaxwellState,
     source: CurrentSource | None,
     t_targets,
-    constraint_tol: float = 1e-8,
 ) -> list[MaxwellState]:
     """Propagate Cauchy data (E0, B0) through the twisted Maxwell system.
 
@@ -165,7 +166,7 @@ def evolve(
     is needed.  E is propagated in Delta_1's coefficients.  B(t) = B_h + G c(t)
     with G = d_1 V_1, by f(Delta_2) d_1 = d_1 f(Delta_1), where the harmonic
     part B_h = B0 - G c(0) of the closed B0 is static.  B_h must be
-    co-closed, ||delta~ B_h|| <= constraint_tol * max(||B0||, 1); otherwise
+    co-closed, ||delta~ B_h|| <= CONSTRAINT_TOL * max(||B0||, 1); otherwise
     Delta_1's eigensystem does not carry B0's exact part and a ValueError
     names the measured value.
     """
@@ -176,9 +177,9 @@ def evolve(
     gauss = ops.apply_codifferential(1, E0) + rho0
     scaleE = max(ops.norm(1, E0), 1.0)
     scaleB = max(ops.norm(2, B0), 1.0)
-    if ops.norm(3, dB0) > constraint_tol * scaleB:
+    if ops.norm(3, dB0) > CONSTRAINT_TOL * scaleB:
         raise ValueError("initial magnetic constraint d B0 = 0 violated")
-    if ops.norm(0, gauss) > constraint_tol * scaleE:
+    if ops.norm(0, gauss) > CONSTRAINT_TOL * scaleE:
         raise ValueError("initial Gauss constraint violated")
 
     prop1, prop2 = SpectralPropagator(dec1), ExactTwoFormPropagator(dec1, ops)
@@ -188,7 +189,7 @@ def evolve(
     cE0, cE1 = prop1.coeffs(E0), prop1.coeffs(Edot0)
     cB0, cB1 = prop2.coeffs(B0), prop2.coeffs(Bdot0)
     B_h = B0 - prop2.synth(cB0)
-    coclosed, tol = ops.norm(1, ops.apply_codifferential(2, B_h)), constraint_tol * scaleB
+    coclosed, tol = ops.norm(1, ops.apply_codifferential(2, B_h)), CONSTRAINT_TOL * scaleB
     if coclosed > tol:
         raise ValueError(
             f"harmonic part of B0 is not co-closed: |delta~ B_h| {coclosed:.2e} > {tol:.2e}"
@@ -266,11 +267,10 @@ def potential_evolve(
     Adot0: np.ndarray,
     source: CurrentSource | None,
     t_targets,
-    coclosed_tol: float = 1e-8,
 ) -> list[PotentialTrajectory]:
     """Evolve the vector potential with zero initial scalar part."""
     source = source or CurrentSource()
-    if ops.norm(0, ops.apply_codifferential(1, A0)) > coclosed_tol * max(ops.norm(1, A0), 1.0):
+    if ops.norm(0, ops.apply_codifferential(1, A0)) > CONSTRAINT_TOL * max(ops.norm(1, A0), 1.0):
         raise ValueError("initial potential A0 must be co-closed")
     prop0, prop1 = SpectralPropagator(dec0), SpectralPropagator(dec1)
     cA0, cA1 = prop1.coeffs(A0), prop1.coeffs(Adot0)

@@ -94,12 +94,11 @@ class SimplicialComplex:
         cells: np.ndarray,
         regions: Iterable[str] | None = None,
         cell_coords: np.ndarray | None = None,
-        outer_marker: str = OUTER,
     ) -> "SimplicialComplex":
         """Build the full complex generated by top-dimensional cells.
 
         All proper faces are enumerated, and boundary facets (one coface) get
-        ``outer_marker``.
+        the ``OUTER`` marker.
         """
         vertices = np.asarray(vertices, dtype=float)
         cells = np.asarray(cells, dtype=np.int64)
@@ -133,7 +132,7 @@ class SimplicialComplex:
         )
         bf = cplx.boundary_facets()
         if len(bf):
-            cplx.boundary_markers = {outer_marker: bf.copy()}
+            cplx.boundary_markers = {OUTER: bf.copy()}
         cplx.validate()
         return cplx
 

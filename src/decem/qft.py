@@ -39,13 +39,13 @@ class TestForm:
         )
 
     @classmethod
-    def impulse2(cls, e_part: np.ndarray, b_part: np.ndarray, t0: float = 0.0) -> "TestForm":
-        """(E ^ dt + B) x delta(t - t0): Cauchy-data semantics."""
+    def impulse2(cls, e_part: np.ndarray, b_part: np.ndarray) -> "TestForm":
+        """(E ^ dt + B) x delta(t): Cauchy-data semantics."""
         return cls(
             2,
             [
-                FormTerm(Impulse(t0, 0), "e", e_part),
-                FormTerm(Impulse(t0, 0), "b", b_part),
+                FormTerm(Impulse(), "e", e_part),
+                FormTerm(Impulse(), "b", b_part),
             ],
         )
 
@@ -236,11 +236,10 @@ class FieldCalculus:
 
     # -- the Krein map ------------------------------------------------------------------
 
-    def kappa(self, f: TestForm, kernel_tol: float = 1e-8) -> KreinVector:
-        data = self.propagate_G(f)
-        return self.kappa_data(data, kernel_tol)
+    def kappa(self, f: TestForm) -> KreinVector:
+        return self.kappa_data(self.propagate_G(f))
 
-    def kappa_data(self, data: CauchyData, kernel_tol: float = 1e-8) -> KreinVector:
+    def kappa_data(self, data: CauchyData) -> KreinVector:
         dec0, dec1 = self.dec[0], self.dec[1]
         quarter = lambda m: m ** 0.25
         mquarter = lambda m: m ** -0.25
@@ -253,7 +252,7 @@ class FieldCalculus:
         K = dec1.kernel_basis()
         if K.shape[1]:
             comp = np.linalg.norm(K.T @ (dec1.M @ qa))
-            if comp > kernel_tol * max(np.linalg.norm(qa), 1e-300):
+            if comp > 1e-8 * max(np.linalg.norm(qa), 1e-300):
                 raise ValueError(
                     "Q-projected velocity keeps a kernel component; wrong projector policy"
                 )

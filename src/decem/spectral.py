@@ -41,8 +41,6 @@ class LaplaceOperator:
 
 
 def assemble_laplacian(ops: DecOperators, p: int, lumped_down: bool = False) -> LaplaceOperator:
-    if not ops.reduced:
-        raise ValueError("assemble_laplacian expects relatively reduced operators")
     d = ops.complex.dim
     up = None
     if p < d:
@@ -79,11 +77,8 @@ class SpectralDecomposition:
     vectors: np.ndarray
     M: sp.csr_matrix
     kernel_dim: int
-    threshold: float
     max_eval: float
-    complete: bool
-    exact_nonzero: bool
-    ops: DecOperators | None = None
+    exact: bool  # complete and from an exact down-term: operator functions allowed
     _P0: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -104,10 +99,9 @@ class SpectralDecomposition:
         """Evaluate f(Delta) x by spectral synthesis.
 
         kernel_policy: 'include' evaluates f at exactly 0 on the kernel,
-        'exclude' drops the kernel, ('replace', v) multiplies kernel
-        coefficients by v.
+        'exclude' drops the kernel.
         """
-        if not self.complete or not self.exact_nonzero:
+        if not self.exact:
             raise ValueError("operator functions need a complete exact decomposition")
         coef = self.coefficients(x)
         vals = self._function_values(f, kernel_policy)
@@ -124,10 +118,6 @@ class SpectralDecomposition:
         elif kernel_policy == "exclude":
             vals = np.zeros_like(lam2)
             vals[kd:] = np.array([f(v) for v in lam2[kd:]], dtype=float)
-        elif isinstance(kernel_policy, tuple) and kernel_policy[0] == "replace":
-            vals = np.zeros_like(lam2)
-            vals[kd:] = np.array([f(v) for v in lam2[kd:]], dtype=float)
-            vals[:kd] = kernel_policy[1]
         else:
             raise ValueError(f"unknown kernel policy {kernel_policy!r}")
         if not np.all(np.isfinite(vals)):
@@ -154,7 +144,7 @@ class SpectralDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def eig(op: LaplaceOperator, count="all", threshold: float = KERNEL_THRESHOLD) -> SpectralDecomposition:
+def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
     """Eigendecomposition of the generalized problem; ``count`` is 'all' or k lowest."""
     n = op.n
     if count == "all":
@@ -163,36 +153,33 @@ def eig(op: LaplaceOperator, count="all", threshold: float = KERNEL_THRESHOLD) -
         evals, vecs = sla.eigh(S, M)
         evals = np.asarray(evals)
         max_eval = float(evals[-1]) if n else 0.0
-        complete = True
+        exact = op.exact_nonzero
     else:
         k = int(count)
         if k >= n - 1:
-            return eig(op, "all", threshold)
+            return eig(op, "all")
         max_eval = _norm_estimate(op)
         evals, vecs = spla.eigsh(
             op.S, k=k, M=op.M, sigma=-1e-6 * max_eval, which="LM", v0=_start_vector(op.n)
         )
         order = np.argsort(evals)
         evals, vecs = evals[order], vecs[:, order]
-        complete = False
+        exact = False
     neg_tol = 1e-10 * max(max_eval, 1.0)
     if len(evals) and evals.min() < -neg_tol:
         raise AssertionError(
             f"Laplacian has significantly negative eigenvalues: {evals.min():.2e} < {-neg_tol:.2e}"
         )
     evals = np.abs(evals)
-    kernel_dim = int(np.sum(evals < threshold * max(max_eval, 1e-300)))
+    kernel_dim = int(np.sum(evals < KERNEL_THRESHOLD * max(max_eval, 1e-300)))
     dec = SpectralDecomposition(
         p=op.p,
         evals=evals,
         vectors=vecs,
         M=op.M,
         kernel_dim=kernel_dim,
-        threshold=threshold,
         max_eval=max_eval,
-        complete=complete,
-        exact_nonzero=op.exact_nonzero,
-        ops=op.ops,
+        exact=exact,
     )
     _check_residuals(op, dec)
     return dec
@@ -281,12 +268,12 @@ def inverse_sqrt_quadrature(
     panels: tuple[int, int] | None = None,
     kernel_basis: np.ndarray | None = None,
     spectrum_bounds: tuple[float, float] | None = None,
-    kernel_tol: float = 1e-8,
 ) -> np.ndarray:
     """Delta^(-1/2) x through the resolvent integral (2/pi) int (Delta+l^2)^-1 dl.
 
-    Requires x orthogonal to the kernel; the integrand is evaluated with
-    sparse factorizations, independent of any eigendecomposition.
+    Requires x orthogonal to the kernel, up to a relative component of 1e-8;
+    the integrand is evaluated with sparse factorizations, independent of any
+    eigendecomposition.
     """
     X = np.atleast_2d(np.asarray(x, dtype=float).T).T
     if kernel_basis is None:
@@ -294,7 +281,7 @@ def inverse_sqrt_quadrature(
     if kernel_basis.shape[1]:
         comp = kernel_basis.T @ (op.M @ X)
         norms = np.sqrt(np.sum((op.M @ X) * X, axis=0))
-        if np.any(np.linalg.norm(comp, axis=0) > kernel_tol * np.maximum(norms, 1e-300)):
+        if np.any(np.linalg.norm(comp, axis=0) > 1e-8 * np.maximum(norms, 1e-300)):
             raise ValueError("input has a kernel component; project it out first")
     if spectrum_bounds is None:
         spectrum_bounds = _spectrum_bounds(op, kernel_basis)
@@ -332,8 +319,6 @@ class ProjectorQ:
     eps: float
     psi_basis: np.ndarray  # (n, L) M-orthonormal harmonic basis, last column distinguished
     psi_eps: np.ndarray
-    u: np.ndarray
-    u_eps: np.ndarray
     M: sp.csr_matrix
     cutoff_meta: dict
 
@@ -381,48 +366,44 @@ def radial_cutoff(r: np.ndarray, eps: float, r_plateau: float, r_zero: float) ->
 def build_Q_eps(
     dec: SpectralDecomposition,
     ops: DecOperators,
-    u_full: np.ndarray,
+    u: np.ndarray,
     eps: float,
     center: np.ndarray,
     r_plateau: float,
     r_zero: float,
-    psi_basis: np.ndarray | None = None,
-    pairing_tol: float = 0.2,
 ) -> ProjectorQ:
     """Assemble Q_eps from the capacity potential u (full vertex cochain).
 
     The distinguished harmonic direction is du itself; the basis is rotated so
     its last element is du/|du| before the rank-one replacement by d(chi u).
+    The pairings of psi_eps with that basis must lie within 0.2 of the last
+    unit vector.
     """
     cplx = ops.complex
     if cplx.dim != 3 or dec.p != 1:
         raise ValueError("Q_eps lives on 1-forms of a 3-complex")
-    if psi_basis is None:
-        psi_basis = harmonic_basis_with_distinguished(dec, ops, u_full)
+    psi_basis = harmonic_basis_with_distinguished(dec, ops, u)
     L = psi_basis.shape[1]
     if L == 0:
         raise ValueError("no zero modes: use the plain kernel projector")
-    d0_full = ops._d_full[0]
-    du = (d0_full @ u_full)[ops.kept[1]]
+    d0_full = ops.d_full[0]
+    du = (d0_full @ u)[ops.kept[1]]
     u_scale = np.sqrt(du @ (ops.mass(1) @ du))  # normalise so d u is the unit mode
     nodes = cplx.simplices[0][:, 0]
     r = np.linalg.norm(cplx.vertices[nodes] - center[None, :], axis=1)
     chi = radial_cutoff(r, eps, r_plateau, r_zero)
-    u_eps = chi * u_full / u_scale
-    psi_eps = (d0_full @ u_eps)[ops.kept[1]]
+    psi_eps = (d0_full @ (chi * u / u_scale))[ops.kept[1]]
     q = ProjectorQ(
         eps=eps,
         psi_basis=psi_basis,
         psi_eps=psi_eps,
-        u=u_full,
-        u_eps=u_eps,
         M=ops.mass(1),
         cutoff_meta={"center": center, "r_plateau": r_plateau, "r_zero": r_zero},
     )
     pair = q.pairings()
     target = np.zeros(L)
     target[-1] = 1.0
-    if np.linalg.norm(pair - target) > pairing_tol:
+    if np.linalg.norm(pair - target) > 0.2:
         raise ValueError(
             "psi_eps pairing degenerate; enlarge the domain or shrink the cutoff"
         )
@@ -430,13 +411,13 @@ def build_Q_eps(
 
 
 def harmonic_basis_with_distinguished(
-    dec: SpectralDecomposition, ops: DecOperators, u_full: np.ndarray
+    dec: SpectralDecomposition, ops: DecOperators, u: np.ndarray
 ) -> np.ndarray:
     """M-orthonormal kernel basis whose last vector is du/sqrt(capacity)."""
     K = dec.kernel_basis()
     L = K.shape[1]
-    d0_full = ops._d_full[0]
-    du = (d0_full @ u_full)[ops.kept[1]]
+    d0_full = ops.d_full[0]
+    du = (d0_full @ u)[ops.kept[1]]
     M = ops.mass(1)
     nrm = np.sqrt(du @ (M @ du))
     psiL = du / nrm

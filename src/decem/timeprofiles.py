@@ -68,10 +68,10 @@ class TimeProfile:
         return cls([(a, b, coeffs)])
 
     @classmethod
-    def bump(cls, a: float, b: float, power: int = 4):
-        """Polynomial bump (t-a)^p (b-t)^p, normalised to unit integral."""
-        base = np.polynomial.polynomial.Polynomial([-a, 1.0]) ** power * (
-            np.polynomial.polynomial.Polynomial([b, -1.0]) ** power
+    def bump(cls, a: float, b: float):
+        """Polynomial bump (t-a)^4 (b-t)^4, normalised to unit integral."""
+        base = np.polynomial.polynomial.Polynomial([-a, 1.0]) ** 4 * (
+            np.polynomial.polynomial.Polynomial([b, -1.0]) ** 4
         )
         prof = cls.polynomial(base.coef, (a, b))
         return prof.scaled(1.0 / prof.integral())

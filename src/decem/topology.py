@@ -15,10 +15,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 import scipy.sparse as sp
 
 from .forms import DecOperators
+from .geometries import CANNED
 
 
 def integer_rank(mat) -> int:
@@ -166,8 +166,6 @@ class CohomologyReport:
 
 def relative_cohomology_dims(ops: DecOperators) -> CohomologyReport:
     """Exact dims of H^p of the relative (fully masked) cochain complex."""
-    if not ops.reduced:
-        raise ValueError("relative cohomology needs the reduced complex")
     d = ops.complex.dim
     ranks = {}
     for p in range(d):
@@ -181,21 +179,12 @@ def relative_cohomology_dims(ops: DecOperators) -> CohomologyReport:
     return CohomologyReport(dims=dims, ranks=ranks)
 
 
-_EXPECTED = {
-    "solid_torus": {1: 1, 2: 1},
-    "hopf_link": {1: 2, 2: 2},
-    "wormhole_obstacle": {1: 2, 2: 1},
-}
-
-
 def expected_dims(geometry_id: str) -> dict[int, int]:
-    """The worked-example dimension table for the canned geometries."""
-    m = re.fullmatch(r"balls[:(](\d+)\)?", geometry_id)
-    if m:
-        return {1: int(m.group(1)), 2: 0}
-    if geometry_id in _EXPECTED:
-        return dict(_EXPECTED[geometry_id])
-    raise KeyError(f"no expected dimension table for {geometry_id!r}")
+    """The expected dims of H^1 and H^2 of a canned geometry (``balls(N)`` means ``balls:N``)."""
+    geo = CANNED.get(re.sub(r"^balls\((\d+)\)$", r"balls:\1", geometry_id))
+    if geo is None:
+        raise KeyError(f"no expected dimension table for {geometry_id!r}")
+    return {1: geo.expected_h1, 2: geo.expected_h2}
 
 
 def check_harmonic_match(

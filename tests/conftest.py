@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from decem.forms import DecOperators, reduce_relative
+from decem.forms import DecOperators
 from decem.geometries import ball_shell_complex, canned_scenario, qft_box_scenario
 from decem.hodge import capacity_and_psiL
 from decem.mesh import carve_obstacle
@@ -34,7 +34,7 @@ class QftBundle:
 @pytest.fixture(scope="session")
 def qft_bundle() -> QftBundle:
     sc = qft_box_scenario()
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     L0 = assemble_laplacian(ops, 0)
     L1 = assemble_laplacian(ops, 1)
     L2 = assemble_laplacian(ops, 2)
@@ -73,7 +73,7 @@ class ShellBundle:
 def shell_bundle() -> ShellBundle:
     shell = ball_shell_complex(0.5, 4.0, n_core=4, n_layers=10)
     sc = carve_obstacle(shell, {"core"})
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     dec = eig(assemble_laplacian(ops, 1, lumped_down=True), count=6)
     cap, u, _psi = capacity_and_psiL(ops)
     return ShellBundle(sc, ops, dec, cap, u)
@@ -95,7 +95,7 @@ def wormhole_bundle() -> WormholeBundle:
     from decem.hodge import sector_split
 
     sc = canned_scenario("wormhole_obstacle")
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     dec1 = eig(assemble_laplacian(ops, 1))
     _cap, u, _psi = capacity_and_psiL(ops)
     Q = build_Q_eps(

@@ -31,6 +31,27 @@ def test_run_topology_balls2(runner, tmp_path):
     assert summary["result"]["dims"]["1"] == 2
 
 
+def test_run_topology_cube_obstacle_checks_expected_dims(runner, tmp_path):
+    res = runner.invoke(
+        main, ["run", "topology", "--geometry", "cube_obstacle", "--output", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert "[PASS] dim_H1: 1" in res.output
+    assert "[PASS] dim_H2: 0" in res.output
+    rows = json.loads((tmp_path / "summary.json").read_text())["result"]["assertions"]
+    assert {r["name"]: r["ok"] for r in rows if r["name"].startswith("dim_H")} == {
+        "dim_H1": True,
+        "dim_H2": True,
+    }
+
+
+def test_package_all_names_resolve():
+    import decem
+
+    for name in decem.__all__:
+        assert hasattr(decem, name), name
+
+
 def test_run_determinism_byte_identical(runner, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decem.forms import DecOperators, reduce_relative
+from decem.forms import DecOperators
 from decem.geometries import ball_shell_complex, canned_scenario
 from decem.hodge import (
     HelmholtzSolver,
@@ -17,7 +17,7 @@ from decem.spectral import assemble_laplacian, eig
 def _shell_ops(r_in, r_out, n_core=2, n_layers=4):
     shell = ball_shell_complex(r_in, r_out, n_core=n_core, n_layers=n_layers)
     sc = carve_obstacle(shell, {"core"})
-    return reduce_relative(DecOperators(sc.carved))
+    return DecOperators(sc.carved)
 
 
 def test_capacity_concentric_spheres_default():
@@ -53,7 +53,7 @@ def test_capacity_requires_obstacle():
     from decem.geometries import box_complex
 
     sc = carve_obstacle(box_complex((2, 2, 2)), set())
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     with pytest.raises(ValueError):
         capacity_and_psiL(ops)
 
@@ -62,7 +62,7 @@ def test_harmonic_basis_no_obstacle_empty(qft_bundle):
     from decem.geometries import empty_box_scenario
 
     sc = empty_box_scenario((4, 4, 4))
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     dec = eig(assemble_laplacian(ops, 1))
     hb = harmonic_basis(dec, ops)
     assert hb.L == 0
@@ -81,7 +81,7 @@ def test_harmonic_basis_one_ball(qft_bundle):
 
 def test_harmonic_basis_two_balls():
     sc = canned_scenario("balls:2")
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     dec = eig(assemble_laplacian(ops, 1, lumped_down=True), count=8)
     hb = harmonic_basis(dec, ops)
     assert hb.L == 2
@@ -174,7 +174,7 @@ def test_threshold_integral_domain_growth():
         edges = cplx.simplices[1][ops.kept[1]]
         mid = 0.5 * (cplx.vertices[edges[:, 0]] + cplx.vertices[edges[:, 1]])
         loc = (np.linalg.norm(mid, axis=1) < 1.2).astype(float)
-        f_charged = loc * (ops._d_full[0] @ u)[ops.kept[1]]
+        f_charged = loc * (ops.d_full[0] @ u)[ops.kept[1]]
         rng = np.random.default_rng(0)
         x = np.zeros(ops.n(2))
         inner_faces = np.linalg.norm(

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from decem.forms import DecOperators, reduce_relative
+from decem.forms import DecOperators
 from decem.geometries import box_complex, canned_scenario
 from decem.maxwell import (
     CurrentSource,
@@ -255,7 +255,7 @@ def test_B_through_d1_matches_delta2_oracle(qft_bundle, sourced):
 def test_harmonic_B_static_on_solid_torus():
     """On solid_torus H^2 = 1: harmonic B0 stays put and drives no current."""
     sc = canned_scenario("solid_torus", 1)
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     kern = eig(assemble_laplacian(ops, 2, lumped_down=True), count=4)
     assert kern.kernel_dim == 1
     h = kern.kernel_basis()[:, 0]
@@ -294,7 +294,7 @@ def test_finite_propagation_surrogate():
     """
     box = box_complex((4, 4, 4), res=2)
     sc = carve_obstacle(box, set())
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     dec1 = eig(assemble_laplacian(ops, 1))
     cplx = sc.carved
     edges = cplx.simplices[1][ops.kept[1]]

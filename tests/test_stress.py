@@ -69,7 +69,7 @@ def test_two_path_full_matrix(tiny_stress):
 
 def test_two_path_probes(stress_bundle):
     st, X1, _X2, _rep = stress_bundle
-    assert quadrature_agreement(st, "D1", n_probes=8, X=X1) <= 1e-8
+    assert quadrature_agreement(st, "D1", X=X1) <= 1e-8
 
 
 def test_t0k_cancellation_and_control(stress_bundle):
@@ -151,7 +151,7 @@ def test_resolvent_decay_empty_is_zero():
 
 def test_interior_window_avoids_boundaries(stress_bundle):
     st, _X1, _X2, _rep = stress_bundle
-    win = interior_window(st, 1)
+    win = interior_window(st)
     cplx = st.sigma.ops.complex
     edges = cplx.simplices[1][st.sigma.ops.kept[1]][win]
     mids = cplx.vertices[edges].mean(axis=1)
@@ -205,7 +205,7 @@ def test_decay_matches_dense_resolvent_solves(tiny_stress):
 
     st = tiny_stress
     lam_grid = np.geomspace(1.0, 3 * np.sqrt(st.sigma.dec.evals[-1]), 10)
-    window = interior_window(st, 1)
+    window = interior_window(st)
     for lam, val in resolvent_difference_decay(st, lam_grid, window):
         Ds = window_resolvent(st.sigma, window, lam)
         Dr = window_resolvent(st.reference, st.kept_maps[1][window], lam)

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decem.forms import DecOperators, reduce_relative
+from decem.forms import DecOperators
 from decem.geometries import box_complex, canned_scenario
 from decem.topology import (
     check_harmonic_match,
@@ -41,7 +41,7 @@ def test_contractible_dims_vanish():
     from decem.mesh import carve_obstacle
 
     sc = carve_obstacle(box, set())
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     rep = relative_cohomology_dims(ops)
     assert rep.dims[0] == 0 and rep.dims[1] == 0 and rep.dims[2] == 0
 
@@ -49,7 +49,7 @@ def test_contractible_dims_vanish():
 @pytest.mark.parametrize("name", ["balls:1", "balls:3", "solid_torus"])
 def test_canned_dims(name):
     sc = canned_scenario(name)
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     rep = relative_cohomology_dims(ops)
     want = expected_dims(name)
     for p, v in want.items():
@@ -66,11 +66,19 @@ def test_expected_dims_table():
         expected_dims("klein_bottle")
 
 
+def test_expected_dims_read_the_canned_table():
+    from decem.geometries import list_scenarios
+
+    for row in list_scenarios():
+        want = {1: row["expected_h1"], 2: row["expected_h2"]}
+        assert expected_dims(row["name"]) == want, row["name"]
+
+
 def test_harmonic_match_one_ball():
     from decem.spectral import assemble_laplacian, eig
 
     sc = canned_scenario("balls:1")
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     rep = relative_cohomology_dims(ops)
     kernel_dims = {}
     for p in (1, 2):
@@ -83,7 +91,7 @@ def test_harmonic_match_one_ball():
 def test_refinement_stability_balls():
     for res in (1, 2):
         sc = canned_scenario("balls:1", res)
-        ops = reduce_relative(DecOperators(sc.carved))
+        ops = DecOperators(sc.carved)
         rep = relative_cohomology_dims(ops)
         assert rep.dims[1] == 1 and rep.dims[2] == 0
 
@@ -91,14 +99,14 @@ def test_refinement_stability_balls():
 def test_refinement_stability_torus():
     for res in (1, 2):
         sc = canned_scenario("solid_torus", res)
-        ops = reduce_relative(DecOperators(sc.carved))
+        ops = DecOperators(sc.carved)
         rep = relative_cohomology_dims(ops)
         assert rep.dims[1] == 1 and rep.dims[2] == 1
 
 
 def test_report_json():
     sc = canned_scenario("balls:1")
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     rep = relative_cohomology_dims(ops)
     rep.expected = expected_dims("balls:1")
     check_harmonic_match(rep, {1: 1, 2: 0})
@@ -119,7 +127,7 @@ def test_two_dimensional_complex_dims():
 
     sq = box2d_complex((3, 3), tag_fn=tag)
     sc = carve_obstacle(sq, {"hole"})
-    ops = reduce_relative(DecOperators(sc.carved))
+    ops = DecOperators(sc.carved)
     rep = relative_cohomology_dims(ops)
     # H^1 of (annulus, full boundary) over Q has dimension 1
     assert rep.dims[0] == 0 and rep.dims[1] == 1
