@@ -17,7 +17,7 @@ import yaml
 
 from . import geometries
 from .forms import DecOperators, MaterialField
-from .io import sparse_triplets
+from .io import write_sparse_triplets
 from .mesh import MeshError, carve_obstacle, load_complex
 from .spectral import assemble_laplacian, eig
 
@@ -448,7 +448,7 @@ def export_matrices_cmd(geometry, res, degree, out):
             continue
         path = os.path.join(out, name + ".txt")
         with open(path, "w") as fh:
-            fh.write(sparse_triplets(mat))
+            write_sparse_triplets(mat, fh)
         click.echo(f"wrote {path}")
 
 

@@ -10,6 +10,7 @@ by removing every degree of freedom sitting inside a marked boundary facet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import factorial
 
@@ -96,24 +97,40 @@ def build_d(cplx: SimplicialComplex, p: int) -> sp.csr_matrix:
     )
 
 
+def _cell_weights(cplx: SimplicialComplex, material: MaterialField, p: int, vols) -> np.ndarray:
+    """Material weight of p-forms times volume for every top cell."""
+    weight = {tag: material.weight(tag, p) for tag in set(cplx.regions)}
+    return np.array([weight[tag] for tag in cplx.regions]) * vols
+
+
 def local_mass_blocks(
-    cplx: SimplicialComplex, material: MaterialField, p: int
+    cplx: SimplicialComplex, material: MaterialField, p: int, geometry
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell Whitney mass contributions.
 
-    Returns (face_ids, blocks): face_ids[c, i] is the global p-simplex index of
-    local face i in cell c, blocks[c] the local (weighted) mass matrix.
+    ``geometry`` is ``_cell_geometry(cplx)``.  Returns (face_ids, blocks):
+    face_ids[c, i] is the global p-simplex index of local face i in cell c,
+    blocks[c] the local (weighted) mass matrix.
     """
     d = cplx.dim
     if not (0 <= p <= d):
         raise ValueError(f"degree {p} out of range")
-    vols, grads, gram = _cell_geometry(cplx)
+    vols, _, gram = geometry
     nc = len(vols)
     lam = _lambda_integrals(d)
-    weights = np.array([material.weight(tag, p) for tag in cplx.regions]) * vols
+    weights = _cell_weights(cplx, material, p, vols)
 
     faces = list(combinations(range(d + 1), p + 1))
     nloc = len(faces)
+
+    @cache
+    def minor(ra: tuple[int, ...], rb: tuple[int, ...]) -> np.ndarray:
+        """Gram minor of rows ra, columns rb; each distinct one is evaluated once."""
+        if p == 0:
+            return np.ones(nc)
+        if p == 1:
+            return gram[:, ra[0], rb[0]]
+        return np.linalg.det(gram[:, list(ra)][:, :, list(rb)])
 
     pf = factorial(p) ** 2
     blocks = np.zeros((nc, nloc, nloc))
@@ -123,16 +140,10 @@ def local_mass_blocks(
                 continue
             acc = np.zeros(nc)
             for k in range(p + 1):
-                ra = [v for v in fa if v != fa[k]]
+                ra = fa[:k] + fa[k + 1 :]
                 for l in range(p + 1):
-                    rb = [v for v in fb if v != fb[l]]
-                    if p == 0:
-                        minor = np.ones(nc)
-                    elif p == 1:
-                        minor = gram[:, ra[0], rb[0]]
-                    else:
-                        minor = np.linalg.det(gram[:, ra][:, :, rb])
-                    acc += ((-1) ** (k + l)) * lam[fa[k], fb[l]] * minor
+                    rb = fb[:l] + fb[l + 1 :]
+                    acc += ((-1) ** (k + l)) * lam[fa[k], fb[l]] * minor(ra, rb)
             blocks[:, a, b] = pf * acc
             blocks[:, b, a] = blocks[:, a, b]
     blocks *= weights[:, None, None]
@@ -140,10 +151,10 @@ def local_mass_blocks(
 
 
 def build_mass(
-    cplx: SimplicialComplex, material: MaterialField, p: int
+    cplx: SimplicialComplex, material: MaterialField, p: int, geometry
 ) -> sp.csr_matrix:
     """Assembled tau-weighted Whitney mass matrix on all p-simplices."""
-    face_ids, blocks = local_mass_blocks(cplx, material, p)
+    face_ids, blocks = local_mass_blocks(cplx, material, p, geometry)
     nloc = face_ids.shape[1]
     rows = np.repeat(face_ids, nloc, axis=1).ravel()
     cols = np.tile(face_ids, (1, nloc)).ravel()
@@ -167,15 +178,20 @@ class DecOperators:
     only: every simplex inside a marked boundary facet is removed, which
     imposes the relative boundary conditions.  The matrices on all simplices
     are kept as ``d_full`` and ``mass_full`` for boundary data (the Dirichlet
-    potential of the capacity mode lives on every vertex).
+    potential of the capacity mode lives on every vertex).  ``cell_geometry``
+    is :func:`_cell_geometry` of the complex, computed once for every
+    per-cell assembly.
     """
 
     def __init__(self, cplx: SimplicialComplex, material: MaterialField | None = None):
         self.complex = cplx
         self.material = material if material is not None else MaterialField.vacuum()
         d = cplx.dim
+        self.cell_geometry = _cell_geometry(cplx)
         self.d_full = {p: build_d(cplx, p) for p in range(d)}
-        self.mass_full = {p: build_mass(cplx, self.material, p) for p in range(d + 1)}
+        self.mass_full = {
+            p: build_mass(cplx, self.material, p, self.cell_geometry) for p in range(d + 1)
+        }
         self.kept = {}
         for p in range(d + 1):
             masked = cplx.boundary_subsimplices(p)
@@ -244,7 +260,7 @@ class DecOperators:
     # per-cell data for local traces ----------------------------------------------
 
     def local_mass(self, p: int) -> tuple[np.ndarray, np.ndarray]:
-        return local_mass_blocks(self.complex, self.material, p)
+        return local_mass_blocks(self.complex, self.material, p, self.cell_geometry)
 
     def component_blocks(self, p: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-cell component-resolved Whitney pairings (3D only).
@@ -256,12 +272,10 @@ class DecOperators:
         cplx = self.complex
         if cplx.dim != 3 or p not in (1, 2):
             raise ValueError("component blocks only for 1- and 2-forms in 3D")
-        vols, grads, gram = _cell_geometry(cplx)
+        vols, grads, _ = self.cell_geometry
         nc = len(vols)
         lam = _lambda_integrals(3)
-        weights = np.array(
-            [self.material.weight(tag, p) for tag in cplx.regions]
-        ) * vols
+        weights = _cell_weights(cplx, self.material, p, vols)
 
         faces = list(combinations(range(4), p + 1))
 

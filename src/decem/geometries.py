@@ -38,6 +38,28 @@ _FREUDENTHAL_PERMS = [
 ]
 
 
+def _voxel_corners(nx: int, ny: int, nz: int) -> np.ndarray:
+    """(nx*ny*nz, 3) integer low corners of the voxels of a grid, in (i, j, k) C order."""
+    return np.indices((nx, ny, nz)).reshape(3, -1).T
+
+
+def _kuhn_tets(corners: np.ndarray, ny: int, nz: int, flip: np.ndarray) -> np.ndarray:
+    """(6 * len(corners), 4) vertex ids of the Freudenthal tets of each voxel.
+
+    Tet t of a voxel walks from its low corner along one unit step per axis,
+    in the order of ``_FREUDENTHAL_PERMS[t]``, on a grid of (ny+1)*(nz+1)
+    vertices per x-layer.  A voxel with ``flip`` set walks from its (i+1, j, k)
+    corner with the x step reversed: the x-reflected Kuhn subdivision.
+    """
+    walks = np.zeros((6, 4, 3), dtype=np.int64)  # walks[t, s]: offset of walk vertex s
+    for t, perm in enumerate(_FREUDENTHAL_PERMS):
+        for s, ax in enumerate(perm):
+            walks[t, s + 1 :, ax] = 1
+    pts = corners[:, None, None, :] + walks[None]
+    pts[..., 0] += flip[:, None, None] * (1 - 2 * walks[None, ..., 0])
+    return ((pts[..., 0] * (ny + 1) + pts[..., 1]) * (nz + 1) + pts[..., 2]).reshape(-1, 4)
+
+
 def box_complex(
     shape: tuple[int, int, int],
     res: int = 1,
@@ -46,48 +68,30 @@ def box_complex(
 ) -> SimplicialComplex:
     """Freudenthal mesh of the box [0, sx] x [0, sy] x [0, sz] with ``res`` cells per unit.
 
-    Cubes whose centre lies beyond ``mirror_x`` get the x-reflected Kuhn
-    subdivision.  The two patterns are conforming across the plane x=mirror_x
-    (an x-flip leaves y-z face diagonals unchanged), and the surface
-    triangulation of any voxel region on the far side is the exact mirror
-    image of the corresponding region on the near side, which is what the
-    wormhole gluing map needs.
+    ``tag_fn`` is called once per voxel centre, in (i, j, k) C order, and its
+    tag goes to the voxel's 6 tets.  Cubes whose centre lies beyond
+    ``mirror_x`` get the x-reflected Kuhn subdivision.  The two patterns are
+    conforming across the plane x=mirror_x (an x-flip leaves y-z face
+    diagonals unchanged), and the surface triangulation of any voxel region on
+    the far side is the exact mirror image of the corresponding region on the
+    near side, which is what the wormhole gluing map needs.
     """
     sx, sy, sz = shape
     nx, ny, nz = sx * res, sy * res, sz * res
     h = 1.0 / res
-
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
 
     ii, jj, kk = np.meshgrid(
         np.arange(nx + 1), np.arange(ny + 1), np.arange(nz + 1), indexing="ij"
     )
     vertices = np.stack([ii.ravel() * h, jj.ravel() * h, kk.ravel() * h], axis=1)
 
-    cells = []
-    regions = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                base = np.array([i, j, k], dtype=np.int64)
-                centre = (base + 0.5) * h
-                tag = tag_fn(centre) if tag_fn is not None else ""
-                flip = mirror_x is not None and centre[0] > mirror_x
-                corner = base + (np.array([1, 0, 0]) if flip else 0)
-                step = np.array([-1 if flip else 1, 1, 1], dtype=np.int64)
-                for perm in _FREUDENTHAL_PERMS:
-                    p = corner.copy()
-                    tet = [vid(*p)]
-                    for ax in perm:
-                        p = p.copy()
-                        p[ax] += step[ax]
-                        tet.append(vid(*p))
-                    cells.append(tet)
-                    regions.append(tag)
-    return SimplicialComplex.from_top_cells(
-        vertices, np.array(cells, dtype=np.int64), regions
-    )
+    corners = _voxel_corners(nx, ny, nz)
+    centres = (corners + 0.5) * h
+    tags = [tag_fn(c) for c in centres] if tag_fn is not None else [""] * len(corners)
+    flip = centres[:, 0] > (mirror_x if mirror_x is not None else np.inf)
+    cells = _kuhn_tets(corners, ny, nz, flip)
+    regions = [tag for tag in tags for _ in _FREUDENTHAL_PERMS]
+    return SimplicialComplex.from_top_cells(vertices, cells, regions)
 
 
 def box2d_complex(shape: tuple[int, int], res: int = 1, tag_fn=None) -> SimplicialComplex:
@@ -375,29 +379,13 @@ def ball_shell_complex(
     n = n_core
     h = 2 * c / n
 
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
     ii, jj, kk = np.meshgrid(
         np.arange(n + 1), np.arange(n + 1), np.arange(n + 1), indexing="ij"
     )
     core_vertices = np.stack(
         [ii.ravel() * h - c, jj.ravel() * h - c, kk.ravel() * h - c], axis=1
     )
-    cells = []
-    e = np.eye(3, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in _FREUDENTHAL_PERMS:
-                    p = base.copy()
-                    tet = [vid(*p)]
-                    for ax in perm:
-                        p = p + e[ax]
-                        tet.append(vid(*p))
-                    cells.append(tet)
-    core_cells = np.array(cells, dtype=np.int64)
+    core_cells = _kuhn_tets(_voxel_corners(n, n, n), n, n, np.zeros(n**3, dtype=bool))
 
     # boundary triangles of the core: the faces of exactly one tetrahedron
     faces = faces_of(np.sort(core_cells, axis=1), 3).reshape(-1, 3)

@@ -1,4 +1,8 @@
-"""Artifact writers: legacy-VTK cell data and sparse triplets."""
+"""Artifact writers: legacy-VTK cell data and streamed sparse triplets.
+
+The triplet writer formats ``TRIPLET_CHUNK`` entries at a time and writes
+each chunk to the open file, so a large matrix's text is never held whole.
+"""
 
 from __future__ import annotations
 
@@ -41,15 +45,21 @@ def vtk_celldata(cplx: SimplicialComplex, fields: dict[str, np.ndarray]) -> str:
     return out.getvalue()
 
 
-def sparse_triplets(mat) -> str:
-    """Header lines, then one "row col value" line per entry in row-major order.
+# entries per write of the triplet writer: bounds the text held in memory
+TRIPLET_CHUNK = 1 << 16
+
+
+def write_sparse_triplets(mat, fh) -> None:
+    """Write header lines, then one "row col value" line per entry in row-major order.
 
     Values of integer matrices are written as integers, others as float reprs.
+    ``fh`` is an open text file.
     """
     coo = mat.tocoo()
-    value = int if np.issubdtype(coo.dtype, np.integer) else lambda v: repr(float(v))
-    out = ["# sparse triplet: rows cols nnz", f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"]
+    fh.write(f"# sparse triplet: rows cols nnz\n{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
     order = np.lexsort((coo.col, coo.row))
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-        out.append(f"{int(r)} {int(c)} {value(v)}")
-    return "\n".join(out) + "\n"
+    data = coo.data if np.issubdtype(coo.dtype, np.integer) else coo.data.astype(float, copy=False)
+    for start in range(0, coo.nnz, TRIPLET_CHUNK):
+        part = order[start : start + TRIPLET_CHUNK]
+        rows = zip(coo.row[part].tolist(), coo.col[part].tolist(), data[part].tolist())
+        fh.write("".join(f"{r} {c} {v!r}\n" for r, c, v in rows))

@@ -286,24 +286,27 @@ class SimplicialComplex:
     # -- text format ----------------------------------------------------------
 
     def to_text(self) -> str:
+        """The decmesh text; every section is formatted from ``.tolist()`` rows."""
+
+        def lines(rows: list[list]) -> str:
+            return "".join(" ".join(map(repr, row)) + "\n" for row in rows)
+
         out = io.StringIO()
         out.write("decmesh 1\n")
         out.write(f"dim {self.dim}\n")
         out.write(f"vertices {len(self.vertices)}\n")
-        for v in self.vertices:
-            out.write(" ".join(repr(float(x)) for x in v) + "\n")
+        out.write(lines(self.vertices.tolist()))
         for p in range(1, self.dim + 1):
             out.write(f"simplices {p} {self.n(p)}\n")
-            for s in self.simplices[p]:
-                out.write(" ".join(str(int(x)) for x in s) + "\n")
+            out.write(lines(self.simplices[p].tolist()))
         out.write(f"regions {self.n(self.dim)}\n")
-        for tag in self.regions:
-            out.write((tag if tag else "-") + "\n")
+        out.write("".join((tag or "-") + "\n" for tag in self.regions))
         out.write("boundary\n")
         facets = self.simplices[self.dim - 1]
         for marker in sorted(self.boundary_markers):
-            for i in sorted(int(j) for j in self.boundary_markers[marker]):
-                out.write(marker + " " + " ".join(str(int(x)) for x in facets[i]) + "\n")
+            ids = np.sort(np.asarray(self.boundary_markers[marker], dtype=np.int64))
+            rows = facets[ids].tolist()
+            out.write("".join(f"{marker} {' '.join(map(repr, row))}\n" for row in rows))
         out.write("end\n")
         return out.getvalue()
 

@@ -4,13 +4,15 @@ The generalized problem S v = lambda^2 M v is solved densely by default (all
 acceptance meshes are desk scale).  A sparse partial path exists for kernel
 and low-mode queries on larger meshes; it lumps the mass matrix inside the
 down-term, which leaves the kernel subspace exactly invariant while detuning
-nonzero eigenvalues, so it is never used for operator functions.
+nonzero eigenvalues, so it is never used for operator functions.  The
+ARPACK inverses and the sparse resolvent solves factor their SPD matrices with
+a symmetric minimum-degree ordering (:func:`_symmetric_factor`).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -79,7 +81,6 @@ class SpectralDecomposition:
     kernel_dim: int
     max_eval: float
     exact: bool  # complete and from an exact down-term: operator functions allowed
-    _P0: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def gap_ratio(self) -> float:
@@ -124,24 +125,11 @@ class SpectralDecomposition:
             raise ValueError("operator function produced non-finite values")
         return vals
 
-    def kernel_projector(self) -> np.ndarray:
-        """Dense M-orthogonal projector onto the kernel."""
-        if self._P0 is None:
-            K = self.kernel_basis()
-            self._P0 = K @ (K.T @ self.M.toarray())
-        return self._P0
-
     def project_out_kernel(self, x: np.ndarray) -> np.ndarray:
         K = self.kernel_basis()
         if K.shape[1] == 0:
             return np.array(x, copy=True)
         return x - K @ (K.T @ (self.M @ x))
-
-    def to_csv(self) -> str:
-        lines = ["index,lambda2,residual"]
-        for i, lam2 in enumerate(self.evals):
-            lines.append(f"{i},{lam2!r},nan")
-        return "\n".join(lines) + "\n"
 
 
 def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
@@ -159,8 +147,10 @@ def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
         if k >= n - 1:
             return eig(op, "all")
         max_eval = _norm_estimate(op)
+        sigma = -1e-6 * max_eval
         evals, vecs = spla.eigsh(
-            op.S, k=k, M=op.M, sigma=-1e-6 * max_eval, which="LM", v0=_start_vector(op.n)
+            op.S, k=k, M=op.M, sigma=sigma, which="LM", OPinv=_inverse(op.S - sigma * op.M),
+            v0=_start_vector(op.n),
         )
         order = np.argsort(evals)
         evals, vecs = evals[order], vecs[:, order]
@@ -190,20 +180,38 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
+def _symmetric_factor(A) -> spla.SuperLU:
+    """Sparse LU of an SPD matrix: minimum degree on A^T + A, pivots on the diagonal.
+
+    A symmetric ordering has less fill than SuperLU's default COLAMD, and an
+    SPD matrix needs no off-diagonal pivots.  Every matrix factored here is
+    SPD: a mass matrix, S - sigma M with sigma < 0, or S + l^2 M.
+    """
+    return spla.splu(
+        sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _inverse(A) -> spla.LinearOperator:
+    """A^-1 as the operator ARPACK takes (``Minv``, ``OPinv``), for SPD A."""
+    return spla.LinearOperator(A.shape, matvec=_symmetric_factor(A).solve, dtype=float)
+
+
 def _norm_estimate(op: LaplaceOperator) -> float:
     """Upper bound on the largest generalized eigenvalue (a few Lanczos steps)."""
+    Minv = _inverse(op.M)
     try:
         val = spla.eigsh(
-            op.S, k=1, M=op.M, which="LM", return_eigenvectors=False, maxiter=200, tol=1e-2,
-            v0=_start_vector(op.n),
+            op.S, k=1, M=op.M, Minv=Minv, which="LM", return_eigenvectors=False, maxiter=200,
+            tol=1e-2, v0=_start_vector(op.n),
         )
         return float(abs(val[0])) * 1.2
     except spla.ArpackNoConvergence as exc:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(op.n)
         for _ in range(30):
-            y = op.S @ x
-            z = spla.spsolve(op.M.tocsc(), y) if sp.issparse(op.M) else np.linalg.solve(op.M, y)
+            z = Minv @ (op.S @ x)
             nz = np.linalg.norm(z)
             x = z / nz
         bound = nz * 1.5
@@ -254,9 +262,10 @@ def quadrature_rule(panels_per_side: int = 4, nodes: int = 8) -> tuple[np.ndarra
 def _spectrum_bounds(op: LaplaceOperator, kernel_basis: np.ndarray) -> tuple[float, float]:
     hi = _norm_estimate(op)
     k = kernel_basis.shape[1]
+    sigma = -1e-6 * hi
     lo_vals = spla.eigsh(
-        op.S, k=k + 1, M=op.M, sigma=-1e-6 * hi, which="LM", return_eigenvectors=False,
-        v0=_start_vector(op.n),
+        op.S, k=k + 1, M=op.M, sigma=sigma, which="LM", OPinv=_inverse(op.S - sigma * op.M),
+        return_eigenvectors=False, v0=_start_vector(op.n),
     )
     lo = float(np.sort(np.abs(lo_vals))[-1])
     return max(lo, hi * 1e-14), hi
@@ -304,7 +313,7 @@ def inverse_sqrt_quadrature(
         S = sp.csc_matrix(op.S)
         M = op.M.tocsc()
         for wi, li, dli in zip(w, lam, dl):
-            fac = spla.splu(S + (li * li) * M)
+            fac = _symmetric_factor(S + (li * li) * M)
             out += (2.0 / np.pi) * wi * dli * fac.solve(MX)
     return out[:, 0] if np.asarray(x).ndim == 1 else out
 

@@ -347,10 +347,9 @@ def divergence_residual(st: ScenarioStress, H: np.ndarray | None = None,
         H = maxwell_tensor(st, report)
     ops = st.sigma.ops
     cplx = ops.complex
-    from .forms import _cell_geometry
     from .mesh import OBSTACLE
 
-    vols, grads, _ = _cell_geometry(cplx)
+    vols, grads, _ = ops.cell_geometry
     vpos = cplx.face_ids(0)  # 0-simplex index of each cell's vertices
     n0 = cplx.n(0)
     r = np.zeros((n0, 3))

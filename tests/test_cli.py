@@ -137,6 +137,28 @@ def test_export_matrices(runner, tmp_path):
             assert set(np.abs(v)) == {1.0}
 
 
+# sha256 of export-matrices' files for hopf_link, res 1, degree 1, pinned before
+# the triplet writer streamed chunks of .tolist() rows
+GOLDEN_EXPORT = {
+    "d1.txt": "4691d57d1210e980b7170a910c66d2909f994a365563cc728de2b58caa2146f0",
+    "mass1.txt": "f0cdacc7a7158f35c39fa8133e7fead9b26fae7ac29b30ec0041862f47e1c25b",
+}
+
+
+def test_export_matrices_golden(runner, tmp_path):
+    import hashlib
+
+    res = runner.invoke(
+        main,
+        ["export-matrices", "--geometry", "hopf_link", "--res", "1", "--degree", "1",
+         "--out", str(tmp_path)],
+    )
+    assert res.exit_code == 0, res.output
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in GOLDEN_EXPORT}
+    assert got == GOLDEN_EXPORT
+
+
 def test_stress_empty_pipeline(runner, tmp_path):
     res = runner.invoke(
         main,

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decem.forms import DecOperators, MaterialField, build_d, build_mass
+import decem.forms as forms
+from decem.forms import DecOperators, MaterialField, build_d, build_mass, local_mass_blocks
 from decem.geometries import box2d_complex, box_complex
 from decem.mesh import SimplicialComplex
 
@@ -12,6 +13,10 @@ TET = SimplicialComplex.from_top_cells(
     np.array([[0, 1, 2, 3]]),
     [""],
 )
+
+
+def mass(cplx, material, p):
+    return build_mass(cplx, material, p, forms._cell_geometry(cplx))
 
 
 def test_d_of_constants_is_zero():
@@ -37,14 +42,14 @@ def test_d0_coordinate_extents():
 
 
 def test_p0_mass_reference_tet():
-    m = build_mass(TET, MaterialField.vacuum(), 0).toarray()
+    m = mass(TET, MaterialField.vacuum(), 0).toarray()
     vol = 1.0 / 6.0
     expect = vol * (np.ones((4, 4)) + np.eye(4)) / 20.0
     assert np.allclose(m, expect, rtol=1e-14)
 
 
 def test_top_degree_mass():
-    m = build_mass(TET, MaterialField.vacuum(), 3).toarray()
+    m = mass(TET, MaterialField.vacuum(), 3).toarray()
     # the Whitney volume form has L2 norm 1/sqrt(vol)
     assert np.allclose(m, [[6.0]], rtol=1e-12)
 
@@ -52,7 +57,7 @@ def test_top_degree_mass():
 def test_mass_spd():
     box = box_complex((2, 2, 2))
     for p in range(4):
-        m = build_mass(box, MaterialField.vacuum(), p).toarray()
+        m = mass(box, MaterialField.vacuum(), p).toarray()
         w = np.linalg.eigvalsh(m)
         assert w.min() > 0
 
@@ -61,8 +66,8 @@ def test_mass_spd():
 @settings(max_examples=10, deadline=None)
 def test_material_scaling_degree1(s):
     box = box_complex((2, 2, 2))
-    base = build_mass(box, MaterialField.vacuum(), 1)
-    scaled = build_mass(box, MaterialField(eps={"": s}), 1)
+    base = mass(box, MaterialField.vacuum(), 1)
+    scaled = mass(box, MaterialField(eps={"": s}), 1)
     assert abs(scaled - s * base).max() <= 1e-12 * s * abs(base).max()
 
 
@@ -70,8 +75,8 @@ def test_material_scaling_degree1(s):
 @settings(max_examples=10, deadline=None)
 def test_material_scaling_degree2(s):
     box = box_complex((2, 2, 2))
-    base = build_mass(box, MaterialField.vacuum(), 2)
-    scaled = build_mass(box, MaterialField(mu={"": s}), 2)
+    base = mass(box, MaterialField.vacuum(), 2)
+    scaled = mass(box, MaterialField(mu={"": s}), 2)
     assert abs(scaled - base / s).max() <= 1e-12 / s * abs(base).max()
 
 
@@ -80,8 +85,8 @@ def test_mass_eigenvalue_envelope_under_material():
     box = box_complex((2, 2, 2))
     mat = MaterialField(eps={"": 2.0}, mu={"": 1.5})
     for p in range(4):
-        w_vac = np.sort(np.linalg.eigvalsh(build_mass(box, MaterialField.vacuum(), p).toarray()))
-        w_mat = np.sort(np.linalg.eigvalsh(build_mass(box, mat, p).toarray()))
+        w_vac = np.sort(np.linalg.eigvalsh(mass(box, MaterialField.vacuum(), p).toarray()))
+        w_mat = np.sort(np.linalg.eigvalsh(mass(box, mat, p).toarray()))
         weight = mat.weight("", p)
         assert np.allclose(w_mat, weight * w_vac, rtol=1e-10)
 
@@ -147,6 +152,48 @@ def test_component_blocks_trace_matches_mass():
         assert np.array_equal(fids_m, fids_c)
         tr = np.einsum("ciljj->cil", blocks_c)
         assert np.abs(tr - blocks_m).max() <= 1e-12 * np.abs(blocks_m).max()
+
+
+def _two_region_box():
+    box = box_complex((3, 2, 2), tag_fn=lambda c: "a" if c[0] < 1.5 else "b")
+    return box, MaterialField(eps={"a": 2.0, "b": 0.5}, mu={"a": 1.5, "b": 2.0})
+
+
+def test_local_mass_blocks_match_per_cell_weight_loop(monkeypatch):
+    """One weight per region tag gives the blocks of one material.weight call per cell."""
+    box, mat = _two_region_box()
+    geometry = forms._cell_geometry(box)
+    got = [local_mass_blocks(box, mat, p, geometry) for p in range(4)]
+
+    def per_cell(cplx, material, p, vols):
+        return np.array([material.weight(tag, p) for tag in cplx.regions]) * vols
+
+    monkeypatch.setattr(forms, "_cell_weights", per_cell)
+    for p in range(4):
+        fids, blocks = local_mass_blocks(box, mat, p, geometry)
+        assert np.array_equal(fids, got[p][0])
+        assert np.array_equal(blocks, got[p][1])
+        assert len(np.unique(blocks[:, 0, 0])) > 1
+
+
+def test_shared_cell_geometry_gives_fresh_blocks():
+    """The bundle's one cell geometry, after every per-cell use, still gives the
+    blocks of a geometry computed afresh."""
+    box, mat = _two_region_box()
+    ops = DecOperators(box, mat)
+    for p in (1, 2):
+        ops.local_mass(p)
+        ops.component_blocks(p)
+    fresh = DecOperators(box, mat)
+    for p in (1, 2):
+        fids, blocks = ops.local_mass(p)
+        want = local_mass_blocks(box, mat, p, forms._cell_geometry(box))
+        assert np.array_equal(fids, want[0]) and np.array_equal(blocks, want[1])
+        fids, blocks = ops.component_blocks(p)
+        want = fresh.component_blocks(p)
+        assert np.array_equal(fids, want[0]) and np.array_equal(blocks, want[1])
+    for p in range(4):
+        assert (ops.mass_full[p] != mass(box, mat, p)).nnz == 0
 
 
 def test_material_positivity_validation():
