@@ -48,6 +48,7 @@ def validate_config(cfg: dict) -> dict:
     cfg.setdefault("version", CONFIG_VERSION)
     cfg.setdefault("seed", 0)
     cfg.setdefault("res", 1)
+    _check_res(cfg["res"], "/res")
     cfg.setdefault("material", {})
     cfg.setdefault("params", {})
     geo = _need(cfg, "geometry", "")
@@ -57,6 +58,13 @@ def validate_config(cfg: dict) -> dict:
         if key.endswith("_tol") and not (isinstance(val, (int, float)) and val > 0):
             raise ConfigError(f"/params/{key}: tolerance must be positive")
     return cfg
+
+
+def _check_res(res, path: str) -> int:
+    """``res`` if it is a resolution multiplier (an integer >= 1); otherwise a config error."""
+    if isinstance(res, bool) or not isinstance(res, int) or res < 1:
+        raise ConfigError(f"{path}: resolution must be an integer >= 1, got {res!r}")
+    return res
 
 
 def _canned_name(name: str) -> str:
@@ -90,9 +98,21 @@ def build_scenario(cfg: dict):
 
 
 def material_from_config(cfg: dict) -> MaterialField:
+    """eps and mu per region tag from ``material: {tag: {eps: .., mu: ..}}``."""
     mat = cfg.get("material", {}) or {}
-    eps = {k: float(v.get("eps", 1.0)) for k, v in mat.items()}
-    mu = {k: float(v.get("mu", 1.0)) for k, v in mat.items()}
+    if not isinstance(mat, dict):
+        raise ConfigError("/material: must be a mapping of region tags")
+    eps, mu = {}, {}
+    for tag, entry in mat.items():
+        if not isinstance(entry, dict):
+            raise ConfigError(f"/material/{tag}: must be a mapping with eps and/or mu")
+        for key, out in (("eps", eps), ("mu", mu)):
+            val = entry.get(key, 1.0)
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ConfigError(f"/material/{tag}/{key}: must be a number, got {val!r}")
+            if not (np.isfinite(val) and val > 0):
+                raise ConfigError(f"/material/{tag}/{key}: must be positive and finite, got {val!r}")
+            out[tag] = float(val)
     return MaterialField(eps=eps, mu=mu)
 
 
@@ -291,7 +311,8 @@ def pipeline_stress(cfg, scenario, material):
             )
         )
         r = t0k_check(st)
-        rows.append(_assert_row("t0k", r <= params.get("t0k_tol", 1e-8), r, 1e-8))
+        tol = params.get("t0k_tol", 1e-8)
+        rows.append(_assert_row("t0k", r <= tol, r, tol))
         if params.get("decay", True):
             lam2max = st.sigma.dec.evals[-1]
             grid = np.geomspace(
@@ -412,7 +433,7 @@ def list_cmd():
 def dump_mesh_cmd(geometry, res, out, carved):
     """Write a canned mesh in the decmesh text format (plus metadata JSON)."""
     try:
-        sc = geometries.canned_scenario(_canned_name(geometry), res)
+        sc = geometries.canned_scenario(_canned_name(geometry), _check_res(res, "--res"))
     except (ConfigError, MeshError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
@@ -434,7 +455,9 @@ def dump_mesh_cmd(geometry, res, out, carved):
 def export_matrices_cmd(geometry, res, degree, out):
     """Export incidence and mass matrices in sparse triplet text format."""
     try:
-        sc = geometries.canned_scenario(_canned_name(geometry), res)
+        sc = geometries.canned_scenario(_canned_name(geometry), _check_res(res, "--res"))
+        if not 0 <= degree <= sc.carved.dim:
+            raise ConfigError(f"--degree: must be in 0..{sc.carved.dim}, got {degree}")
     except (ConfigError, MeshError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)

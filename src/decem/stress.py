@@ -10,11 +10,17 @@ eigensolved by ``spectral.eig`` (with its residual checks), and the second
 path is ``spectral.inverse_sqrt_quadrature`` on the same pencil.
 
 Every difference is carried as its symmetric integral kernel X, with the
-operator D = X M.  A side's kernel is V g V^T (V the coexact eigenvectors, or
-d1 V for D2), so no mass solve is needed.  The kernel lives in the shared
-Whitney basis: the reference side is restricted to the carved kept DOFs by
-index selection alone.  This keeps M-self-adjointness, and the per-cell
-traces tr(X_c M_c) sum to the global trace tr(X M) exactly.
+operator D = X M.  A side's kernel is V g V^T (V the coexact eigenvectors),
+so no mass solve is needed.  Every reader of X (the per-cell traces, the
+Maxwell tensor and tr(X M)) uses entries within one cell only, so X lives on
+the cell pattern: the stored entries of the kept M_p, carried as a sparse
+matrix.  Each side forms only the two coexact edge kernels A+- =
+V Lambda^(+-1/2) V^T; D1 samples A+, and D2 is formed through d1, because
+(d1 V) Lambda^-1/2 (d1 V)^T = d1 A- d1^T sums the signed edge entries of A-
+over each pair of faces.  The kernel lives in the shared Whitney basis: the
+reference side is restricted to the carved kept DOFs by index selection
+alone.  This keeps M-self-adjointness, and the per-cell traces tr(X_c M_c)
+sum to the global trace tr(X M) exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .forms import DecOperators, MaterialField
 from .mesh import ObstacleScenario
@@ -46,18 +54,21 @@ class SideData:
         kd = self.dec.kernel_dim
         return float(self.dec.evals[kd]), float(self.dec.evals[-1])
 
-    def hodge_system(self) -> tuple[np.ndarray, np.ndarray]:
+    def hodge_system(self, left: sp.spmatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Complete M1-orthonormal eigensystem [K U, V_c], [nu, lambda_c] of Delta_1.
 
         Only the down term acts on the pencil's kernel K (the closed forms):
         K^T S1 K = B^T M0^-1 B with B = d0^T M1 K, whose eigenpairs are (nu, U).
+        With ``left`` (a matrix of n1 columns) the vectors come premultiplied,
+        left [K U, V_c], and the full system is never formed.
         """
         dec, ops = self.dec, self.ops
         kd = dec.kernel_dim
         K = dec.vectors[:, :kd]
         B = ops.d(0).T @ (ops.mass(1) @ K)
         nu, U = np.linalg.eigh(B.T @ ops.mass_factor(0).solve(B))
-        return np.hstack([K @ U, dec.vectors[:, kd:]]), np.concatenate([nu, dec.evals[kd:]])
+        L = dec.vectors if left is None else left @ dec.vectors
+        return np.hstack([L[:, :kd] @ U, L[:, kd:]]), np.concatenate([nu, dec.evals[kd:]])
 
 
 def build_side(cplx, material: MaterialField) -> SideData:
@@ -99,7 +110,8 @@ class ScenarioStress:
 
     def scatter(self, p: int, x: np.ndarray) -> np.ndarray:
         """Zero-extension of a carved kept cochain into reference kept DOFs."""
-        out = np.zeros(self.reference.ops.n(p), dtype=np.asarray(x).dtype)
+        x = np.asarray(x)
+        out = np.zeros((self.reference.ops.n(p),) + x.shape[1:], dtype=x.dtype)
         out[self.kept_maps[p]] = x
         return out
 
@@ -123,26 +135,57 @@ def _side_factor(side: SideData, power: float, through_d: bool,
     return V * (dec.evals[kd:] ** (0.5 * power))[None, :]
 
 
-def difference_kernel(st: ScenarioStress, which: str, via: str = "eig") -> np.ndarray:
-    """Kernel X of D1 or D2 (D = X M) on the shared kept DOFs of the carved side."""
+def _kernel_terms(side: SideData, which: str, rows: np.ndarray | None = None):
+    """One side's D1 or D2 kernel in factored form (A, idx, sgn).
+
+    Entry (r, c) of the kernel is sum_ab sgn[r, a] sgn[c, b] A[idx[r, a], idx[c, b]],
+    where A = V lambda^(+-1/2) V^T is the coexact kernel on the edges the DOFs
+    touch.  D1 reads A+ with each DOF its own edge.  D2 reads A- through the
+    <= 3 signed edges of each face, since (d1 V) lambda^-1/2 (d1 V)^T = d1 A- d1^T.
+    ``rows`` keeps only those kept p-DOFs of the side, in that order.
+    """
+    if which == "D1":
+        n = side.ops.n(1) if rows is None else len(rows)
+        W = _side_factor(side, 0.5, False, rows=rows)
+        return W @ W.T, np.arange(n)[:, None], np.ones((n, 1))
+    d1 = side.ops.d(1) if rows is None else side.ops.d(1)[rows]
+    edges, inv = np.unique(d1.indices, return_inverse=True)
+    counts = np.diff(d1.indptr)
+    face = np.repeat(np.arange(d1.shape[0]), counts)
+    slot = np.arange(d1.nnz) - d1.indptr[face]
+    idx = np.zeros((d1.shape[0], max(int(counts.max(initial=0)), 1)), dtype=np.int64)
+    sgn = np.zeros(idx.shape)
+    idx[face, slot] = inv
+    sgn[face, slot] = d1.data
+    W = _side_factor(side, -0.5, False, rows=edges)
+    return W @ W.T, idx, sgn
+
+
+def _entries(terms, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Kernel entries at the DOF pairs (r[k], c[k]) from :func:`_kernel_terms`."""
+    A, idx, sgn = terms
+    return np.einsum("ka,kab,kb->k", sgn[r], A[idx[r][:, :, None], idx[c][:, None, :]], sgn[c])
+
+
+def difference_kernel(st: ScenarioStress, which: str) -> sp.csr_matrix:
+    """Kernel X of D1 or D2 (D = X M) on the pattern of the carved side's kept M_p.
+
+    Every reader of X uses entries within one cell only, and those are exactly
+    the stored entries of M_p.  The reference side is restricted to the shared
+    kept DOFs by index selection.
+    """
     if which not in ("D1", "D2"):
         raise ValueError("which must be 'D1' or 'D2'")
-    if via not in ("eig", "quadrature"):
-        raise ValueError("via must be 'eig' or 'quadrature'")
     p = 1 if which == "D1" else 2
-    j = st.kept_maps[p]
-    if st.reference is st.sigma:
-        return np.zeros((len(j), len(j)))
-    if via == "eig":
-        power, through_d = (0.5, False) if which == "D1" else (-0.5, True)
-        W = _side_factor(st.sigma, power, through_d)
-        W0 = _side_factor(st.reference, power, through_d, rows=j)
-        return W @ W.T - W0 @ W0.T
-    # the operator applied to M^-1 is the kernel; the reference needs columns j only
-    a = _side_quadrature(st.sigma, which, st.sigma.ops.mass_factor(p).solve(np.eye(len(j))))
-    ref = st.reference.ops
-    E = ref.mass_factor(p).solve(np.eye(ref.n(p))[:, j])
-    return a - _side_quadrature(st.reference, which, E)[j]
+    M = st.sigma.ops.mass(p)
+    r = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    c = M.indices
+    vals = np.zeros(M.nnz)
+    if st.reference is not st.sigma:
+        vals = _entries(_kernel_terms(st.sigma, which), r, c) - _entries(
+            _kernel_terms(st.reference, which, st.kept_maps[p]), r, c
+        )
+    return sp.csr_matrix((vals, c.copy(), M.indptr.copy()), shape=M.shape)
 
 
 def _side_quadrature(side: SideData, which: str, X: np.ndarray) -> np.ndarray:
@@ -162,42 +205,51 @@ def _side_quadrature(side: SideData, which: str, X: np.ndarray) -> np.ndarray:
     )
 
 
-def quadrature_agreement(st: ScenarioStress, which: str = "D1",
-                         X: np.ndarray | None = None) -> float:
-    """Relative action discrepancy between the quadrature path and the kernel X.
+def quadrature_agreement(st: ScenarioStress, which: str = "D1") -> float:
+    """Relative action discrepancy between the quadrature path and the eig path.
 
-    The two are compared on 8 random probes (seed 0).
+    The two are compared on 8 random probes Y (seed 0).  The eig side applies
+    the difference from its factors, W (W^T M Y) - W0 (W0^T M Y).
     """
     p = 1 if which == "D1" else 2
+    power, through_d = (0.5, False) if which == "D1" else (-0.5, True)
     Y = np.random.default_rng(0).standard_normal((st.sigma.ops.n(p), 8))
+    MY = st.sigma.ops.mass(p) @ Y
     a = _side_quadrature(st.sigma, which, Y)
+    W = _side_factor(st.sigma, power, through_d)
+    ref = W @ (W.T @ MY)
     if st.reference is not st.sigma:
         # kernel-style restriction acting on vectors: J^T A0 M0^{-1} J M y
+        j = st.kept_maps[p]
         Z = np.zeros((st.reference.ops.n(p), Y.shape[1]))
-        Z[st.kept_maps[p]] = st.sigma.ops.mass(p) @ Y
+        Z[j] = MY
         z = _side_quadrature(st.reference, which, st.reference.ops.mass_factor(p).solve(Z))
-        a = a - z[st.kept_maps[p]]
-    if X is None:
-        X = difference_kernel(st, which)
-    ref = X @ (st.sigma.ops.mass(p) @ Y)
+        a = a - z[j]
+        W0 = _side_factor(st.reference, power, through_d, rows=j)
+        ref = ref - W0 @ (W0.T @ MY)
     return float(np.linalg.norm(a - ref) / max(np.linalg.norm(ref), 1e-300))
 
 
 # -- local traces --------------------------------------------------------------------
 
 
-def _cell_gather(ops: DecOperators, p: int, X: np.ndarray) -> np.ndarray:
+def _cell_gather(ops: DecOperators, p: int, X: sp.csr_matrix) -> np.ndarray:
     """(n_cells, k, k) local blocks of the kernel X on each cell's p-faces.
 
-    Entries at masked (non-kept) faces are zero.
+    X is sparse on the pattern of the kept M_p, which holds every pair of kept
+    faces of one cell.  Entries at masked (non-kept) faces are zero.
     """
     pos = ops.kept_pos(p)[ops.complex.face_ids(p)]
     kept = pos >= 0
     pos = np.where(kept, pos, 0)
-    return X[pos[:, :, None], pos[:, None, :]] * (kept[:, :, None] & kept[:, None, :])
+    k = pos.shape[1]
+    r = np.broadcast_to(pos[:, :, None], (len(pos), k, k)).ravel()
+    c = np.broadcast_to(pos[:, None, :], (len(pos), k, k)).ravel()
+    vals = np.asarray(X.tocsr()[r, c]).reshape(len(pos), k, k)
+    return vals * (kept[:, :, None] & kept[:, None, :])
 
 
-def cell_traces(st: ScenarioStress, X: np.ndarray, p: int) -> np.ndarray:
+def cell_traces(st: ScenarioStress, X: sp.csr_matrix, p: int) -> np.ndarray:
     """Attribute tr(X M) (kernel X on kept p-DOFs) to cells of the carved mesh."""
     ops = st.sigma.ops
     _, blocks = ops.local_mass(p)
@@ -214,8 +266,10 @@ class StressReport:
     trace_d2: float
     t1_cells: np.ndarray
     t2_cells: np.ndarray
-    X1: np.ndarray = field(repr=False)  # difference kernels, D = X M
-    X2: np.ndarray = field(repr=False)
+    # difference kernels (D = X M), sparse on the pattern of the kept M_1 / M_2;
+    # X2 is formed through d1 from the edge kernel
+    X1: sp.csr_matrix = field(repr=False)
+    X2: sp.csr_matrix = field(repr=False)
     divergence: dict | None = None
 
     @property
@@ -242,8 +296,8 @@ class StressReport:
         return json.dumps(obj, sort_keys=True, indent=1)
 
 
-def local_energy_density(st: ScenarioStress, X1: np.ndarray | None = None,
-                         X2: np.ndarray | None = None) -> StressReport:
+def local_energy_density(st: ScenarioStress, X1: sp.csr_matrix | None = None,
+                         X2: sp.csr_matrix | None = None) -> StressReport:
     if X1 is None:
         X1 = difference_kernel(st, "D1")
     if X2 is None:
@@ -269,48 +323,44 @@ def t0k_check(st: ScenarioStress, unsymmetrize: float = 0.0) -> float:
 
     The four quarter-terms of the time-derivative pairing cancel pairwise by
     M-self-adjointness of the half-power kernels; the residual measures that
-    cancellation on 12 random samples (seed 0) for the difference of the two
-    states (the reference side sees the data through zero-extension).
-    ``unsymmetrize`` is a control: the carved side's operator becomes
-    G (I + u triu(1)).
+    cancellation on 12 random samples (seed 0, drawn E_0, B_0, E_1, ...) for
+    the difference of the two states (the reference side sees the data through
+    zero-extension).  The samples run as one block of 12 columns; worst and
+    scale are taken per sample.  ``unsymmetrize`` is a control: the carved
+    side's operator becomes G (I + u triu(1)).
     """
     rng = np.random.default_rng(0)
     ops_s = st.sigma.ops
+    draws = [(rng.standard_normal(ops_s.n(1)), rng.standard_normal(ops_s.n(2))) for _ in range(12)]
+    E = np.column_stack([e for e, _b in draws])
+    B = np.column_stack([b for _e, b in draws])
 
     def half_power(side, skew):
         W, M = _side_factor(side, -0.5, False), side.ops.mass(1)
 
         def apply(x):
-            x = x + skew * (np.sum(x) - np.cumsum(x))  # (triu(1) x)_i = sum_{j>i} x_j
+            # (triu(1) x)_i = sum_{j>i} x_j, column by column
+            x = x + skew * (np.sum(x, axis=0) - np.cumsum(x, axis=0))
             return W @ (W.T @ (M @ x))
 
         return apply
 
-    G1s = half_power(st.sigma, unsymmetrize)
-    G1r = half_power(st.reference, 0.0) if st.reference is not st.sigma else None
-    worst, scale = 0.0, 1e-300
-
     def side_pair(ops, G1, E, B):
         cB = ops.apply_codifferential(2, B)
-        zE = G1(E)
-        yB = G1(cB)
-        dE = ops.d(1) @ E
-        dzE = ops.d(1) @ zE
-        dyB = ops.d(1) @ yB
-        dB = ops.d(1) @ cB
-        t_a = float(dyB @ (ops.mass(2) @ dE))   # <W2 d delta~ B, d E>
-        t_b = float(dzE @ (ops.mass(2) @ dB))   # <W2 d E, d delta~ B>
+        d1, M2 = ops.d(1), ops.mass(2)
+        dE = d1 @ E
+        t_a = np.einsum("ij,ij->j", d1 @ G1(cB), M2 @ dE)  # <W2 d delta~ B, d E>
+        t_b = np.einsum("ij,ij->j", d1 @ G1(E), M2 @ (d1 @ cB))  # <W2 d E, d delta~ B>
         return t_a, t_b
 
-    for _ in range(12):
-        E = rng.standard_normal(ops_s.n(1))
-        B = rng.standard_normal(ops_s.n(2))
-        ta, tb = side_pair(ops_s, G1s, E, B)
-        if G1r is not None:
-            ta0, tb0 = side_pair(st.reference.ops, G1r, st.scatter(1, E), st.scatter(2, B))
-            ta, tb = ta - ta0, tb - tb0
-        worst = max(worst, abs(0.25 * (ta - tb)))
-        scale = max(scale, abs(0.25 * ta), abs(0.25 * tb))
+    ta, tb = side_pair(ops_s, half_power(st.sigma, unsymmetrize), E, B)
+    if st.reference is not st.sigma:
+        ta0, tb0 = side_pair(
+            st.reference.ops, half_power(st.reference, 0.0), st.scatter(1, E), st.scatter(2, B)
+        )
+        ta, tb = ta - ta0, tb - tb0
+    worst = float(np.max(np.abs(0.25 * (ta - tb))))
+    scale = max(1e-300, float(np.max(np.abs(0.25 * ta))), float(np.max(np.abs(0.25 * tb))))
     return worst / scale
 
 
@@ -412,20 +462,24 @@ def resolvent_difference_decay(
 
     R is the full Hodge-Laplacian resolvent as an operator on cochains,
     (S + lam^2 M)^-1 M = V (Lambda + lam^2)^-1 (M V)^T from each side's
-    complete eigensystem; the restriction is index selection on the window.
+    complete eigensystem; the restriction is index selection on the window,
+    so only the window rows of V and M V are formed.  The spectral norm of
+    the w x w difference D is sqrt(lambda_max(D D^T)).
     """
     if window is None:
         window = interior_window(st)
+    w = len(window)
     parts = []  # per side: V_w, (M V)_w and the eigenvalues
-    for side, w in ((st.sigma, window), (st.reference, st.kept_maps[1][window])):
-        V, evals = side.hodge_system()
-        parts.append((V[w], side.ops.mass(1)[w] @ V, evals))
+    for side, rows in ((st.sigma, window), (st.reference, st.kept_maps[1][window])):
+        pick = sp.eye(side.ops.n(1), format="csr")[rows]
+        L, evals = side.hodge_system(sp.vstack([pick, side.ops.mass(1)[rows]], format="csr"))
+        parts.append((L[:w], L[w:], evals))
     (a_s, b_s, l_s), (a_r, b_r, l_r) = parts
     out = []
     for lam in lam_grid:
-        Ds = (a_s / (l_s + lam * lam)) @ b_s.T
-        Dr = (a_r / (l_r + lam * lam)) @ b_r.T
-        out.append((float(lam), float(np.linalg.norm(Ds - Dr, 2))))
+        D = (a_s / (l_s + lam * lam)) @ b_s.T - (a_r / (l_r + lam * lam)) @ b_r.T
+        top = sla.eigh(D @ D.T, eigvals_only=True, subset_by_index=[w - 1, w - 1]) if w else [0.0]
+        out.append((float(lam), float(np.sqrt(max(top[0], 0.0)))))
     return out
 
 

@@ -50,13 +50,16 @@ def qft_bundle() -> QftBundle:
 
 @pytest.fixture(scope="session")
 def stress_bundle():
+    """(st, X1, X2, rep): X1 and X2 are the dense reference kernels, and rep is
+    built by the engine from its own pattern kernels."""
     from decem.geometries import stress_box_scenario
-    from decem.stress import ScenarioStress, difference_kernel, local_energy_density
+    from decem.stress import ScenarioStress, local_energy_density
+    from stress_reference import dense_difference_kernel
 
     st = ScenarioStress.build(stress_box_scenario())
-    X1 = difference_kernel(st, "D1")
-    X2 = difference_kernel(st, "D2")
-    rep = local_energy_density(st, X1, X2)
+    X1 = dense_difference_kernel(st, "D1")
+    X2 = dense_difference_kernel(st, "D2")
+    rep = local_energy_density(st)
     return st, X1, X2, rep
 
 

@@ -1,0 +1,36 @@
+"""Dense reference kernels for the stress tests.
+
+The engine evaluates each difference kernel only on the cell pattern (the
+stored entries of the kept M_p).  These helpers build the full matrices the
+tests compare against: the eig path as W W^T - W0 W0^T from the side factors,
+and the quadrature path as the side operators applied to M^-1.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+
+from decem.stress import _side_factor, _side_quadrature
+
+
+def dense_difference_kernel(st, which: str, via: str = "eig") -> np.ndarray:
+    """Full kernel X of D1 or D2 (D = X M) on the shared kept DOFs of the carved side."""
+    p = 1 if which == "D1" else 2
+    j = st.kept_maps[p]
+    if st.reference is st.sigma:
+        return np.zeros((len(j), len(j)))
+    if via == "eig":
+        power, through_d = (0.5, False) if which == "D1" else (-0.5, True)
+        W = _side_factor(st.sigma, power, through_d)
+        W0 = _side_factor(st.reference, power, through_d, rows=j)
+        return W @ W.T - W0 @ W0.T
+    # the operator applied to M^-1 is the kernel; the reference needs columns j only
+    a = _side_quadrature(st.sigma, which, st.sigma.ops.mass_factor(p).solve(np.eye(len(j))))
+    ref = st.reference.ops
+    E = ref.mass_factor(p).solve(np.eye(ref.n(p))[:, j])
+    return a - _side_quadrature(st.reference, which, E)[j]
+
+
+def on_pattern(X: np.ndarray, M: sp.csr_matrix) -> sp.csr_matrix:
+    """The dense X sampled on the stored entries of M, with M's pattern."""
+    r = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    return sp.csr_matrix((X[r, M.indices], M.indices.copy(), M.indptr.copy()), shape=M.shape)

@@ -288,9 +288,9 @@ def test_criterion_8_stress_energy(stress_bundle):
     repe = local_energy_density(ste)
     nullity = float(np.abs(repe.t00).max())
 
-    st, X1, _X2, rep = stress_bundle
+    st, _X1, _X2, rep = stress_bundle
     trace_err = rep.trace_identity_error()
-    quad = quadrature_agreement(st, "D1", X=X1)
+    quad = quadrature_agreement(st, "D1")
     t0k = t0k_check(st)
 
     metrics = []
