@@ -22,6 +22,8 @@ from .mesh import MeshError, carve_obstacle, load_complex
 from .spectral import assemble_laplacian, eig
 
 CONFIG_VERSION = 1
+# integer run parameters and the least value each may take
+PARAM_LEAST = {"n_random": 1, "n_times": 2, "n_lam": 2}
 
 
 class ConfigError(Exception):
@@ -46,25 +48,47 @@ def validate_config(cfg: dict) -> dict:
     if cfg.get("version", CONFIG_VERSION) != CONFIG_VERSION:
         raise ConfigError(f"/version: unsupported config version {cfg.get('version')!r}")
     cfg.setdefault("version", CONFIG_VERSION)
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("res", 1)
-    _check_res(cfg["res"], "/res")
+    _check_int(cfg.setdefault("seed", 0), 0, "/seed", "seed")
+    _check_res(cfg.setdefault("res", 1), "/res")
     cfg.setdefault("material", {})
-    cfg.setdefault("params", {})
+    params = cfg.setdefault("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"/params: must be a mapping, got {params!r}")
     geo = _need(cfg, "geometry", "")
     if isinstance(geo, str):
         cfg["geometry"] = {"canned": geo}
-    for key, val in cfg["params"].items():
+    elif not isinstance(geo, dict):
+        raise ConfigError(f"/geometry: must be a canned name or a mapping, got {geo!r}")
+    for key, val in params.items():
         if key.endswith("_tol") and not (isinstance(val, (int, float)) and val > 0):
             raise ConfigError(f"/params/{key}: tolerance must be positive")
+        if key in PARAM_LEAST:
+            _check_int(val, PARAM_LEAST[key], f"/params/{key}", key)
+    for key in ("t_end", "lam_min", "capacity_expected"):
+        if key in params:
+            _check_positive(params[key], f"/params/{key}")
     return cfg
+
+
+def _check_int(val, least: int, path: str, name: str) -> int:
+    """``val`` if it is an integer >= ``least``; otherwise a config error naming ``path``."""
+    if isinstance(val, bool) or not isinstance(val, int) or val < least:
+        raise ConfigError(f"{path}: {name} must be an integer >= {least}, got {val!r}")
+    return val
 
 
 def _check_res(res, path: str) -> int:
     """``res`` if it is a resolution multiplier (an integer >= 1); otherwise a config error."""
-    if isinstance(res, bool) or not isinstance(res, int) or res < 1:
-        raise ConfigError(f"{path}: resolution must be an integer >= 1, got {res!r}")
-    return res
+    return _check_int(res, 1, path, "resolution")
+
+
+def _check_positive(val, path: str) -> float:
+    """``val`` as a float if it is a positive finite number; otherwise a config error."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(f"{path}: must be a number, got {val!r}")
+    if not (np.isfinite(val) and val > 0):
+        raise ConfigError(f"{path}: must be positive and finite, got {val!r}")
+    return float(val)
 
 
 def _canned_name(name: str) -> str:
@@ -107,12 +131,7 @@ def material_from_config(cfg: dict) -> MaterialField:
         if not isinstance(entry, dict):
             raise ConfigError(f"/material/{tag}: must be a mapping with eps and/or mu")
         for key, out in (("eps", eps), ("mu", mu)):
-            val = entry.get(key, 1.0)
-            if isinstance(val, bool) or not isinstance(val, (int, float)):
-                raise ConfigError(f"/material/{tag}/{key}: must be a number, got {val!r}")
-            if not (np.isfinite(val) and val > 0):
-                raise ConfigError(f"/material/{tag}/{key}: must be positive and finite, got {val!r}")
-            out[tag] = float(val)
+            out[tag] = _check_positive(entry.get(key, 1.0), f"/material/{tag}/{key}")
     return MaterialField(eps=eps, mu=mu)
 
 
@@ -172,7 +191,7 @@ def pipeline_hodge(cfg, scenario, material):
     hb = harmonic_basis(dec1, ops)
     out["harmonic_dim"] = hb.L
     rng = np.random.default_rng(cfg["seed"])
-    n_checks = int(params.get("n_random", 10))
+    n_checks = params.get("n_random", 10)
     worst_rec, worst_orth = 0.0, 0.0
     M = ops.mass(1)
     for _ in range(n_checks):
@@ -202,9 +221,9 @@ def pipeline_maxwell(cfg, scenario, material):
     rng = np.random.default_rng(cfg["seed"])
     E0 = ops.apply_codifferential(2, rng.standard_normal(ops.n(2)))
     B0 = ops.d(1) @ rng.standard_normal(ops.n(1))
-    lam_min = float(np.sqrt(dec1.evals[dec1.kernel_dim]))
+    lam_min = float(dec1.lam[dec1.kernel_dim])
     t_end = params.get("t_end", 10.0 / lam_min)
-    times = np.linspace(0.0, t_end, int(params.get("n_times", 7)))
+    times = np.linspace(0.0, t_end, params.get("n_times", 7))
     states = evolve(dec1, ops, MaxwellState(0.0, E0, B0), None, times)
     e0 = classical_energy(ops, MaxwellState(0.0, E0, B0))
     drift = max(abs(classical_energy(ops, s) - e0) / e0 for s in states)
@@ -302,21 +321,14 @@ def pipeline_stress(cfg, scenario, material):
         null = float(np.abs(rep.t00).max())
         rows.append(_assert_row("empty_nullity", null <= 1e-10, null, 1e-10))
     else:
-        rows.append(
-            _assert_row(
-                "trace_identity",
-                rep.trace_identity_error() <= params.get("trace_tol", 1e-10),
-                rep.trace_identity_error(),
-                params.get("trace_tol", 1e-10),
-            )
-        )
+        err, tol = rep.trace_identity_error(), params.get("trace_tol", 1e-10)
+        rows.append(_assert_row("trace_identity", err <= tol, err, tol))
         r = t0k_check(st)
         tol = params.get("t0k_tol", 1e-8)
         rows.append(_assert_row("t0k", r <= tol, r, tol))
         if params.get("decay", True):
-            lam2max = st.sigma.dec.evals[-1]
             grid = np.geomspace(
-                params.get("lam_min", 1.0), 3 * np.sqrt(lam2max), int(params.get("n_lam", 10))
+                params.get("lam_min", 1.0), 3 * st.sigma.dec.lam[-1], params.get("n_lam", 10)
             )
             table = resolvent_difference_decay(st, grid)
             slope = loglog_slope(table)

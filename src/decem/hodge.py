@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 from .forms import DecOperators
 from .mesh import OBSTACLE, boundary_components
-from .spectral import LaplaceOperator, SpectralDecomposition
+from .spectral import LaplaceOperator, SpectralDecomposition, harmonic_basis_with_distinguished
 
 
 @dataclass
@@ -124,8 +124,6 @@ def harmonic_basis(
     cplx = ops.complex
     has_obstacle = OBSTACLE in cplx.boundary_markers
     if p == 1 and cplx.dim == 3 and has_obstacle and dec.kernel_dim > 0:
-        from .spectral import harmonic_basis_with_distinguished
-
         cap, u, _psi = capacity_and_psiL(ops)
         basis = harmonic_basis_with_distinguished(dec, ops, u)
         hb = HarmonicBasis(p, basis, capacity=cap, distinguished=True)
@@ -138,7 +136,7 @@ def harmonic_basis(
 def _check_harmonic(ops: DecOperators, hb: HarmonicBasis) -> None:
     p = hb.p
     d = ops.complex.dim
-    scale = 1.0
+    tol = 1e-8
     for k in range(hb.L):
         v = hb.vectors[:, k]
         errs = []
@@ -146,8 +144,10 @@ def _check_harmonic(ops: DecOperators, hb: HarmonicBasis) -> None:
             errs.append(ops.norm(p + 1, ops.d(p) @ v))
         if p > 0:
             errs.append(ops.norm(p - 1, ops.apply_codifferential(p, v)))
-        if errs and max(errs) > 1e-8 * scale:
-            raise AssertionError(f"kernel vector {k} is not harmonic: residual {max(errs):.2e}")
+        if errs and max(errs) > tol:
+            raise AssertionError(
+                f"kernel vector {k} is not harmonic: residual {max(errs):.2e} > {tol:.2e}"
+            )
 
 
 def sector_split(
@@ -188,10 +188,9 @@ def threshold_integral(dec: SpectralDecomposition, phi: np.ndarray, delta: float
     truncation radius grows: it stays bounded iff phi is in the domain of the
     quarter-power in the continuum limit.
     """
-    c = dec.coefficients(phi)
     kd = dec.kernel_dim
-    lam = np.sqrt(dec.evals[kd:])
-    return float(np.sum(c[kd:] ** 2 * np.arctan(delta / lam) / lam))
+    c, lam = dec.coefficients(phi)[kd:], dec.lam[kd:]
+    return float(np.sum(c**2 * np.arctan(delta / lam) / lam))
 
 
 class HelmholtzSolver:

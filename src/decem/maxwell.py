@@ -6,11 +6,13 @@ hold to quadrature precision because every algebraic identity used in the
 continuum derivation (d^2 = 0, adjointness, commutation with the Laplacian)
 is exact for the discrete operators.
 
-Only the degree-1 eigensystem is needed.  The magnetic field is closed, so it
-is exact plus harmonic; d intertwines the Laplacians, f(Delta_2) d_1 =
-d_1 f(Delta_1), so its exact part is propagated in the coefficient space of
-Delta_1 through G = d_1 V_1.  Its harmonic part is static, and it is checked
-to be co-closed before the evolution starts.
+Only the degree-1 eigensystem is needed, and its frequencies are
+``dec.lam``.  The magnetic field is closed, so it is exact plus harmonic; d
+intertwines the Laplacians, f(Delta_2) d_1 = d_1 f(Delta_1), so its exact part
+is carried in the coefficient space of Delta_1 as d_1 V_1 c, applied as two
+products (V_1 c, then d_1); no n_2 x n_1 matrix d_1 V_1 is stored.  Its
+harmonic part is static, and it is checked to be co-closed before the
+evolution starts.
 """
 
 from __future__ import annotations
@@ -88,69 +90,23 @@ class CurrentSource:
         )
 
 
-class SpectralPropagator:
-    """cos / sinc propagation plus Duhamel terms over one decomposition."""
-
-    def __init__(self, dec: SpectralDecomposition):
-        if not dec.exact:
-            raise ValueError("evolution needs a complete exact decomposition")
-        self.dec = dec
-        lam2 = dec.evals.copy()
-        lam2[: dec.kernel_dim] = 0.0
-        self.lam = np.sqrt(np.maximum(lam2, 0.0))
-
-    def coeffs(self, x: np.ndarray) -> np.ndarray:
-        return self.dec.coefficients(x)
-
-    def synth(self, c: np.ndarray) -> np.ndarray:
-        return self.dec.vectors @ c
-
-    def homogeneous(self, c0: np.ndarray, c1: np.ndarray, t: float):
-        """Coefficient evolution (value, derivative) for x'' = -lam^2 x."""
-        lt = self.lam * t
-        cos = np.cos(lt)
-        tsinc = t * np.sinc(lt / np.pi)
-        val = cos * c0 + tsinc * c1
-        dva = -self.lam * np.sin(lt) * c0 + cos * c1
-        return val, dva
-
-    def duhamel(self, terms, t: float):
-        """(value, derivative) coefficients of int_0^t sinc((t-s)L)(t-s) f(s) ds."""
-        val = np.zeros(len(self.lam))
-        dva = np.zeros(len(self.lam))
-        for g, c in terms:
-            if t <= g.support[0] or t == 0.0:
-                continue
-            window = (0.0, t)
-            shat = g.sinc_moment(self.lam, t, window)
-            chat = g.cos_moment(self.lam, t, window)
-            val += shat * c
-            dva += chat * c
-        return val, dva
+def homogeneous(lam: np.ndarray, c0: np.ndarray, c1: np.ndarray, t: float):
+    """Coefficient evolution (value, derivative) for x'' = -lam^2 x."""
+    lt = lam * t
+    cos = np.cos(lt)
+    tsinc = t * np.sinc(lt / np.pi)
+    return cos * c0 + tsinc * c1, -lam * np.sin(lt) * c0 + cos * c1
 
 
-class ExactTwoFormPropagator(SpectralPropagator):
-    """Propagation of exact 2-forms in the coefficient space of Delta_1.
-
-    With G = d_1 V_1, f(Delta_2) G c = G f(Lambda) c, so an exact 2-form b is
-    carried by c = Lambda^+ G^T M_2 b, for which G c = d_1 Delta_1^+ delta~ b
-    is b's exact part whatever basis V_1 picks inside a degenerate eigenspace.
-    The frequencies, and so ``homogeneous`` and ``duhamel``, are those of E.
-    """
-
-    def __init__(self, dec1: SpectralDecomposition, ops: DecOperators):
-        super().__init__(dec1)
-        self.G = ops.d(1) @ dec1.vectors
-        self.M2 = ops.mass(2)
-        self.inv = np.zeros(len(self.lam))
-        kd = dec1.kernel_dim
-        self.inv[kd:] = 1.0 / dec1.evals[kd:]
-
-    def coeffs(self, b: np.ndarray) -> np.ndarray:
-        return self.inv * (self.G.T @ (self.M2 @ b))
-
-    def synth(self, c: np.ndarray) -> np.ndarray:
-        return self.G @ c
+def duhamel(lam: np.ndarray, terms, t: float):
+    """(value, derivative) coefficients of int_0^t sinc((t-s)L)(t-s) f(s) ds."""
+    val, dva = np.zeros(len(lam)), np.zeros(len(lam))
+    for g, c in terms:
+        if t <= g.support[0] or t == 0.0:
+            continue
+        val += g.sinc_moment(lam, t, (0.0, t)) * c
+        dva += g.cos_moment(lam, t, (0.0, t)) * c
+    return val, dva
 
 
 def evolve(
@@ -162,57 +118,71 @@ def evolve(
 ) -> list[MaxwellState]:
     """Propagate Cauchy data (E0, B0) through the twisted Maxwell system.
 
-    ``dec1`` is the complete eigensystem of Delta_1; no eigensystem of Delta_2
-    is needed.  E is propagated in Delta_1's coefficients.  B(t) = B_h + G c(t)
-    with G = d_1 V_1, by f(Delta_2) d_1 = d_1 f(Delta_1), where the harmonic
-    part B_h = B0 - G c(0) of the closed B0 is static.  B_h must be
-    co-closed, ||delta~ B_h|| <= CONSTRAINT_TOL * max(||B0||, 1); otherwise
-    Delta_1's eigensystem does not carry B0's exact part and a ValueError
-    names the measured value.
+    ``dec1`` is the complete eigensystem (V_1, Lambda) of Delta_1.  E is
+    propagated in its coefficients, and so is B(t) = B_h + d_1 V_1 c(t): an
+    exact 2-form b is carried by c = Lambda^+ V_1^T d_1^T M_2 b, for which
+    d_1 V_1 c = d_1 Delta_1^+ delta~ b is b's exact part whatever basis V_1
+    picks inside a degenerate eigenspace.  The harmonic part B_h = B0 - d_1 V_1
+    c(0) is static and must be co-closed, ||delta~ B_h|| <= CONSTRAINT_TOL *
+    max(||B0||, 1); otherwise a ValueError names the measured value.
     """
+    lam, V = dec1.lam, dec1.vectors
+    kd = dec1.kernel_dim
+    inv = np.zeros(len(lam))
+    inv[kd:] = 1.0 / dec1.evals[kd:]
+    d1, M2 = ops.d(1), ops.mass(2)
+
+    def b_coeffs(b):
+        return inv * (V.T @ (d1.T @ (M2 @ b)))
+
+    def b_synth(c):
+        return d1 @ (V @ c)
+
     source = source or CurrentSource()
     E0, B0 = state0.E, state0.B
     rho0 = source.rho_at(0.0, ops.n(0))
-    dB0 = ops.d(2) @ B0
-    gauss = ops.apply_codifferential(1, E0) + rho0
-    scaleE = max(ops.norm(1, E0), 1.0)
-    scaleB = max(ops.norm(2, B0), 1.0)
-    if ops.norm(3, dB0) > CONSTRAINT_TOL * scaleB:
-        raise ValueError("initial magnetic constraint d B0 = 0 violated")
-    if ops.norm(0, gauss) > CONSTRAINT_TOL * scaleE:
-        raise ValueError("initial Gauss constraint violated")
-
-    prop1, prop2 = SpectralPropagator(dec1), ExactTwoFormPropagator(dec1, ops)
-    Edot0 = ops.apply_codifferential(2, B0) - source.j_at(0.0, ops.n(1))
-    Bdot0 = -(ops.d(1) @ E0)
-
-    cE0, cE1 = prop1.coeffs(E0), prop1.coeffs(Edot0)
-    cB0, cB1 = prop2.coeffs(B0), prop2.coeffs(Bdot0)
-    B_h = B0 - prop2.synth(cB0)
-    coclosed, tol = ops.norm(1, ops.apply_codifferential(2, B_h)), CONSTRAINT_TOL * scaleB
-    if coclosed > tol:
+    dB0, tolB = ops.norm(3, ops.d(2) @ B0), CONSTRAINT_TOL * max(ops.norm(2, B0), 1.0)
+    if dB0 > tolB:
         raise ValueError(
-            f"harmonic part of B0 is not co-closed: |delta~ B_h| {coclosed:.2e} > {tol:.2e}"
+            f"initial magnetic constraint d B0 = 0 violated: |d B0| {dB0:.2e} > {tolB:.2e}"
+        )
+    gauss = ops.norm(0, ops.apply_codifferential(1, E0) + rho0)
+    tolE = CONSTRAINT_TOL * max(ops.norm(1, E0), 1.0)
+    if gauss > tolE:
+        raise ValueError(
+            f"initial Gauss constraint violated: |delta~ E0 + rho0| {gauss:.2e} > {tolE:.2e}"
+        )
+
+    Edot0 = ops.apply_codifferential(2, B0) - source.j_at(0.0, ops.n(1))
+    Bdot0 = -(d1 @ E0)
+
+    cE0, cE1 = dec1.coefficients(E0), dec1.coefficients(Edot0)
+    cB0, cB1 = b_coeffs(B0), b_coeffs(Bdot0)
+    B_h = B0 - b_synth(cB0)
+    coclosed = ops.norm(1, ops.apply_codifferential(2, B_h))
+    if coclosed > tolB:
+        raise ValueError(
+            f"harmonic part of B0 is not co-closed: |delta~ B_h| {coclosed:.2e} > {tolB:.2e}"
         )
 
     # forcing terms: alpha = -d rho_hat - dj_hat/dt ; beta = d j_hat
-    alpha_terms = [(g.derivative().scaled(-1.0), prop1.coeffs(c)) for g, c in source.j_terms]
-    alpha_terms += [(g, prop1.coeffs(-(ops.d(0) @ c))) for g, c in source.rho_terms]
-    beta_terms = [(g, prop2.coeffs(ops.d(1) @ c)) for g, c in source.j_terms]
+    alpha_terms = [(g.derivative().scaled(-1.0), dec1.coefficients(c)) for g, c in source.j_terms]
+    alpha_terms += [(g, dec1.coefficients(-(ops.d(0) @ c))) for g, c in source.rho_terms]
+    beta_terms = [(g, b_coeffs(d1 @ c)) for g, c in source.j_terms]
 
     out = []
     for t in t_targets:
-        ev, ed = prop1.homogeneous(cE0, cE1, t)
-        qv, qd = prop1.duhamel(alpha_terms, t)
-        bv, bd = prop2.homogeneous(cB0, cB1, t)
-        rv, rd = prop2.duhamel(beta_terms, t)
+        ev, ed = homogeneous(lam, cE0, cE1, t)
+        qv, qd = duhamel(lam, alpha_terms, t)
+        bv, bd = homogeneous(lam, cB0, cB1, t)
+        rv, rd = duhamel(lam, beta_terms, t)
         out.append(
             MaxwellState(
                 t=float(t),
-                E=prop1.synth(ev + qv),
-                B=B_h + prop2.synth(bv + rv),
-                Edot=prop1.synth(ed + qd),
-                Bdot=prop2.synth(bd + rd),
+                E=V @ (ev + qv),
+                B=B_h + b_synth(bv + rv),
+                Edot=V @ (ed + qd),
+                Bdot=b_synth(bd + rd),
             )
         )
     return out
@@ -269,24 +239,29 @@ def potential_evolve(
     t_targets,
 ) -> list[PotentialTrajectory]:
     """Evolve the vector potential with zero initial scalar part."""
+    lam0, lam1 = dec0.lam, dec1.lam
+    V0, V1 = dec0.vectors, dec1.vectors
     source = source or CurrentSource()
-    if ops.norm(0, ops.apply_codifferential(1, A0)) > CONSTRAINT_TOL * max(ops.norm(1, A0), 1.0):
-        raise ValueError("initial potential A0 must be co-closed")
-    prop0, prop1 = SpectralPropagator(dec0), SpectralPropagator(dec1)
-    cA0, cA1 = prop1.coeffs(A0), prop1.coeffs(Adot0)
-    phi_terms = [(g, prop0.coeffs(-c)) for g, c in source.rho_terms]
-    a_terms = [(g, prop1.coeffs(c)) for g, c in source.j_terms]
+    div = ops.norm(0, ops.apply_codifferential(1, A0))
+    tol = CONSTRAINT_TOL * max(ops.norm(1, A0), 1.0)
+    if div > tol:
+        raise ValueError(
+            f"initial potential A0 must be co-closed: |delta~ A0| {div:.2e} > {tol:.2e}"
+        )
+    cA0, cA1 = dec1.coefficients(A0), dec1.coefficients(Adot0)
+    phi_terms = [(g, dec0.coefficients(-c)) for g, c in source.rho_terms]
+    a_terms = [(g, dec1.coefficients(c)) for g, c in source.j_terms]
     out = []
     for t in t_targets:
-        fv, fd = prop0.duhamel(phi_terms, t)
-        av, ad = prop1.homogeneous(cA0, cA1, t)
-        qv, qd = prop1.duhamel(a_terms, t)
+        fv, fd = duhamel(lam0, phi_terms, t)
+        av, ad = homogeneous(lam1, cA0, cA1, t)
+        qv, qd = duhamel(lam1, a_terms, t)
         out.append(
             PotentialTrajectory(
-                phi=prop0.synth(fv),
-                A=prop1.synth(av + qv),
-                phidot=prop0.synth(fd),
-                Adot=prop1.synth(ad + qd),
+                phi=V0 @ fv,
+                A=V1 @ (av + qv),
+                phidot=V0 @ fd,
+                Adot=V1 @ (ad + qd),
                 t=float(t),
             )
         )

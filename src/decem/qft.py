@@ -6,7 +6,8 @@ Degree-1 forms split into a dt-part (0-cochain) and a spatial part
 and a magnetic part (2-cochain).  The commutator propagator maps a test form
 to Cauchy data at t = 0, and everything downstream (the Krein map, the
 pairings, the two-point function) is built from those data with the spectral
-quarter powers of the Hodge Laplacians.
+quarter powers of the Hodge Laplacians.  The frequencies are each
+decomposition's ``dec.lam``; nothing here re-derives them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ class FormTerm:
 
 @dataclass
 class TestForm:
+    __test__ = False  # not a pytest test class, despite the name
+
     degree: int
     terms: list[FormTerm]
 
@@ -88,14 +91,6 @@ class FieldCalculus:
         self.ops = ops
         self.dec = {0: dec0, 1: dec1}
         self.Q = Q
-        lam = {}
-        for p, dec in self.dec.items():
-            if dec is None:
-                continue
-            lam2 = dec.evals.copy()
-            lam2[: dec.kernel_dim] = 0.0
-            lam[p] = np.sqrt(lam2)
-        self.lam = lam
 
     # -- spacetime calculus on test forms -----------------------------------------
 
@@ -180,22 +175,15 @@ class FieldCalculus:
         """Cauchy data at t = 0 of the retarded-minus-advanced solution Gf."""
         if f.degree != 1:
             raise ValueError("propagate_G expects a degree-1 form")
-        n0, n1 = self.ops.n(0), self.ops.n(1)
-        phi = np.zeros(n0)
-        phidot = np.zeros(n0)
-        A = np.zeros(n1)
-        Adot = np.zeros(n1)
+        # (value, velocity) per degree: (phi, phidot) and (A, Adot)
+        data = {p: (np.zeros(self.ops.n(p)), np.zeros(self.ops.n(p))) for p in (0, 1)}
         for t in f.terms:
             p = 0 if t.part == "dt" else 1
             dec = self.dec[p]
             coef = dec.coefficients(t.cochain)
-            sv, cv = self._term_moments(t, self.lam[p])
-            if t.part == "dt":
-                phi += dec.vectors @ (sv * coef)
-                phidot += dec.vectors @ (cv * coef)
-            else:
-                A += dec.vectors @ (sv * coef)
-                Adot += dec.vectors @ (cv * coef)
+            for acc, moment in zip(data[p], self._term_moments(t, dec.lam)):
+                acc += dec.vectors @ (moment * coef)
+        (phi, phidot), (A, Adot) = data[0], data[1]
         return CauchyData(phi, A, phidot, Adot)
 
     # -- pairings ---------------------------------------------------------------------
@@ -252,9 +240,11 @@ class FieldCalculus:
         K = dec1.kernel_basis()
         if K.shape[1]:
             comp = np.linalg.norm(K.T @ (dec1.M @ qa))
-            if comp > 1e-8 * max(np.linalg.norm(qa), 1e-300):
+            tol = 1e-8 * max(np.linalg.norm(qa), 1e-300)
+            if comp > tol:
                 raise ValueError(
-                    "Q-projected velocity keeps a kernel component; wrong projector policy"
+                    "Q-projected velocity keeps a kernel component; wrong projector policy: "
+                    f"|K^T M Q Adot| {comp:.2e} > {tol:.2e}"
                 )
         v = dec1.apply_function(quarter, data.A, "include") + 1j * dec1.apply_function(
             mquarter, qa, "exclude"
@@ -341,7 +331,7 @@ class FieldCalculus:
                 raise ValueError("zero-mode expectation needs smooth profiles")
             alpha_bar += t.profile.integral() * t.cochain
             coef = dec1.coefficients(t.cochain)
-            cv = t.profile.cos_moment(self.lam[1], 0.0)
+            cv = t.profile.cos_moment(dec1.lam, 0.0)
             X += dec1.vectors @ (cv * coef)
 
         w = (M @ psi).T @ alpha_bar

@@ -1,7 +1,10 @@
 """Hodge Laplacians, eigendecompositions and spectral operator functions.
 
 The generalized problem S v = lambda^2 M v is solved densely by default (all
-acceptance meshes are desk scale).  A sparse partial path exists for kernel
+acceptance meshes are desk scale).  ``SpectralDecomposition.lam`` is the one
+source of frequencies: sqrt(lambda^2), exactly 0 on the kernel, and only on a
+complete exact decomposition; every propagator and operator function reads it
+or the same kernel-zeroed spectrum.  A sparse partial path exists for kernel
 and low-mode queries on larger meshes; it lumps the mass matrix inside the
 down-term, which leaves the kernel subspace exactly invariant while detuning
 nonzero eigenvalues, so it is never used for operator functions.  The
@@ -96,22 +99,27 @@ class SpectralDecomposition:
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         return self.vectors.T @ (self.M @ x)
 
+    @property
+    def lam(self) -> np.ndarray:
+        """Frequencies sqrt(lambda^2), exactly 0 on the kernel (computed on each access)."""
+        return np.sqrt(self._kernel_zeroed())
+
+    def _kernel_zeroed(self) -> np.ndarray:
+        """lambda^2 with the kernel block set to exactly 0; needs an exact decomposition."""
+        if not self.exact:
+            raise ValueError("operator functions need a complete exact decomposition")
+        lam2 = self.evals.copy()
+        lam2[: self.kernel_dim] = 0.0
+        return lam2
+
     def apply_function(self, f, x: np.ndarray, kernel_policy="include") -> np.ndarray:
         """Evaluate f(Delta) x by spectral synthesis.
 
         kernel_policy: 'include' evaluates f at exactly 0 on the kernel,
         'exclude' drops the kernel.
         """
-        if not self.exact:
-            raise ValueError("operator functions need a complete exact decomposition")
-        coef = self.coefficients(x)
-        vals = self._function_values(f, kernel_policy)
-        return self.vectors @ (vals * coef)
-
-    def _function_values(self, f, kernel_policy) -> np.ndarray:
-        lam2 = self.evals.copy()
+        lam2 = self._kernel_zeroed()
         kd = self.kernel_dim
-        lam2[:kd] = 0.0
         if kernel_policy == "include":
             vals = np.array([f(v) for v in lam2], dtype=float)
             if kd and not np.all(np.isfinite(vals[:kd])):
@@ -123,7 +131,7 @@ class SpectralDecomposition:
             raise ValueError(f"unknown kernel policy {kernel_policy!r}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("operator function produced non-finite values")
-        return vals
+        return self.vectors @ (vals * self.coefficients(x))
 
     def project_out_kernel(self, x: np.ndarray) -> np.ndarray:
         K = self.kernel_basis()
@@ -290,8 +298,11 @@ def inverse_sqrt_quadrature(
     if kernel_basis.shape[1]:
         comp = kernel_basis.T @ (op.M @ X)
         norms = np.sqrt(np.sum((op.M @ X) * X, axis=0))
-        if np.any(np.linalg.norm(comp, axis=0) > 1e-8 * np.maximum(norms, 1e-300)):
-            raise ValueError("input has a kernel component; project it out first")
+        rel = (np.linalg.norm(comp, axis=0) / np.maximum(norms, 1e-300)).max()
+        if rel > 1e-8:
+            raise ValueError(
+                f"input has a kernel component; project it out first: relative {rel:.2e} > 1.00e-08"
+            )
     if spectrum_bounds is None:
         spectrum_bounds = _spectrum_bounds(op, kernel_basis)
     lo, hi = spectrum_bounds
@@ -412,9 +423,11 @@ def build_Q_eps(
     pair = q.pairings()
     target = np.zeros(L)
     target[-1] = 1.0
-    if np.linalg.norm(pair - target) > 0.2:
+    dev = np.linalg.norm(pair - target)
+    if dev > 0.2:
         raise ValueError(
-            "psi_eps pairing degenerate; enlarge the domain or shrink the cutoff"
+            "psi_eps pairing degenerate; enlarge the domain or shrink the cutoff: "
+            f"|pairings - e_L| {dev:.2e} > 2.00e-01"
         )
     return q
 
@@ -432,8 +445,11 @@ def harmonic_basis_with_distinguished(
     psiL = du / nrm
     coef = K.T @ (M @ psiL)
     resid = psiL - K @ coef
-    if np.sqrt(abs(resid @ (M @ resid))) > 1e-6:
-        raise ValueError("capacity gradient is not in the numerical kernel")
+    off = np.sqrt(abs(resid @ (M @ resid)))
+    if off > 1e-6:
+        raise ValueError(
+            f"capacity gradient is not in the numerical kernel: |residual| {off:.2e} > 1.00e-06"
+        )
     # complete psiL to an M-orthonormal basis of the kernel, psiL last
     Q = np.eye(L) - np.outer(coef, coef)
     rest = K @ Q
@@ -442,7 +458,9 @@ def harmonic_basis_with_distinguished(
     keep = w > 1e-10
     cols = rest @ (U[:, keep] / np.sqrt(w[keep])[None, :])
     basis = np.column_stack([cols[:, : L - 1], psiL])
-    G = basis.T @ (M @ basis)
-    if np.linalg.norm(G - np.eye(L)) > 1e-8:
-        raise AssertionError("distinguished kernel basis lost orthonormality")
+    orth = np.linalg.norm(basis.T @ (M @ basis) - np.eye(L))
+    if orth > 1e-8:
+        raise AssertionError(
+            f"distinguished kernel basis lost orthonormality: {orth:.2e} > 1.00e-08"
+        )
     return basis

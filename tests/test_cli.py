@@ -292,3 +292,34 @@ def test_run_stress_cube_obstacle_summary_pinned():
         assert abs(got[key] - want) <= 1e-12 * abs(want), key
     # the decay gate is the known failure; every other row passes
     assert code == 1 and [n for n, r in rows.items() if not r["ok"]] == ["decay_slope"]
+
+
+@pytest.mark.parametrize(
+    "pipeline, patch, where",
+    [
+        ("topology", {"params": 3}, "/params: must be a mapping"),
+        ("topology", {"geometry": 5}, "/geometry: must be a canned name or a mapping"),
+        ("topology", {"seed": "abc"}, "/seed: seed must be an integer >= 0"),
+        ("topology", {"seed": -1}, "/seed: seed must be an integer >= 0"),
+        ("maxwell", {"params": {"n_times": 0}}, "/params/n_times: n_times must be an integer >= 2"),
+        ("maxwell", {"params": {"n_times": 1}}, "/params/n_times: n_times must be an integer >= 2"),
+        ("maxwell", {"params": {"t_end": 0.0}}, "/params/t_end: must be positive and finite"),
+        ("maxwell", {"params": {"t_end": "soon"}}, "/params/t_end: must be a number"),
+        ("stress", {"params": {"n_lam": 1}}, "/params/n_lam: n_lam must be an integer >= 2"),
+        ("hodge", {"params": {"n_random": 0}},
+         "/params/n_random: n_random must be an integer >= 1"),
+        ("stress", {"params": {"lam_min": 0}}, "/params/lam_min: must be positive and finite"),
+        ("hodge", {"params": {"capacity_expected": 0}},
+         "/params/capacity_expected: must be positive and finite"),
+    ],
+)
+def test_bad_run_config_exits_2_naming_key(runner, tmp_path, pipeline, patch, where):
+    import yaml
+
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"geometry": "balls:1", **patch}))
+    res = runner.invoke(main, ["run", pipeline, "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"config error: {where}" in res.output
+    with pytest.raises(ConfigError, match=where):
+        validate_config({"geometry": "balls:1", **patch})

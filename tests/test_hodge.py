@@ -192,3 +192,16 @@ def test_threshold_integral_domain_growth():
     growth_neutral = neutral[2] / neutral[0]
     assert growth_charged > 2.0
     assert growth_charged > 3.0 * growth_neutral
+
+
+def test_check_harmonic_reports_residual_and_tolerance(qft_bundle):
+    import re
+
+    from decem.hodge import HarmonicBasis, _check_harmonic
+
+    ops = qft_bundle.ops
+    v = np.random.default_rng(3).standard_normal((ops.n(1), 1))
+    res = max(ops.norm(2, ops.d(1) @ v[:, 0]), ops.norm(0, ops.apply_codifferential(1, v[:, 0])))
+    want = f"kernel vector 0 is not harmonic: residual {res:.2e} > 1.00e-08"
+    with pytest.raises(AssertionError, match=re.escape(want)):
+        _check_harmonic(ops, HarmonicBasis(1, v))

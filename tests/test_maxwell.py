@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -317,3 +318,77 @@ def test_finite_propagation_surrogate():
         leaks.append(np.abs(Bt[sel]).max() / np.abs(B0).max())
     assert leaks[0] > leaks[1] > leaks[2]
     assert leaks[2] <= 1e-6
+
+
+def _assert_states_agree(ops, got, want, rel=1e-12):
+    for s, r in zip(got, want, strict=True):
+        assert s.t == r.t
+        for name, p in (("E", 1), ("Edot", 1), ("B", 2), ("Bdot", 2)):
+            a, b = getattr(s, name), getattr(r, name)
+            assert ops.norm(p, a - b) <= rel * ops.norm(p, b), (name, s.t)
+
+
+def test_B_two_path_matches_stored_G_reference(qft_bundle):
+    """B's exact part as d1 (V1 c) against the stored G = d1 V1 propagator, with a source."""
+    from maxwell_reference import evolve as reference_evolve
+
+    b = qft_bundle
+    s0 = _random_constrained(b, seed=17)
+    src = CurrentSource.consistent(b.ops, TimeProfile.bump(0.1, 0.9), _source_edge_cochain(b))
+    times = [0.0, 0.2, 0.55, 0.9, 1.4, 2.6, 5.1]
+    got = evolve(b.dec1, b.ops, s0, src, times)
+    _assert_states_agree(b.ops, got, reference_evolve(b.dec1, b.ops, s0, src, times))
+
+
+def test_B_two_path_with_harmonic_part_on_solid_torus():
+    """B0 = d1 a + 10 h on solid_torus (H^2 = 1): both paths keep 10 h static."""
+    from maxwell_reference import evolve as reference_evolve
+
+    ops = DecOperators(canned_scenario("solid_torus", 1).carved)
+    h = eig(assemble_laplacian(ops, 2, lumped_down=True), count=4).kernel_basis()[:, 0]
+    dec1 = eig(assemble_laplacian(ops, 1))
+    rng = np.random.default_rng(18)
+    E0 = ops.apply_codifferential(2, rng.standard_normal(ops.n(2)))
+    s0 = MaxwellState(0.0, E0, ops.d(1) @ rng.standard_normal(ops.n(1)) + 10.0 * h)
+    times = np.linspace(0.0, 4.0, 7)
+    got = evolve(dec1, ops, s0, None, times)
+    _assert_states_agree(ops, got, reference_evolve(dec1, ops, s0, None, times))
+
+
+@pytest.fixture(scope="module")
+def lumped_dec1(qft_bundle):
+    return eig(assemble_laplacian(qft_bundle.ops, 1, lumped_down=True), count=6)
+
+
+def test_evolution_rejects_partial_decomposition(qft_bundle, lumped_dec1):
+    b = qft_bundle
+    zero1, zero2 = np.zeros(b.ops.n(1)), np.zeros(b.ops.n(2))
+    with pytest.raises(ValueError, match="complete exact decomposition"):
+        evolve(lumped_dec1, b.ops, MaxwellState(0.0, zero1, zero2), None, [1.0])
+    with pytest.raises(ValueError, match="complete exact decomposition"):
+        potential_evolve(b.dec0, lumped_dec1, b.ops, zero1, zero1, None, [1.0])
+
+
+def test_constraint_failures_report_value_and_tolerance(qft_bundle):
+    b = qft_bundle
+    ops = b.ops
+    rng = np.random.default_rng(19)
+    bad_B = rng.standard_normal(ops.n(2))
+    val, tol = ops.norm(3, ops.d(2) @ bad_B), 1e-8 * max(ops.norm(2, bad_B), 1.0)
+    with pytest.raises(ValueError, match=re.escape(f"violated: |d B0| {val:.2e} > {tol:.2e}")):
+        evolve(b.dec1, ops, MaxwellState(0.0, np.zeros(ops.n(1)), bad_B), None, [1.0])
+    bad_E = rng.standard_normal(ops.n(1))
+    val = ops.norm(0, ops.apply_codifferential(1, bad_E))
+    tol = 1e-8 * max(ops.norm(1, bad_E), 1.0)
+    with pytest.raises(
+        ValueError, match=re.escape(f"initial Gauss constraint violated: |delta~ E0 + rho0| "
+                                    f"{val:.2e} > {tol:.2e}")
+    ):
+        evolve(b.dec1, ops, MaxwellState(0.0, bad_E, np.zeros(ops.n(2))), None, [1.0])
+    A0 = ops.d(0) @ rng.standard_normal(ops.n(0))
+    val = ops.norm(0, ops.apply_codifferential(1, A0))
+    tol = 1e-8 * max(ops.norm(1, A0), 1.0)
+    with pytest.raises(
+        ValueError, match=re.escape(f"must be co-closed: |delta~ A0| {val:.2e} > {tol:.2e}")
+    ):
+        potential_evolve(b.dec0, b.dec1, ops, A0, np.zeros(ops.n(1)), None, [1.0])

@@ -92,3 +92,15 @@ def test_degenerate_pairing_rejected(shell_bundle):
             b.dec, b.ops, b.u, eps=40.0, center=np.zeros(3),
             r_plateau=0.6, r_zero=0.75,
         )
+
+
+def test_degenerate_pairing_reports_value(shell_bundle):
+    import re
+
+    b = shell_bundle
+    with pytest.raises(ValueError, match=r"\|pairings - e_L\| (\S+) > 2\.00e-01") as exc:
+        build_Q_eps(
+            b.dec, b.ops, b.u, eps=40.0, center=np.zeros(3), r_plateau=0.6, r_zero=0.75,
+        )
+    dev = float(re.search(r"e_L\| (\S+) >", str(exc.value))[1])
+    assert 0.2 < dev < 2.0

@@ -49,7 +49,7 @@ def test_zero_form_zero_data(qft_bundle):
 
 def test_propagate_matches_evolution_oracle(qft_bundle):
     """Data of Gf for f supported in t in [2,3]: backward-evolve the retarded wave."""
-    from decem.maxwell import SpectralPropagator
+    from decem.maxwell import homogeneous
 
     b = qft_bundle
     rng = np.random.default_rng(1)
@@ -57,17 +57,17 @@ def test_propagate_matches_evolution_oracle(qft_bundle):
     c = rng.standard_normal(b.ops.n(1))
     f = TestForm(1, [FormTerm(g, "spatial", c)])
     data = b.fc.propagate_G(f)
-    prop = SpectralPropagator(b.dec1)
-    chat = prop.coeffs(c)
+    chat = b.dec1.coefficients(c)
     t_star = 3.0
-    lam = prop.lam
+    lam = b.dec1.lam
     # retarded solution at t_star and its derivative
     val = g.sinc_moment(lam, t_star, (2.0, 3.0)) * chat
     dva = g.cos_moment(lam, t_star, (2.0, 3.0)) * chat
     # backward homogeneous evolution to t = 0
-    v0, d0 = prop.homogeneous(val, dva, -t_star)
-    assert np.linalg.norm(prop.synth(v0) - data.A) <= 1e-9 * max(np.linalg.norm(data.A), 1.0)
-    assert np.linalg.norm(prop.synth(d0) - data.Adot) <= 1e-9 * max(np.linalg.norm(data.Adot), 1.0)
+    v0, d0 = homogeneous(lam, val, dva, -t_star)
+    V = b.dec1.vectors
+    assert np.linalg.norm(V @ v0 - data.A) <= 1e-9 * max(np.linalg.norm(data.A), 1.0)
+    assert np.linalg.norm(V @ d0 - data.Adot) <= 1e-9 * max(np.linalg.norm(data.Adot), 1.0)
 
 
 def test_pairing_G_antisymmetric(qft_bundle):
@@ -410,3 +410,36 @@ def test_zero_mode_psi_eps_readout_deviation(wormhole_bundle):
     f = TestForm(2, [FormTerm(g, "e", psiL)])
     out = w.fc.zero_mode_expectation(zero, zero, 1.0, 1.0, f, w.q_basis, w.top_basis)
     assert out.psi_eps_deviation <= 1e-8
+
+
+def test_propagate_G_rejects_partial_decomposition(qft_bundle):
+    from decem.spectral import assemble_laplacian, eig
+
+    b = qft_bundle
+    lumped = eig(assemble_laplacian(b.ops, 1, lumped_down=True), count=6)
+    fc = FieldCalculus(b.ops, b.dec0, lumped, Q=b.Q)
+    f = TestForm(1, [FormTerm(TimeProfile.bump(-0.3, 0.7), "spatial", np.ones(b.ops.n(1)))])
+    with pytest.raises(ValueError, match="complete exact decomposition"):
+        fc.propagate_G(f)
+
+
+def test_kappa_kernel_leak_reports_value(qft_bundle):
+    """A projector whose cutoff mode is lost leaves the distinguished mode in Q Adot."""
+    import dataclasses
+    import re
+
+    from decem.qft import CauchyData
+
+    b = qft_bundle
+    broken = dataclasses.replace(b.Q, psi_eps=np.zeros(b.ops.n(1)))
+    fc = FieldCalculus(b.ops, b.dec0, b.dec1, Q=broken)
+    psi = b.Q.psi_basis[:, -1]
+    qa = broken.apply(psi)
+    K = b.dec1.kernel_basis()
+    comp = np.linalg.norm(K.T @ (b.dec1.M @ qa))
+    tol = 1e-8 * np.linalg.norm(qa)
+    n0, n1 = b.ops.n(0), b.ops.n(1)
+    data = CauchyData(np.zeros(n0), np.zeros(n1), np.zeros(n0), psi)
+    want = f"wrong projector policy: |K^T M Q Adot| {comp:.2e} > {tol:.2e}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        fc.kappa_data(data)

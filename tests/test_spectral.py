@@ -325,3 +325,67 @@ def test_partial_eig_estimates_norm_once(box_ops, monkeypatch):
     dec = eig(assemble_laplacian(box_ops, 1, lumped_down=True), count=4)
     assert len(calls) == 1
     assert dec.max_eval == pytest.approx(real(calls[0]))
+
+
+def test_lam_is_bitwise_the_kernel_zeroed_root(qft_bundle):
+    """dec.lam equals sqrt(max(lambda^2, 0)) with the kernel zeroed, bit for bit."""
+
+    def parent_lam(dec):
+        lam2 = dec.evals.copy()
+        lam2[: dec.kernel_dim] = 0.0
+        return np.sqrt(np.maximum(lam2, 0.0))
+
+    for dec in (qft_bundle.dec0, qft_bundle.dec1, qft_bundle.dec2):
+        assert np.array_equal(dec.lam, parent_lam(dec))
+        assert not np.any(dec.lam[: dec.kernel_dim])
+    dec = qft_bundle.dec1
+    first = dec.lam
+    first[:] = -1.0  # a caller's copy: the next access is computed afresh
+    assert np.array_equal(dec.lam, parent_lam(dec))
+    moved = dataclasses.replace(dec, evals=4.0 * dec.evals)
+    assert np.array_equal(moved.lam, 2.0 * parent_lam(dec))
+
+
+def test_partial_decomposition_has_no_operator_functions(qft_bundle):
+    dec = eig(assemble_laplacian(qft_bundle.ops, 1, lumped_down=True), count=6)
+    assert dec.kernel_dim > 0
+    with pytest.raises(ValueError, match="complete exact decomposition"):
+        dec.lam
+    with pytest.raises(ValueError, match="complete exact decomposition"):
+        dec.apply_function(lambda m: 1.0, np.ones(qft_bundle.ops.n(1)), "exclude")
+
+
+def test_quadrature_kernel_component_reports_value(qft_bundle):
+    b = qft_bundle
+    K = b.dec1.kernel_basis()
+    x = K[:, 0] + 1e-3 * b.dec1.vectors[:, -1]
+    M = b.L1.M
+    rel = np.linalg.norm(K.T @ (M @ x)) / np.sqrt(x @ (M @ x))
+    with pytest.raises(ValueError, match=re.escape(f"relative {rel:.2e} > 1.00e-08")):
+        inverse_sqrt_quadrature(b.L1, x, kernel_basis=K, spectrum_bounds=(1.0, 2.0))
+
+
+def test_distinguished_basis_failures_report_values(qft_bundle, wormhole_bundle, monkeypatch):
+    from decem.hodge import capacity_and_psiL
+    from decem.spectral import harmonic_basis_with_distinguished
+
+    b = qft_bundle
+    u = np.random.default_rng(2).standard_normal(b.ops.complex.n(0))
+    M, K = b.ops.mass(1), b.dec1.kernel_basis()
+    du = (b.ops.d_full[0] @ u)[b.ops.kept[1]]
+    psi = du / np.sqrt(du @ (M @ du))
+    r = psi - K @ (K.T @ (M @ psi))
+    off = np.sqrt(abs(r @ (M @ r)))
+    with pytest.raises(ValueError, match=re.escape(f"|residual| {off:.2e} > 1.00e-06")):
+        harmonic_basis_with_distinguished(b.dec1, b.ops, u)
+
+    # planted: the Gram eigenvectors of the kernel completion come back scaled by 1.01
+    w = wormhole_bundle
+    assert w.dec1.kernel_dim == 2
+    u = capacity_and_psiL(w.ops)[1]
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: (real_eigh(a)[0], 1.01 * real_eigh(a)[1]))
+    with pytest.raises(AssertionError, match=r"lost orthonormality: \S+ > 1\.00e-08") as exc:
+        harmonic_basis_with_distinguished(w.dec1, w.ops, u)
+    got = float(re.search(r"orthonormality: (\S+) >", str(exc.value))[1])
+    assert got == pytest.approx(1.01**2 - 1.0, rel=1e-2)
