@@ -67,7 +67,40 @@ def validate_config(cfg: dict) -> dict:
     for key in ("t_end", "lam_min", "capacity_expected"):
         if key in params:
             _check_positive(params[key], f"/params/{key}")
+    if "q_eps" in params:
+        _check_q_eps(params["q_eps"])
     return cfg
+
+
+def _check_q_eps(qp) -> None:
+    """Q_eps's cutoff parameters, each checked where given.
+
+    eps and the radii are positive finite numbers with r_zero > r_plateau, and
+    center is a finite 3-vector.
+    """
+    if not isinstance(qp, dict):
+        raise ConfigError(f"/params/q_eps: must be a mapping, got {qp!r}")
+    for key in ("eps", "r_plateau", "r_zero"):
+        if key in qp:
+            _check_positive(qp[key], f"/params/q_eps/{key}")
+    if "r_plateau" in qp and "r_zero" in qp:
+        _check_radii(qp["r_plateau"], qp["r_zero"])
+    center = qp.get("center")
+    if "center" in qp and not (
+        isinstance(center, (list, tuple))
+        and len(center) == 3
+        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in center)
+        and np.all(np.isfinite(center))
+    ):
+        raise ConfigError(f"/params/q_eps/center: must be a finite 3-vector, got {center!r}")
+
+
+def _check_radii(r_plateau: float, r_zero: float) -> None:
+    """A config error unless the cutoff falls from 1 at r_plateau to 0 at a larger r_zero."""
+    if not r_zero > r_plateau:
+        raise ConfigError(
+            f"/params/q_eps/r_zero: must exceed r_plateau = {r_plateau!r}, got {r_zero!r}"
+        )
 
 
 def _check_int(val, least: int, path: str, name: str) -> int:
@@ -249,22 +282,23 @@ def pipeline_qft(cfg, scenario, material):
 
     params = cfg["params"]
     ops = DecOperators(scenario.carved, material)
+    # the cutoff's defaults scale with the mesh; resolve and check them before any eigensolve
+    qp = params.get("q_eps", {})
+    cplx = scenario.carved
+    nodes = cplx.simplices[0][:, 0]
+    center = np.asarray(qp.get("center", cplx.vertices[nodes].mean(axis=0)))
+    rmax = float(np.linalg.norm(cplx.vertices[nodes] - center, axis=1).max())
+    r_plateau = float(qp.get("r_plateau", 0.55 * rmax))
+    r_zero = float(qp.get("r_zero", 0.8 * rmax))
+    _check_radii(r_plateau, r_zero)
     dec0 = eig(assemble_laplacian(ops, 0))
     dec1 = eig(assemble_laplacian(ops, 1))
     Q = None
     if scenario.has_obstacle and dec1.kernel_dim > 0:
         cap, u, _psi = capacity_and_psiL(ops)
-        qp = params.get("q_eps", {})
-        cplx = scenario.carved
-        nodes = cplx.simplices[0][:, 0]
-        center = np.asarray(qp.get("center", cplx.vertices[nodes].mean(axis=0)))
-        rmax = float(np.linalg.norm(cplx.vertices[nodes] - center, axis=1).max())
         Q = build_Q_eps(
-            dec1, ops, u,
-            eps=float(qp.get("eps", 1.0)),
-            center=center,
-            r_plateau=float(qp.get("r_plateau", 0.55 * rmax)),
-            r_zero=float(qp.get("r_zero", 0.8 * rmax)),
+            dec1, ops, u, eps=float(qp.get("eps", 1.0)), center=center,
+            r_plateau=r_plateau, r_zero=r_zero,
         )
     fc = FieldCalculus(ops, dec0, dec1, Q=Q)
     rng = np.random.default_rng(cfg["seed"])

@@ -171,6 +171,22 @@ def build_mass(
 # -- operator bundle ---------------------------------------------------------------
 
 
+class _MassByDegree(dict):
+    """Full mass matrices keyed by degree, each assembled by :func:`build_mass` on
+    first access and kept."""
+
+    def __init__(self, cplx: SimplicialComplex, material: MaterialField, geometry):
+        super().__init__()
+        self._args = (cplx, material, geometry)
+
+    def __missing__(self, p: int) -> sp.csr_matrix:
+        cplx, material, geometry = self._args
+        if p not in range(cplx.dim + 1):
+            raise KeyError(p)
+        mass = self[p] = build_mass(cplx, material, p, geometry)
+        return mass
+
+
 class DecOperators:
     """Incidence and weighted mass matrices of the relative complex of one mesh.
 
@@ -178,8 +194,10 @@ class DecOperators:
     only: every simplex inside a marked boundary facet is removed, which
     imposes the relative boundary conditions.  The matrices on all simplices
     are kept as ``d_full`` and ``mass_full`` for boundary data (the Dirichlet
-    potential of the capacity mode lives on every vertex).  ``cell_geometry``
-    is :func:`_cell_geometry` of the complex, computed once for every
+    potential of the capacity mode lives on every vertex).  ``mass_full[p]``
+    is assembled per degree, on first use, and then kept; a command that
+    needs one degree never assembles the others.  ``cell_geometry`` is
+    :func:`_cell_geometry` of the complex, computed once, eagerly, for every
     per-cell assembly.
     """
 
@@ -189,9 +207,7 @@ class DecOperators:
         d = cplx.dim
         self.cell_geometry = _cell_geometry(cplx)
         self.d_full = {p: build_d(cplx, p) for p in range(d)}
-        self.mass_full = {
-            p: build_mass(cplx, self.material, p, self.cell_geometry) for p in range(d + 1)
-        }
+        self.mass_full = _MassByDegree(cplx, self.material, self.cell_geometry)
         self.kept = {}
         for p in range(d + 1):
             masked = cplx.boundary_subsimplices(p)

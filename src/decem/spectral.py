@@ -7,8 +7,12 @@ complete exact decomposition; every propagator and operator function reads it
 or the same kernel-zeroed spectrum.  A sparse partial path exists for kernel
 and low-mode queries on larger meshes; it lumps the mass matrix inside the
 down-term, which leaves the kernel subspace exactly invariant while detuning
-nonzero eigenvalues, so it is never used for operator functions.  The
-ARPACK inverses and the sparse resolvent solves factor their SPD matrices with
+nonzero eigenvalues, so it is never used for operator functions.  Every
+sparse shift-invert (the ARPACK ``OPinv`` of ``eig(count=k)`` and the low end
+of the quadrature's spectrum bounds) goes through :func:`_shift_inverse`.  It
+keeps a lumped down-term factored: it factors the quasi-definite augmented
+matrix [[up - sigma M, K^T], [K, -W]] rather than the multiplied-out
+S - sigma M, which fills in far more.  Every sparse factorization here uses
 a symmetric minimum-degree ordering (:func:`_symmetric_factor`).
 """
 
@@ -29,48 +33,59 @@ KERNEL_THRESHOLD = 1e-8
 
 @dataclass
 class LaplaceOperator:
-    """Stiffness form of d delta~ + delta~ d on kept p-cochains."""
+    """Stiffness form of d delta~ + delta~ d on kept p-cochains.
+
+    ``lumped`` is a lumped down-term in factored form (up, K, w): then
+    S = up + K^T diag(w)^-1 K with K = d_{p-1}^T M_p and w = diag M_{p-1}, and
+    ``S`` applies it from those parts without multiplying it out.  It is None
+    when the down-term is exact or absent.
+    """
 
     p: int
     ops: DecOperators
-    S: np.ndarray | sp.csr_matrix
+    S: np.ndarray | sp.csr_matrix | spla.LinearOperator
     M: sp.csr_matrix
     exact_nonzero: bool  # nonzero spectrum exact (False with a lumped down-term)
+    lumped: tuple[sp.csr_matrix, sp.csc_matrix, np.ndarray] | None = None
 
     @property
     def n(self) -> int:
         return self.M.shape[0]
 
     def S_dense(self) -> np.ndarray:
-        return self.S if isinstance(self.S, np.ndarray) else self.S.toarray()
+        if isinstance(self.S, np.ndarray):
+            return self.S
+        return self.S.toarray() if sp.issparse(self.S) else self.S @ np.eye(self.n)
 
 
 def assemble_laplacian(ops: DecOperators, p: int, lumped_down: bool = False) -> LaplaceOperator:
+    """S = d_p^T M_{p+1} d_p + K^T M_{p-1}^-1 K with K = d_{p-1}^T M_p, and M = M_p.
+
+    The exact down-term is dense.  ``lumped_down`` replaces M_{p-1} by its
+    diagonal w and keeps that down-term factored, as ``lumped`` = (up, K, w):
+    S is never multiplied out, and a shift-inverse factors the augmented
+    matrix of :func:`_shift_inverse` instead.
+    """
     d = ops.complex.dim
+    M = ops.mass(p).tocsr()
     up = None
     if p < d:
         dp = ops.d(p)
         up = dp.T @ ops.mass(p + 1) @ dp
-    down = None
-    if p > 0:
-        K = (ops.d(p - 1).T @ ops.mass(p)).tocsc()  # (n_{p-1}, n_p)
-        if lumped_down:
-            w = ops.mass(p - 1).diagonal()
-            down = K.T @ sp.diags(1.0 / w) @ K
-        else:
-            Kd = K.toarray()
-            down = Kd.T @ ops.mass_factor(p - 1).solve(Kd)
-    if up is None and down is None:
-        raise ValueError("empty Laplacian")
-    if lumped_down or down is None:
-        S = (up if up is not None else 0) + (down if down is not None else 0)
-        S = sp.csr_matrix(S) if not sp.issparse(S) else S
-        S = (S + S.T) * 0.5
-    else:
-        S = down + (up.toarray() if up is not None else 0.0)
-        S = 0.5 * (S + S.T)
-    M = ops.mass(p).tocsr()
-    return LaplaceOperator(p, ops, S, M, exact_nonzero=not lumped_down)
+    if p == 0:
+        if up is None:
+            raise ValueError("empty Laplacian")
+        return LaplaceOperator(p, ops, (up + up.T) * 0.5, M, exact_nonzero=not lumped_down)
+    K = (ops.d(p - 1).T @ ops.mass(p)).tocsc()  # (n_{p-1}, n_p)
+    if lumped_down:
+        up = up if up is not None else sp.csr_matrix(M.shape)
+        w = ops.mass(p - 1).diagonal()
+        A = spla.aslinearoperator
+        S = A(up) + A(K.T) @ A(sp.diags(1.0 / w)) @ A(K)
+        return LaplaceOperator(p, ops, S, M, exact_nonzero=False, lumped=(up, K, w))
+    Kd = K.toarray()
+    S = Kd.T @ ops.mass_factor(p - 1).solve(Kd) + (up.toarray() if up is not None else 0.0)
+    return LaplaceOperator(p, ops, 0.5 * (S + S.T), M, exact_nonzero=True)
 
 
 @dataclass
@@ -157,7 +172,7 @@ def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
         max_eval = _norm_estimate(op)
         sigma = -1e-6 * max_eval
         evals, vecs = spla.eigsh(
-            op.S, k=k, M=op.M, sigma=sigma, which="LM", OPinv=_inverse(op.S - sigma * op.M),
+            op.S, k=k, M=op.M, sigma=sigma, which="LM", OPinv=_shift_inverse(op, sigma),
             v0=_start_vector(op.n),
         )
         order = np.argsort(evals)
@@ -189,11 +204,14 @@ def _start_vector(n: int) -> np.ndarray:
 
 
 def _symmetric_factor(A) -> spla.SuperLU:
-    """Sparse LU of an SPD matrix: minimum degree on A^T + A, pivots on the diagonal.
+    """Sparse LU of an SPD or quasi-definite matrix: minimum degree on A^T + A, diagonal pivots.
 
-    A symmetric ordering has less fill than SuperLU's default COLAMD, and an
-    SPD matrix needs no off-diagonal pivots.  Every matrix factored here is
-    SPD: a mass matrix, S - sigma M with sigma < 0, or S + l^2 M.
+    A symmetric ordering has less fill than SuperLU's default COLAMD.  Every
+    matrix factored here is SPD (a mass matrix, S + l^2 M) or quasi-definite
+    ([[up - sigma M, K^T], [K, -W]] with sigma < 0: an SPD block and a negative
+    definite one).  A quasi-definite matrix has an LDL^T factorization under
+    every symmetric permutation (Vanderbei, SIAM J. Optim. 5, 1995), so
+    neither kind needs an off-diagonal pivot.
     """
     return spla.splu(
         sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -201,14 +219,27 @@ def _symmetric_factor(A) -> spla.SuperLU:
     )
 
 
-def _inverse(A) -> spla.LinearOperator:
-    """A^-1 as the operator ARPACK takes (``Minv``, ``OPinv``), for SPD A."""
-    return spla.LinearOperator(A.shape, matvec=_symmetric_factor(A).solve, dtype=float)
+def _shift_inverse(op: LaplaceOperator, sigma: float) -> spla.LinearOperator:
+    """(S - sigma M)^-1, sigma < 0, as the ``OPinv`` ARPACK takes.
+
+    With a lumped down-term (up, K, w) the quasi-definite matrix
+    [[up - sigma M, K^T], [K, -W]] is factored once; its Schur complement on
+    the first block is S - sigma M, so the leading n entries of a solve with
+    right-hand side [x, 0] are (S - sigma M)^-1 x.  A pencil without one has
+    zero extra rows.
+    """
+    n = op.n
+    up, K, w = op.lumped or (sp.csr_matrix(op.S), sp.csc_matrix((0, n)), np.zeros(0))
+    solve = _symmetric_factor(sp.bmat([[up - sigma * op.M, K.T], [K, sp.diags(-w)]])).solve
+    pad = np.zeros(len(w))
+    return spla.LinearOperator(
+        (n, n), matvec=lambda x: solve(np.concatenate([np.ravel(x), pad]))[:n], dtype=float
+    )
 
 
 def _norm_estimate(op: LaplaceOperator) -> float:
     """Upper bound on the largest generalized eigenvalue (a few Lanczos steps)."""
-    Minv = _inverse(op.M)
+    Minv = spla.LinearOperator(op.M.shape, matvec=_symmetric_factor(op.M).solve, dtype=float)
     try:
         val = spla.eigsh(
             op.S, k=1, M=op.M, Minv=Minv, which="LM", return_eigenvectors=False, maxiter=200,
@@ -272,7 +303,7 @@ def _spectrum_bounds(op: LaplaceOperator, kernel_basis: np.ndarray) -> tuple[flo
     k = kernel_basis.shape[1]
     sigma = -1e-6 * hi
     lo_vals = spla.eigsh(
-        op.S, k=k + 1, M=op.M, sigma=sigma, which="LM", OPinv=_inverse(op.S - sigma * op.M),
+        op.S, k=k + 1, M=op.M, sigma=sigma, which="LM", OPinv=_shift_inverse(op, sigma),
         return_eigenvectors=False, v0=_start_vector(op.n),
     )
     lo = float(np.sort(np.abs(lo_vals))[-1])
@@ -288,10 +319,12 @@ def inverse_sqrt_quadrature(
 ) -> np.ndarray:
     """Delta^(-1/2) x through the resolvent integral (2/pi) int (Delta+l^2)^-1 dl.
 
-    Requires x orthogonal to the kernel, up to a relative component of 1e-8;
-    the integrand is evaluated with sparse factorizations, independent of any
-    eigendecomposition.
+    Requires x orthogonal to the kernel, up to a relative component of 1e-8,
+    and an operator without a lumped down-term; the integrand is evaluated
+    with sparse factorizations, independent of any eigendecomposition.
     """
+    if op.lumped is not None:
+        raise ValueError("the resolvent quadrature needs an exact down-term, not a lumped one")
     X = np.atleast_2d(np.asarray(x, dtype=float).T).T
     if kernel_basis is None:
         kernel_basis = np.zeros((op.n, 0))

@@ -323,3 +323,54 @@ def test_bad_run_config_exits_2_naming_key(runner, tmp_path, pipeline, patch, wh
     assert f"config error: {where}" in res.output
     with pytest.raises(ConfigError, match=where):
         validate_config({"geometry": "balls:1", **patch})
+
+
+@pytest.mark.parametrize(
+    "q_eps, where",
+    [
+        (3, "/params/q_eps: must be a mapping"),
+        ([1.0, 2.0], "/params/q_eps: must be a mapping"),
+        ({"eps": 0}, "/params/q_eps/eps: must be positive and finite"),
+        ({"eps": -1.0}, "/params/q_eps/eps: must be positive and finite"),
+        ({"eps": float("inf")}, "/params/q_eps/eps: must be positive and finite"),
+        ({"eps": "small"}, "/params/q_eps/eps: must be a number"),
+        ({"r_plateau": 0.0}, "/params/q_eps/r_plateau: must be positive and finite"),
+        ({"r_zero": float("nan")}, "/params/q_eps/r_zero: must be positive and finite"),
+        ({"r_plateau": 2.0, "r_zero": 2.0}, "/params/q_eps/r_zero: must exceed r_plateau"),
+        ({"r_plateau": 3.0, "r_zero": 1.0}, "/params/q_eps/r_zero: must exceed r_plateau"),
+        ({"center": [0.0, 0.0]}, "/params/q_eps/center: must be a finite 3-vector"),
+        ({"center": [0.0, 0.0, float("inf")]}, "/params/q_eps/center: must be a finite 3-vector"),
+        ({"center": "origin"}, "/params/q_eps/center: must be a finite 3-vector"),
+        ({"center": [0.0, True, 0.0]}, "/params/q_eps/center: must be a finite 3-vector"),
+    ],
+)
+def test_bad_q_eps_exits_2_before_eigensolves(runner, tmp_path, monkeypatch, q_eps, where):
+    import yaml
+
+    import decem.cli as cli
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the config check")
+
+    monkeypatch.setattr(cli, "eig", no_eig)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"geometry": "balls:1", "params": {"q_eps": q_eps}}))
+    res = runner.invoke(main, ["run", "qft", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"config error: {where}" in res.output
+    with pytest.raises(ConfigError, match=where):
+        validate_config({"geometry": "balls:1", "params": {"q_eps": q_eps}})
+
+
+def test_q_eps_default_radius_below_given_plateau_exits_2(runner, monkeypatch):
+    """A single radius is checked against the other's mesh-scaled default, before eig."""
+    import decem.cli as cli
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("eigensolve ran before the config check")
+
+    monkeypatch.setattr(cli, "eig", no_eig)
+    cfg = {"geometry": "balls:1", "pipeline": "qft", "params": {"q_eps": {"r_plateau": 1e3}}}
+    validate_config(dict(cfg))
+    with pytest.raises(ConfigError, match="/params/q_eps/r_zero: must exceed r_plateau = 1000.0"):
+        run_config(cfg)

@@ -205,3 +205,38 @@ def test_material_bounds():
     mat = MaterialField(eps={"a": 2.0}, mu={"a": 3.0})
     lo, hi = mat.bounds(["a", ""])
     assert lo == 1.0 and hi == 6.0
+
+
+def _bitwise_equal(a, b) -> bool:
+    a, b = a.tocsr(), b.tocsr()
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))
+
+
+def test_operator_bundle_assembles_no_mass_up_front(monkeypatch):
+    calls = []
+    real = forms.build_mass
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(forms, "build_mass", counting)
+    box, mat = _two_region_box()
+    ops = DecOperators(box, mat)
+    assert calls == []
+    ops.mass(1)
+    ops.mass_full[1]
+    assert calls == [1]
+    with pytest.raises(KeyError):
+        ops.mass_full[4]
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0)])
+def test_masses_on_first_use_are_bitwise_fresh(order):
+    """Per-degree assembly in any access order gives build_mass on a fresh geometry."""
+    box, mat = _two_region_box()
+    ops = DecOperators(box, mat)
+    for p in order:
+        first = ops.mass_full[p]
+        assert ops.mass_full[p] is first
+        assert _bitwise_equal(first, build_mass(box, mat, p, forms._cell_geometry(box)))

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from decem.forms import DecOperators, MaterialField
@@ -11,6 +12,8 @@ from decem.spectral import (
     LaplaceOperator,
     _check_residuals,
     _norm_estimate,
+    _shift_inverse,
+    _symmetric_factor,
     assemble_laplacian,
     eig,
     inverse_sqrt_quadrature,
@@ -355,6 +358,12 @@ def test_partial_decomposition_has_no_operator_functions(qft_bundle):
         dec.apply_function(lambda m: 1.0, np.ones(qft_bundle.ops.n(1)), "exclude")
 
 
+def test_quadrature_rejects_lumped_operator(box_ops):
+    op = assemble_laplacian(box_ops, 1, lumped_down=True)
+    with pytest.raises(ValueError, match="needs an exact down-term"):
+        inverse_sqrt_quadrature(op, np.ones(op.n), spectrum_bounds=(1.0, 2.0))
+
+
 def test_quadrature_kernel_component_reports_value(qft_bundle):
     b = qft_bundle
     K = b.dec1.kernel_basis()
@@ -389,3 +398,52 @@ def test_distinguished_basis_failures_report_values(qft_bundle, wormhole_bundle,
         harmonic_basis_with_distinguished(w.dec1, w.ops, u)
     got = float(re.search(r"orthonormality: (\S+) >", str(exc.value))[1])
     assert got == pytest.approx(1.01**2 - 1.0, rel=1e-2)
+
+
+@pytest.fixture(scope="module")
+def topology_ops():
+    names = ("balls:3", "hopf_link")
+    return {name: DecOperators(canned_scenario(name, 1).carved) for name in names}
+
+
+@pytest.mark.parametrize("name", ["balls:3", "hopf_link"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_shift_inverse_matches_explicit_lumped_solve(topology_ops, name, p):
+    """Two paths to (S - sigma M)^-1 x: the augmented factor against splu of S multiplied out.
+
+    cond(S - sigma M) is about max_eval / |sigma| = 1e6, so the paths may
+    differ by 1e6 times the rounding unit; 1e-9 leaves a wide margin.
+    """
+    op = assemble_laplacian(topology_ops[name], p, lumped_down=True)
+    up, K, w = op.lumped
+    S = up + K.T @ sp.diags(1.0 / w) @ K  # the explicit lumped stiffness, as the reference
+    sigma = -1e-6 * _norm_estimate(op)
+    ref = spla.splu(sp.csc_matrix(S - sigma * op.M))
+    X = np.random.default_rng(7).standard_normal((op.n, 3))
+    OPinv = _shift_inverse(op, sigma)
+    for x in X.T:
+        want = ref.solve(x)
+        assert np.linalg.norm(OPinv @ x - want) <= 1e-9 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name, dims", [("balls:3", (3, 0)), ("hopf_link", (2, 2))])
+def test_partial_eig_kernel_dims_on_topology_meshes(topology_ops, name, dims):
+    ops = topology_ops[name]
+    decs = [eig(assemble_laplacian(ops, p, lumped_down=True), count=10) for p in (1, 2)]
+    assert tuple(dec.kernel_dim for dec in decs) == dims
+
+
+@pytest.mark.parametrize("which", ["p0", "stress_pencil"])
+def test_shift_inverse_without_down_term_is_the_plain_factor(solid_torus_ops, which):
+    """No down-term: zero extra rows, and the solves are the factor of S - sigma M bit for bit."""
+    ops = solid_torus_ops
+    if which == "p0":
+        op = assemble_laplacian(ops, 0, lumped_down=True)
+    else:
+        S = (ops.d(1).T @ ops.mass(2) @ ops.d(1)).tocsr()
+        op = LaplaceOperator(1, ops, S, ops.mass(1), exact_nonzero=True)
+    assert op.lumped is None
+    sigma = -1e-6 * _norm_estimate(op)
+    x = np.random.default_rng(8).standard_normal(op.n)
+    plain = _symmetric_factor(sp.csr_matrix(op.S) - sigma * op.M).solve(x)
+    assert np.array_equal(_shift_inverse(op, sigma) @ x, plain)
