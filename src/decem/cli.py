@@ -218,9 +218,8 @@ def pipeline_hodge(cfg, scenario, material):
             tol = params.get("capacity_tol", 0.05)
             rel = abs(cap - params["capacity_expected"]) / params["capacity_expected"]
             rows.append(_assert_row("capacity", rel <= tol, rel, tol))
-    L1 = assemble_laplacian(ops, 1)
-    dec1 = eig(L1)
-    solver = HelmholtzSolver(dec1, L1)
+    dec1 = eig(assemble_laplacian(ops, 1))
+    solver = HelmholtzSolver(dec1, ops)
     hb = harmonic_basis(dec1, ops)
     out["harmonic_dim"] = hb.L
     rng = np.random.default_rng(cfg["seed"])

@@ -15,7 +15,7 @@ import scipy.sparse.linalg as spla
 
 from .forms import DecOperators
 from .mesh import OBSTACLE, boundary_components
-from .spectral import LaplaceOperator, SpectralDecomposition, harmonic_basis_with_distinguished
+from .spectral import SpectralDecomposition, harmonic_basis_with_distinguished
 
 
 @dataclass
@@ -200,14 +200,14 @@ class HelmholtzSolver:
     excluded; the exact and coexact parts are d delta~ phi1 and delta~ d phi1.
     """
 
-    def __init__(self, dec: SpectralDecomposition, op: LaplaceOperator):
+    def __init__(self, dec: SpectralDecomposition, ops: DecOperators):
         self.dec = dec
-        self.op = op
+        self.ops = ops
 
     def split(self, phi: np.ndarray) -> HelmholtzSplit:
-        ops, p = self.op.ops, self.op.p
+        ops, p = self.ops, self.dec.p
         K = self.dec.kernel_basis()
-        harmonic = K @ (K.T @ (self.op.M @ phi))
+        harmonic = K @ (K.T @ (self.dec.M @ phi))
         phi1 = self.dec.apply_function(lambda m: 1.0 / m, phi, "exclude")
         d = ops.complex.dim
         exact = (

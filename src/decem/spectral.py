@@ -1,25 +1,21 @@
 """Hodge Laplacians, eigendecompositions and spectral operator functions.
 
-The generalized problem S v = lambda^2 M v is solved densely by default (all
-acceptance meshes are desk scale).  ``SpectralDecomposition.lam`` is the one
-source of frequencies: sqrt(lambda^2), exactly 0 on the kernel, and only on a
-complete exact decomposition; every propagator and operator function reads it
-or the same kernel-zeroed spectrum.  A sparse partial path exists for kernel
-and low-mode queries on larger meshes; it lumps the mass matrix inside the
-down-term, which leaves the kernel subspace exactly invariant while detuning
-nonzero eigenvalues, so it is never used for operator functions.  Every
-sparse shift-invert (the ARPACK ``OPinv`` of ``eig(count=k)`` and the low end
-of the quadrature's spectrum bounds) goes through :func:`_shift_inverse`.  It
-keeps a lumped down-term factored: it factors the quasi-definite augmented
-matrix [[up - sigma M, K^T], [K, -W]] rather than the multiplied-out
-S - sigma M, which fills in far more.  Every sparse factorization here uses
-a symmetric minimum-degree ordering (:func:`_symmetric_factor`).
+Delta_p has one form (:class:`LaplaceOperator`): a sparse up-term, the mass M
+and a factored down-term K^T W^-1 K.  ``eig(op, "all")`` is a dense ``eigh`` of
+the pencil (up, M), the only dense form of Delta_p, completed on its kernel by
+:func:`kernel_block`.  ``eig(op, k)`` is ARPACK shift-invert, run on the lumped
+operator for kernel and low-mode queries; its nonzero eigenvalues are detuned,
+so it never feeds operator functions.  ``SpectralDecomposition.lam`` is the one
+source of frequencies: exactly 0 on the kernel, only on a complete exact system.
+Every sparse shift-invert and quadrature node factors the quasi-definite
+[[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`), never S - sigma M.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,59 +29,62 @@ KERNEL_THRESHOLD = 1e-8
 
 @dataclass
 class LaplaceOperator:
-    """Stiffness form of d delta~ + delta~ d on kept p-cochains.
+    """Stiffness form S = up + K^T W^-1 K of d delta~ + delta~ d on kept p-cochains.
 
-    ``lumped`` is a lumped down-term in factored form (up, K, w): then
-    S = up + K^T diag(w)^-1 K with K = d_{p-1}^T M_p and w = diag M_{p-1}, and
-    ``S`` applies it from those parts without multiplying it out.  It is None
-    when the down-term is exact or absent.
+    up = d_p^T M_{p+1} d_p and K = d_{p-1}^T M_p; the down mass W is M_{p-1},
+    or its diagonal when ``lumped``.  K and W are None without a down-term
+    (p = 0, or a bare pencil (up, M)).  S is only applied from these parts.
     """
 
     p: int
     ops: DecOperators
-    S: np.ndarray | sp.csr_matrix | spla.LinearOperator
+    up: sp.csr_matrix
     M: sp.csr_matrix
-    exact_nonzero: bool  # nonzero spectrum exact (False with a lumped down-term)
-    lumped: tuple[sp.csr_matrix, sp.csc_matrix, np.ndarray] | None = None
+    K: sp.csc_matrix | None = None  # (n_{p-1}, n_p)
+    W: sp.spmatrix | None = None
+    lumped: bool = False
 
     @property
     def n(self) -> int:
         return self.M.shape[0]
 
-    def S_dense(self) -> np.ndarray:
-        if isinstance(self.S, np.ndarray):
-            return self.S
-        return self.S.toarray() if sp.issparse(self.S) else self.S @ np.eye(self.n)
+    @cached_property
+    def solve_W(self):
+        if self.lumped:
+            w = self.W.diagonal()
+            return lambda y: (y.T / w).T
+        return spla.splu(sp.csc_matrix(self.W)).solve
+
+    @property
+    def S(self) -> spla.LinearOperator:
+        def apply(x):
+            y = self.up @ x
+            return y if self.K is None else y + self.K.T @ self.solve_W(self.K @ x)
+
+        return spla.LinearOperator(self.up.shape, matvec=apply, matmat=apply, dtype=float)
 
 
 def assemble_laplacian(ops: DecOperators, p: int, lumped_down: bool = False) -> LaplaceOperator:
-    """S = d_p^T M_{p+1} d_p + K^T M_{p-1}^-1 K with K = d_{p-1}^T M_p, and M = M_p.
-
-    The exact down-term is dense.  ``lumped_down`` replaces M_{p-1} by its
-    diagonal w and keeps that down-term factored, as ``lumped`` = (up, K, w):
-    S is never multiplied out, and a shift-inverse factors the augmented
-    matrix of :func:`_shift_inverse` instead.
-    """
+    """Delta_p from sparse parts; ``lumped_down`` takes W = diag M_{p-1}, which keeps
+    the kernel exact and detunes the nonzero spectrum."""
     d = ops.complex.dim
+    if p == d == 0:
+        raise ValueError("empty Laplacian")
     M = ops.mass(p).tocsr()
-    up = None
-    if p < d:
-        dp = ops.d(p)
-        up = dp.T @ ops.mass(p + 1) @ dp
+    up = (ops.d(p).T @ ops.mass(p + 1) @ ops.d(p)).tocsr() if p < d else sp.csr_matrix(M.shape)
     if p == 0:
-        if up is None:
-            raise ValueError("empty Laplacian")
-        return LaplaceOperator(p, ops, (up + up.T) * 0.5, M, exact_nonzero=not lumped_down)
-    K = (ops.d(p - 1).T @ ops.mass(p)).tocsc()  # (n_{p-1}, n_p)
-    if lumped_down:
-        up = up if up is not None else sp.csr_matrix(M.shape)
-        w = ops.mass(p - 1).diagonal()
-        A = spla.aslinearoperator
-        S = A(up) + A(K.T) @ A(sp.diags(1.0 / w)) @ A(K)
-        return LaplaceOperator(p, ops, S, M, exact_nonzero=False, lumped=(up, K, w))
-    Kd = K.toarray()
-    S = Kd.T @ ops.mass_factor(p - 1).solve(Kd) + (up.toarray() if up is not None else 0.0)
-    return LaplaceOperator(p, ops, 0.5 * (S + S.T), M, exact_nonzero=True)
+        return LaplaceOperator(p, ops, up, M)
+    K = (ops.d(p - 1).T @ ops.mass(p)).tocsc()
+    W = sp.diags(ops.mass(p - 1).diagonal(), format="csc") if lumped_down else ops.mass(p - 1)
+    return LaplaceOperator(p, ops, up, M, K, W, lumped=lumped_down)
+
+
+def kernel_block(op: LaplaceOperator, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (nu, U) of V^T S V = B^T W^-1 B, B = K V = d^T (M V), where V is an
+    M-orthonormal basis of ker up.  M^-1 S keeps span V (d delta~ maps closed forms
+    to exact ones), so V U are eigenvectors of Delta_p."""
+    B = op.ops.d(op.p - 1).T @ (op.ops.mass(op.p) @ V)  # this order keeps stress byte-stable
+    return np.linalg.eigh(B.T @ op.solve_W(B))
 
 
 @dataclass
@@ -156,15 +155,24 @@ class SpectralDecomposition:
 
 
 def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
-    """Eigendecomposition of the generalized problem; ``count`` is 'all' or k lowest."""
+    """Eigendecomposition of the generalized problem; ``count`` is 'all' or k lowest.
+
+    'all': dense ``eigh`` of the pencil (up, M), :func:`kernel_block`, stable sort.
+    """
     n = op.n
     if count == "all":
-        S = op.S_dense()
-        M = op.M.toarray()
-        evals, vecs = sla.eigh(S, M)
-        evals = np.asarray(evals)
+        evals, vecs = sla.eigh(
+            op.up.toarray(order="F"), op.M.toarray(order="F"), overwrite_a=True, overwrite_b=True
+        )
+        if op.K is not None:
+            kd = int(np.sum(np.abs(evals) < KERNEL_THRESHOLD * evals[-1]))
+            nu, U = kernel_block(op, vecs[:, :kd])
+            vecs[:, :kd] = vecs[:, :kd] @ U
+            evals = np.concatenate([nu, evals[kd:]])
+            order = np.argsort(evals, kind="stable")
+            evals, vecs = evals[order], vecs[:, order]
         max_eval = float(evals[-1]) if n else 0.0
-        exact = op.exact_nonzero
+        exact = not op.lumped
     else:
         k = int(count)
         if k >= n - 1:
@@ -207,7 +215,7 @@ def _symmetric_factor(A) -> spla.SuperLU:
     """Sparse LU of an SPD or quasi-definite matrix: minimum degree on A^T + A, diagonal pivots.
 
     A symmetric ordering has less fill than SuperLU's default COLAMD.  Every
-    matrix factored here is SPD (a mass matrix, S + l^2 M) or quasi-definite
+    matrix factored here is SPD (a mass matrix, up - sigma M) or quasi-definite
     ([[up - sigma M, K^T], [K, -W]] with sigma < 0: an SPD block and a negative
     definite one).  A quasi-definite matrix has an LDL^T factorization under
     every symmetric permutation (Vanderbei, SIAM J. Optim. 5, 1995), so
@@ -220,21 +228,22 @@ def _symmetric_factor(A) -> spla.SuperLU:
 
 
 def _shift_inverse(op: LaplaceOperator, sigma: float) -> spla.LinearOperator:
-    """(S - sigma M)^-1, sigma < 0, as the ``OPinv`` ARPACK takes.
+    """(S - sigma M)^-1, sigma < 0, on vectors and blocks (also ARPACK's ``OPinv``).
 
-    With a lumped down-term (up, K, w) the quasi-definite matrix
-    [[up - sigma M, K^T], [K, -W]] is factored once; its Schur complement on
-    the first block is S - sigma M, so the leading n entries of a solve with
-    right-hand side [x, 0] are (S - sigma M)^-1 x.  A pencil without one has
-    zero extra rows.
+    [[up - sigma M, K^T], [K, -W]] has Schur complement S - sigma M, so the
+    first n rows of its solve with [x, 0] are (S - sigma M)^-1 x, for any W.
     """
     n = op.n
-    up, K, w = op.lumped or (sp.csr_matrix(op.S), sp.csc_matrix((0, n)), np.zeros(0))
-    solve = _symmetric_factor(sp.bmat([[up - sigma * op.M, K.T], [K, sp.diags(-w)]])).solve
-    pad = np.zeros(len(w))
-    return spla.LinearOperator(
-        (n, n), matvec=lambda x: solve(np.concatenate([np.ravel(x), pad]))[:n], dtype=float
-    )
+    A = op.up - sigma * op.M
+    if op.K is not None:
+        A = sp.bmat([[A, op.K.T], [op.K, -op.W]])
+    solve = _symmetric_factor(A).solve
+    pad = A.shape[0] - n
+
+    def apply(x):
+        return solve(np.concatenate([x, np.zeros((pad,) + x.shape[1:])]))[:n]
+
+    return spla.LinearOperator((n, n), matvec=apply, matmat=apply, dtype=float)
 
 
 def _norm_estimate(op: LaplaceOperator) -> float:
@@ -320,10 +329,10 @@ def inverse_sqrt_quadrature(
     """Delta^(-1/2) x through the resolvent integral (2/pi) int (Delta+l^2)^-1 dl.
 
     Requires x orthogonal to the kernel, up to a relative component of 1e-8,
-    and an operator without a lumped down-term; the integrand is evaluated
-    with sparse factorizations, independent of any eigendecomposition.
+    and an operator without a lumped down-term; x may be a block of columns.
+    Each node is one sparse factorization, ``_shift_inverse(op, -l^2)``.
     """
-    if op.lumped is not None:
+    if op.lumped:
         raise ValueError("the resolvent quadrature needs an exact down-term, not a lumped one")
     X = np.atleast_2d(np.asarray(x, dtype=float).T).T
     if kernel_basis is None:
@@ -348,17 +357,8 @@ def inverse_sqrt_quadrature(
     dl = c / np.cos(th) ** 2
     MX = np.asarray(op.M @ X)
     out = np.zeros_like(X)
-    if isinstance(op.S, np.ndarray):
-        M = op.M.toarray()
-        for wi, li, dli in zip(w, lam, dl):
-            sol = sla.solve(op.S + (li * li) * M, MX, assume_a="pos")
-            out += (2.0 / np.pi) * wi * dli * sol
-    else:
-        S = sp.csc_matrix(op.S)
-        M = op.M.tocsc()
-        for wi, li, dli in zip(w, lam, dl):
-            fac = _symmetric_factor(S + (li * li) * M)
-            out += (2.0 / np.pi) * wi * dli * fac.solve(MX)
+    for wi, li, dli in zip(w, lam, dl):
+        out += (2.0 / np.pi) * wi * dli * (_shift_inverse(op, -li * li) @ MX)
     return out[:, 0] if np.asarray(x).ndim == 1 else out
 
 

@@ -7,7 +7,8 @@ sides are therefore built from the generalized pencil (d^T M2 d, M1): zero
 modes and exact forms sit in its kernel and drop out exactly, which realizes
 the kernel-exclusion policy of the continuum formula.  Each side's pencil is
 eigensolved by ``spectral.eig`` (with its residual checks), and the second
-path is ``spectral.inverse_sqrt_quadrature`` on the same pencil.
+path is ``spectral.inverse_sqrt_quadrature`` on the same pencil.  The decay
+table completes it to Delta_1 with ``spectral.kernel_block``, as ``eig`` does.
 
 Every difference is carried as its symmetric integral kernel X, with the
 operator D = X M.  A side's kernel is V g V^T (V the coexact eigenvectors),
@@ -37,8 +38,10 @@ from .mesh import ObstacleScenario
 from .spectral import (
     LaplaceOperator,
     SpectralDecomposition,
+    assemble_laplacian,
     eig,
     inverse_sqrt_quadrature,
+    kernel_block,
 )
 
 
@@ -55,26 +58,23 @@ class SideData:
         return float(self.dec.evals[kd]), float(self.dec.evals[-1])
 
     def hodge_system(self, left: sp.spmatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Complete M1-orthonormal eigensystem [K U, V_c], [nu, lambda_c] of Delta_1.
+        """Complete M1-orthonormal eigensystem [Z U, V_c], [nu, lambda_c] of Delta_1.
 
-        Only the down term acts on the pencil's kernel K (the closed forms):
-        K^T S1 K = B^T M0^-1 B with B = d0^T M1 K, whose eigenpairs are (nu, U).
-        With ``left`` (a matrix of n1 columns) the vectors come premultiplied,
-        left [K U, V_c], and the full system is never formed.
+        (nu, U) is ``spectral.kernel_block`` on the pencil's kernel Z (the closed
+        forms); the blocks stay in this order.  With ``left`` (a matrix of n1
+        columns) the vectors come premultiplied, left [Z U, V_c], and the full
+        system is never formed.
         """
-        dec, ops = self.dec, self.ops
+        dec = self.dec
         kd = dec.kernel_dim
-        K = dec.vectors[:, :kd]
-        B = ops.d(0).T @ (ops.mass(1) @ K)
-        nu, U = np.linalg.eigh(B.T @ ops.mass_factor(0).solve(B))
+        nu, U = kernel_block(assemble_laplacian(self.ops, 1), dec.vectors[:, :kd])
         L = dec.vectors if left is None else left @ dec.vectors
         return np.hstack([L[:, :kd] @ U, L[:, kd:]]), np.concatenate([nu, dec.evals[kd:]])
 
 
 def build_side(cplx, material: MaterialField) -> SideData:
     ops = DecOperators(cplx, material)
-    K = (ops.d(1).T @ ops.mass(2) @ ops.d(1)).tocsr()
-    op = LaplaceOperator(1, ops, K, ops.mass(1), exact_nonzero=True)
+    op = LaplaceOperator(1, ops, (ops.d(1).T @ ops.mass(2) @ ops.d(1)).tocsr(), ops.mass(1))
     return SideData(ops=ops, op=op, dec=eig(op))
 
 

@@ -93,7 +93,7 @@ def test_criterion_4_structural_exactness(qft_bundle):
         lhs = b.ops.mass(p - 1).toarray() @ b.ops.codifferential(p)
         rhs = (b.ops.d(p - 1).T @ b.ops.mass(p)).toarray()
         adj = max(adj, np.abs(lhs - rhs).max() / np.abs(rhs).max())
-    solver = HelmholtzSolver(b.dec1, b.L1)
+    solver = HelmholtzSolver(b.dec1, b.ops)
     rng = np.random.default_rng(0)
     M = b.ops.mass(1)
     worst = 0.0

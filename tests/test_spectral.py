@@ -3,12 +3,14 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from decem.forms import DecOperators, MaterialField
 from decem.geometries import box_complex, canned_scenario, chain_complex
 from decem.spectral import (
+    KERNEL_THRESHOLD,
     LaplaceOperator,
     _check_residuals,
     _norm_estimate,
@@ -18,6 +20,8 @@ from decem.spectral import (
     eig,
     inverse_sqrt_quadrature,
 )
+
+import laplacian_reference
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +49,7 @@ def test_dirichlet_laplacian_matches_direct_p1_assembly(box_ops):
     keep = ops.kept[0]
     S = S[np.ix_(keep, keep)]
     L0 = assemble_laplacian(ops, 0)
-    assert np.abs(L0.S_dense() - S).max() <= 1e-12 * np.abs(S).max()
+    assert np.abs(L0.up.toarray() - S).max() <= 1e-12 * np.abs(S).max()
 
 
 def test_chain_dirichlet_eigenvalues_analytic():
@@ -159,12 +163,14 @@ def test_inverse_sqrt_quadrature_random_agreement(qft_bundle):
     dec = b.dec1
     rng = np.random.default_rng(3)
     bounds = (dec.evals[dec.kernel_dim], dec.evals[-1])
+    X = np.column_stack(
+        [dec.project_out_kernel(rng.standard_normal(b.ops.n(1))) for _ in range(10)]
+    )
+    Y_quad = inverse_sqrt_quadrature(
+        b.L1, X, kernel_basis=dec.kernel_basis(), spectrum_bounds=bounds
+    )
     worst = 0.0
-    for _ in range(10):
-        x = dec.project_out_kernel(rng.standard_normal(b.ops.n(1)))
-        y_quad = inverse_sqrt_quadrature(
-            b.L1, x, kernel_basis=dec.kernel_basis(), spectrum_bounds=bounds
-        )
+    for x, y_quad in zip(X.T, Y_quad.T):
         y_eig = dec.apply_function(lambda m: m**-0.5, x, "exclude")
         worst = max(worst, np.linalg.norm(y_quad - y_eig) / np.linalg.norm(y_eig))
     assert worst <= 1e-8
@@ -241,7 +247,7 @@ def test_check_residuals_reports_orthonormality(box_ops):
 def test_eig_reports_negative_eigenvalue(box_ops):
     L1 = assemble_laplacian(box_ops, 1)
     dec = eig(L1)
-    flipped = LaplaceOperator(1, box_ops, -L1.S, L1.M, exact_nonzero=True)
+    flipped = LaplaceOperator(1, box_ops, -L1.up, L1.M, L1.K, -L1.W)
     with pytest.raises(AssertionError) as err:
         eig(flipped)
     got, tol = _numbers(
@@ -415,7 +421,7 @@ def test_shift_inverse_matches_explicit_lumped_solve(topology_ops, name, p):
     differ by 1e6 times the rounding unit; 1e-9 leaves a wide margin.
     """
     op = assemble_laplacian(topology_ops[name], p, lumped_down=True)
-    up, K, w = op.lumped
+    up, K, w = op.up, op.K, op.W.diagonal()
     S = up + K.T @ sp.diags(1.0 / w) @ K  # the explicit lumped stiffness, as the reference
     sigma = -1e-6 * _norm_estimate(op)
     ref = spla.splu(sp.csc_matrix(S - sigma * op.M))
@@ -441,9 +447,73 @@ def test_shift_inverse_without_down_term_is_the_plain_factor(solid_torus_ops, wh
         op = assemble_laplacian(ops, 0, lumped_down=True)
     else:
         S = (ops.d(1).T @ ops.mass(2) @ ops.d(1)).tocsr()
-        op = LaplaceOperator(1, ops, S, ops.mass(1), exact_nonzero=True)
-    assert op.lumped is None
+        op = LaplaceOperator(1, ops, S, ops.mass(1))
+    assert op.K is None
     sigma = -1e-6 * _norm_estimate(op)
     x = np.random.default_rng(8).standard_normal(op.n)
-    plain = _symmetric_factor(sp.csr_matrix(op.S) - sigma * op.M).solve(x)
+    plain = _symmetric_factor(op.up - sigma * op.M).solve(x)
     assert np.array_equal(_shift_inverse(op, sigma) @ x, plain)
+
+
+# -- two paths: the pencil route against the multiplied-out stiffness -----------------
+
+
+def _check_against_stiffness(dec, S, M):
+    """dec against eigh of the dense pencil (S, M): kernel, eigenvalues, residual, orthonormality."""
+    oracle = sla.eigh(S, M.toarray(), eigvals_only=True)
+    assert dec.kernel_dim == int(np.sum(np.abs(oracle) < KERNEL_THRESHOLD * oracle[-1]))
+    assert np.abs(dec.evals - oracle).max() <= 1e-12 * dec.max_eval
+    V = dec.vectors
+    MV = M @ V
+    assert np.linalg.norm(S @ V - MV * dec.evals[None, :], axis=0).max() <= 1e-8 * dec.max_eval
+    assert np.abs(V.T @ MV - np.eye(V.shape[1])).max() <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def oracle_ops():
+    return {name: DecOperators(canned_scenario(name, 1).carved)
+            for name in ("solid_torus", "wormhole_obstacle")}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize(
+    "name", ["solid_torus", pytest.param("wormhole_obstacle", marks=pytest.mark.slow)]
+)
+def test_exact_eig_matches_dense_oracle(oracle_ops, name, p):
+    """The pencil plus the kernel block against eigh of the dense exact S."""
+    ops = oracle_ops[name]
+    dec = eig(assemble_laplacian(ops, p))
+    assert dec.exact and dec.kernel_dim > 0
+    L = laplacian_reference.assemble_laplacian(ops, p)
+    _check_against_stiffness(dec, L.S, L.M)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_lumped_eig_matches_multiplied_out_stiffness(solid_torus_ops, p):
+    op = assemble_laplacian(solid_torus_ops, p, lumped_down=True)
+    dec = eig(op)
+    assert not dec.exact and dec.kernel_dim > 0
+    S = (op.up + op.K.T @ sp.diags(1.0 / op.W.diagonal()) @ op.K).toarray()
+    _check_against_stiffness(dec, 0.5 * (S + S.T), op.M)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_quadrature_matches_dense_resolvent_solves(qft_bundle, p):
+    """The augmented-factor nodes against the same nodes solved with the dense S.
+
+    Panels (4, 2) keep every graded panel, down to the smallest l, at two nodes each.
+    """
+    b = qft_bundle
+    dec = (b.dec1, b.dec2)[p - 1]
+    rng = np.random.default_rng(9)
+    X = dec.project_out_kernel(rng.standard_normal((b.ops.n(p), 3)))
+    bounds = (dec.evals[dec.kernel_dim], dec.evals[-1])
+    got = inverse_sqrt_quadrature(
+        (b.L1, b.L2)[p - 1], X, panels=(4, 2), kernel_basis=dec.kernel_basis(),
+        spectrum_bounds=bounds,
+    )
+    want = laplacian_reference.inverse_sqrt_quadrature(
+        laplacian_reference.assemble_laplacian(b.ops, p), X, (4, 2), bounds
+    )
+    err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+    assert err.max() <= 1e-10
