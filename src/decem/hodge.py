@@ -4,6 +4,10 @@ The capacity potential solves the discrete Dirichlet problem u = 1 on the
 obstacle boundary, u = 0 on the outer (truncation) boundary.  Its gradient,
 restricted to interior edges, is exactly closed and co-closed in the reduced
 complex, so du/sqrt(<du,du>) is the distinguished harmonic one-form.
+
+The Hodge-Kodaira split needs no complete eigensystem: the harmonic basis
+comes from a partial eigensolve (the lumped Delta_p has the exact kernel),
+and Delta^+ is applied by shifted sparse solves on the exact Delta_p.
 """
 
 from __future__ import annotations
@@ -15,7 +19,12 @@ import scipy.sparse.linalg as spla
 
 from .forms import DecOperators
 from .mesh import OBSTACLE, boundary_components
-from .spectral import SpectralDecomposition, harmonic_basis_with_distinguished
+from .spectral import (
+    SpectralDecomposition,
+    assemble_laplacian,
+    harmonic_basis_with_distinguished,
+    pseudo_inverse,
+)
 
 
 @dataclass
@@ -115,18 +124,28 @@ def harmonic_basis(
     ops: DecOperators,
     gap_floor: float = 1e3,
 ) -> HarmonicBasis:
-    """Extract ker Delta_p with the distinguished last vector when applicable."""
+    """Extract ker Delta_p with the distinguished last vector when applicable.
+
+    ``dec`` may be partial (``eig(op, k)``, lumped or not: both have the kernel
+    of the exact Delta_p), but then it must reach past the kernel.  For p = 1 on
+    a 3-complex with an obstacle the capacity is solved for here, once, and kept
+    on the basis.
+    """
+    kd, count = dec.kernel_dim, len(dec.evals)
+    if kd >= count and count < dec.vectors.shape[0]:
+        raise ValueError(
+            f"partial decomposition has no eigenvalue above its kernel: kernel_dim {kd} "
+            f"of count {count}; the kernel may be truncated"
+        )
     if dec.gap_ratio < gap_floor:
         raise ValueError(
             f"ambiguous kernel: spectral gap ratio {dec.gap_ratio:.2e} below {gap_floor:.0e}"
         )
     p = dec.p
     cplx = ops.complex
-    has_obstacle = OBSTACLE in cplx.boundary_markers
-    if p == 1 and cplx.dim == 3 and has_obstacle and dec.kernel_dim > 0:
+    if p == 1 and cplx.dim == 3 and OBSTACLE in cplx.boundary_markers:
         cap, u, _psi = capacity_and_psiL(ops)
-        basis = harmonic_basis_with_distinguished(dec, ops, u)
-        hb = HarmonicBasis(p, basis, capacity=cap, distinguished=True)
+        hb = HarmonicBasis(p, harmonic_basis_with_distinguished(dec, ops, u), cap, True)
     else:
         hb = HarmonicBasis(p, dec.kernel_basis().copy())
     _check_harmonic(ops, hb)
@@ -194,21 +213,29 @@ def threshold_integral(dec: SpectralDecomposition, phi: np.ndarray, delta: float
 
 
 class HelmholtzSolver:
-    """Three-way Hodge-Kodaira split through the spectral pseudo-inverse of Delta_p.
+    """Three-way Hodge-Kodaira split from a harmonic basis and sparse solves on Delta_p.
 
-    phi1 = Delta^+ (phi - h) is ``dec.apply_function(1/m)`` with the kernel
-    excluded; the exact and coexact parts are d delta~ phi1 and delta~ d phi1.
+    h = H H^T M phi for the M-orthonormal basis H of ``hb``; phi1 = Delta^+ (phi - h)
+    is :func:`~decem.spectral.pseudo_inverse` on the exact Delta_p, shifted by the
+    ``max_eval`` of the eigensolve that gave ``hb``; the exact and coexact parts
+    are d delta~ phi1 and delta~ d phi1.  Their sum is Delta phi1 through the
+    codifferentials, not the refinement's S, so the recomposition checks
+    Delta Delta^+ = 1 - P_H.
     """
 
-    def __init__(self, dec: SpectralDecomposition, ops: DecOperators):
-        self.dec = dec
+    def __init__(self, ops: DecOperators, hb: HarmonicBasis, max_eval: float):
         self.ops = ops
+        self.hb = hb
+        self.pinv = pseudo_inverse(assemble_laplacian(ops, hb.p), hb.vectors, max_eval)
 
     def split(self, phi: np.ndarray) -> HelmholtzSplit:
-        ops, p = self.ops, self.dec.p
-        K = self.dec.kernel_basis()
-        harmonic = K @ (K.T @ (self.dec.M @ phi))
-        phi1 = self.dec.apply_function(lambda m: 1.0 / m, phi, "exclude")
+        ops, p, H = self.ops, self.hb.p, self.hb.vectors
+        M = ops.mass(p)
+        harmonic = H @ (H.T @ (M @ phi))
+        rest = phi - harmonic
+        # once more: one pass leaves a kernel part of rounding size in |harmonic|, which
+        # is not small against |rest| when phi is (nearly) harmonic
+        phi1 = self.pinv(rest - H @ (H.T @ (M @ rest)))
         d = ops.complex.dim
         exact = (
             ops.d(p - 1) @ ops.apply_codifferential(p, phi1) if p > 0 else np.zeros_like(phi)

@@ -83,7 +83,7 @@ def test_criterion_3_capacity():
 
 
 def test_criterion_4_structural_exactness(qft_bundle):
-    from decem.hodge import HelmholtzSolver
+    from decem.hodge import HelmholtzSolver, harmonic_basis
 
     b = qft_bundle
     d2 = abs((b.ops.d(1) @ b.ops.d(0))).max()
@@ -93,7 +93,7 @@ def test_criterion_4_structural_exactness(qft_bundle):
         lhs = b.ops.mass(p - 1).toarray() @ b.ops.codifferential(p)
         rhs = (b.ops.d(p - 1).T @ b.ops.mass(p)).toarray()
         adj = max(adj, np.abs(lhs - rhs).max() / np.abs(rhs).max())
-    solver = HelmholtzSolver(b.dec1, b.ops)
+    solver = HelmholtzSolver(b.ops, harmonic_basis(b.dec1, b.ops), b.dec1.max_eval)
     rng = np.random.default_rng(0)
     M = b.ops.mass(1)
     worst = 0.0

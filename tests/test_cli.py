@@ -181,6 +181,47 @@ def test_run_hodge_pipeline(runner, tmp_path):
     assert summary["result"]["harmonic_dim"] == 1
 
 
+@pytest.mark.parametrize("res_", [1, 2])
+def test_run_hodge_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, res_):
+    """The split needs the kernel and Delta^+ on a few vectors, not a complete eigensystem
+    (res 2 has n_1 = 2934)."""
+    import decem.cli as cli
+    import decem.spectral as spectral
+
+    real = spectral.eig
+
+    def sparse_only(op, count="all"):
+        if count == "all":
+            raise AssertionError(f"complete eigensolve of degree {op.p}, n = {op.n}")
+        return real(op, count)
+
+    monkeypatch.setattr(cli, "eig", sparse_only)
+    monkeypatch.setattr(spectral, "eig", sparse_only)  # eig(op, k) with k >= n - 1 recurses
+    res = runner.invoke(
+        main,
+        ["run", "hodge", "--geometry", "cube_obstacle", "--res", str(res_), "--output",
+         str(tmp_path)],
+    )
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["result"]["harmonic_dim"] == 1
+
+
+def test_topology_truncated_kernel_is_a_failed_row(runner, tmp_path, monkeypatch):
+    """A partial eig that cuts ker Delta_1 short fails harmonic_match, with no exception."""
+    import decem.cli as cli
+
+    real = cli.eig
+    monkeypatch.setattr(cli, "eig", lambda op, count: real(op, 2 if op.p == 1 else count))
+    res = runner.invoke(
+        main, ["run", "topology", "--geometry", "balls:3", "--output", str(tmp_path)]
+    )
+    assert res.exit_code == 1, res.output
+    rows = json.loads((tmp_path / "summary.json").read_text())["result"]["assertions"]
+    got = {r["name"]: (r["ok"], r["value"]) for r in rows if r["name"].startswith("harmonic")}
+    assert got == {"harmonic_match_p1": (False, 2), "harmonic_match_p2": (True, 0)}
+
+
 def test_missing_mesh_path_config_error(runner, tmp_path):
     import yaml
 

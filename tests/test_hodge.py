@@ -12,6 +12,7 @@ from decem.hodge import (
 )
 from decem.mesh import carve_obstacle
 from decem.spectral import assemble_laplacian, eig
+from hodge_reference import dense_split
 
 
 def _shell_ops(r_in, r_out, n_core=2, n_layers=4):
@@ -99,7 +100,7 @@ def test_helmholtz_random_orthogonality(qft_bundle):
     b = qft_bundle
     rng = np.random.default_rng(0)
     M = b.ops.mass(1)
-    solver = HelmholtzSolver(b.dec1, b.ops)
+    solver = HelmholtzSolver(b.ops, harmonic_basis(b.dec1, b.ops), b.dec1.max_eval)
     for _ in range(5):
         phi = rng.standard_normal(b.ops.n(1))
         hs = solver.split(phi)
@@ -113,7 +114,7 @@ def test_helmholtz_random_orthogonality(qft_bundle):
 def test_helmholtz_harmonic_input(qft_bundle):
     b = qft_bundle
     psi = b.dec1.kernel_basis()[:, 0]
-    hs = HelmholtzSolver(b.dec1, b.ops).split(psi)
+    hs = HelmholtzSolver(b.ops, harmonic_basis(b.dec1, b.ops), b.dec1.max_eval).split(psi)
     assert b.ops.norm(1, hs.harmonic - psi) <= 1e-10
     assert b.ops.norm(1, hs.exact) <= 1e-10
     assert b.ops.norm(1, hs.coexact) <= 1e-10
@@ -123,7 +124,7 @@ def test_helmholtz_closed_input(qft_bundle):
     b = qft_bundle
     rng = np.random.default_rng(1)
     phi = b.ops.d(0) @ rng.standard_normal(b.ops.n(0))
-    hs = HelmholtzSolver(b.dec1, b.ops).split(phi)
+    hs = HelmholtzSolver(b.ops, harmonic_basis(b.dec1, b.ops), b.dec1.max_eval).split(phi)
     assert b.ops.norm(1, hs.coexact) <= 1e-10 * b.ops.norm(1, phi)
     assert b.ops.norm(1, hs.harmonic) <= 1e-10 * b.ops.norm(1, phi)
 
@@ -132,7 +133,7 @@ def test_helmholtz_coclosed_input(qft_bundle):
     b = qft_bundle
     rng = np.random.default_rng(2)
     phi = b.ops.apply_codifferential(2, rng.standard_normal(b.ops.n(2)))
-    hs = HelmholtzSolver(b.dec1, b.ops).split(phi)
+    hs = HelmholtzSolver(b.ops, harmonic_basis(b.dec1, b.ops), b.dec1.max_eval).split(phi)
     assert b.ops.norm(1, hs.exact) <= 1e-10 * b.ops.norm(1, phi)
 
 
@@ -140,7 +141,7 @@ def test_helmholtz_idempotent(qft_bundle):
     b = qft_bundle
     rng = np.random.default_rng(3)
     phi = rng.standard_normal(b.ops.n(1))
-    solver = HelmholtzSolver(b.dec1, b.ops)
+    solver = HelmholtzSolver(b.ops, harmonic_basis(b.dec1, b.ops), b.dec1.max_eval)
     hs = solver.split(phi)
     again = solver.split(hs.exact)
     assert b.ops.norm(1, again.exact - hs.exact) <= 1e-9 * max(b.ops.norm(1, hs.exact), 1.0)
@@ -151,9 +152,43 @@ def test_helmholtz_matches_p0(qft_bundle):
     b = qft_bundle
     rng = np.random.default_rng(4)
     phi = rng.standard_normal(b.ops.n(1))
-    hs = HelmholtzSolver(b.dec1, b.ops).split(phi)
+    hs = HelmholtzSolver(b.ops, harmonic_basis(b.dec1, b.ops), b.dec1.max_eval).split(phi)
     p0_phi = phi - b.dec1.project_out_kernel(phi)
     assert np.linalg.norm(p0_phi - hs.harmonic) <= 1e-10 * np.linalg.norm(phi)
+
+
+@pytest.mark.parametrize("case", ["qft_bundle", "hopf_link"])
+def test_sparse_split_matches_dense_oracle(case, request):
+    """Two paths to the split: the kernel from the lumped partial eig and Delta^+ by
+    shifted sparse solves (as ``run hodge``), against the complete exact decomposition's
+    kernel and spectral synthesis."""
+    if case == "qft_bundle":
+        b = request.getfixturevalue("qft_bundle")
+        ops, dec = b.ops, b.dec1
+    else:
+        ops = DecOperators(canned_scenario("hopf_link", 1).carved)
+        dec = eig(assemble_laplacian(ops, 1))
+    part = eig(assemble_laplacian(ops, 1, lumped_down=True), count=min(10, ops.n(1) - 2))
+    solver = HelmholtzSolver(ops, harmonic_basis(part, ops), part.max_eval)
+    assert solver.hb.L == dec.kernel_dim > 0
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        phi = rng.standard_normal(ops.n(1))
+        got, want = solver.split(phi), dense_split(dec, ops, phi)
+        for name in ("harmonic", "exact", "coexact"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert ops.norm(1, a - b) <= 1e-10 * ops.norm(1, b), name
+
+
+@pytest.mark.parametrize("name, p, count", [("hopf_link", 2, 1), ("balls:3", 1, 2)])
+def test_harmonic_basis_rejects_truncated_kernel(name, p, count):
+    """A partial eig whose every eigenvalue is in the kernel may have cut the kernel
+    short (dim H^2 = 2 on hopf_link, dim H^1 = 3 on balls:3): its gap ratio is inf."""
+    ops = DecOperators(canned_scenario(name, 1).carved)
+    dec = eig(assemble_laplacian(ops, p, lumped_down=True), count=count)
+    assert dec.kernel_dim == count and dec.gap_ratio == np.inf
+    with pytest.raises(ValueError, match=f"kernel_dim {count} of count {count}"):
+        harmonic_basis(dec, ops)
 
 
 def test_sector_split_wormhole(wormhole_bundle):

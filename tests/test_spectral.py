@@ -19,6 +19,7 @@ from decem.spectral import (
     assemble_laplacian,
     eig,
     inverse_sqrt_quadrature,
+    pseudo_inverse,
 )
 
 import laplacian_reference
@@ -378,6 +379,46 @@ def test_quadrature_kernel_component_reports_value(qft_bundle):
     rel = np.linalg.norm(K.T @ (M @ x)) / np.sqrt(x @ (M @ x))
     with pytest.raises(ValueError, match=re.escape(f"relative {rel:.2e} > 1.00e-08")):
         inverse_sqrt_quadrature(b.L1, x, kernel_basis=K, spectrum_bounds=(1.0, 2.0))
+
+
+def test_pseudo_inverse_matches_spectral_synthesis(qft_bundle):
+    """Two paths to Delta^+ on a block: shifted refinement against 1/m on the complete system."""
+    b, dec = qft_bundle, qft_bundle.dec1
+    X = np.random.default_rng(8).standard_normal((b.L1.n, 4))
+    X = np.column_stack([dec.project_out_kernel(x) for x in X.T])
+    Y = pseudo_inverse(b.L1, dec.kernel_basis(), dec.max_eval)(X)
+    for x, y in zip(X.T, Y.T):
+        want = dec.apply_function(lambda m: 1.0 / m, x, "exclude")
+        assert b.ops.norm(1, y - want) <= 1e-10 * b.ops.norm(1, want)
+
+
+def test_pseudo_inverse_rejects_kernel_component_and_lumped_operator(qft_bundle):
+    b = qft_bundle
+    K = b.dec1.kernel_basis()
+    x = K[:, 0] + 1e-3 * b.dec1.vectors[:, -1]
+    M = b.L1.M
+    rel = np.linalg.norm(K.T @ (M @ x)) / np.sqrt(x @ (M @ x))
+    pinv = pseudo_inverse(b.L1, K, b.dec1.max_eval)
+    with pytest.raises(ValueError, match=re.escape(f"relative {rel:.2e} > 1.00e-08")):
+        pinv(x)
+    with pytest.raises(ValueError, match="needs an exact down-term"):
+        pseudo_inverse(assemble_laplacian(b.ops, 1, lumped_down=True), K, b.dec1.max_eval)
+
+
+def test_pseudo_inverse_iteration_cap_reports_values(qft_bundle, monkeypatch):
+    import decem.spectral as spectral
+
+    b, dec = qft_bundle, qft_bundle.dec1
+    x = dec.project_out_kernel(np.random.default_rng(9).standard_normal(b.L1.n))
+    Mx = b.L1.M @ x
+    one_step = _shift_inverse(b.L1, -1e-6 * dec.max_eval) @ Mx
+    want = np.linalg.norm(Mx - b.L1.S @ one_step) / np.linalg.norm(Mx)
+    monkeypatch.setattr(spectral, "PINV_MAX_ITER", 1)
+    pinv = pseudo_inverse(b.L1, dec.kernel_basis(), dec.max_eval)
+    with pytest.raises(AssertionError, match=r"residual \S+ > 1\.00e-13 after 1 iterations") as exc:
+        pinv(x)
+    got = float(re.search(r"residual (\S+) >", str(exc.value))[1])
+    assert got == pytest.approx(want, rel=1e-2) and got > 1e-13
 
 
 def test_distinguished_basis_failures_report_values(qft_bundle, wormhole_bundle, monkeypatch):
