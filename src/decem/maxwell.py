@@ -1,18 +1,21 @@
 """Classical Maxwell evolution in media by spectral calculus.
 
 The fields solve second-order wave equations whose Duhamel terms are
-evaluated per eigenmode with oscillatory-safe quadrature; constraints then
+evaluated per frequency with oscillatory-safe quadrature; constraints then
 hold to quadrature precision because every algebraic identity used in the
 continuum derivation (d^2 = 0, adjointness, commutation with the Laplacian)
 is exact for the discrete operators.
 
-Only the degree-1 eigensystem is needed, and its frequencies are
-``dec.lam``.  The magnetic field is closed, so it is exact plus harmonic; d
-intertwines the Laplacians, f(Delta_2) d_1 = d_1 f(Delta_1), so its exact part
-is carried in the coefficient space of Delta_1 as d_1 V_1 c, applied as two
-products (V_1 c, then d_1); no n_2 x n_1 matrix d_1 V_1 is stored.  Its
-harmonic part is static, and it is checked to be co-closed before the
-evolution starts.
+Every field is a sum of functions of Delta_1 applied to a few cochains:
+cos(t lam), t sinc(t lam), -lam sin(t lam) and the sinc/cos time moments of the
+sources, lam = sqrt(Delta_1).  ``calc.functions(x, fs)`` evaluates them and
+``calc.pseudo_inverse`` applies Delta_1^+; a complete exact
+``SpectralDecomposition`` and the ``LanczosCalculus`` (one Krylov basis per start
+vector, no eigensystem) both implement this call shape.  The magnetic field is
+closed, so it is exact plus harmonic; d intertwines the Laplacians,
+f(Delta_2) d_1 = d_1 f(Delta_1), so its exact part is d_1 c with c = Delta_1^+
+delta~ B a 1-form evolved like E.  Its harmonic part is static, and it is
+checked to be co-closed before the evolution starts.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forms import DecOperators
-from .spectral import SpectralDecomposition
 from .timeprofiles import TimeProfile
 
 CONSTRAINT_TOL = 1e-8  # relative bound on the initial constraints and co-closedness
@@ -90,27 +92,37 @@ class CurrentSource:
         )
 
 
-def homogeneous(lam: np.ndarray, c0: np.ndarray, c1: np.ndarray, t: float):
-    """Coefficient evolution (value, derivative) for x'' = -lam^2 x."""
-    lt = lam * t
-    cos = np.cos(lt)
-    tsinc = t * np.sinc(lt / np.pi)
-    return cos * c0 + tsinc * c1, -lam * np.sin(lt) * c0 + cos * c1
+def _at(times, f):
+    """f(lam, t) as one function of the frequencies per time."""
+    return [lambda lam, t=t: f(lam, t) for t in times]
 
 
-def duhamel(lam: np.ndarray, terms, t: float):
-    """(value, derivative) coefficients of int_0^t sinc((t-s)L)(t-s) f(s) ds."""
-    val, dva = np.zeros(len(lam)), np.zeros(len(lam))
+def wave(calc, x0: np.ndarray, x1: np.ndarray, terms, times) -> tuple[np.ndarray, np.ndarray]:
+    """u(t) and u'(t) at each time, as (len(times), n) arrays, for u'' + Delta u = sum g c.
+
+    u(0) = x0, u'(0) = x1 and ``terms`` holds the forcing pairs (g, c).  u(t) =
+    cos(t lam) x0 + t sinc(t lam) x1 + int_0^t sinc((t-s) lam)(t-s) g(s) ds c, with lam
+    = sqrt(Delta).  Each start vector is one ``calc.functions`` call with every
+    function of every time.
+    """
+    k = len(times)
+    cos = _at(times, lambda lam, t: np.cos(lam * t))
+    F0 = calc.functions(x0, cos + _at(times, lambda lam, t: -lam * np.sin(lam * t)))
+    F1 = calc.functions(x1, _at(times, lambda lam, t: t * np.sinc(lam * t / np.pi)) + cos)
+    val, der = F0[:k] + F1[:k], F0[k:] + F1[k:]
     for g, c in terms:
-        if t <= g.support[0] or t == 0.0:
-            continue
-        val += g.sinc_moment(lam, t, (0.0, t)) * c
-        dva += g.cos_moment(lam, t, (0.0, t)) * c
-    return val, dva
+        F = calc.functions(
+            c,
+            _at(times, lambda lam, t: g.sinc_moment(lam, t, (0.0, t)))
+            + _at(times, lambda lam, t: g.cos_moment(lam, t, (0.0, t))),
+        )
+        val += F[:k]
+        der += F[k:]
+    return val, der
 
 
 def evolve(
-    dec1: SpectralDecomposition,
+    calc,
     ops: DecOperators,
     state0: MaxwellState,
     source: CurrentSource | None,
@@ -118,26 +130,17 @@ def evolve(
 ) -> list[MaxwellState]:
     """Propagate Cauchy data (E0, B0) through the twisted Maxwell system.
 
-    ``dec1`` is the complete eigensystem (V_1, Lambda) of Delta_1.  E is
-    propagated in its coefficients, and so is B(t) = B_h + d_1 V_1 c(t): an
-    exact 2-form b is carried by c = Lambda^+ V_1^T d_1^T M_2 b, for which
-    d_1 V_1 c = d_1 Delta_1^+ delta~ b is b's exact part whatever basis V_1
-    picks inside a degenerate eigenspace.  The harmonic part B_h = B0 - d_1 V_1
-    c(0) is static and must be co-closed, ||delta~ B_h|| <= CONSTRAINT_TOL *
-    max(||B0||, 1); otherwise a ValueError names the measured value.
+    ``calc`` is the functional calculus of Delta_1: a complete exact
+    :class:`~decem.spectral.SpectralDecomposition` or a
+    :class:`~decem.spectral.LanczosCalculus`.  E solves the wave equation on
+    1-forms.  B(t) = B_h + d_1 c(t): an exact 2-form b is carried by the 1-form
+    c = Delta_1^+ delta~ b, for which d_1 c is b's exact part, and c solves the same
+    wave equation.  The harmonic part B_h = B0 - d_1 c(0) is static and must be
+    co-closed, ||delta~ B_h|| <= CONSTRAINT_TOL * max(||B0||, 1); otherwise a
+    ValueError names the measured value.
     """
-    lam, V = dec1.lam, dec1.vectors
-    kd = dec1.kernel_dim
-    inv = np.zeros(len(lam))
-    inv[kd:] = 1.0 / dec1.evals[kd:]
-    d1, M2 = ops.d(1), ops.mass(2)
-
-    def b_coeffs(b):
-        return inv * (V.T @ (d1.T @ (M2 @ b)))
-
-    def b_synth(c):
-        return d1 @ (V @ c)
-
+    times = [float(t) for t in t_targets]
+    d1 = ops.d(1)
     source = source or CurrentSource()
     E0, B0 = state0.E, state0.B
     rho0 = source.rho_at(0.0, ops.n(0))
@@ -156,9 +159,11 @@ def evolve(
     Edot0 = ops.apply_codifferential(2, B0) - source.j_at(0.0, ops.n(1))
     Bdot0 = -(d1 @ E0)
 
-    cE0, cE1 = dec1.coefficients(E0), dec1.coefficients(Edot0)
-    cB0, cB1 = b_coeffs(B0), b_coeffs(Bdot0)
-    B_h = B0 - b_synth(cB0)
+    def exact_potential(b):
+        return calc.pseudo_inverse(ops.apply_codifferential(2, b))
+
+    c0, c1 = exact_potential(B0), exact_potential(Bdot0)
+    B_h = B0 - d1 @ c0
     coclosed = ops.norm(1, ops.apply_codifferential(2, B_h))
     if coclosed > tolB:
         raise ValueError(
@@ -166,26 +171,15 @@ def evolve(
         )
 
     # forcing terms: alpha = -d rho_hat - dj_hat/dt ; beta = d j_hat
-    alpha_terms = [(g.derivative().scaled(-1.0), dec1.coefficients(c)) for g, c in source.j_terms]
-    alpha_terms += [(g, dec1.coefficients(-(ops.d(0) @ c))) for g, c in source.rho_terms]
-    beta_terms = [(g, b_coeffs(d1 @ c)) for g, c in source.j_terms]
-
-    out = []
-    for t in t_targets:
-        ev, ed = homogeneous(lam, cE0, cE1, t)
-        qv, qd = duhamel(lam, alpha_terms, t)
-        bv, bd = homogeneous(lam, cB0, cB1, t)
-        rv, rd = duhamel(lam, beta_terms, t)
-        out.append(
-            MaxwellState(
-                t=float(t),
-                E=V @ (ev + qv),
-                B=B_h + b_synth(bv + rv),
-                Edot=V @ (ed + qd),
-                Bdot=b_synth(bd + rd),
-            )
-        )
-    return out
+    alpha_terms = [(g.derivative().scaled(-1.0), c) for g, c in source.j_terms]
+    alpha_terms += [(g, -(ops.d(0) @ c)) for g, c in source.rho_terms]
+    beta_terms = [(g, exact_potential(d1 @ c)) for g, c in source.j_terms]
+    E, Edot = wave(calc, E0, Edot0, alpha_terms, times)
+    C, Cdot = wave(calc, c0, c1, beta_terms, times)
+    return [
+        MaxwellState(t=t, E=E[i], B=B_h + d1 @ C[i], Edot=Edot[i], Bdot=d1 @ Cdot[i])
+        for i, t in enumerate(times)
+    ]
 
 
 def constraint_residuals(
@@ -230,17 +224,20 @@ class PotentialTrajectory:
 
 
 def potential_evolve(
-    dec0: SpectralDecomposition,
-    dec1: SpectralDecomposition,
+    calc0,
+    calc1,
     ops: DecOperators,
     A0: np.ndarray,
     Adot0: np.ndarray,
     source: CurrentSource | None,
     t_targets,
 ) -> list[PotentialTrajectory]:
-    """Evolve the vector potential with zero initial scalar part."""
-    lam0, lam1 = dec0.lam, dec1.lam
-    V0, V1 = dec0.vectors, dec1.vectors
+    """Evolve the vector potential with zero initial scalar part.
+
+    ``calc0`` and ``calc1`` are the functional calculi of Delta_0 and Delta_1 (see
+    :func:`evolve`).
+    """
+    times = [float(t) for t in t_targets]
     source = source or CurrentSource()
     div = ops.norm(0, ops.apply_codifferential(1, A0))
     tol = CONSTRAINT_TOL * max(ops.norm(1, A0), 1.0)
@@ -248,24 +245,13 @@ def potential_evolve(
         raise ValueError(
             f"initial potential A0 must be co-closed: |delta~ A0| {div:.2e} > {tol:.2e}"
         )
-    cA0, cA1 = dec1.coefficients(A0), dec1.coefficients(Adot0)
-    phi_terms = [(g, dec0.coefficients(-c)) for g, c in source.rho_terms]
-    a_terms = [(g, dec1.coefficients(c)) for g, c in source.j_terms]
-    out = []
-    for t in t_targets:
-        fv, fd = duhamel(lam0, phi_terms, t)
-        av, ad = homogeneous(lam1, cA0, cA1, t)
-        qv, qd = duhamel(lam1, a_terms, t)
-        out.append(
-            PotentialTrajectory(
-                phi=V0 @ fv,
-                A=V1 @ (av + qv),
-                phidot=V0 @ fd,
-                Adot=V1 @ (ad + qd),
-                t=float(t),
-            )
-        )
-    return out
+    zero0 = np.zeros(ops.n(0))
+    phi, phidot = wave(calc0, zero0, zero0, [(g, -c) for g, c in source.rho_terms], times)
+    A, Adot = wave(calc1, A0, Adot0, source.j_terms, times)
+    return [
+        PotentialTrajectory(phi=phi[i], A=A[i], phidot=phidot[i], Adot=Adot[i], t=t)
+        for i, t in enumerate(times)
+    ]
 
 
 def leapfrog_oracle(

@@ -21,10 +21,15 @@ from .spectral import ProjectorQ, SpectralDecomposition
 from .timeprofiles import Impulse, TimeProfile
 
 
+# per spacetime degree p: the part alpha ^ dt (alpha a spatial (p-1)-cochain) and the
+# spatial part beta (a p-cochain); a 0-form has no dt part
+PARTS = {0: (None, "spatial"), 1: ("dt", "spatial"), 2: ("e", "b"), 3: ("dt", "spatial")}
+
+
 @dataclass(frozen=True)
 class FormTerm:
     profile: TimeProfile | Impulse
-    part: str  # degree 1: 'dt' | 'spatial'; degree 2: 'e' | 'b'
+    part: str  # one of PARTS[degree]
     cochain: np.ndarray
 
 
@@ -95,40 +100,49 @@ class FieldCalculus:
     # -- spacetime calculus on test forms -----------------------------------------
 
     def codifferential_form(self, f: TestForm) -> TestForm:
-        """delta~ (alpha ^ dt + beta) = (delta~ alpha) dt - alpha' + delta~ beta."""
-        if f.degree != 2:
-            raise ValueError("codifferential_form expects a degree-2 form")
+        """delta (alpha ^ dt + beta) = (delta~ alpha) ^ dt + (-1)^(p-1) alpha' + delta~ beta.
+
+        For degree p = 1..3, alpha a spatial (p-1)-cochain and beta a p-cochain; the
+        adjoint of :meth:`d_form` under the spacetime pairing int (-<alpha, gamma> +
+        <beta, eta>) dt of compactly supported forms alpha ^ dt + beta, gamma ^ dt + eta:
+        integrating <d g, f> by parts in time gives the sign on alpha'.
+        """
+        p = f.degree
+        if not 1 <= p <= 3:
+            raise ValueError(f"codifferential_form expects degree 1..3, got {f.degree}")
+        (dt_in, sp_in), (dt_out, sp_out) = PARTS[p], PARTS[p - 1]
         ops = self.ops
         terms: list[FormTerm] = []
         for t in f.terms:
-            if t.part == "e":
-                terms.append(
-                    FormTerm(t.profile, "dt", ops.apply_codifferential(1, t.cochain))
-                )
-                terms.append(FormTerm(t.profile.derivative(), "spatial", -t.cochain))
-            elif t.part == "b":
-                terms.append(
-                    FormTerm(t.profile, "spatial", ops.apply_codifferential(2, t.cochain))
-                )
+            if t.part == dt_in:
+                if p > 1:
+                    terms.append(
+                        FormTerm(t.profile, dt_out, ops.apply_codifferential(p - 1, t.cochain))
+                    )
+                terms.append(FormTerm(t.profile.derivative(), sp_out, (-1) ** (p - 1) * t.cochain))
+            elif t.part == sp_in:
+                terms.append(FormTerm(t.profile, sp_out, ops.apply_codifferential(p, t.cochain)))
             else:
-                raise ValueError(f"bad degree-2 part {t.part!r}")
-        return TestForm(1, terms)
+                raise ValueError(f"bad degree-{p} part {t.part!r}")
+        return TestForm(p - 1, terms)
 
     def d_form(self, h: TestForm) -> TestForm:
-        """d (u dt + a) = (d u - a') ^ dt + d a."""
-        if h.degree != 1:
-            raise ValueError("d_form expects a degree-1 form")
+        """d (alpha ^ dt + beta) = (d alpha + (-1)^p beta') ^ dt + d beta, degree p = 0..2."""
+        p = h.degree
+        if not 0 <= p <= 2:
+            raise ValueError(f"d_form expects degree 0..2, got {h.degree}")
+        (dt_in, sp_in), (dt_out, sp_out) = PARTS[p], PARTS[p + 1]
         ops = self.ops
         terms: list[FormTerm] = []
         for t in h.terms:
-            if t.part == "dt":
-                terms.append(FormTerm(t.profile, "e", ops.d(0) @ t.cochain))
-            elif t.part == "spatial":
-                terms.append(FormTerm(t.profile.derivative(), "e", -t.cochain))
-                terms.append(FormTerm(t.profile, "b", ops.d(1) @ t.cochain))
+            if t.part == dt_in:
+                terms.append(FormTerm(t.profile, dt_out, ops.d(p - 1) @ t.cochain))
+            elif t.part == sp_in:
+                terms.append(FormTerm(t.profile.derivative(), dt_out, (-1) ** p * t.cochain))
+                terms.append(FormTerm(t.profile, sp_out, ops.d(p) @ t.cochain))
             else:
-                raise ValueError(f"bad degree-1 part {t.part!r}")
-        return TestForm(2, terms)
+                raise ValueError(f"bad degree-{p} part {t.part!r}")
+        return TestForm(p + 1, terms)
 
     def box_form(self, f: TestForm) -> TestForm:
         """(d delta~ + delta~ d) on a degree-1 test form, acting as g'' c + g (Delta c)."""

@@ -3,15 +3,21 @@
 Delta_p has one form (:class:`LaplaceOperator`): a sparse up-term, the mass M
 and a factored down-term K^T W^-1 K.  ``eig(op, "all")`` is a dense ``eigh`` of
 the pencil (up, M), the only dense form of Delta_p, completed on its kernel by
-:func:`kernel_block`.  ``eig(op, k)`` is ARPACK shift-invert, run on the lumped
-operator for kernel and low-mode queries; its nonzero eigenvalues are detuned,
-so it never feeds operator functions, but its kernel is exactly ker Delta_p.
-``SpectralDecomposition.lam`` is the one source of frequencies: exactly 0 on the
-kernel, only on a complete exact system.  Without a spectrum, Delta^+ is
-:func:`pseudo_inverse` (iterative refinement on one shifted factor) and
-Delta^(-1/2) is :func:`inverse_sqrt_quadrature`.  Every sparse shift-invert,
-refinement and quadrature node factors the quasi-definite
-[[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`), never S - sigma M.
+:func:`kernel_block`.  ``eig(op, k)`` is ARPACK shift-invert for the k lowest
+pairs of whichever operator it is given.  On the lumped operator (topology,
+hodge) the nonzero eigenvalues are detuned but the kernel is exactly
+ker Delta_p; on the exact one (maxwell) the lowest nonzero eigenvalue is
+lambda_min itself.  A partial decomposition never feeds operator functions.
+``SpectralDecomposition.lam`` is the one source of frequencies of a complete
+exact system: exactly 0 on the kernel.  Without a spectrum, Delta^+ is
+:func:`pseudo_inverse` (iterative refinement on one shifted factor),
+Delta^(-1/2) is :func:`inverse_sqrt_quadrature`, and entire functions f(Delta) x
+come from :class:`LanczosCalculus` (one Krylov basis per start vector serves
+every f, with an a-posteriori stopping rule).  It shares its call shape,
+``functions(x, fs)`` and ``pseudo_inverse(x)``, with ``SpectralDecomposition``.
+Every sparse shift-invert, refinement and quadrature node factors the
+quasi-definite [[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`), never
+S - sigma M.
 """
 
 from __future__ import annotations
@@ -149,6 +155,16 @@ class SpectralDecomposition:
         if not np.all(np.isfinite(vals)):
             raise ValueError("operator function produced non-finite values")
         return self.vectors @ (vals * self.coefficients(x))
+
+    def functions(self, x: np.ndarray, fs) -> np.ndarray:
+        """Rows f(Delta) x, one per f in ``fs``; each f maps an array of frequencies
+        ``lam`` to values.  The call shape :class:`LanczosCalculus` also implements."""
+        lam, c = self.lam, self.coefficients(x)
+        return (np.array([f(lam) for f in fs]) * c) @ self.vectors.T
+
+    def pseudo_inverse(self, x: np.ndarray) -> np.ndarray:
+        """Delta^+ x: the kernel dropped, 1/lambda^2 on the rest."""
+        return self.apply_function(lambda m: 1.0 / m, x, "exclude")
 
     def project_out_kernel(self, x: np.ndarray) -> np.ndarray:
         K = self.kernel_basis()
@@ -314,6 +330,87 @@ def pseudo_inverse(op: LaplaceOperator, kernel_basis: np.ndarray, max_eval: floa
     return apply
 
 
+# f(Delta) x by Lanczos stops when, between two checks LANCZOS_CHECK steps apart, no
+# function's Krylov coefficients move by more than LANCZOS_TOL relative to their norm.
+# The basis is M-orthonormal, so that is the relative change of f(Delta) x in the
+# M-norm.  1e-13 is five decades under maxwell's 1e-8 gates and 2.5-5 times the
+# rounding floor where the change stops falling: 2-4e-14 for cos(t sqrt(Delta_1)) at
+# t = 10 / lambda_min on balls:1 at res 1 and 2 (reached after 120 and 200 steps).
+# That floor grows like t sqrt(lambda_max).
+LANCZOS_TOL = 1e-13
+LANCZOS_CHECK = 10
+# The steps grow like t sqrt(lambda_max) as well, about 0.7 t sqrt(lambda_max) for the
+# cos term.  The cap bounds the basis Q and M Q (2 x 600 x n_1 doubles, 135 MB at
+# n_1 = 14036) and reports a run that would need more.
+LANCZOS_MAX_STEPS = 600
+
+
+class LanczosCalculus:
+    """f(Delta_p) x by Lanczos in the M-inner product on the exact Delta_p.
+
+    ``functions(x, fs)`` builds one M-orthonormal Krylov basis Q of M^-1 S from x
+    (S from the operator's sparse parts, M^-1 by one :func:`_symmetric_factor`, full
+    reorthogonalisation) and returns every f(Delta) x = |x|_M Q f(T) e_1 from it, T the
+    tridiagonal Q^T S Q.  Each f must be entire in lambda^2 (cos(t lam), t sinc(t lam),
+    lam sin(t lam) and their time moments), so the kernel needs no deflation.
+    ``pseudo_inverse`` is :func:`pseudo_inverse` on ``kernel_basis`` and ``max_eval``.
+    Together they are the call shape :class:`SpectralDecomposition` also implements.
+    """
+
+    def __init__(self, op: LaplaceOperator, kernel_basis: np.ndarray, max_eval: float):
+        if op.lumped:
+            raise ValueError("the Lanczos calculus needs an exact down-term, not a lumped one")
+        self.op = op
+        self.pseudo_inverse = pseudo_inverse(op, kernel_basis, max_eval)
+        self._solve_M = _symmetric_factor(op.M).solve
+
+    def functions(self, x: np.ndarray, fs) -> np.ndarray:
+        op, n = self.op, self.op.n
+        x = np.asarray(x, dtype=float)
+        Mx = op.M @ x
+        nrm = np.sqrt(x @ Mx)
+        if nrm == 0.0:
+            return np.zeros((len(fs), n))
+        cap = min(LANCZOS_MAX_STEPS, n)
+        Q, MQ = np.empty((cap, n)), np.empty((cap, n))  # basis vectors are rows
+        Q[0], MQ[0] = x / nrm, Mx / nrm
+        alpha, beta = np.zeros(cap), np.zeros(cap)  # beta[j] couples steps j - 1 and j
+        prev, change = None, np.inf
+        norm = lambda A: np.linalg.norm(A, axis=1)
+        for j in range(cap):
+            m = j + 1
+            w = self._solve_M(op.S @ Q[j])
+            alpha[j] = MQ[j] @ w
+            w -= alpha[j] * Q[j] + (beta[j] * Q[j - 1] if j else 0.0)
+            w -= (MQ[:m] @ w) @ Q[:m]
+            Mw = op.M @ w
+            b = np.sqrt(max(w @ Mw, 0.0))
+            done = m == n or b == 0.0  # the Krylov space is invariant
+            if done or m % LANCZOS_CHECK == 0 or m == cap:
+                Y = self._coefficients(alpha[:m], beta[1:m], nrm, fs)
+                if prev is not None:
+                    D = Y.copy()
+                    D[:, : prev.shape[1]] -= prev
+                    change = (norm(D) / np.maximum(norm(Y), 1e-300)).max()
+                if done or change <= LANCZOS_TOL:
+                    _check_orthonormal(Q[:m].T, MQ[:m].T, "Lanczos basis")
+                    return Y @ Q[:m]
+                prev = Y
+            if m < cap:
+                Q[m], MQ[m], beta[m] = w / b, Mw / b, b
+        raise AssertionError(
+            f"Lanczos f(Delta) x did not converge: coefficient change {change:.2e} > "
+            f"{LANCZOS_TOL:.2e} after {cap} steps"
+        )
+
+    @staticmethod
+    def _coefficients(alpha, off, nrm, fs) -> np.ndarray:
+        """Rows |x|_M f(T) e_1 for T = tridiag(off, alpha, off)."""
+        theta, U = sla.eigh_tridiagonal(alpha, off)
+        lam = np.sqrt(np.maximum(theta, 0.0))
+        return nrm * (np.array([f(lam) for f in fs]) * U[0]) @ U.T
+
+
 def _norm_estimate(op: LaplaceOperator) -> float:
     """Upper bound on the largest generalized eigenvalue (a few Lanczos steps)."""
     Minv = spla.LinearOperator(op.M.shape, matvec=_symmetric_factor(op.M).solve, dtype=float)
@@ -340,17 +437,28 @@ def _norm_estimate(op: LaplaceOperator) -> float:
         return bound
 
 
+def _sample(k: int) -> np.ndarray:
+    """At most 12 column indices spread over 0..k-1."""
+    return np.unique(np.linspace(0, k - 1, min(k, 12)).astype(int))
+
+
+def _check_orthonormal(V: np.ndarray, MV: np.ndarray, what: str) -> None:
+    """Raise unless V^T M V = 1 on sampled columns, to 1e-10 per column (``MV`` is M V)."""
+    idx = _sample(V.shape[1])
+    G = V[:, idx].T @ MV[:, idx]
+    orth, orth_tol = np.linalg.norm(G - np.eye(len(idx))), 1e-10 * max(1.0, len(idx))
+    if orth > orth_tol:
+        raise AssertionError(f"{what} not M-orthonormal: {orth:.2e} > {orth_tol:.2e}")
+
+
 def _check_residuals(op: LaplaceOperator, dec: SpectralDecomposition) -> None:
     if dec.vectors.shape[1] == 0:
         return
-    m = min(dec.vectors.shape[1], 12)
-    idx = np.unique(np.linspace(0, dec.vectors.shape[1] - 1, m).astype(int))
+    idx = _sample(dec.vectors.shape[1])
     V = dec.vectors[:, idx]
-    G = V.T @ (op.M @ V)
-    orth, orth_tol = np.linalg.norm(G - np.eye(len(idx))), 1e-10 * max(1.0, len(idx))
-    if orth > orth_tol:
-        raise AssertionError(f"eigenvectors not M-orthonormal: {orth:.2e} > {orth_tol:.2e}")
-    R = op.S @ V - (op.M @ V) * dec.evals[idx][None, :]
+    MV = op.M @ V
+    _check_orthonormal(V, MV, "eigenvectors")
+    R = op.S @ V - MV * dec.evals[idx][None, :]
     res, res_tol = np.linalg.norm(R, axis=0).max(), 1e-8 * max(dec.max_eval, 1e-300)
     if res > res_tol:
         raise AssertionError(f"eigenpair residual {res:.2e} > {res_tol:.2e}")

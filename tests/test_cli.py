@@ -207,6 +207,32 @@ def test_run_hodge_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, res_)
     assert summary["result"]["harmonic_dim"] == 1
 
 
+@pytest.mark.parametrize("geometry, res_", [("balls:1", 1), ("cube_obstacle", 2)])
+def test_run_maxwell_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, geometry, res_):
+    """The evolution applies functions of Delta_1 to four cochains by Lanczos; lambda_min
+    and the kernel come from a partial eig (cube_obstacle res 2 has n_1 = 2934)."""
+    import decem.cli as cli
+    import decem.spectral as spectral
+
+    real = spectral.eig
+
+    def sparse_only(op, count="all"):
+        if count == "all":
+            raise AssertionError(f"complete eigensolve of degree {op.p}, n = {op.n}")
+        return real(op, count)
+
+    monkeypatch.setattr(cli, "eig", sparse_only)
+    monkeypatch.setattr(spectral, "eig", sparse_only)  # eig(op, k) with k >= n - 1 recurses
+    res = runner.invoke(
+        main,
+        ["run", "maxwell", "--geometry", geometry, "--res", str(res_), "--output",
+         str(tmp_path)],
+    )
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["passed"] and len(summary["result"]["series"]) == 7
+
+
 def test_topology_truncated_kernel_is_a_failed_row(runner, tmp_path, monkeypatch):
     """A partial eig that cuts ker Delta_1 short fails harmonic_match, with no exception."""
     import decem.cli as cli
@@ -352,6 +378,10 @@ def test_run_stress_cube_obstacle_summary_pinned():
         ("stress", {"params": {"lam_min": 0}}, "/params/lam_min: must be positive and finite"),
         ("hodge", {"params": {"capacity_expected": 0}},
          "/params/capacity_expected: must be positive and finite"),
+        ("maxwell", {"params": {"residual_tol": float("inf")}},
+         "/params/residual_tol: tolerance must be positive and finite"),
+        ("qft", {"params": {"identity_tol": True}},
+         "/params/identity_tol: tolerance must be a number"),
     ],
 )
 def test_bad_run_config_exits_2_naming_key(runner, tmp_path, pipeline, patch, where):

@@ -355,6 +355,39 @@ def test_B_two_path_with_harmonic_part_on_solid_torus():
     _assert_states_agree(ops, got, reference_evolve(dec1, ops, s0, None, times))
 
 
+@pytest.mark.parametrize("sourced", [False, True])
+def test_lanczos_evolution_matches_dense(qft_bundle, sourced):
+    """The Lanczos calculus against the dense eigensystem, to t = 10 / lambda_min.
+
+    Bound from the dense path's own error: eigh is backward stable, so each lambda^2
+    is off by about eps lambda^2_max, a frequency lam by eps lambda^2_max / (2 lam) <=
+    eps lambda^2_max / (2 lambda_min), and every mode's phase at time t by t times that.
+    Ten times this, for the eigensolver's backward-error constant, plus the Lanczos
+    stopping tolerance bounds the gap.  E0 has a harmonic part, which the Lanczos
+    basis carries without deflation.
+    """
+    from decem.spectral import LANCZOS_TOL, LanczosCalculus
+
+    b, dec = qft_bundle, qft_bundle.dec1
+    s0 = _random_constrained(b, seed=21)
+    s0.E = s0.E + 0.5 * dec.kernel_basis()[:, 0]
+    src = CurrentSource()
+    if sourced:
+        src = CurrentSource.consistent(
+            b.ops, TimeProfile.bump(0.1, 0.9), _source_edge_cochain(b)
+        )
+    lam_min = float(np.sqrt(dec.evals[dec.kernel_dim]))
+    times = np.linspace(0.0, 10.0 / lam_min, 6)
+    calc = LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval)
+    eps = np.finfo(float).eps
+    for s, r in zip(evolve(calc, b.ops, s0, src, times), evolve(dec, b.ops, s0, src, times),
+                    strict=True):
+        tol = 10 * s.t * eps * dec.evals[-1] / (2 * lam_min) + LANCZOS_TOL
+        for name, p in (("E", 1), ("Edot", 1), ("B", 2), ("Bdot", 2)):
+            gap = b.ops.norm(p, getattr(s, name) - getattr(r, name))
+            assert gap <= tol * b.ops.norm(p, getattr(r, name)), (name, s.t, gap)
+
+
 @pytest.fixture(scope="module")
 def lumped_dec1(qft_bundle):
     return eig(assemble_laplacian(qft_bundle.ops, 1, lumped_down=True), count=6)

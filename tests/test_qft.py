@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decem.qft import FieldCalculus, FormTerm, TestForm
+from decem.qft import PARTS, FieldCalculus, FormTerm, TestForm
 from decem.timeprofiles import Impulse, TimeProfile
 
 
@@ -49,7 +49,7 @@ def test_zero_form_zero_data(qft_bundle):
 
 def test_propagate_matches_evolution_oracle(qft_bundle):
     """Data of Gf for f supported in t in [2,3]: backward-evolve the retarded wave."""
-    from decem.maxwell import homogeneous
+    from decem.maxwell import wave
 
     b = qft_bundle
     rng = np.random.default_rng(1)
@@ -64,10 +64,10 @@ def test_propagate_matches_evolution_oracle(qft_bundle):
     val = g.sinc_moment(lam, t_star, (2.0, 3.0)) * chat
     dva = g.cos_moment(lam, t_star, (2.0, 3.0)) * chat
     # backward homogeneous evolution to t = 0
-    v0, d0 = homogeneous(lam, val, dva, -t_star)
     V = b.dec1.vectors
-    assert np.linalg.norm(V @ v0 - data.A) <= 1e-9 * max(np.linalg.norm(data.A), 1.0)
-    assert np.linalg.norm(V @ d0 - data.Adot) <= 1e-9 * max(np.linalg.norm(data.Adot), 1.0)
+    (v0,), (d0,) = wave(b.dec1, V @ val, V @ dva, [], [-t_star])
+    assert np.linalg.norm(v0 - data.A) <= 1e-9 * max(np.linalg.norm(data.A), 1.0)
+    assert np.linalg.norm(d0 - data.Adot) <= 1e-9 * max(np.linalg.norm(data.Adot), 1.0)
 
 
 def test_pairing_G_antisymmetric(qft_bundle):
@@ -248,6 +248,48 @@ def test_omega2F_real_part_of_dh(qft_bundle):
     assert abs(val.real) <= 1e-8 * max(abs(val), 1.0)
 
 
+def _rand_form(b, degree, seed):
+    """A spacetime form with a random bump profile and cochain on each part."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for part, p in zip(PARTS[degree], (degree - 1, degree)):
+        if part is not None:
+            g = TimeProfile.bump(-0.6 + 0.3 * rng.random(), 0.4 + 0.3 * rng.random())
+            terms.append(FormTerm(g, part, rng.standard_normal(b.ops.n(p))))
+    return TestForm(degree, terms)
+
+
+def _spacetime_pairing(ops, f, h):
+    """int (-<alpha, gamma> + <beta, eta>) dt for f = alpha ^ dt + beta, h = gamma ^ dt + eta.
+
+    Gauss-Legendre between the profiles' support ends, where the bumps and their
+    derivatives are polynomials of degree <= 8: 24 nodes integrate each product exactly.
+    """
+    dt_part, p = PARTS[f.degree][0], f.degree
+    ends = sorted({e for t in f.terms + h.terms for e in t.profile.support})
+    xs, ws = np.polynomial.legendre.leggauss(24)
+    total = 0.0
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        s, w = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xs, 0.5 * (hi - lo) * ws
+        for t1 in f.terms:
+            for t2 in h.terms:
+                if t1.part == t2.part:
+                    sign, q = (-1.0, p - 1) if t1.part == dt_part else (1.0, p)
+                    time = w @ (t1.profile(s) * t2.profile(s))
+                    total += sign * time * ops.inner(q, t1.cochain, t2.cochain)
+    return total
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_codifferential_form_is_adjoint_of_d_form(qft_bundle, degree):
+    """<d h, f> = <h, delta f> under the spacetime pairing, for h of degree p - 1."""
+    b = qft_bundle
+    h, f = _rand_form(b, degree - 1, 70 + degree), _rand_form(b, degree, 80 + degree)
+    lhs = _spacetime_pairing(b.ops, b.fc.d_form(h), f)
+    rhs = _spacetime_pairing(b.ops, h, b.fc.codifferential_form(f))
+    assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
+
+
 def test_omega2F_coexact_argument_vanishes(qft_bundle):
     """omega2F(delta~ h, f) = 0 for 3-form h since delta~^2 = 0."""
     b = qft_bundle
@@ -255,16 +297,8 @@ def test_omega2F_coexact_argument_vanishes(qft_bundle):
     alpha = rng.standard_normal(b.ops.n(2))
     beta = rng.standard_normal(b.ops.n(3))
     g = TimeProfile.bump(-0.3, 0.5)
-    # delta~(alpha ^ dt + beta) = (delta~ alpha) ^ dt + alpha' + delta~ beta: the
-    # time term alternates in sign with degree (-alpha' on 2-forms), as in d_form
-    dh = TestForm(
-        2,
-        [
-            FormTerm(g, "e", b.ops.apply_codifferential(2, alpha)),
-            FormTerm(g.derivative(), "b", alpha),
-            FormTerm(g, "b", b.ops.apply_codifferential(3, beta)),
-        ],
-    )
+    h = TestForm(3, [FormTerm(g, "dt", alpha), FormTerm(g, "spatial", beta)])
+    dh = b.fc.codifferential_form(h)
     # the premise: delta~ dh = 0, checked pointwise in time on each degree-1 part
     ddh = b.fc.codifferential_form(dh)
     for t in (-0.2, 0.0, 0.1, 0.35):

@@ -421,6 +421,43 @@ def test_pseudo_inverse_iteration_cap_reports_values(qft_bundle, monkeypatch):
     assert got == pytest.approx(want, rel=1e-2) and got > 1e-13
 
 
+def _krylov_reference(op, x, f, m):
+    """f(Delta) x from an m-dimensional Krylov space, built apart from LanczosCalculus:
+    Gram-Schmidt twice against every earlier vector, and T = Q^T S Q formed in full."""
+    solve = spla.splu(sp.csc_matrix(op.M)).solve
+    nrm = np.sqrt(x @ (op.M @ x))
+    Q = [x / nrm]
+    while len(Q) < m:
+        w = solve(op.S @ Q[-1])
+        for _ in range(2):
+            for q in Q:
+                w = w - (q @ (op.M @ w)) * q
+        Q.append(w / np.sqrt(w @ (op.M @ w)))
+    Q = np.column_stack(Q)
+    theta, U = np.linalg.eigh(Q.T @ (op.S @ Q))
+    return nrm * Q @ (U @ (f(np.sqrt(np.maximum(theta, 0.0))) * U[0]))
+
+
+def test_lanczos_step_cap_reports_values(qft_bundle, monkeypatch):
+    """A run cut at the step cap reports its last coefficient change, the tolerance
+    and the step count; the change is that between the 10- and 20-step Krylov
+    approximations, in the M-norm relative to the latter."""
+    import decem.spectral as spectral
+
+    b, dec = qft_bundle, qft_bundle.dec1
+    t = 10.0 / np.sqrt(dec.evals[dec.kernel_dim])
+    f = lambda lam: np.cos(t * lam)
+    x = np.random.default_rng(20).standard_normal(b.L1.n)
+    y10, y20 = (_krylov_reference(b.L1, x, f, m) for m in (10, 20))
+    want = b.ops.norm(1, y20 - y10) / b.ops.norm(1, y20)
+    calc = spectral.LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 20)
+    with pytest.raises(AssertionError, match=r"change \S+ > 1\.00e-13 after 20 steps") as exc:
+        calc.functions(x, [f])
+    got = float(re.search(r"change (\S+) >", str(exc.value))[1])
+    assert got == pytest.approx(want, rel=1e-2) and got > 1e-13
+
+
 def test_distinguished_basis_failures_report_values(qft_bundle, wormhole_bundle, monkeypatch):
     from decem.hodge import capacity_and_psiL
     from decem.spectral import harmonic_basis_with_distinguished
