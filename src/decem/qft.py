@@ -5,9 +5,17 @@ Degree-1 forms split into a dt-part (0-cochain) and a spatial part
 (1-cochain); degree-2 forms into an electric part (1-cochain wedged with dt)
 and a magnetic part (2-cochain).  The commutator propagator maps a test form
 to Cauchy data at t = 0, and everything downstream (the Krein map, the
-pairings, the two-point function) is built from those data with the spectral
-quarter powers of the Hodge Laplacians.  The frequencies are each
-decomposition's ``dec.lam``; nothing here re-derives them.
+pairings, the two-point function) is built from those data with the quarter
+powers of the Hodge Laplacians.
+
+Every function of Delta_p goes through one calculus per degree,
+``calc.functions(x, fs)`` with f a function of the frequencies lam =
+sqrt(Delta_p): a complete exact ``SpectralDecomposition`` or a
+``LanczosCalculus``, which deflates the kernel and so needs each f only finite at
+0.  A test-form term g x c contributes the time moments of g applied to c, and
+the Krein map composes the quarter powers with them, lam^(1/2) times the sinc
+moment and lam^(-1/2) times the cos moment, so the term's cochain c is the only
+start vector.  Both powers are 0 at lam = 0: Delta^(-1/4) drops the kernel.
 """
 
 from __future__ import annotations
@@ -17,8 +25,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import DecOperators
-from .spectral import ProjectorQ, SpectralDecomposition
+from .spectral import ProjectorQ
 from .timeprofiles import Impulse, TimeProfile
+
+
+def _power(s: float):
+    """lam -> lam^s for lam > 0, and 0 at lam = 0 (on the kernel)."""
+
+    def f(lam: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(lam)
+        pos = lam > 0
+        out[pos] = lam[pos] ** s
+        return out
+
+    return f
+
+
+_QUARTER, _MINUS_QUARTER = _power(0.5), _power(-0.5)  # Delta^(1/4), Delta^(-1/4)
 
 
 # per spacetime degree p: the part alpha ^ dt (alpha a spatial (p-1)-cochain) and the
@@ -84,17 +107,12 @@ class ZeroModeExpectation:
 
 
 class FieldCalculus:
-    """Bundles the decompositions and projector policy of one geometry side."""
+    """Bundles the functional calculi of Delta_0 and Delta_1 (see the module docstring)
+    and the projector policy of one geometry side."""
 
-    def __init__(
-        self,
-        ops: DecOperators,
-        dec0: SpectralDecomposition,
-        dec1: SpectralDecomposition,
-        Q: ProjectorQ | None = None,
-    ):
+    def __init__(self, ops: DecOperators, calc0, calc1, Q: ProjectorQ | None = None):
         self.ops = ops
-        self.dec = {0: dec0, 1: dec1}
+        self.calc = {0: calc0, 1: calc1}
         self.Q = Q
 
     # -- spacetime calculus on test forms -----------------------------------------
@@ -168,35 +186,28 @@ class FieldCalculus:
 
     # -- the commutator propagator --------------------------------------------------
 
-    def _term_moments(self, term: FormTerm, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(sinc-side, cos-side) scalar factors of the t=0 Cauchy data."""
+    @staticmethod
+    def _moments(term: FormTerm) -> tuple:
+        """(sinc-side, cos-side) functions of lam: the term's value and velocity at t = 0."""
         g = term.profile
         if isinstance(g, TimeProfile):
-            return g.sinc_moment(lam, 0.0), g.cos_moment(lam, 0.0)
-        t0, k = g.t0, g.order
-        lt = lam * t0
-        if k == 0:
-            sv = -t0 * np.sinc(lt / np.pi)
-            cv = np.cos(lt)
-        elif k == 1:
-            sv = np.cos(lt)
-            cv = lam * np.sin(lt)
-        else:
-            raise ValueError("impulse order beyond 1 not supported")
-        return sv, cv
+            return (lambda lam: g.sinc_moment(lam, 0.0)), (lambda lam: g.cos_moment(lam, 0.0))
+        t0 = g.t0
+        if g.order == 0:
+            return (lambda lam: -t0 * np.sinc(lam * t0 / np.pi)), (lambda lam: np.cos(lam * t0))
+        if g.order == 1:
+            return (lambda lam: np.cos(lam * t0)), (lambda lam: lam * np.sin(lam * t0))
+        raise ValueError("impulse order beyond 1 not supported")
 
     def propagate_G(self, f: TestForm) -> CauchyData:
         """Cauchy data at t = 0 of the retarded-minus-advanced solution Gf."""
         if f.degree != 1:
             raise ValueError("propagate_G expects a degree-1 form")
-        # (value, velocity) per degree: (phi, phidot) and (A, Adot)
-        data = {p: (np.zeros(self.ops.n(p)), np.zeros(self.ops.n(p))) for p in (0, 1)}
+        # rows (value, velocity) per degree: (phi, phidot) and (A, Adot)
+        data = {p: np.zeros((2, self.ops.n(p))) for p in (0, 1)}
         for t in f.terms:
             p = 0 if t.part == "dt" else 1
-            dec = self.dec[p]
-            coef = dec.coefficients(t.cochain)
-            for acc, moment in zip(data[p], self._term_moments(t, dec.lam)):
-                acc += dec.vectors @ (moment * coef)
+            data[p] += self.calc[p].functions(t.cochain, self._moments(t))
         (phi, phidot), (A, Adot) = data[0], data[1]
         return CauchyData(phi, A, phidot, Adot)
 
@@ -227,11 +238,10 @@ class FieldCalculus:
     def _q0_apply(self, x: np.ndarray) -> np.ndarray:
         if self.Q is not None:
             return self.Q.apply_q0(x)
-        dec = self.dec[1]
-        K = dec.kernel_basis()
+        K = self.calc[1].kernel_basis()
         if K.shape[1] == 0:
             return np.zeros_like(x)
-        return K @ (K.T @ (dec.M @ x))
+        return K @ (K.T @ (self.ops.mass(1) @ x))
 
     def _q_apply(self, x: np.ndarray) -> np.ndarray:
         return x - self._q0_apply(x)
@@ -239,30 +249,56 @@ class FieldCalculus:
     # -- the Krein map ------------------------------------------------------------------
 
     def kappa(self, f: TestForm) -> KreinVector:
-        return self.kappa_data(self.propagate_G(f))
+        """The Krein vector of Gf, composed per term of f (see :meth:`_krein`)."""
+        if f.degree != 1:
+            raise ValueError("kappa expects a degree-1 form")
+        return self._krein([(0 if t.part == "dt" else 1, t.cochain, *self._moments(t))
+                            for t in f.terms])
 
     def kappa_data(self, data: CauchyData) -> KreinVector:
-        dec0, dec1 = self.dec[0], self.dec[1]
-        quarter = lambda m: m ** 0.25
-        mquarter = lambda m: m ** -0.25
-        s = dec0.apply_function(quarter, data.phi, "include") + 1j * dec0.apply_function(
-            mquarter, data.phidot, "exclude"
-        )
-        if dec0.kernel_dim:
+        """The Krein vector of given Cauchy data; each data vector is a start vector."""
+        one, zero = np.ones_like, np.zeros_like
+        return self._krein([(0, data.phi, one, zero), (0, data.phidot, zero, one),
+                            (1, data.A, one, zero), (1, data.Adot, zero, one)])
+
+    def _krein(self, terms) -> KreinVector:
+        """The Krein vector (Delta_0^(1/4) phi + i Delta_0^(-1/4) phidot,
+        Delta_1^(1/4) A + i Delta_1^(-1/4) Q Adot) of the Cauchy data summed over
+        ``terms`` (p, c, sv, cv): (value, velocity) = (sv(lam) c, cv(lam) c) in degree p.
+
+        Q Adot = Adot - Q_0 Adot.  Delta^(-1/4) drops the kernel, so of Q_0's columns
+        only the cutoff mode psi_eps, which is not harmonic, contributes: one more start
+        vector.
+        """
+        calc0, calc1 = self.calc[0], self.calc[1]
+        if calc0.kernel_basis().shape[1]:
             raise AssertionError("scalar Laplacian unexpectedly has zero modes")
-        qa = self._q_apply(data.Adot)
-        K = dec1.kernel_basis()
+        ops = self.ops
+        s, v = np.zeros(ops.n(0), complex), np.zeros(ops.n(1), complex)
+        Adot = np.zeros(ops.n(1))
+        for p, c, sv, cv in terms:
+            fs = [lambda lam, sv=sv: _QUARTER(lam) * sv(lam),
+                  lambda lam, cv=cv: _MINUS_QUARTER(lam) * cv(lam)]
+            if p == 0:
+                F = calc0.functions(c, fs)
+                s += F[0] + 1j * F[1]
+            else:
+                F = calc1.functions(c, fs + [cv])
+                v += F[0] + 1j * F[1]
+                Adot += F[2]
+        qa = self._q_apply(Adot)
+        K = calc1.kernel_basis()
         if K.shape[1]:
-            comp = np.linalg.norm(K.T @ (dec1.M @ qa))
+            comp = np.linalg.norm(K.T @ (ops.mass(1) @ qa))
             tol = 1e-8 * max(np.linalg.norm(qa), 1e-300)
             if comp > tol:
                 raise ValueError(
                     "Q-projected velocity keeps a kernel component; wrong projector policy: "
                     f"|K^T M Q Adot| {comp:.2e} > {tol:.2e}"
                 )
-        v = dec1.apply_function(quarter, data.A, "include") + 1j * dec1.apply_function(
-            mquarter, qa, "exclude"
-        )
+        if self.Q is not None:
+            r = self.Q.psi_basis[:, -1] @ (ops.mass(1) @ Adot)  # psi_eps's coefficient in Q_0
+            v -= 1j * r * calc1.functions(self.Q.psi_eps, [_MINUS_QUARTER])[0]
         return KreinVector(scalar=s, vector=v)
 
     def krein_product(self, k1: KreinVector, k2: KreinVector) -> complex:
@@ -330,7 +366,6 @@ class FieldCalculus:
         if self.Q is None:
             raise ValueError("zero-mode expectation needs the Q_eps projector")
         ops = self.ops
-        dec1 = self.dec[1]
         psi = self.Q.psi_basis
         L = psi.shape[1]
         M = ops.mass(1)
@@ -344,9 +379,7 @@ class FieldCalculus:
             if isinstance(t.profile, Impulse):
                 raise ValueError("zero-mode expectation needs smooth profiles")
             alpha_bar += t.profile.integral() * t.cochain
-            coef = dec1.coefficients(t.cochain)
-            cv = t.profile.cos_moment(dec1.lam, 0.0)
-            X += dec1.vectors @ (cv * coef)
+            X += self.calc[1].functions(t.cochain, self._moments(t)[1:])[0]
 
         w = (M @ psi).T @ alpha_bar
         psi_eps_readout = float(X @ (M @ self.Q.psi_eps))

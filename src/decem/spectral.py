@@ -6,18 +6,20 @@ the pencil (up, M), the only dense form of Delta_p, completed on its kernel by
 :func:`kernel_block`.  ``eig(op, k)`` is ARPACK shift-invert for the k lowest
 pairs of whichever operator it is given.  On the lumped operator (topology,
 hodge) the nonzero eigenvalues are detuned but the kernel is exactly
-ker Delta_p; on the exact one (maxwell) the lowest nonzero eigenvalue is
-lambda_min itself.  A partial decomposition never feeds operator functions.
-``SpectralDecomposition.lam`` is the one source of frequencies of a complete
-exact system: exactly 0 on the kernel.  Without a spectrum, Delta^+ is
-:func:`pseudo_inverse` (iterative refinement on one shifted factor),
-Delta^(-1/2) is :func:`inverse_sqrt_quadrature`, and entire functions f(Delta) x
-come from :class:`LanczosCalculus` (one Krylov basis per start vector serves
-every f, with an a-posteriori stopping rule).  It shares its call shape,
-``functions(x, fs)`` and ``pseudo_inverse(x)``, with ``SpectralDecomposition``.
-Every sparse shift-invert, refinement and quadrature node factors the
-quasi-definite [[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`), never
-S - sigma M.
+ker Delta_p; on the exact one (maxwell, qft) the lowest nonzero eigenvalue is
+lambda_min itself.  A partial decomposition never evaluates operator functions
+itself: it hands its kernel basis, ``max_eval`` and shifted factor to the
+calculi below.  ``SpectralDecomposition.lam`` is the one source of frequencies
+of a complete exact system: exactly 0 on the kernel.  Without a spectrum,
+Delta^+ is :func:`pseudo_inverse` (iterative refinement on one shifted factor),
+Delta^(-1/2) is :func:`inverse_sqrt_quadrature`, and f(Delta) x comes from
+:class:`LanczosCalculus`: the kernel part of x takes f(0), and one Krylov basis
+of the rest serves every f that is finite at 0, with an a-posteriori stopping
+rule.  It shares its call shape, ``functions(x, fs)`` and ``pseudo_inverse(x)``,
+with ``SpectralDecomposition``.  Every sparse shift-invert, refinement and
+quadrature node factors the quasi-definite [[up - sigma M, K^T], [K, -W]]
+(:func:`_shift_inverse`), never S - sigma M; M itself is factored once per
+operator (``LaplaceOperator.solve_M``).
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ class LaplaceOperator:
             return lambda y: (y.T / w).T
         return spla.splu(sp.csc_matrix(self.W)).solve
 
+    @cached_property
+    def solve_M(self):
+        """M^-1 by one :func:`_symmetric_factor`, shared by the norm estimate and Lanczos."""
+        return _symmetric_factor(self.M).solve
+
     @property
     def S(self) -> spla.LinearOperator:
         def apply(x):
@@ -107,6 +114,9 @@ class SpectralDecomposition:
     kernel_dim: int
     max_eval: float
     exact: bool  # complete and from an exact down-term: operator functions allowed
+    # (S - sigma M)^-1 at sigma = -1e-6 max_eval that a partial eig of an exact operator
+    # factored; pseudo_inverse at that max_eval reuses it
+    shift_inverse: spla.LinearOperator | None = None
 
     @property
     def gap_ratio(self) -> float:
@@ -158,9 +168,13 @@ class SpectralDecomposition:
 
     def functions(self, x: np.ndarray, fs) -> np.ndarray:
         """Rows f(Delta) x, one per f in ``fs``; each f maps an array of frequencies
-        ``lam`` to values.  The call shape :class:`LanczosCalculus` also implements."""
+        ``lam`` to values and must be finite at 0.  The call shape
+        :class:`LanczosCalculus` also implements."""
         lam, c = self.lam, self.coefficients(x)
-        return (np.array([f(lam) for f in fs]) * c) @ self.vectors.T
+        vals = np.array([f(lam) for f in fs])
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("operator function produced non-finite values")
+        return (vals * c) @ self.vectors.T
 
     def pseudo_inverse(self, x: np.ndarray) -> np.ndarray:
         """Delta^+ x: the kernel dropped, 1/lambda^2 on the rest."""
@@ -192,15 +206,16 @@ def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
             evals, vecs = evals[order], vecs[:, order]
         max_eval = float(evals[-1]) if n else 0.0
         exact = not op.lumped
+        shift_inv = None
     else:
         k = int(count)
         if k >= n - 1:
             return eig(op, "all")
         max_eval = _norm_estimate(op)
         sigma = -1e-6 * max_eval
+        shift_inv = _shift_inverse(op, sigma)
         evals, vecs = spla.eigsh(
-            op.S, k=k, M=op.M, sigma=sigma, which="LM", OPinv=_shift_inverse(op, sigma),
-            v0=_start_vector(op.n),
+            op.S, k=k, M=op.M, sigma=sigma, which="LM", OPinv=shift_inv, v0=_start_vector(op.n),
         )
         order = np.argsort(evals)
         evals, vecs = evals[order], vecs[:, order]
@@ -220,6 +235,7 @@ def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
         kernel_dim=kernel_dim,
         max_eval=max_eval,
         exact=exact,
+        shift_inverse=None if op.lumped else shift_inv,
     )
     _check_residuals(op, dec)
     return dec
@@ -291,20 +307,29 @@ PINV_RTOL = 1e-13
 PINV_MAX_ITER = 30
 
 
-def pseudo_inverse(op: LaplaceOperator, kernel_basis: np.ndarray, max_eval: float):
+def pseudo_inverse(
+    op: LaplaceOperator,
+    kernel_basis: np.ndarray,
+    max_eval: float,
+    shift_inverse: spla.LinearOperator | None = None,
+):
     """Delta^+ on kernel-free vectors or blocks, without a spectrum.
 
     Iterative refinement x <- x + (S - sigma M)^-1 (M b - S x) on one factor
     ``_shift_inverse(op, sigma)``, sigma = -1e-6 ``max_eval`` (the scale of the
-    eigensolve that gave ``kernel_basis``; the shift ``eig`` uses).  Needs an exact
-    down-term.  Returns apply(b); each call checks b against ``kernel_basis``
-    like :func:`inverse_sqrt_quadrature` and M-projects the result off it (each
+    eigensolve that gave ``kernel_basis``; the shift ``eig`` uses).  A partial
+    ``eig`` of ``op`` at that ``max_eval`` passes its factor as ``shift_inverse``;
+    without one it is factored here.  Needs an exact down-term.  Returns apply(b);
+    each call checks b against ``kernel_basis`` like :func:`inverse_sqrt_quadrature`
+    and M-projects the result off it (each
     solve scales the rounding-size kernel part of b by 1/|sigma|: about 1e-11
     relative on balls:1 and hopf_link without the projection).
     """
     if op.lumped:
         raise ValueError("Delta^+ needs an exact down-term, not a lumped one")
-    shift_inv = _shift_inverse(op, -1e-6 * max_eval)
+    shift_inv = shift_inverse
+    if shift_inv is None:
+        shift_inv = _shift_inverse(op, -1e-6 * max_eval)
 
     def apply(b: np.ndarray) -> np.ndarray:
         B = np.atleast_2d(np.asarray(b, dtype=float).T).T
@@ -340,80 +365,166 @@ def pseudo_inverse(op: LaplaceOperator, kernel_basis: np.ndarray, max_eval: floa
 LANCZOS_TOL = 1e-13
 LANCZOS_CHECK = 10
 # The steps grow like t sqrt(lambda_max) as well, about 0.7 t sqrt(lambda_max) for the
-# cos term.  The cap bounds the basis Q and M Q (2 x 600 x n_1 doubles, 135 MB at
-# n_1 = 14036) and reports a run that would need more.
+# cos term.  The cap bounds each basis Q (600 x n_1 doubles, 67 MB at n_1 = 14036)
+# and reports a run that would need more.
 LANCZOS_MAX_STEPS = 600
+
+
+@dataclass
+class _Krylov:
+    """Lanczos state of one start vector x: the M-orthonormal basis rows Q[:m] of the
+    Krylov space of M^-1 S from x - P_H x, and T = tridiag(beta, alpha, beta)."""
+
+    Q: np.ndarray  # (cap, n); Q[m] is the next row once computed
+    alpha: np.ndarray
+    beta: np.ndarray  # beta[j] couples rows j - 1 and j
+    nrm: float  # |x - P_H x|_M
+    harmonic: np.ndarray  # P_H x, the M-projection onto the kernel basis
+    m: int = 0
+    invariant: bool = False  # the space is invariant, so T is exact
 
 
 class LanczosCalculus:
     """f(Delta_p) x by Lanczos in the M-inner product on the exact Delta_p.
 
-    ``functions(x, fs)`` builds one M-orthonormal Krylov basis Q of M^-1 S from x
-    (S from the operator's sparse parts, M^-1 by one :func:`_symmetric_factor`, full
-    reorthogonalisation) and returns every f(Delta) x = |x|_M Q f(T) e_1 from it, T the
-    tridiagonal Q^T S Q.  Each f must be entire in lambda^2 (cos(t lam), t sinc(t lam),
-    lam sin(t lam) and their time moments), so the kernel needs no deflation.
-    ``pseudo_inverse`` is :func:`pseudo_inverse` on ``kernel_basis`` and ``max_eval``.
-    Together they are the call shape :class:`SpectralDecomposition` also implements.
+    ``functions(x, fs)`` deflates x: its M-projection P_H x onto ``kernel_basis``
+    takes the value f(0), and the rest starts one M-orthonormal Krylov basis Q of
+    M^-1 S (S from the operator's sparse parts, M^-1 by ``op.solve_M``),
+    reorthogonalised at every step against Q and the kernel basis.  Every
+    f(Delta) x = f(0) P_H x + |x - P_H x|_M Q f(T) e_1 comes from it, T the
+    tridiagonal Q^T S Q, whose Ritz values stay off 0.  So each f need only be finite
+    at 0 (lam^(+-1/2) times a time moment qualifies); one that is not raises
+    ``ValueError`` when there is a kernel.  With ``keep_bases`` each distinct start
+    cochain keeps its basis, and later calls extend it only as far as their
+    functions need.  ``pseudo_inverse`` is :func:`pseudo_inverse` on ``kernel_basis``
+    and ``max_eval``, built on first use with ``shift_inverse``, the factor a partial
+    ``eig`` of ``op`` made at that ``max_eval``, if passed.  Together ``functions``
+    and ``pseudo_inverse`` are the call shape :class:`SpectralDecomposition` also
+    implements.
     """
 
-    def __init__(self, op: LaplaceOperator, kernel_basis: np.ndarray, max_eval: float):
+    def __init__(
+        self,
+        op: LaplaceOperator,
+        kernel_basis: np.ndarray,
+        max_eval: float,
+        shift_inverse: spla.LinearOperator | None = None,
+        keep_bases: bool = False,
+    ):
         if op.lumped:
             raise ValueError("the Lanczos calculus needs an exact down-term, not a lumped one")
         self.op = op
-        self.pseudo_inverse = pseudo_inverse(op, kernel_basis, max_eval)
-        self._solve_M = _symmetric_factor(op.M).solve
+        self._kernel, self._max_eval, self._shift_inverse = kernel_basis, max_eval, shift_inverse
+        self._K = kernel_basis.T.copy()  # kernel rows
+        self._bases: dict[bytes, _Krylov] | None = {} if keep_bases else None
+        self.steps = 0  # Lanczos steps taken, over all start vectors
+
+    def kernel_basis(self) -> np.ndarray:
+        return self._kernel
+
+    @cached_property
+    def pseudo_inverse(self):
+        return pseudo_inverse(self.op, self._kernel, self._max_eval, self._shift_inverse)
 
     def functions(self, x: np.ndarray, fs) -> np.ndarray:
-        op, n = self.op, self.op.n
         x = np.asarray(x, dtype=float)
-        Mx = op.M @ x
-        nrm = np.sqrt(x @ Mx)
-        if nrm == 0.0:
-            return np.zeros((len(fs), n))
-        cap = min(LANCZOS_MAX_STEPS, n)
-        Q, MQ = np.empty((cap, n)), np.empty((cap, n))  # basis vectors are rows
-        Q[0], MQ[0] = x / nrm, Mx / nrm
-        alpha, beta = np.zeros(cap), np.zeros(cap)  # beta[j] couples steps j - 1 and j
-        prev, change = None, np.inf
+        kry = self._krylov(x)
+        out = np.zeros((len(fs), self.op.n))
+        if len(self._K):
+            f0 = np.array([f(np.zeros(1))[0] for f in fs])
+            if not np.all(np.isfinite(f0)):
+                raise ValueError(
+                    "operator function is not finite at 0, where the kernel needs its value"
+                )
+            out += np.outer(f0, kry.harmonic)
+        if kry.nrm == 0.0:
+            return out
+        cap = len(kry.Q)
         norm = lambda A: np.linalg.norm(A, axis=1)
-        for j in range(cap):
-            m = j + 1
-            w = self._solve_M(op.S @ Q[j])
-            alpha[j] = MQ[j] @ w
-            w -= alpha[j] * Q[j] + (beta[j] * Q[j - 1] if j else 0.0)
-            w -= (MQ[:m] @ w) @ Q[:m]
-            Mw = op.M @ w
-            b = np.sqrt(max(w @ Mw, 0.0))
-            done = m == n or b == 0.0  # the Krylov space is invariant
-            if done or m % LANCZOS_CHECK == 0 or m == cap:
-                Y = self._coefficients(alpha[:m], beta[1:m], nrm, fs)
+        last = max(kry.m - 1, 0) // LANCZOS_CHECK * LANCZOS_CHECK  # the check before kry.m
+        prev, change = (self._coefficients(kry, last, fs) if last else None), np.inf
+        while True:
+            m = kry.m
+            if m:
+                Y = self._coefficients(kry, m, fs)
                 if prev is not None:
                     D = Y.copy()
                     D[:, : prev.shape[1]] -= prev
                     change = (norm(D) / np.maximum(norm(Y), 1e-300)).max()
-                if done or change <= LANCZOS_TOL:
-                    _check_orthonormal(Q[:m].T, MQ[:m].T, "Lanczos basis")
-                    return Y @ Q[:m]
+                if kry.invariant or change <= LANCZOS_TOL:
+                    V = kry.Q[_sample(m)].T
+                    _check_orthonormal(V, self.op.M @ V, "Lanczos basis")
+                    return out + Y @ kry.Q[:m]
+                if m == cap:
+                    raise AssertionError(
+                        f"Lanczos f(Delta) x did not converge: coefficient change {change:.2e} "
+                        f"> {LANCZOS_TOL:.2e} after {cap} steps"
+                    )
                 prev = Y
-            if m < cap:
-                Q[m], MQ[m], beta[m] = w / b, Mw / b, b
-        raise AssertionError(
-            f"Lanczos f(Delta) x did not converge: coefficient change {change:.2e} > "
-            f"{LANCZOS_TOL:.2e} after {cap} steps"
-        )
+            while not kry.invariant and kry.m < cap:
+                self._step(kry)
+                if kry.m % LANCZOS_CHECK == 0:
+                    break
+
+    def _krylov(self, x: np.ndarray) -> _Krylov:
+        """The Lanczos state of start vector x: kept, or new with its first row."""
+        key = x.tobytes()
+        if self._bases is not None and key in self._bases:
+            return self._bases[key]
+        op = self.op
+        cap = min(LANCZOS_MAX_STEPS, op.n)
+        xp, harmonic = x, np.zeros(op.n)
+        for _ in range(2):  # twice, like each step: x may be harmonic up to rounding
+            h = (self._K @ (op.M @ xp)) @ self._K
+            xp, harmonic = xp - h, harmonic + h
+        nrm = np.sqrt(xp @ (op.M @ xp))
+        kry = _Krylov(np.empty((cap, op.n)), np.zeros(cap), np.zeros(cap), nrm, harmonic)
+        if nrm:
+            kry.Q[0] = xp / nrm
+        if self._bases is not None:
+            self._bases[key] = kry
+        return kry
+
+    def _step(self, kry: _Krylov) -> None:
+        """One Lanczos step: T grows by one row, and the next basis row is computed.
+
+        M Q is not stored (it would double the basis memory): each M-inner product with
+        the basis takes one product M w instead.
+        """
+        op, j = self.op, kry.m
+        Q = kry.Q
+        Sq = op.S @ Q[j]
+        w = op.solve_M(Sq)
+        kry.alpha[j] = Q[j] @ Sq
+        w -= kry.alpha[j] * Q[j] + (kry.beta[j] * Q[j - 1] if j else 0.0)
+        # Gram-Schmidt against Q and the kernel; a second pass where the first cancelled
+        # more than half of |w|_M^2, as it does when the space nears invariance
+        # (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976)
+        Mw = op.M @ w
+        for _ in range(2):
+            before = w @ Mw
+            w -= (Q[: j + 1] @ Mw) @ Q[: j + 1] + (self._K @ Mw) @ self._K
+            Mw = op.M @ w
+            if w @ Mw > 0.5 * before:
+                break
+        b = np.sqrt(max(w @ Mw, 0.0))
+        m = kry.m = j + 1
+        kry.invariant = m == op.n - len(self._K) or b == 0.0
+        if not kry.invariant and m < len(Q):
+            Q[m], kry.beta[m] = w / b, b
+        self.steps += 1
 
     @staticmethod
-    def _coefficients(alpha, off, nrm, fs) -> np.ndarray:
-        """Rows |x|_M f(T) e_1 for T = tridiag(off, alpha, off)."""
-        theta, U = sla.eigh_tridiagonal(alpha, off)
+    def _coefficients(kry: _Krylov, m: int, fs) -> np.ndarray:
+        """Rows |x - P_H x|_M f(T_m) e_1 for the leading m x m block T_m of T."""
+        theta, U = sla.eigh_tridiagonal(kry.alpha[:m], kry.beta[1:m])
         lam = np.sqrt(np.maximum(theta, 0.0))
-        return nrm * (np.array([f(lam) for f in fs]) * U[0]) @ U.T
+        return kry.nrm * (np.array([f(lam) for f in fs]) * U[0]) @ U.T
 
 
 def _norm_estimate(op: LaplaceOperator) -> float:
     """Upper bound on the largest generalized eigenvalue (a few Lanczos steps)."""
-    Minv = spla.LinearOperator(op.M.shape, matvec=_symmetric_factor(op.M).solve, dtype=float)
+    Minv = spla.LinearOperator(op.M.shape, matvec=op.solve_M, dtype=float)
     try:
         val = spla.eigsh(
             op.S, k=1, M=op.M, Minv=Minv, which="LM", return_eigenvectors=False, maxiter=200,

@@ -181,10 +181,8 @@ def test_run_hodge_pipeline(runner, tmp_path):
     assert summary["result"]["harmonic_dim"] == 1
 
 
-@pytest.mark.parametrize("res_", [1, 2])
-def test_run_hodge_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, res_):
-    """The split needs the kernel and Delta^+ on a few vectors, not a complete eigensystem
-    (res 2 has n_1 = 2934)."""
+def _forbid_complete_eig(monkeypatch):
+    """Make eig(op, "all") raise wherever the pipelines reach it."""
     import decem.cli as cli
     import decem.spectral as spectral
 
@@ -197,6 +195,13 @@ def test_run_hodge_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, res_)
 
     monkeypatch.setattr(cli, "eig", sparse_only)
     monkeypatch.setattr(spectral, "eig", sparse_only)  # eig(op, k) with k >= n - 1 recurses
+
+
+@pytest.mark.parametrize("res_", [1, 2])
+def test_run_hodge_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, res_):
+    """The split needs the kernel and Delta^+ on a few vectors, not a complete eigensystem
+    (res 2 has n_1 = 2934)."""
+    _forbid_complete_eig(monkeypatch)
     res = runner.invoke(
         main,
         ["run", "hodge", "--geometry", "cube_obstacle", "--res", str(res_), "--output",
@@ -211,18 +216,7 @@ def test_run_hodge_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, res_)
 def test_run_maxwell_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, geometry, res_):
     """The evolution applies functions of Delta_1 to four cochains by Lanczos; lambda_min
     and the kernel come from a partial eig (cube_obstacle res 2 has n_1 = 2934)."""
-    import decem.cli as cli
-    import decem.spectral as spectral
-
-    real = spectral.eig
-
-    def sparse_only(op, count="all"):
-        if count == "all":
-            raise AssertionError(f"complete eigensolve of degree {op.p}, n = {op.n}")
-        return real(op, count)
-
-    monkeypatch.setattr(cli, "eig", sparse_only)
-    monkeypatch.setattr(spectral, "eig", sparse_only)  # eig(op, k) with k >= n - 1 recurses
+    _forbid_complete_eig(monkeypatch)
     res = runner.invoke(
         main,
         ["run", "maxwell", "--geometry", geometry, "--res", str(res_), "--output",
@@ -231,6 +225,42 @@ def test_run_maxwell_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, geo
     assert res.exit_code == 0, res.output
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["passed"] and len(summary["result"]["series"]) == 7
+
+
+@pytest.mark.parametrize("geometry, res_", [("balls:1", 1), ("cube_obstacle", 2)])
+def test_run_qft_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, geometry, res_):
+    """The Krein map and the propagator moments are Lanczos functions of Delta_0 and
+    Delta_1 on each test-form cochain; the kernels and Q_eps's basis come from partial
+    eigs."""
+    _forbid_complete_eig(monkeypatch)
+    res = runner.invoke(
+        main,
+        ["run", "qft", "--geometry", geometry, "--res", str(res_), "--output", str(tmp_path)],
+    )
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["passed"] and len(summary["result"]["assertions"]) == 4
+
+
+@pytest.mark.parametrize("pipeline, factors", [("maxwell", 2), ("qft", 4)])
+def test_run_factors_each_matrix_once(runner, tmp_path, monkeypatch, pipeline, factors):
+    """One sparse factor per matrix: M_p (norm estimate and Lanczos) and the shifted
+    quasi-definite matrix (partial eig, and Delta^+ where maxwell needs it), for
+    Delta_1 in maxwell and Delta_0, Delta_1 in qft."""
+    import decem.spectral as spectral
+
+    real, shapes = spectral._symmetric_factor, []
+
+    def counting(A):
+        shapes.append(A.shape)
+        return real(A)
+
+    monkeypatch.setattr(spectral, "_symmetric_factor", counting)
+    res = runner.invoke(
+        main, ["run", pipeline, "--geometry", "balls:1", "--output", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(shapes) == factors, shapes
 
 
 def test_topology_truncated_kernel_is_a_failed_row(runner, tmp_path, monkeypatch):

@@ -364,7 +364,7 @@ def test_lanczos_evolution_matches_dense(qft_bundle, sourced):
     eps lambda^2_max / (2 lambda_min), and every mode's phase at time t by t times that.
     Ten times this, for the eigensolver's backward-error constant, plus the Lanczos
     stopping tolerance bounds the gap.  E0 has a harmonic part, which the Lanczos
-    basis carries without deflation.
+    calculus deflates and carries as f(0) P_H E0.
     """
     from decem.spectral import LANCZOS_TOL, LanczosCalculus
 

@@ -477,3 +477,105 @@ def test_kappa_kernel_leak_reports_value(qft_bundle):
     want = f"wrong projector policy: |K^T M Q Adot| {comp:.2e} > {tol:.2e}"
     with pytest.raises(ValueError, match=re.escape(want)):
         fc.kappa_data(data)
+
+
+@pytest.fixture(scope="module")
+def lanczos_fc(qft_bundle):
+    """The FieldCalculus ``run qft`` builds: Lanczos calculi on the exact Delta_0 and
+    Delta_1, with kernels and Q_eps's basis from partial eigs."""
+    from decem.spectral import LanczosCalculus, build_Q_eps, eig
+
+    b = qft_bundle
+    low0, low1 = eig(b.L0, count=10), eig(b.L1, count=10)
+    Q = build_Q_eps(low1, b.ops, b.u, eps=1.0, center=np.array([3.0, 3.0, 3.0]),
+                    r_plateau=2.0, r_zero=2.8)
+    calc0, calc1 = (LanczosCalculus(op, low.kernel_basis(), low.max_eval, keep_bases=True)
+                    for op, low in ((b.L0, low0), (b.L1, low1)))
+    return FieldCalculus(b.ops, calc0, calc1, Q=Q)
+
+
+def _two_path_tol(dec) -> float:
+    """Relative M-norm bound between the Lanczos and dense calculi, set before running:
+    eigh's backward error moves each lam^2 by about eps lambda^2_max, so lam^(+-1/2) by
+    a relative eps lambda^2_max / (4 lambda^2_min) and Delta^+-style factors by up to
+    eps kappa; Lanczos stops at a coefficient change of LANCZOS_TOL, and convergence at a
+    linear rate leaves a few times that.  Ten times the sum covers both constants."""
+    from decem.spectral import LANCZOS_TOL
+
+    kappa = dec.evals[-1] / dec.evals[dec.kernel_dim]
+    return 10 * (np.finfo(float).eps * kappa + LANCZOS_TOL)
+
+
+def _m_gap(ops, p, x, y) -> float:
+    """|x - y|_M / |y|_M for real or complex cochains."""
+    M = ops.mass(p)
+    diff = x - y
+    return np.sqrt(abs(np.vdot(diff, M @ diff)) / max(abs(np.vdot(y, M @ y)), 1e-300))
+
+
+def _two_path_forms(b):
+    """Degree-1 test forms with smooth profiles on every part and an impulse term."""
+    f1, f2 = (b.fc.codifferential_form(_rand_form2(b, s)) for s in (31, 32))
+    rng = np.random.default_rng(33)
+    f3 = _rand_form1(b, 34)
+    f3.terms.append(FormTerm(Impulse(0.2, 1), "spatial", rng.standard_normal(b.ops.n(1))))
+    f3.terms.append(FormTerm(Impulse(-0.1, 0), "dt", rng.standard_normal(b.ops.n(0))))
+    return f1, f2, f3
+
+
+def test_lanczos_propagate_and_kappa_match_dense(qft_bundle, lanczos_fc):
+    """Lanczos against the dense calculus: the Cauchy data of Gf and the Krein vector,
+    relative in the M-norm, per degree."""
+    b = qft_bundle
+    tol = max(_two_path_tol(b.dec0), _two_path_tol(b.dec1))
+    for f in _two_path_forms(b):
+        got, want = lanczos_fc.propagate_G(f), b.fc.propagate_G(f)
+        for name, p in (("phi", 0), ("phidot", 0), ("A", 1), ("Adot", 1)):
+            gap = _m_gap(b.ops, p, getattr(got, name), getattr(want, name))
+            assert gap <= tol, (name, gap, tol)
+        got, want = lanczos_fc.kappa(f), b.fc.kappa(f)
+        assert _m_gap(b.ops, 0, got.scalar, want.scalar) <= tol
+        assert _m_gap(b.ops, 1, got.vector, want.vector) <= tol
+
+
+def test_lanczos_pairings_match_dense(qft_bundle, lanczos_fc):
+    """omega2_F and GZ by Lanczos against dense.  Each value is a product of two
+    computed factors, so it may move by tol times the product of their norms (for GZ,
+    Q_0 = psi_eps <psi_L, .>_M adds |psi_eps|_M), twice to first order."""
+    b = qft_bundle
+    tol = max(_two_path_tol(b.dec0), _two_path_tol(b.dec1))
+    h1, h2 = _rand_form2(b, 41), _rand_form2(b, 42)
+    k1, k2 = (b.fc.kappa(b.fc.codifferential_form(h)) for h in (h1, h2))
+    knorm = lambda k: np.sqrt(b.ops.norm(0, k.scalar) ** 2 + b.ops.norm(1, k.vector) ** 2)
+    bound = 2 * tol * 0.5 * knorm(k1) * knorm(k2)
+    assert abs(lanczos_fc.omega2_F(h1, h2) - b.fc.omega2_F(h1, h2)) <= bound
+    f1, f2, f3 = _two_path_forms(b)
+    for g1, g2 in ((f1, f2), (f2, f3)):
+        d1, d2 = b.fc.propagate_G(g1), b.fc.propagate_G(g2)
+        n = lambda x: b.ops.norm(1, x)
+        scale = n(d1.Adot) * n(d2.A) + n(d2.Adot) * n(d1.A)
+        bound = 2 * tol * max(1.0, n(b.Q.psi_eps)) * scale
+        assert abs(lanczos_fc.GZ(g1, g2) - b.fc.GZ(g1, g2)) <= bound
+
+
+def test_lanczos_zero_mode_readout_matches_dense(wormhole_bundle):
+    """The psi_eps readout of zero_mode_expectation by Lanczos against dense on the
+    wormhole (two harmonic 1-forms): the cos-propagated smearing X moves by at most
+    tol |e|_M, since |cos moment| <= int g = 1, so the readout by tol |e|_M |psi_eps|_M."""
+    from decem.spectral import LanczosCalculus, assemble_laplacian, eig
+
+    w = wormhole_bundle
+    op = assemble_laplacian(w.ops, 1)
+    low = eig(op, count=10)
+    calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval, keep_bases=True)
+    fc = FieldCalculus(w.ops, None, calc, Q=w.Q)
+    zero = np.zeros(w.ops.n(1))
+    e = np.random.default_rng(51).standard_normal(w.ops.n(1))
+    f = TestForm(2, [FormTerm(TimeProfile.bump(-0.3, 0.4), "e", e)])
+    got = fc.zero_mode_expectation(zero, zero, 1.0, 1.0, f, w.q_basis, w.top_basis)
+    want = w.fc.zero_mode_expectation(zero, zero, 1.0, 1.0, f, w.q_basis, w.top_basis)
+    assert want.psi_eps_deviation > 1e-3  # a smearing off the kernel reads a real deviation
+    bound = _two_path_tol(w.dec1) * w.ops.norm(1, e) * w.ops.norm(1, w.Q.psi_eps)
+    assert abs(got.psi_eps_deviation - want.psi_eps_deviation) <= bound
+    assert (got.mean, got.variance, got.support_flag) == (want.mean, want.variance,
+                                                          want.support_flag)

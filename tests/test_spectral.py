@@ -458,6 +458,45 @@ def test_lanczos_step_cap_reports_values(qft_bundle, monkeypatch):
     assert got == pytest.approx(want, rel=1e-2) and got > 1e-13
 
 
+def test_function_infinite_at_zero_raises(qft_bundle):
+    """The kernel takes f(0), so with a kernel both calculi reject an f infinite there."""
+    import decem.spectral as spectral
+
+    b, dec = qft_bundle, qft_bundle.dec1
+    assert dec.kernel_dim > 0
+    x = np.random.default_rng(22).standard_normal(b.L1.n)
+    f = lambda lam: 1.0 / np.sqrt(lam)
+    calc = spectral.LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval)
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError, match="not finite at 0"):
+            calc.functions(x, [np.cos, f])
+        with pytest.raises(ValueError, match="non-finite values"):
+            dec.functions(x, [np.cos, f])
+
+
+def test_lanczos_reuses_a_converged_basis(qft_bundle):
+    """With ``keep_bases`` a second call on the same start cochain takes no new steps
+    and returns the same rows; a function that needs more steps extends the basis.
+    Without it every call starts again."""
+    import decem.spectral as spectral
+
+    b, dec = qft_bundle, qft_bundle.dec1
+    t = 10.0 / np.sqrt(dec.evals[dec.kernel_dim])
+    x = np.random.default_rng(23).standard_normal(b.L1.n)
+    short = [lambda lam: np.cos(0.1 * t * lam)]
+    calc = spectral.LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval, keep_bases=True)
+    y = calc.functions(x, short)
+    first = calc.steps
+    assert first > 0
+    assert np.array_equal(calc.functions(x.copy(), short), y) and calc.steps == first
+    calc.functions(x, [lambda lam: np.cos(t * lam)])
+    assert calc.steps > first
+    plain = spectral.LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval)
+    plain.functions(x, short)
+    plain.functions(x, short)
+    assert plain.steps == 2 * first
+
+
 def test_distinguished_basis_failures_report_values(qft_bundle, wormhole_bundle, monkeypatch):
     from decem.hodge import capacity_and_psiL
     from decem.spectral import harmonic_basis_with_distinguished
