@@ -415,7 +415,6 @@ class LanczosCalculus:
             raise ValueError("the Lanczos calculus needs an exact down-term, not a lumped one")
         self.op = op
         self._kernel, self._max_eval, self._shift_inverse = kernel_basis, max_eval, shift_inverse
-        self._K = kernel_basis.T.copy()  # kernel rows
         self._bases: dict[bytes, _Krylov] | None = {} if keep_bases else None
         self.steps = 0  # Lanczos steps taken, over all start vectors
 
@@ -430,7 +429,7 @@ class LanczosCalculus:
         x = np.asarray(x, dtype=float)
         kry = self._krylov(x)
         out = np.zeros((len(fs), self.op.n))
-        if len(self._K):
+        if self._kernel.shape[1]:
             f0 = np.array([f(np.zeros(1))[0] for f in fs])
             if not np.all(np.isfinite(f0)):
                 raise ValueError(
@@ -452,8 +451,7 @@ class LanczosCalculus:
                     D[:, : prev.shape[1]] -= prev
                     change = (norm(D) / np.maximum(norm(Y), 1e-300)).max()
                 if kry.invariant or change <= LANCZOS_TOL:
-                    V = kry.Q[_sample(m)].T
-                    _check_orthonormal(V, self.op.M @ V, "Lanczos basis")
+                    self._check_basis(kry.Q[_sample(m)].T)
                     return out + Y @ kry.Q[:m]
                 if m == cap:
                     raise AssertionError(
@@ -466,16 +464,27 @@ class LanczosCalculus:
                 if kry.m % LANCZOS_CHECK == 0:
                     break
 
+    def _check_basis(self, V: np.ndarray) -> None:
+        """Raise unless the sampled basis columns V are M-orthonormal and M-orthogonal
+        to the kernel basis, each to 1e-10 per column."""
+        MV = self.op.M @ V
+        _check_orthonormal(V, MV, "Lanczos basis")
+        leak, tol = np.linalg.norm(self._kernel.T @ MV), 1e-10 * max(1.0, V.shape[1])
+        if leak > tol:
+            raise AssertionError(
+                f"Lanczos basis not M-orthogonal to the kernel: {leak:.2e} > {tol:.2e}"
+            )
+
     def _krylov(self, x: np.ndarray) -> _Krylov:
         """The Lanczos state of start vector x: kept, or new with its first row."""
         key = x.tobytes()
         if self._bases is not None and key in self._bases:
             return self._bases[key]
-        op = self.op
+        op, K = self.op, self._kernel
         cap = min(LANCZOS_MAX_STEPS, op.n)
         xp, harmonic = x, np.zeros(op.n)
         for _ in range(2):  # twice, like each step: x may be harmonic up to rounding
-            h = (self._K @ (op.M @ xp)) @ self._K
+            h = K @ (K.T @ (op.M @ xp))
             xp, harmonic = xp - h, harmonic + h
         nrm = np.sqrt(xp @ (op.M @ xp))
         kry = _Krylov(np.empty((cap, op.n)), np.zeros(cap), np.zeros(cap), nrm, harmonic)
@@ -491,8 +500,7 @@ class LanczosCalculus:
         M Q is not stored (it would double the basis memory): each M-inner product with
         the basis takes one product M w instead.
         """
-        op, j = self.op, kry.m
-        Q = kry.Q
+        op, K, Q, j = self.op, self._kernel, kry.Q, kry.m
         Sq = op.S @ Q[j]
         w = op.solve_M(Sq)
         kry.alpha[j] = Q[j] @ Sq
@@ -503,13 +511,13 @@ class LanczosCalculus:
         Mw = op.M @ w
         for _ in range(2):
             before = w @ Mw
-            w -= (Q[: j + 1] @ Mw) @ Q[: j + 1] + (self._K @ Mw) @ self._K
+            w -= (Q[: j + 1] @ Mw) @ Q[: j + 1] + K @ (K.T @ Mw)
             Mw = op.M @ w
             if w @ Mw > 0.5 * before:
                 break
         b = np.sqrt(max(w @ Mw, 0.0))
         m = kry.m = j + 1
-        kry.invariant = m == op.n - len(self._K) or b == 0.0
+        kry.invariant = m == op.n - K.shape[1] or b == 0.0
         if not kry.invariant and m < len(Q):
             Q[m], kry.beta[m] = w / b, b
         self.steps += 1
