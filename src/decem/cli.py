@@ -247,16 +247,17 @@ def pipeline_hodge(cfg, scenario, material):
 
 
 def _low_modes(op):
-    """Partial eig of an exact Laplacian for its kernel, lambda_min and max_eval; the
-    kernel is complete only if an eigenvalue lies above it."""
-    low = eig(op, count=min(10, op.n - 2))
+    """(low, factor): the partial eig of an exact Laplacian for its kernel, lambda_min
+    and max_eval, and its shifted factor for Delta^+; the kernel is complete only if an
+    eigenvalue lies above it."""
+    low, factor = eig(op, count=min(10, op.n - 2), return_factor=True)
     kd = low.kernel_dim
     if kd >= len(low.evals):
         raise ValueError(
             f"partial decomposition has no eigenvalue above its kernel: kernel_dim {kd} "
             f"of count {len(low.evals)}"
         )
-    return low
+    return low, factor
 
 
 def pipeline_maxwell(cfg, scenario, material):
@@ -267,14 +268,14 @@ def pipeline_maxwell(cfg, scenario, material):
     op = assemble_laplacian(ops, 1)
     # the exact Delta_1, not the lumped one: the kernel is the same, but a lumped
     # down-term detunes the lowest nonzero eigenvalue, and lambda_min sets t_end
-    low = _low_modes(op)
+    low, factor = _low_modes(op)
     rng = np.random.default_rng(cfg["seed"])
     E0 = ops.apply_codifferential(2, rng.standard_normal(ops.n(2)))
     B0 = ops.d(1) @ rng.standard_normal(ops.n(1))
     lam_min = float(np.sqrt(low.evals[low.kernel_dim]))
     t_end = params.get("t_end", 10.0 / lam_min)
     times = np.linspace(0.0, t_end, params.get("n_times", 7))
-    calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval, low.shift_inverse)
+    calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval, factor)
     states = evolve(calc, ops, MaxwellState(0.0, E0, B0), None, times)
     e0 = classical_energy(ops, MaxwellState(0.0, E0, B0))
     drift = max(abs(classical_energy(ops, s) - e0) / e0 for s in states)
@@ -310,7 +311,8 @@ def pipeline_qft(cfg, scenario, material):
     r_zero = float(qp.get("r_zero", 0.8 * rmax))
     _check_radii(r_plateau, r_zero)
     op0, op1 = assemble_laplacian(ops, 0), assemble_laplacian(ops, 1)
-    low0, low1 = _low_modes(op0), _low_modes(op1)
+    # qft applies no Delta^+, so the partial eigs' shifted factors are dropped here
+    low0, low1 = _low_modes(op0)[0], _low_modes(op1)[0]
     Q = None
     if scenario.has_obstacle and low1.kernel_dim > 0:
         cap, u, _psi = capacity_and_psiL(ops)
@@ -318,11 +320,9 @@ def pipeline_qft(cfg, scenario, material):
             low1, ops, u, eps=float(qp.get("eps", 1.0)), center=center,
             r_plateau=r_plateau, r_zero=r_zero,
         )
-    # each test-form cochain keeps one Krylov basis across the pairings below; qft
-    # applies no Delta^+, so the partial eigs' shifted factors are not passed on but freed
+    # each test-form cochain keeps one Krylov basis across the pairings below
     calc0 = LanczosCalculus(op0, low0.kernel_basis(), low0.max_eval, keep_bases=True)
     calc1 = LanczosCalculus(op1, low1.kernel_basis(), low1.max_eval, keep_bases=True)
-    del low0, low1
     fc = FieldCalculus(ops, calc0, calc1, Q=Q)
     rng = np.random.default_rng(cfg["seed"])
 

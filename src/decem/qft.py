@@ -249,41 +249,31 @@ class FieldCalculus:
     # -- the Krein map ------------------------------------------------------------------
 
     def kappa(self, f: TestForm) -> KreinVector:
-        """The Krein vector of Gf, composed per term of f (see :meth:`_krein`)."""
+        """The Krein vector (Delta_0^(1/4) phi + i Delta_0^(-1/4) phidot,
+        Delta_1^(1/4) A + i Delta_1^(-1/4) Q Adot) of the Cauchy data of Gf.
+
+        A term g x c of f adds the time moments of g applied to c (:meth:`_moments`),
+        and the quarter powers compose with them, so c is the term's one start vector.
+        Q Adot = Adot - Q_0 Adot.
+        Delta^(-1/4) drops the kernel, so of Q_0's columns only the cutoff mode psi_eps,
+        which is not harmonic, contributes: one more start vector.
+        """
         if f.degree != 1:
             raise ValueError("kappa expects a degree-1 form")
-        return self._krein([(0 if t.part == "dt" else 1, t.cochain, *self._moments(t))
-                            for t in f.terms])
-
-    def kappa_data(self, data: CauchyData) -> KreinVector:
-        """The Krein vector of given Cauchy data; each data vector is a start vector."""
-        one, zero = np.ones_like, np.zeros_like
-        return self._krein([(0, data.phi, one, zero), (0, data.phidot, zero, one),
-                            (1, data.A, one, zero), (1, data.Adot, zero, one)])
-
-    def _krein(self, terms) -> KreinVector:
-        """The Krein vector (Delta_0^(1/4) phi + i Delta_0^(-1/4) phidot,
-        Delta_1^(1/4) A + i Delta_1^(-1/4) Q Adot) of the Cauchy data summed over
-        ``terms`` (p, c, sv, cv): (value, velocity) = (sv(lam) c, cv(lam) c) in degree p.
-
-        Q Adot = Adot - Q_0 Adot.  Delta^(-1/4) drops the kernel, so of Q_0's columns
-        only the cutoff mode psi_eps, which is not harmonic, contributes: one more start
-        vector.
-        """
         calc0, calc1 = self.calc[0], self.calc[1]
         if calc0.kernel_basis().shape[1]:
             raise AssertionError("scalar Laplacian unexpectedly has zero modes")
         ops = self.ops
         s, v = np.zeros(ops.n(0), complex), np.zeros(ops.n(1), complex)
         Adot = np.zeros(ops.n(1))
-        for p, c, sv, cv in terms:
-            fs = [lambda lam, sv=sv: _QUARTER(lam) * sv(lam),
-                  lambda lam, cv=cv: _MINUS_QUARTER(lam) * cv(lam)]
-            if p == 0:
-                F = calc0.functions(c, fs)
+        for t in f.terms:
+            sv, cv = self._moments(t)
+            fs = [lambda lam: _QUARTER(lam) * sv(lam), lambda lam: _MINUS_QUARTER(lam) * cv(lam)]
+            if t.part == "dt":
+                F = calc0.functions(t.cochain, fs)
                 s += F[0] + 1j * F[1]
             else:
-                F = calc1.functions(c, fs + [cv])
+                F = calc1.functions(t.cochain, fs + [cv])
                 v += F[0] + 1j * F[1]
                 Adot += F[2]
         qa = self._q_apply(Adot)

@@ -8,8 +8,8 @@ pairs of whichever operator it is given.  On the lumped operator (topology,
 hodge) the nonzero eigenvalues are detuned but the kernel is exactly
 ker Delta_p; on the exact one (maxwell, qft) the lowest nonzero eigenvalue is
 lambda_min itself.  A partial decomposition never evaluates operator functions
-itself: it hands its kernel basis, ``max_eval`` and shifted factor to the
-calculi below.  ``SpectralDecomposition.lam`` is the one source of frequencies
+itself: it hands its kernel basis and ``max_eval``, and on request its shifted
+factor, to the calculi below.  ``SpectralDecomposition.lam`` is the one source of frequencies
 of a complete exact system: exactly 0 on the kernel.  Without a spectrum,
 Delta^+ is :func:`pseudo_inverse` (iterative refinement on one shifted factor),
 Delta^(-1/2) is :func:`inverse_sqrt_quadrature`, and f(Delta) x comes from
@@ -114,9 +114,6 @@ class SpectralDecomposition:
     kernel_dim: int
     max_eval: float
     exact: bool  # complete and from an exact down-term: operator functions allowed
-    # (S - sigma M)^-1 at sigma = -1e-6 max_eval that a partial eig of an exact operator
-    # factored; pseudo_inverse at that max_eval reuses it
-    shift_inverse: spla.LinearOperator | None = None
 
     @property
     def gap_ratio(self) -> float:
@@ -187,10 +184,14 @@ class SpectralDecomposition:
         return x - K @ (K.T @ (self.M @ x))
 
 
-def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
+def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     """Eigendecomposition of the generalized problem; ``count`` is 'all' or k lowest.
 
     'all': dense ``eigh`` of the pencil (up, M), :func:`kernel_block`, stable sort.
+    With ``return_factor`` the result is (decomposition, factor): the shifted factor
+    (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig of an exact
+    operator made, which :func:`pseudo_inverse` at that ``max_eval`` can reuse; None
+    after a dense or lumped eig.
     """
     n = op.n
     if count == "all":
@@ -210,7 +211,7 @@ def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
     else:
         k = int(count)
         if k >= n - 1:
-            return eig(op, "all")
+            return eig(op, "all", return_factor)
         max_eval = _norm_estimate(op)
         sigma = -1e-6 * max_eval
         shift_inv = _shift_inverse(op, sigma)
@@ -235,9 +236,10 @@ def eig(op: LaplaceOperator, count="all") -> SpectralDecomposition:
         kernel_dim=kernel_dim,
         max_eval=max_eval,
         exact=exact,
-        shift_inverse=None if op.lumped else shift_inv,
     )
     _check_residuals(op, dec)
+    if return_factor:
+        return dec, None if op.lumped else shift_inv
     return dec
 
 
@@ -318,7 +320,7 @@ def pseudo_inverse(
     Iterative refinement x <- x + (S - sigma M)^-1 (M b - S x) on one factor
     ``_shift_inverse(op, sigma)``, sigma = -1e-6 ``max_eval`` (the scale of the
     eigensolve that gave ``kernel_basis``; the shift ``eig`` uses).  A partial
-    ``eig`` of ``op`` at that ``max_eval`` passes its factor as ``shift_inverse``;
+    ``eig`` of ``op`` at that ``max_eval`` returns its factor for ``shift_inverse``;
     without one it is factored here.  Needs an exact down-term.  Returns apply(b);
     each call checks b against ``kernel_basis`` like :func:`inverse_sqrt_quadrature`
     and M-projects the result off it (each
@@ -398,7 +400,7 @@ class LanczosCalculus:
     cochain keeps its basis, and later calls extend it only as far as their
     functions need.  ``pseudo_inverse`` is :func:`pseudo_inverse` on ``kernel_basis``
     and ``max_eval``, built on first use with ``shift_inverse``, the factor a partial
-    ``eig`` of ``op`` made at that ``max_eval``, if passed.  Together ``functions``
+    ``eig`` of ``op`` returned at that ``max_eval``, if passed.  Together ``functions``
     and ``pseudo_inverse`` are the call shape :class:`SpectralDecomposition` also
     implements.
     """

@@ -188,10 +188,10 @@ def _forbid_complete_eig(monkeypatch):
 
     real = spectral.eig
 
-    def sparse_only(op, count="all"):
+    def sparse_only(op, count="all", **kwargs):
         if count == "all":
             raise AssertionError(f"complete eigensolve of degree {op.p}, n = {op.n}")
-        return real(op, count)
+        return real(op, count, **kwargs)
 
     monkeypatch.setattr(cli, "eig", sparse_only)
     monkeypatch.setattr(spectral, "eig", sparse_only)  # eig(op, k) with k >= n - 1 recurses

@@ -458,11 +458,11 @@ def test_propagate_G_rejects_partial_decomposition(qft_bundle):
 
 
 def test_kappa_kernel_leak_reports_value(qft_bundle):
-    """A projector whose cutoff mode is lost leaves the distinguished mode in Q Adot."""
+    """A projector whose cutoff mode is lost leaves the distinguished mode in Q Adot.
+
+    The form delta(t) psi on the spatial part has Cauchy data A = 0, Adot = psi."""
     import dataclasses
     import re
-
-    from decem.qft import CauchyData
 
     b = qft_bundle
     broken = dataclasses.replace(b.Q, psi_eps=np.zeros(b.ops.n(1)))
@@ -472,11 +472,9 @@ def test_kappa_kernel_leak_reports_value(qft_bundle):
     K = b.dec1.kernel_basis()
     comp = np.linalg.norm(K.T @ (b.dec1.M @ qa))
     tol = 1e-8 * np.linalg.norm(qa)
-    n0, n1 = b.ops.n(0), b.ops.n(1)
-    data = CauchyData(np.zeros(n0), np.zeros(n1), np.zeros(n0), psi)
     want = f"wrong projector policy: |K^T M Q Adot| {comp:.2e} > {tol:.2e}"
     with pytest.raises(ValueError, match=re.escape(want)):
-        fc.kappa_data(data)
+        fc.kappa(TestForm(1, [FormTerm(Impulse(0.0, 0), "spatial", psi)]))
 
 
 @pytest.fixture(scope="module")

@@ -421,6 +421,19 @@ def test_pseudo_inverse_iteration_cap_reports_values(qft_bundle, monkeypatch):
     assert got == pytest.approx(want, rel=1e-2) and got > 1e-13
 
 
+def test_partial_eig_returns_its_shifted_factor(qft_bundle):
+    """A partial eig of the exact Delta_1 returns (S - sigma M)^-1 at its own sigma =
+    -1e-6 max_eval, bit for bit against a fresh factor; a lumped or dense eig returns
+    none."""
+    b = qft_bundle
+    low, factor = eig(b.L1, count=10, return_factor=True)
+    x = np.random.default_rng(10).standard_normal(b.L1.n)
+    assert np.array_equal(factor @ x, _shift_inverse(b.L1, -1e-6 * low.max_eval) @ x)
+    lumped = assemble_laplacian(b.ops, 1, lumped_down=True)
+    assert eig(lumped, count=10, return_factor=True)[1] is None
+    assert eig(b.L1, "all", return_factor=True)[1] is None
+
+
 def _krylov_reference(op, x, f, m):
     """f(Delta) x from an m-dimensional Krylov space, built apart from LanczosCalculus:
     Gram-Schmidt twice against every earlier vector, and T = Q^T S Q formed in full."""
