@@ -192,7 +192,7 @@ def pipeline_topology(cfg, scenario, material):
     report = relative_cohomology_dims(ops)
     kernel_dims = {}
     for p in (1, 2):
-        dec = eig(assemble_laplacian(ops, p, lumped_down=True), count=min(10, ops.n(p) - 2))
+        dec = eig(assemble_laplacian(ops, p), count=min(10, ops.n(p) - 2))
         kernel_dims[p] = dec.kernel_dim
     flags = check_harmonic_match(report, kernel_dims)
     rows = []
@@ -211,9 +211,9 @@ def pipeline_hodge(cfg, scenario, material):
 
     params = cfg["params"]
     ops = DecOperators(scenario.carved, material)
-    dec1 = eig(assemble_laplacian(ops, 1, lumped_down=True), count=min(10, ops.n(1) - 2))
-    hb = harmonic_basis(dec1, ops)
-    solver = HelmholtzSolver(ops, hb, dec1.max_eval)
+    low, factor = _low_modes(assemble_laplacian(ops, 1))
+    hb = harmonic_basis(low, ops)
+    solver = HelmholtzSolver(ops, hb, low.max_eval, factor)
     rows = []
     out = {}
     if scenario.has_obstacle and scenario.carved.dim == 3:
@@ -247,17 +247,10 @@ def pipeline_hodge(cfg, scenario, material):
 
 
 def _low_modes(op):
-    """(low, factor): the partial eig of an exact Laplacian for its kernel, lambda_min
-    and max_eval, and its shifted factor for Delta^+; the kernel is complete only if an
-    eigenvalue lies above it."""
-    low, factor = eig(op, count=min(10, op.n - 2), return_factor=True)
-    kd = low.kernel_dim
-    if kd >= len(low.evals):
-        raise ValueError(
-            f"partial decomposition has no eigenvalue above its kernel: kernel_dim {kd} "
-            f"of count {len(low.evals)}"
-        )
-    return low, factor
+    """(low, factor): the partial eig of a Laplacian for its kernel, lambda_min and
+    max_eval, and its shifted factor for Delta^+.  ``low.kernel_basis()`` rejects a
+    kernel that no eigenvalue lies above."""
+    return eig(op, count=min(10, op.n - 2), return_factor=True)
 
 
 def pipeline_maxwell(cfg, scenario, material):
@@ -266,8 +259,6 @@ def pipeline_maxwell(cfg, scenario, material):
     params = cfg["params"]
     ops = DecOperators(scenario.carved, material)
     op = assemble_laplacian(ops, 1)
-    # the exact Delta_1, not the lumped one: the kernel is the same, but a lumped
-    # down-term detunes the lowest nonzero eigenvalue, and lambda_min sets t_end
     low, factor = _low_modes(op)
     rng = np.random.default_rng(cfg["seed"])
     E0 = ops.apply_codifferential(2, rng.standard_normal(ops.n(2)))

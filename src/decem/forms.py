@@ -168,6 +168,22 @@ def build_mass(
     return mat
 
 
+def _symmetric_factor(A) -> spla.SuperLU:
+    """Sparse LU of an SPD or quasi-definite matrix: minimum degree on A^T + A, diagonal pivots.
+
+    A symmetric ordering has less fill than SuperLU's default COLAMD.  Every
+    matrix factored here is SPD (a mass matrix, up - sigma M) or quasi-definite
+    ([[up - sigma M, K^T], [K, -W]] with sigma < 0: an SPD block and a negative
+    definite one).  A quasi-definite matrix has an LDL^T factorization under
+    every symmetric permutation (Vanderbei, SIAM J. Optim. 5, 1995), so
+    neither kind needs an off-diagonal pivot.
+    """
+    return spla.splu(
+        sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
 # -- operator bundle ---------------------------------------------------------------
 
 
@@ -233,9 +249,10 @@ class DecOperators:
     def mass(self, p: int) -> sp.csr_matrix:
         return self._kept_slice("mass", p, self.mass_full[p], self.kept[p], self.kept[p])
 
-    def mass_factor(self, p: int):
+    def mass_factor(self, p: int) -> spla.SuperLU:
+        """M_p's one factor (:func:`_symmetric_factor`), made on first use and kept."""
         if ("factor", p) not in self._cache:
-            self._cache["factor", p] = spla.splu(self.mass(p).tocsc())
+            self._cache["factor", p] = _symmetric_factor(self.mass(p))
         return self._cache["factor", p]
 
     # calculus ------------------------------------------------------------------

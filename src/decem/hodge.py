@@ -6,8 +6,8 @@ restricted to interior edges, is exactly closed and co-closed in the reduced
 complex, so du/sqrt(<du,du>) is the distinguished harmonic one-form.
 
 The Hodge-Kodaira split needs no complete eigensystem: the harmonic basis
-comes from a partial eigensolve (the lumped Delta_p has the exact kernel),
-and Delta^+ is applied by shifted sparse solves on the exact Delta_p.
+comes from a partial eigensolve of Delta_p, and Delta^+ is applied by shifted
+sparse solves on the factor that eigensolve made.
 """
 
 from __future__ import annotations
@@ -25,6 +25,9 @@ from .spectral import (
     harmonic_basis_with_distinguished,
     pseudo_inverse,
 )
+
+# least gap ratio lambda_{k+1} / lambda_k between a kernel and the rest of the spectrum
+GAP_FLOOR = 1e3
 
 
 @dataclass
@@ -119,27 +122,16 @@ def capacity_and_psiL(
     return cap, u, psi / nrm
 
 
-def harmonic_basis(
-    dec: SpectralDecomposition,
-    ops: DecOperators,
-    gap_floor: float = 1e3,
-) -> HarmonicBasis:
+def harmonic_basis(dec: SpectralDecomposition, ops: DecOperators) -> HarmonicBasis:
     """Extract ker Delta_p with the distinguished last vector when applicable.
 
-    ``dec`` may be partial (``eig(op, k)``, lumped or not: both have the kernel
-    of the exact Delta_p), but then it must reach past the kernel.  For p = 1 on
-    a 3-complex with an obstacle the capacity is solved for here, once, and kept
-    on the basis.
+    ``dec`` may be partial (``eig(op, k)``), but then it must reach past the kernel
+    (``dec.kernel_basis()`` checks it).  For p = 1 on a 3-complex with an obstacle the
+    capacity is solved for here, once, and kept on the basis.
     """
-    kd, count = dec.kernel_dim, len(dec.evals)
-    if kd >= count and count < dec.vectors.shape[0]:
+    if dec.gap_ratio < GAP_FLOOR:
         raise ValueError(
-            f"partial decomposition has no eigenvalue above its kernel: kernel_dim {kd} "
-            f"of count {count}; the kernel may be truncated"
-        )
-    if dec.gap_ratio < gap_floor:
-        raise ValueError(
-            f"ambiguous kernel: spectral gap ratio {dec.gap_ratio:.2e} below {gap_floor:.0e}"
+            f"ambiguous kernel: spectral gap ratio {dec.gap_ratio:.2e} below {GAP_FLOOR:.0e}"
         )
     p = dec.p
     cplx = ops.complex
@@ -216,17 +208,25 @@ class HelmholtzSolver:
     """Three-way Hodge-Kodaira split from a harmonic basis and sparse solves on Delta_p.
 
     h = H H^T M phi for the M-orthonormal basis H of ``hb``; phi1 = Delta^+ (phi - h)
-    is :func:`~decem.spectral.pseudo_inverse` on the exact Delta_p, shifted by the
-    ``max_eval`` of the eigensolve that gave ``hb``; the exact and coexact parts
-    are d delta~ phi1 and delta~ d phi1.  Their sum is Delta phi1 through the
+    is :func:`~decem.spectral.pseudo_inverse` on Delta_p, shifted by the ``max_eval``
+    of the eigensolve that gave ``hb`` and run on that eigensolve's factor
+    ``shift_inverse`` if passed; the exact and coexact parts are d delta~ phi1 and
+    delta~ d phi1.  Their sum is Delta phi1 through the
     codifferentials, not the refinement's S, so the recomposition checks
     Delta Delta^+ = 1 - P_H.
     """
 
-    def __init__(self, ops: DecOperators, hb: HarmonicBasis, max_eval: float):
+    def __init__(
+        self,
+        ops: DecOperators,
+        hb: HarmonicBasis,
+        max_eval: float,
+        shift_inverse: spla.LinearOperator | None = None,
+    ):
         self.ops = ops
         self.hb = hb
-        self.pinv = pseudo_inverse(assemble_laplacian(ops, hb.p), hb.vectors, max_eval)
+        op = assemble_laplacian(ops, hb.p)
+        self.pinv = pseudo_inverse(op, hb.vectors, max_eval, shift_inverse)
 
     def split(self, phi: np.ndarray) -> HelmholtzSplit:
         ops, p, H = self.ops, self.hb.p, self.hb.vectors

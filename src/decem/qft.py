@@ -309,11 +309,14 @@ class FieldCalculus:
         return 0.5 * self.krein_product(self.kappa(g2), self.kappa(g1))
 
     def wick_npoint(self, forms: list[TestForm]) -> complex:
-        """Quasifree n-point value: sum over ordered pairings of omega2_F."""
+        """Quasifree n-point value: sum over ordered pairings of omega2_F.  A form
+        that appears more than once has its Krein vector computed once."""
         n = len(forms)
         if n % 2 == 1:
             return 0.0 + 0.0j
-        kappas = [self.kappa(self.codifferential_form(f)) for f in forms]
+        distinct = {id(f): f for f in forms}
+        kappa_of = {key: self.kappa(self.codifferential_form(f)) for key, f in distinct.items()}
+        kappas = [kappa_of[id(f)] for f in forms]
 
         def pair_value(i, j):
             return 0.5 * self.krein_product(kappas[j], kappas[i])

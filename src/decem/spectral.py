@@ -1,16 +1,14 @@
 """Hodge Laplacians, eigendecompositions and spectral operator functions.
 
 Delta_p has one form (:class:`LaplaceOperator`): a sparse up-term, the mass M
-and a factored down-term K^T W^-1 K.  ``eig(op, "all")`` is a dense ``eigh`` of
-the pencil (up, M), the only dense form of Delta_p, completed on its kernel by
+and a factored down-term K^T M_{p-1}^-1 K.  ``eig(op, "all")`` is a dense ``eigh``
+of the pencil (up, M), the only dense form of Delta_p, completed on its kernel by
 :func:`kernel_block`.  ``eig(op, k)`` is ARPACK shift-invert for the k lowest
-pairs of whichever operator it is given.  On the lumped operator (topology,
-hodge) the nonzero eigenvalues are detuned but the kernel is exactly
-ker Delta_p; on the exact one (maxwell, qft) the lowest nonzero eigenvalue is
-lambda_min itself.  A partial decomposition never evaluates operator functions
-itself: it hands its kernel basis and ``max_eval``, and on request its shifted
-factor, to the calculi below.  ``SpectralDecomposition.lam`` is the one source of frequencies
-of a complete exact system: exactly 0 on the kernel.  Without a spectrum,
+pairs, the kernel and lambda_min among them.  A partial decomposition never
+evaluates operator functions itself: it hands its kernel basis and ``max_eval``,
+and on request its shifted factor, to the calculi below.
+``SpectralDecomposition.lam`` is the one source of frequencies of a complete
+system: exactly 0 on the kernel.  Without a spectrum,
 Delta^+ is :func:`pseudo_inverse` (iterative refinement on one shifted factor),
 Delta^(-1/2) is :func:`inverse_sqrt_quadrature`, and f(Delta) x comes from
 :class:`LanczosCalculus`: the kernel part of x takes f(0), and one Krylov basis
@@ -18,8 +16,8 @@ of the rest serves every f that is finite at 0, with an a-posteriori stopping
 rule.  It shares its call shape, ``functions(x, fs)`` and ``pseudo_inverse(x)``,
 with ``SpectralDecomposition``.  Every sparse shift-invert, refinement and
 quadrature node factors the quasi-definite [[up - sigma M, K^T], [K, -W]]
-(:func:`_shift_inverse`), never S - sigma M; M itself is factored once per
-operator (``LaplaceOperator.solve_M``).
+(:func:`_shift_inverse`), never S - sigma M; each mass matrix is factored once,
+by ``DecOperators.mass_factor``.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .forms import DecOperators
+from .forms import DecOperators, _symmetric_factor
 
 KERNEL_THRESHOLD = 1e-8
 
@@ -42,47 +40,34 @@ KERNEL_THRESHOLD = 1e-8
 class LaplaceOperator:
     """Stiffness form S = up + K^T W^-1 K of d delta~ + delta~ d on kept p-cochains.
 
-    up = d_p^T M_{p+1} d_p and K = d_{p-1}^T M_p; the down mass W is M_{p-1},
-    or its diagonal when ``lumped``.  K and W are None without a down-term
-    (p = 0, or a bare pencil (up, M)).  S is only applied from these parts.
+    up = d_p^T M_{p+1} d_p, K = d_{p-1}^T M_p and W = M_{p-1}, whose one factor is
+    ``ops.mass_factor(p - 1)``.  K is None without a down-term (p = 0, or a bare
+    pencil (up, M)).  S is only applied from these parts.
     """
 
     p: int
     ops: DecOperators
     up: sp.csr_matrix
-    M: sp.csr_matrix
+    M: sp.csr_matrix  # ops.mass(p): its factor is ops.mass_factor(p)
     K: sp.csc_matrix | None = None  # (n_{p-1}, n_p)
-    W: sp.spmatrix | None = None
-    lumped: bool = False
 
     @property
     def n(self) -> int:
         return self.M.shape[0]
 
     @cached_property
-    def solve_W(self):
-        if self.lumped:
-            w = self.W.diagonal()
-            return lambda y: (y.T / w).T
-        return spla.splu(sp.csc_matrix(self.W)).solve
-
-    @cached_property
-    def solve_M(self):
-        """M^-1 by one :func:`_symmetric_factor`, shared by the norm estimate and Lanczos."""
-        return _symmetric_factor(self.M).solve
-
-    @property
     def S(self) -> spla.LinearOperator:
+        solve_W = None if self.K is None else self.ops.mass_factor(self.p - 1).solve
+
         def apply(x):
             y = self.up @ x
-            return y if self.K is None else y + self.K.T @ self.solve_W(self.K @ x)
+            return y if self.K is None else y + self.K.T @ solve_W(self.K @ x)
 
         return spla.LinearOperator(self.up.shape, matvec=apply, matmat=apply, dtype=float)
 
 
-def assemble_laplacian(ops: DecOperators, p: int, lumped_down: bool = False) -> LaplaceOperator:
-    """Delta_p from sparse parts; ``lumped_down`` takes W = diag M_{p-1}, which keeps
-    the kernel exact and detunes the nonzero spectrum."""
+def assemble_laplacian(ops: DecOperators, p: int) -> LaplaceOperator:
+    """Delta_p from sparse parts."""
     d = ops.complex.dim
     if p == d == 0:
         raise ValueError("empty Laplacian")
@@ -90,9 +75,7 @@ def assemble_laplacian(ops: DecOperators, p: int, lumped_down: bool = False) -> 
     up = (ops.d(p).T @ ops.mass(p + 1) @ ops.d(p)).tocsr() if p < d else sp.csr_matrix(M.shape)
     if p == 0:
         return LaplaceOperator(p, ops, up, M)
-    K = (ops.d(p - 1).T @ ops.mass(p)).tocsc()
-    W = sp.diags(ops.mass(p - 1).diagonal(), format="csc") if lumped_down else ops.mass(p - 1)
-    return LaplaceOperator(p, ops, up, M, K, W, lumped=lumped_down)
+    return LaplaceOperator(p, ops, up, M, (ops.d(p - 1).T @ ops.mass(p)).tocsc())
 
 
 def kernel_block(op: LaplaceOperator, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,7 +83,7 @@ def kernel_block(op: LaplaceOperator, V: np.ndarray) -> tuple[np.ndarray, np.nda
     M-orthonormal basis of ker up.  M^-1 S keeps span V (d delta~ maps closed forms
     to exact ones), so V U are eigenvectors of Delta_p."""
     B = op.ops.d(op.p - 1).T @ (op.ops.mass(op.p) @ V)  # this order keeps stress byte-stable
-    return np.linalg.eigh(B.T @ op.solve_W(B))
+    return np.linalg.eigh(B.T @ op.ops.mass_factor(op.p - 1).solve(B))
 
 
 @dataclass
@@ -113,7 +96,11 @@ class SpectralDecomposition:
     M: sp.csr_matrix
     kernel_dim: int
     max_eval: float
-    exact: bool  # complete and from an exact down-term: operator functions allowed
+
+    @property
+    def complete(self) -> bool:
+        """Every eigenpair is here, so operator functions are allowed."""
+        return len(self.evals) == self.vectors.shape[0]
 
     @property
     def gap_ratio(self) -> float:
@@ -124,7 +111,15 @@ class SpectralDecomposition:
         return float(self.evals[kd] / top_kernel)
 
     def kernel_basis(self) -> np.ndarray:
-        return self.vectors[:, : self.kernel_dim]
+        """The kernel's M-orthonormal basis.  A partial decomposition must reach past
+        its kernel: one with every eigenvalue in the kernel may have cut it short."""
+        kd, count = self.kernel_dim, len(self.evals)
+        if kd >= count and not self.complete:
+            raise ValueError(
+                f"partial decomposition has no eigenvalue above its kernel: kernel_dim {kd} "
+                f"of count {count}; the kernel may be truncated"
+            )
+        return self.vectors[:, :kd]
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
         return self.vectors.T @ (self.M @ x)
@@ -135,8 +130,8 @@ class SpectralDecomposition:
         return np.sqrt(self._kernel_zeroed())
 
     def _kernel_zeroed(self) -> np.ndarray:
-        """lambda^2 with the kernel block set to exactly 0; needs an exact decomposition."""
-        if not self.exact:
+        """lambda^2 with the kernel block set to exactly 0; needs a complete decomposition."""
+        if not self.complete:
             raise ValueError("operator functions need a complete exact decomposition")
         lam2 = self.evals.copy()
         lam2[: self.kernel_dim] = 0.0
@@ -189,9 +184,8 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
 
     'all': dense ``eigh`` of the pencil (up, M), :func:`kernel_block`, stable sort.
     With ``return_factor`` the result is (decomposition, factor): the shifted factor
-    (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig of an exact
-    operator made, which :func:`pseudo_inverse` at that ``max_eval`` can reuse; None
-    after a dense or lumped eig.
+    (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig made, which
+    :func:`pseudo_inverse` at that ``max_eval`` can reuse; None after a dense eig.
     """
     n = op.n
     if count == "all":
@@ -206,7 +200,6 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
             order = np.argsort(evals, kind="stable")
             evals, vecs = evals[order], vecs[:, order]
         max_eval = float(evals[-1]) if n else 0.0
-        exact = not op.lumped
         shift_inv = None
     else:
         k = int(count)
@@ -220,7 +213,6 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
         )
         order = np.argsort(evals)
         evals, vecs = evals[order], vecs[:, order]
-        exact = False
     neg_tol = 1e-10 * max(max_eval, 1.0)
     if len(evals) and evals.min() < -neg_tol:
         raise AssertionError(
@@ -235,11 +227,10 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
         M=op.M,
         kernel_dim=kernel_dim,
         max_eval=max_eval,
-        exact=exact,
     )
     _check_residuals(op, dec)
     if return_factor:
-        return dec, None if op.lumped else shift_inv
+        return dec, shift_inv
     return dec
 
 
@@ -248,32 +239,16 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _symmetric_factor(A) -> spla.SuperLU:
-    """Sparse LU of an SPD or quasi-definite matrix: minimum degree on A^T + A, diagonal pivots.
-
-    A symmetric ordering has less fill than SuperLU's default COLAMD.  Every
-    matrix factored here is SPD (a mass matrix, up - sigma M) or quasi-definite
-    ([[up - sigma M, K^T], [K, -W]] with sigma < 0: an SPD block and a negative
-    definite one).  A quasi-definite matrix has an LDL^T factorization under
-    every symmetric permutation (Vanderbei, SIAM J. Optim. 5, 1995), so
-    neither kind needs an off-diagonal pivot.
-    """
-    return spla.splu(
-        sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-
-
 def _shift_inverse(op: LaplaceOperator, sigma: float) -> spla.LinearOperator:
     """(S - sigma M)^-1, sigma < 0, on vectors and blocks (also ARPACK's ``OPinv``).
 
     [[up - sigma M, K^T], [K, -W]] has Schur complement S - sigma M, so the
-    first n rows of its solve with [x, 0] are (S - sigma M)^-1 x, for any W.
+    first n rows of its solve with [x, 0] are (S - sigma M)^-1 x.
     """
     n = op.n
     A = op.up - sigma * op.M
     if op.K is not None:
-        A = sp.bmat([[A, op.K.T], [op.K, -op.W]])
+        A = sp.bmat([[A, op.K.T], [op.K, -op.ops.mass(op.p - 1)]])
     solve = _symmetric_factor(A).solve
     pad = A.shape[0] - n
 
@@ -321,14 +296,12 @@ def pseudo_inverse(
     ``_shift_inverse(op, sigma)``, sigma = -1e-6 ``max_eval`` (the scale of the
     eigensolve that gave ``kernel_basis``; the shift ``eig`` uses).  A partial
     ``eig`` of ``op`` at that ``max_eval`` returns its factor for ``shift_inverse``;
-    without one it is factored here.  Needs an exact down-term.  Returns apply(b);
+    without one it is factored here.  Returns apply(b);
     each call checks b against ``kernel_basis`` like :func:`inverse_sqrt_quadrature`
     and M-projects the result off it (each
     solve scales the rounding-size kernel part of b by 1/|sigma|: about 1e-11
     relative on balls:1 and hopf_link without the projection).
     """
-    if op.lumped:
-        raise ValueError("Delta^+ needs an exact down-term, not a lumped one")
     shift_inv = shift_inverse
     if shift_inv is None:
         shift_inv = _shift_inverse(op, -1e-6 * max_eval)
@@ -387,11 +360,11 @@ class _Krylov:
 
 
 class LanczosCalculus:
-    """f(Delta_p) x by Lanczos in the M-inner product on the exact Delta_p.
+    """f(Delta_p) x by Lanczos in the M-inner product.
 
     ``functions(x, fs)`` deflates x: its M-projection P_H x onto ``kernel_basis``
     takes the value f(0), and the rest starts one M-orthonormal Krylov basis Q of
-    M^-1 S (S from the operator's sparse parts, M^-1 by ``op.solve_M``),
+    M^-1 S (S from the operator's sparse parts, M^-1 by ``ops.mass_factor(p)``),
     reorthogonalised at every step against Q and the kernel basis.  Every
     f(Delta) x = f(0) P_H x + |x - P_H x|_M Q f(T) e_1 comes from it, T the
     tridiagonal Q^T S Q, whose Ritz values stay off 0.  So each f need only be finite
@@ -413,9 +386,8 @@ class LanczosCalculus:
         shift_inverse: spla.LinearOperator | None = None,
         keep_bases: bool = False,
     ):
-        if op.lumped:
-            raise ValueError("the Lanczos calculus needs an exact down-term, not a lumped one")
         self.op = op
+        self._solve_M = op.ops.mass_factor(op.p).solve
         self._kernel, self._max_eval, self._shift_inverse = kernel_basis, max_eval, shift_inverse
         self._bases: dict[bytes, _Krylov] | None = {} if keep_bases else None
         self.steps = 0  # Lanczos steps taken, over all start vectors
@@ -504,7 +476,7 @@ class LanczosCalculus:
         """
         op, K, Q, j = self.op, self._kernel, kry.Q, kry.m
         Sq = op.S @ Q[j]
-        w = op.solve_M(Sq)
+        w = self._solve_M(Sq)
         kry.alpha[j] = Q[j] @ Sq
         w -= kry.alpha[j] * Q[j] + (kry.beta[j] * Q[j - 1] if j else 0.0)
         # Gram-Schmidt against Q and the kernel; a second pass where the first cancelled
@@ -534,7 +506,7 @@ class LanczosCalculus:
 
 def _norm_estimate(op: LaplaceOperator) -> float:
     """Upper bound on the largest generalized eigenvalue (a few Lanczos steps)."""
-    Minv = spla.LinearOperator(op.M.shape, matvec=op.solve_M, dtype=float)
+    Minv = spla.LinearOperator(op.M.shape, matvec=op.ops.mass_factor(op.p).solve, dtype=float)
     try:
         val = spla.eigsh(
             op.S, k=1, M=op.M, Minv=Minv, which="LM", return_eigenvectors=False, maxiter=200,
@@ -605,15 +577,10 @@ def quadrature_rule(panels_per_side: int = 4, nodes: int = 8) -> tuple[np.ndarra
 
 
 def _spectrum_bounds(op: LaplaceOperator, kernel_basis: np.ndarray) -> tuple[float, float]:
-    hi = _norm_estimate(op)
+    """(lowest eigenvalue above the kernel, max_eval) from ``eig`` of the k + 1 lowest pairs."""
     k = kernel_basis.shape[1]
-    sigma = -1e-6 * hi
-    lo_vals = spla.eigsh(
-        op.S, k=k + 1, M=op.M, sigma=sigma, which="LM", OPinv=_shift_inverse(op, sigma),
-        return_eigenvectors=False, v0=_start_vector(op.n),
-    )
-    lo = float(np.sort(np.abs(lo_vals))[-1])
-    return max(lo, hi * 1e-14), hi
+    dec = eig(op, k + 1)
+    return max(float(dec.evals[k]), dec.max_eval * 1e-14), dec.max_eval
 
 
 def inverse_sqrt_quadrature(
@@ -625,12 +592,9 @@ def inverse_sqrt_quadrature(
 ) -> np.ndarray:
     """Delta^(-1/2) x through the resolvent integral (2/pi) int (Delta+l^2)^-1 dl.
 
-    Requires x orthogonal to the kernel, up to a relative component of 1e-8,
-    and an operator without a lumped down-term; x may be a block of columns.
-    Each node is one sparse factorization, ``_shift_inverse(op, -l^2)``.
+    Requires x orthogonal to the kernel, up to a relative component of 1e-8; x may be
+    a block of columns.  Each node is one sparse factorization, ``_shift_inverse(op, -l^2)``.
     """
-    if op.lumped:
-        raise ValueError("the resolvent quadrature needs an exact down-term, not a lumped one")
     X = np.atleast_2d(np.asarray(x, dtype=float).T).T
     if kernel_basis is None:
         kernel_basis = np.zeros((op.n, 0))

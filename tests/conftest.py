@@ -67,7 +67,7 @@ def stress_bundle():
 class ShellBundle:
     scenario: object
     ops: object
-    dec: object  # partial, lumped-down (kernel exact)
+    dec: object  # partial eig of Delta_1, past its kernel
     capacity: float
     u: np.ndarray
 
@@ -77,7 +77,7 @@ def shell_bundle() -> ShellBundle:
     shell = ball_shell_complex(0.5, 4.0, n_core=4, n_layers=10)
     sc = carve_obstacle(shell, {"core"})
     ops = DecOperators(sc.carved)
-    dec = eig(assemble_laplacian(ops, 1, lumped_down=True), count=6)
+    dec = eig(assemble_laplacian(ops, 1), count=6)
     cap, u, _psi = capacity_and_psiL(ops)
     return ShellBundle(sc, ops, dec, cap, u)
 

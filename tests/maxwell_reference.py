@@ -19,7 +19,7 @@ class SpectralPropagator:
     """cos / sinc propagation plus Duhamel terms over one decomposition."""
 
     def __init__(self, dec: SpectralDecomposition):
-        if not dec.exact:
+        if not dec.complete:
             raise ValueError("evolution needs a complete exact decomposition")
         self.dec = dec
         lam2 = dec.evals.copy()

@@ -60,8 +60,7 @@ def test_criterion_2_discrete_hodge_theorem(canned_ops):
         ops = canned_ops[name]
         rep = relative_cohomology_dims(ops)
         for p in (1, 2):
-            dec = eig(assemble_laplacian(ops, p, lumped_down=True),
-                      count=min(10, ops.n(p) - 2))
+            dec = eig(assemble_laplacian(ops, p), count=min(10, ops.n(p) - 2))
             good = dec.kernel_dim == rep.dims[p] and dec.gap_ratio >= 1e3
             ok &= good
             details.append(f"{name} p={p}: ker={dec.kernel_dim} gap={dec.gap_ratio:.0e}")

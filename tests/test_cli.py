@@ -242,25 +242,36 @@ def test_run_qft_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, geometr
     assert summary["passed"] and len(summary["result"]["assertions"]) == 4
 
 
-@pytest.mark.parametrize("pipeline, factors", [("maxwell", 2), ("qft", 4)])
+@pytest.mark.parametrize(
+    "pipeline, factors", [("hodge", 3), ("maxwell", 3), ("qft", 4), ("topology", 5)]
+)
 def test_run_factors_each_matrix_once(runner, tmp_path, monkeypatch, pipeline, factors):
-    """One sparse factor per matrix: M_p (norm estimate and Lanczos) and the shifted
-    quasi-definite matrix (partial eig, and Delta^+ where maxwell needs it), for
-    Delta_1 in maxwell and Delta_0, Delta_1 in qft."""
-    import decem.spectral as spectral
+    """Every sparse LU (``splu``), keyed by the matrix it factors, is made once: each
+    mass matrix M_p that a Laplacian or a codifferential needs, and the shifted
+    quasi-definite matrix of each partial eig, which Delta^+ reuses.  hodge and maxwell
+    factor M_0, M_1 and the shifted Delta_1; qft M_0, M_1 and the shifted Delta_0 and
+    Delta_1; topology M_0, M_1, M_2 and the shifted Delta_1 and Delta_2."""
+    import collections
 
-    real, shapes = spectral._symmetric_factor, []
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
-    def counting(A):
-        shapes.append(A.shape)
-        return real(A)
+    real, seen = spla.splu, collections.Counter()
 
-    monkeypatch.setattr(spectral, "_symmetric_factor", counting)
+    def counting(A, *args, **kwargs):
+        B = sp.csc_matrix(A, copy=True)
+        B.sum_duplicates()
+        seen[B.shape, B.data.tobytes(), B.indices.tobytes(), B.indptr.tobytes()] += 1
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
     res = runner.invoke(
         main, ["run", pipeline, "--geometry", "balls:1", "--output", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
-    assert len(shapes) == factors, shapes
+    shapes = [(key[0], n) for key, n in seen.items()]
+    assert all(n == 1 for n in seen.values()), shapes
+    assert len(seen) == factors, shapes
 
 
 def test_topology_truncated_kernel_is_a_failed_row(runner, tmp_path, monkeypatch):

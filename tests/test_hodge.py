@@ -83,17 +83,20 @@ def test_harmonic_basis_one_ball(qft_bundle):
 def test_harmonic_basis_two_balls():
     sc = canned_scenario("balls:2")
     ops = DecOperators(sc.carved)
-    dec = eig(assemble_laplacian(ops, 1, lumped_down=True), count=8)
+    dec = eig(assemble_laplacian(ops, 1), count=8)
     hb = harmonic_basis(dec, ops)
     assert hb.L == 2
     g = hb.vectors.T @ (ops.mass(1) @ hb.vectors)
     assert np.linalg.norm(g - np.eye(2)) <= 1e-10
 
 
-def test_gap_floor_raises(qft_bundle):
+def test_gap_floor_raises(qft_bundle, monkeypatch):
+    import decem.hodge as hodge
+
     b = qft_bundle
+    monkeypatch.setattr(hodge, "GAP_FLOOR", 1e20)
     with pytest.raises(ValueError, match="gap"):
-        harmonic_basis(b.dec1, b.ops, gap_floor=1e20)
+        harmonic_basis(b.dec1, b.ops)
 
 
 def test_helmholtz_random_orthogonality(qft_bundle):
@@ -159,8 +162,8 @@ def test_helmholtz_matches_p0(qft_bundle):
 
 @pytest.mark.parametrize("case", ["qft_bundle", "hopf_link"])
 def test_sparse_split_matches_dense_oracle(case, request):
-    """Two paths to the split: the kernel from the lumped partial eig and Delta^+ by
-    shifted sparse solves (as ``run hodge``), against the complete exact decomposition's
+    """Two paths to the split: the kernel from the partial eig and Delta^+ by shifted
+    sparse solves on its factor (as ``run hodge``), against the complete decomposition's
     kernel and spectral synthesis."""
     if case == "qft_bundle":
         b = request.getfixturevalue("qft_bundle")
@@ -168,8 +171,8 @@ def test_sparse_split_matches_dense_oracle(case, request):
     else:
         ops = DecOperators(canned_scenario("hopf_link", 1).carved)
         dec = eig(assemble_laplacian(ops, 1))
-    part = eig(assemble_laplacian(ops, 1, lumped_down=True), count=min(10, ops.n(1) - 2))
-    solver = HelmholtzSolver(ops, harmonic_basis(part, ops), part.max_eval)
+    part, factor = eig(assemble_laplacian(ops, 1), count=min(10, ops.n(1) - 2), return_factor=True)
+    solver = HelmholtzSolver(ops, harmonic_basis(part, ops), part.max_eval, factor)
     assert solver.hb.L == dec.kernel_dim > 0
     rng = np.random.default_rng(5)
     for _ in range(3):
@@ -185,7 +188,7 @@ def test_harmonic_basis_rejects_truncated_kernel(name, p, count):
     """A partial eig whose every eigenvalue is in the kernel may have cut the kernel
     short (dim H^2 = 2 on hopf_link, dim H^1 = 3 on balls:3): its gap ratio is inf."""
     ops = DecOperators(canned_scenario(name, 1).carved)
-    dec = eig(assemble_laplacian(ops, p, lumped_down=True), count=count)
+    dec = eig(assemble_laplacian(ops, p), count=count)
     assert dec.kernel_dim == count and dec.gap_ratio == np.inf
     with pytest.raises(ValueError, match=f"kernel_dim {count} of count {count}"):
         harmonic_basis(dec, ops)

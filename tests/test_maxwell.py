@@ -257,7 +257,7 @@ def test_harmonic_B_static_on_solid_torus():
     """On solid_torus H^2 = 1: harmonic B0 stays put and drives no current."""
     sc = canned_scenario("solid_torus", 1)
     ops = DecOperators(sc.carved)
-    kern = eig(assemble_laplacian(ops, 2, lumped_down=True), count=4)
+    kern = eig(assemble_laplacian(ops, 2), count=4)
     assert kern.kernel_dim == 1
     h = kern.kernel_basis()[:, 0]
     dec1 = eig(assemble_laplacian(ops, 1))
@@ -345,7 +345,7 @@ def test_B_two_path_with_harmonic_part_on_solid_torus():
     from maxwell_reference import evolve as reference_evolve
 
     ops = DecOperators(canned_scenario("solid_torus", 1).carved)
-    h = eig(assemble_laplacian(ops, 2, lumped_down=True), count=4).kernel_basis()[:, 0]
+    h = eig(assemble_laplacian(ops, 2), count=4).kernel_basis()[:, 0]
     dec1 = eig(assemble_laplacian(ops, 1))
     rng = np.random.default_rng(18)
     E0 = ops.apply_codifferential(2, rng.standard_normal(ops.n(2)))
@@ -389,17 +389,17 @@ def test_lanczos_evolution_matches_dense(qft_bundle, sourced):
 
 
 @pytest.fixture(scope="module")
-def lumped_dec1(qft_bundle):
-    return eig(assemble_laplacian(qft_bundle.ops, 1, lumped_down=True), count=6)
+def partial_dec1(qft_bundle):
+    return eig(assemble_laplacian(qft_bundle.ops, 1), count=6)
 
 
-def test_evolution_rejects_partial_decomposition(qft_bundle, lumped_dec1):
+def test_evolution_rejects_partial_decomposition(qft_bundle, partial_dec1):
     b = qft_bundle
     zero1, zero2 = np.zeros(b.ops.n(1)), np.zeros(b.ops.n(2))
     with pytest.raises(ValueError, match="complete exact decomposition"):
-        evolve(lumped_dec1, b.ops, MaxwellState(0.0, zero1, zero2), None, [1.0])
+        evolve(partial_dec1, b.ops, MaxwellState(0.0, zero1, zero2), None, [1.0])
     with pytest.raises(ValueError, match="complete exact decomposition"):
-        potential_evolve(b.dec0, lumped_dec1, b.ops, zero1, zero1, None, [1.0])
+        potential_evolve(b.dec0, partial_dec1, b.ops, zero1, zero1, None, [1.0])
 
 
 def test_constraint_failures_report_value_and_tolerance(qft_bundle):

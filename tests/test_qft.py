@@ -450,8 +450,8 @@ def test_propagate_G_rejects_partial_decomposition(qft_bundle):
     from decem.spectral import assemble_laplacian, eig
 
     b = qft_bundle
-    lumped = eig(assemble_laplacian(b.ops, 1, lumped_down=True), count=6)
-    fc = FieldCalculus(b.ops, b.dec0, lumped, Q=b.Q)
+    partial = eig(assemble_laplacian(b.ops, 1), count=6)
+    fc = FieldCalculus(b.ops, b.dec0, partial, Q=b.Q)
     f = TestForm(1, [FormTerm(TimeProfile.bump(-0.3, 0.7), "spatial", np.ones(b.ops.n(1)))])
     with pytest.raises(ValueError, match="complete exact decomposition"):
         fc.propagate_G(f)

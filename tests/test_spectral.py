@@ -87,7 +87,7 @@ def test_kernel_of_delta0_on_carved_is_trivial():
 
     sc = canned_scenario("balls:1")
     ops = DecOperators(sc.carved)
-    dec = eig(assemble_laplacian(ops, 0, lumped_down=True), count=4)
+    dec = eig(assemble_laplacian(ops, 0), count=4)
     assert dec.kernel_dim == 0
 
 
@@ -248,7 +248,8 @@ def test_check_residuals_reports_orthonormality(box_ops):
 def test_eig_reports_negative_eigenvalue(box_ops):
     L1 = assemble_laplacian(box_ops, 1)
     dec = eig(L1)
-    flipped = LaplaceOperator(1, box_ops, -L1.up, L1.M, L1.K, -L1.W)
+    # the up-term flipped; the top eigenvalue of Delta_1 on this box is coexact
+    flipped = LaplaceOperator(1, box_ops, -L1.up, L1.M, L1.K)
     with pytest.raises(AssertionError) as err:
         eig(flipped)
     got, tol = _numbers(
@@ -280,7 +281,7 @@ def test_spectrum_bounds_failure_is_loud(box_ops, monkeypatch, planted):
 
 def test_norm_estimate_fallback_warns(box_ops, monkeypatch):
     """ARPACK failing in the norm estimate is reported with the bound used."""
-    L1 = assemble_laplacian(box_ops, 1, lumped_down=True)
+    L1 = assemble_laplacian(box_ops, 1)
 
     def eigsh(*args, **kwargs):
         raise spla.ArpackNoConvergence("planted no convergence", np.zeros(0), np.zeros((0, 0)))
@@ -304,7 +305,7 @@ def solid_torus_ops():
 @pytest.mark.parametrize("p", [1, 2])
 def test_partial_eig_matches_dense(solid_torus_ops, p):
     """The shift-invert partial solve finds the lowest dense eigenvalues."""
-    op = assemble_laplacian(solid_torus_ops, p, lumped_down=True)
+    op = assemble_laplacian(solid_torus_ops, p)
     k = 10
     part, full = eig(op, count=k), eig(op)
     assert part.kernel_dim == full.kernel_dim > 0
@@ -314,7 +315,7 @@ def test_partial_eig_matches_dense(solid_torus_ops, p):
 def test_partial_eig_is_bit_reproducible():
     """Fixed-seed ARPACK start vectors: repeated partial solves give identical bases."""
     ops = DecOperators(canned_scenario("solid_torus", 1).carved)
-    op = assemble_laplacian(ops, 2, lumped_down=True)
+    op = assemble_laplacian(ops, 2)
     bases = [eig(op, count=4).kernel_basis() for _ in range(3)]
     assert bases[0].shape[1] > 0
     assert all(np.array_equal(bases[0], b) for b in bases[1:])
@@ -332,7 +333,7 @@ def test_partial_eig_estimates_norm_once(box_ops, monkeypatch):
         return real(op)
 
     monkeypatch.setattr(spectral, "_norm_estimate", counting)
-    dec = eig(assemble_laplacian(box_ops, 1, lumped_down=True), count=4)
+    dec = eig(assemble_laplacian(box_ops, 1), count=4)
     assert len(calls) == 1
     assert dec.max_eval == pytest.approx(real(calls[0]))
 
@@ -357,18 +358,12 @@ def test_lam_is_bitwise_the_kernel_zeroed_root(qft_bundle):
 
 
 def test_partial_decomposition_has_no_operator_functions(qft_bundle):
-    dec = eig(assemble_laplacian(qft_bundle.ops, 1, lumped_down=True), count=6)
+    dec = eig(assemble_laplacian(qft_bundle.ops, 1), count=6)
     assert dec.kernel_dim > 0
     with pytest.raises(ValueError, match="complete exact decomposition"):
         dec.lam
     with pytest.raises(ValueError, match="complete exact decomposition"):
         dec.apply_function(lambda m: 1.0, np.ones(qft_bundle.ops.n(1)), "exclude")
-
-
-def test_quadrature_rejects_lumped_operator(box_ops):
-    op = assemble_laplacian(box_ops, 1, lumped_down=True)
-    with pytest.raises(ValueError, match="needs an exact down-term"):
-        inverse_sqrt_quadrature(op, np.ones(op.n), spectrum_bounds=(1.0, 2.0))
 
 
 def test_quadrature_kernel_component_reports_value(qft_bundle):
@@ -392,7 +387,7 @@ def test_pseudo_inverse_matches_spectral_synthesis(qft_bundle):
         assert b.ops.norm(1, y - want) <= 1e-10 * b.ops.norm(1, want)
 
 
-def test_pseudo_inverse_rejects_kernel_component_and_lumped_operator(qft_bundle):
+def test_pseudo_inverse_rejects_kernel_component(qft_bundle):
     b = qft_bundle
     K = b.dec1.kernel_basis()
     x = K[:, 0] + 1e-3 * b.dec1.vectors[:, -1]
@@ -401,8 +396,6 @@ def test_pseudo_inverse_rejects_kernel_component_and_lumped_operator(qft_bundle)
     pinv = pseudo_inverse(b.L1, K, b.dec1.max_eval)
     with pytest.raises(ValueError, match=re.escape(f"relative {rel:.2e} > 1.00e-08")):
         pinv(x)
-    with pytest.raises(ValueError, match="needs an exact down-term"):
-        pseudo_inverse(assemble_laplacian(b.ops, 1, lumped_down=True), K, b.dec1.max_eval)
 
 
 def test_pseudo_inverse_iteration_cap_reports_values(qft_bundle, monkeypatch):
@@ -423,14 +416,11 @@ def test_pseudo_inverse_iteration_cap_reports_values(qft_bundle, monkeypatch):
 
 def test_partial_eig_returns_its_shifted_factor(qft_bundle):
     """A partial eig of the exact Delta_1 returns (S - sigma M)^-1 at its own sigma =
-    -1e-6 max_eval, bit for bit against a fresh factor; a lumped or dense eig returns
-    none."""
+    -1e-6 max_eval, bit for bit against a fresh factor; a dense eig returns none."""
     b = qft_bundle
     low, factor = eig(b.L1, count=10, return_factor=True)
     x = np.random.default_rng(10).standard_normal(b.L1.n)
     assert np.array_equal(factor @ x, _shift_inverse(b.L1, -1e-6 * low.max_eval) @ x)
-    lumped = assemble_laplacian(b.ops, 1, lumped_down=True)
-    assert eig(lumped, count=10, return_factor=True)[1] is None
     assert eig(b.L1, "all", return_factor=True)[1] is None
 
 
@@ -545,27 +535,29 @@ def topology_ops():
 @pytest.mark.parametrize("name", ["balls:3", "hopf_link"])
 @pytest.mark.parametrize("p", [1, 2])
 def test_shift_inverse_matches_explicit_lumped_solve(topology_ops, name, p):
-    """Two paths to (S - sigma M)^-1 x: the augmented factor against splu of S multiplied out.
+    """Two paths to (S - sigma M)^-1 x: the augmented factor against a dense solve with
+    the exact S multiplied out (``laplacian_reference``).
 
     cond(S - sigma M) is about max_eval / |sigma| = 1e6, so the paths may
     differ by 1e6 times the rounding unit; 1e-9 leaves a wide margin.
     """
-    op = assemble_laplacian(topology_ops[name], p, lumped_down=True)
-    up, K, w = op.up, op.K, op.W.diagonal()
-    S = up + K.T @ sp.diags(1.0 / w) @ K  # the explicit lumped stiffness, as the reference
+    ops = topology_ops[name]
+    op = assemble_laplacian(ops, p)
+    S = laplacian_reference.assemble_laplacian(ops, p).S
     sigma = -1e-6 * _norm_estimate(op)
-    ref = spla.splu(sp.csc_matrix(S - sigma * op.M))
+    ref = sla.cho_factor(S - sigma * op.M.toarray(), overwrite_a=True)  # SPD: sigma < 0
+    del S
     X = np.random.default_rng(7).standard_normal((op.n, 3))
     OPinv = _shift_inverse(op, sigma)
     for x in X.T:
-        want = ref.solve(x)
+        want = sla.cho_solve(ref, x)
         assert np.linalg.norm(OPinv @ x - want) <= 1e-9 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("name, dims", [("balls:3", (3, 0)), ("hopf_link", (2, 2))])
 def test_partial_eig_kernel_dims_on_topology_meshes(topology_ops, name, dims):
     ops = topology_ops[name]
-    decs = [eig(assemble_laplacian(ops, p, lumped_down=True), count=10) for p in (1, 2)]
+    decs = [eig(assemble_laplacian(ops, p), count=10) for p in (1, 2)]
     assert tuple(dec.kernel_dim for dec in decs) == dims
 
 
@@ -574,7 +566,7 @@ def test_shift_inverse_without_down_term_is_the_plain_factor(solid_torus_ops, wh
     """No down-term: zero extra rows, and the solves are the factor of S - sigma M bit for bit."""
     ops = solid_torus_ops
     if which == "p0":
-        op = assemble_laplacian(ops, 0, lumped_down=True)
+        op = assemble_laplacian(ops, 0)
     else:
         S = (ops.d(1).T @ ops.mass(2) @ ops.d(1)).tocsr()
         op = LaplaceOperator(1, ops, S, ops.mass(1))
@@ -613,18 +605,9 @@ def test_exact_eig_matches_dense_oracle(oracle_ops, name, p):
     """The pencil plus the kernel block against eigh of the dense exact S."""
     ops = oracle_ops[name]
     dec = eig(assemble_laplacian(ops, p))
-    assert dec.exact and dec.kernel_dim > 0
+    assert dec.complete and dec.kernel_dim > 0
     L = laplacian_reference.assemble_laplacian(ops, p)
     _check_against_stiffness(dec, L.S, L.M)
-
-
-@pytest.mark.parametrize("p", [1, 2])
-def test_lumped_eig_matches_multiplied_out_stiffness(solid_torus_ops, p):
-    op = assemble_laplacian(solid_torus_ops, p, lumped_down=True)
-    dec = eig(op)
-    assert not dec.exact and dec.kernel_dim > 0
-    S = (op.up + op.K.T @ sp.diags(1.0 / op.W.diagonal()) @ op.K).toarray()
-    _check_against_stiffness(dec, 0.5 * (S + S.T), op.M)
 
 
 @pytest.mark.parametrize("p", [1, 2])

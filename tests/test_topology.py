@@ -82,7 +82,7 @@ def test_harmonic_match_one_ball():
     rep = relative_cohomology_dims(ops)
     kernel_dims = {}
     for p in (1, 2):
-        dec = eig(assemble_laplacian(ops, p, lumped_down=True), count=6)
+        dec = eig(assemble_laplacian(ops, p), count=6)
         kernel_dims[p] = dec.kernel_dim
     flags = check_harmonic_match(rep, kernel_dims)
     assert flags == {1: True, 2: True}
