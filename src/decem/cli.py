@@ -192,8 +192,7 @@ def pipeline_topology(cfg, scenario, material):
     report = relative_cohomology_dims(ops)
     kernel_dims = {}
     for p in (1, 2):
-        dec = eig(assemble_laplacian(ops, p), count=min(10, ops.n(p) - 2))
-        kernel_dims[p] = dec.kernel_dim
+        kernel_dims[p] = _low_modes(assemble_laplacian(ops, p))[0].kernel_dim
     flags = check_harmonic_match(report, kernel_dims)
     rows = []
     name = cfg["geometry"].get("canned")
@@ -211,9 +210,10 @@ def pipeline_hodge(cfg, scenario, material):
 
     params = cfg["params"]
     ops = DecOperators(scenario.carved, material)
-    low, factor = _low_modes(assemble_laplacian(ops, 1))
+    op = assemble_laplacian(ops, 1)
+    low, factor = _low_modes(op)
     hb = harmonic_basis(low, ops)
-    solver = HelmholtzSolver(ops, hb, low.max_eval, factor)
+    solver = HelmholtzSolver(ops, hb, LanczosCalculus(op, hb.vectors, low.max_eval, factor))
     rows = []
     out = {}
     if scenario.has_obstacle and scenario.carved.dim == 3:
@@ -285,7 +285,7 @@ def pipeline_maxwell(cfg, scenario, material):
 
 
 def pipeline_qft(cfg, scenario, material):
-    from .hodge import capacity_and_psiL
+    from .hodge import harmonic_basis
     from .qft import FieldCalculus, FormTerm, TestForm
     from .spectral import build_Q_eps
     from .timeprofiles import TimeProfile
@@ -306,9 +306,8 @@ def pipeline_qft(cfg, scenario, material):
     low0, low1 = _low_modes(op0)[0], _low_modes(op1)[0]
     Q = None
     if scenario.has_obstacle and low1.kernel_dim > 0:
-        cap, u, _psi = capacity_and_psiL(ops)
         Q = build_Q_eps(
-            low1, ops, u, eps=float(qp.get("eps", 1.0)), center=center,
+            harmonic_basis(low1, ops), ops, eps=float(qp.get("eps", 1.0)), center=center,
             r_plateau=r_plateau, r_zero=r_zero,
         )
     # each test-form cochain keeps one Krylov basis across the pairings below

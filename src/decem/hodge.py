@@ -4,10 +4,13 @@ The capacity potential solves the discrete Dirichlet problem u = 1 on the
 obstacle boundary, u = 0 on the outer (truncation) boundary.  Its gradient,
 restricted to interior edges, is exactly closed and co-closed in the reduced
 complex, so du/sqrt(<du,du>) is the distinguished harmonic one-form.
+:func:`harmonic_basis` is the one builder of the harmonic basis, with that mode
+last; run hodge and run qft (through ``spectral.build_Q_eps``) both take it.
 
 The Hodge-Kodaira split needs no complete eigensystem: the harmonic basis
-comes from a partial eigensolve of Delta_p, and Delta^+ is applied by shifted
-sparse solves on the factor that eigensolve made.
+comes from a partial eigensolve of Delta_p, and Delta^+ is the
+``pseudo_inverse`` of a calculus on Delta_p (in run hodge, shifted sparse solves
+on the factor that eigensolve made).
 """
 
 from __future__ import annotations
@@ -19,12 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .forms import DecOperators
 from .mesh import OBSTACLE, boundary_components
-from .spectral import (
-    SpectralDecomposition,
-    assemble_laplacian,
-    harmonic_basis_with_distinguished,
-    pseudo_inverse,
-)
+from .spectral import SpectralDecomposition
 
 # least gap ratio lambda_{k+1} / lambda_k between a kernel and the rest of the spectrum
 GAP_FLOOR = 1e3
@@ -33,16 +31,21 @@ GAP_FLOOR = 1e3
 @dataclass
 class HarmonicBasis:
     """M-orthonormal basis of ker Delta_p; for p=1 with obstacle the last
-    vector is the capacity-normalised du."""
+    vector is the capacity-normalised du, u the capacity potential ``potential``
+    on all nodes."""
 
     p: int
     vectors: np.ndarray
     capacity: float | None = None
-    distinguished: bool = False
+    potential: np.ndarray | None = None
 
     @property
     def L(self) -> int:
         return self.vectors.shape[1]
+
+    @property
+    def distinguished(self) -> bool:
+        return self.capacity is not None
 
 
 @dataclass
@@ -127,21 +130,45 @@ def harmonic_basis(dec: SpectralDecomposition, ops: DecOperators) -> HarmonicBas
 
     ``dec`` may be partial (``eig(op, k)``), but then it must reach past the kernel
     (``dec.kernel_basis()`` checks it).  For p = 1 on a 3-complex with an obstacle the
-    capacity is solved for here, once, and kept on the basis.
+    capacity potential is solved for here, once; its normalised gradient must lie in
+    the kernel, and the basis completes it there, last.
     """
     if dec.gap_ratio < GAP_FLOOR:
         raise ValueError(
             f"ambiguous kernel: spectral gap ratio {dec.gap_ratio:.2e} below {GAP_FLOOR:.0e}"
         )
-    p = dec.p
+    p, K = dec.p, dec.kernel_basis()
     cplx = ops.complex
     if p == 1 and cplx.dim == 3 and OBSTACLE in cplx.boundary_markers:
-        cap, u, _psi = capacity_and_psiL(ops)
-        hb = HarmonicBasis(p, harmonic_basis_with_distinguished(dec, ops, u), cap, True)
+        cap, u, psi = capacity_and_psiL(ops)
+        hb = HarmonicBasis(p, _complete_with_last(K, psi, ops.mass(1)), cap, u)
     else:
-        hb = HarmonicBasis(p, dec.kernel_basis().copy())
+        hb = HarmonicBasis(p, K.copy())
     _check_harmonic(ops, hb)
     return hb
+
+
+def _complete_with_last(K: np.ndarray, psi: np.ndarray, M) -> np.ndarray:
+    """M-orthonormal basis of span K whose last vector is the unit vector psi."""
+    L = K.shape[1]
+    coef = K.T @ (M @ psi)
+    resid = psi - K @ coef
+    off = np.sqrt(abs(resid @ (M @ resid)))
+    if off > 1e-6:
+        raise ValueError(
+            f"capacity gradient is not in the numerical kernel: |residual| {off:.2e} > 1.00e-06"
+        )
+    rest = K @ (np.eye(L) - np.outer(coef, coef))
+    w, U = np.linalg.eigh(rest.T @ (M @ rest))
+    keep = w > 1e-10
+    cols = rest @ (U[:, keep] / np.sqrt(w[keep])[None, :])
+    basis = np.column_stack([cols[:, : L - 1], psi])
+    orth = np.linalg.norm(basis.T @ (M @ basis) - np.eye(L))
+    if orth > 1e-8:
+        raise AssertionError(
+            f"distinguished kernel basis lost orthonormality: {orth:.2e} > 1.00e-08"
+        )
+    return basis
 
 
 def _check_harmonic(ops: DecOperators, hb: HarmonicBasis) -> None:
@@ -205,28 +232,19 @@ def threshold_integral(dec: SpectralDecomposition, phi: np.ndarray, delta: float
 
 
 class HelmholtzSolver:
-    """Three-way Hodge-Kodaira split from a harmonic basis and sparse solves on Delta_p.
+    """Three-way Hodge-Kodaira split from a harmonic basis and a calculus on Delta_p.
 
     h = H H^T M phi for the M-orthonormal basis H of ``hb``; phi1 = Delta^+ (phi - h)
-    is :func:`~decem.spectral.pseudo_inverse` on Delta_p, shifted by the ``max_eval``
-    of the eigensolve that gave ``hb`` and run on that eigensolve's factor
-    ``shift_inverse`` if passed; the exact and coexact parts are d delta~ phi1 and
-    delta~ d phi1.  Their sum is Delta phi1 through the
-    codifferentials, not the refinement's S, so the recomposition checks
+    is ``calc.pseudo_inverse``, any calculus on Delta_p whose kernel is span H (run
+    hodge passes a :class:`~decem.spectral.LanczosCalculus` on the partial eig's
+    kernel basis, ``max_eval`` and shifted factor); the exact and coexact parts are
+    d delta~ phi1 and delta~ d phi1.  Their sum is Delta phi1 through the
+    codifferentials, not the calculus's S, so the recomposition checks
     Delta Delta^+ = 1 - P_H.
     """
 
-    def __init__(
-        self,
-        ops: DecOperators,
-        hb: HarmonicBasis,
-        max_eval: float,
-        shift_inverse: spla.LinearOperator | None = None,
-    ):
-        self.ops = ops
-        self.hb = hb
-        op = assemble_laplacian(ops, hb.p)
-        self.pinv = pseudo_inverse(op, hb.vectors, max_eval, shift_inverse)
+    def __init__(self, ops: DecOperators, hb: HarmonicBasis, calc):
+        self.ops, self.hb, self.calc = ops, hb, calc
 
     def split(self, phi: np.ndarray) -> HelmholtzSplit:
         ops, p, H = self.ops, self.hb.p, self.hb.vectors
@@ -235,7 +253,7 @@ class HelmholtzSolver:
         rest = phi - harmonic
         # once more: one pass leaves a kernel part of rounding size in |harmonic|, which
         # is not small against |rest| when phi is (nearly) harmonic
-        phi1 = self.pinv(rest - H @ (H.T @ (M @ rest)))
+        phi1 = self.calc.pseudo_inverse(rest - H @ (H.T @ (M @ rest)))
         d = ops.complex.dim
         exact = (
             ops.d(p - 1) @ ops.apply_codifferential(p, phi1) if p > 0 else np.zeros_like(phi)

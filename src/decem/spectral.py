@@ -6,18 +6,19 @@ of the pencil (up, M), the only dense form of Delta_p, completed on its kernel b
 :func:`kernel_block`.  ``eig(op, k)`` is ARPACK shift-invert for the k lowest
 pairs, the kernel and lambda_min among them.  A partial decomposition never
 evaluates operator functions itself: it hands its kernel basis and ``max_eval``,
-and on request its shifted factor, to the calculi below.
+and on request its shifted factor, to :class:`LanczosCalculus`.
 ``SpectralDecomposition.lam`` is the one source of frequencies of a complete
-system: exactly 0 on the kernel.  Without a spectrum,
-Delta^+ is :func:`pseudo_inverse` (iterative refinement on one shifted factor),
-Delta^(-1/2) is :func:`inverse_sqrt_quadrature`, and f(Delta) x comes from
+system: exactly 0 on the kernel.  Without a spectrum, f(Delta) x comes from
 :class:`LanczosCalculus`: the kernel part of x takes f(0), and one Krylov basis
 of the rest serves every f that is finite at 0, with an a-posteriori stopping
-rule.  It shares its call shape, ``functions(x, fs)`` and ``pseudo_inverse(x)``,
-with ``SpectralDecomposition``.  Every sparse shift-invert, refinement and
-quadrature node factors the quasi-definite [[up - sigma M, K^T], [K, -W]]
-(:func:`_shift_inverse`), never S - sigma M; each mass matrix is factored once,
-by ``DecOperators.mass_factor``.
+rule; its Delta^+ is iterative refinement on one shifted factor.  Both calculi
+have the call shape ``functions(x, fs)`` and ``pseudo_inverse(x)``.
+Delta^(-1/2) is :func:`inverse_sqrt_quadrature`.  Every sparse shift-invert,
+refinement and quadrature node factors the quasi-definite
+[[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`), never S - sigma M; each
+mass matrix is factored once, by ``DecOperators.mass_factor``.  Q_eps
+(:func:`build_Q_eps`) takes the distinguished harmonic basis that
+``hodge.harmonic_basis`` builds.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,6 +34,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .forms import DecOperators, _symmetric_factor
+
+if TYPE_CHECKING:
+    from .hodge import HarmonicBasis
 
 KERNEL_THRESHOLD = 1e-8
 
@@ -126,37 +131,13 @@ class SpectralDecomposition:
 
     @property
     def lam(self) -> np.ndarray:
-        """Frequencies sqrt(lambda^2), exactly 0 on the kernel (computed on each access)."""
-        return np.sqrt(self._kernel_zeroed())
-
-    def _kernel_zeroed(self) -> np.ndarray:
-        """lambda^2 with the kernel block set to exactly 0; needs a complete decomposition."""
+        """Frequencies sqrt(lambda^2), exactly 0 on the kernel (computed on each access);
+        needs a complete decomposition."""
         if not self.complete:
             raise ValueError("operator functions need a complete exact decomposition")
-        lam2 = self.evals.copy()
-        lam2[: self.kernel_dim] = 0.0
-        return lam2
-
-    def apply_function(self, f, x: np.ndarray, kernel_policy="include") -> np.ndarray:
-        """Evaluate f(Delta) x by spectral synthesis.
-
-        kernel_policy: 'include' evaluates f at exactly 0 on the kernel,
-        'exclude' drops the kernel.
-        """
-        lam2 = self._kernel_zeroed()
-        kd = self.kernel_dim
-        if kernel_policy == "include":
-            vals = np.array([f(v) for v in lam2], dtype=float)
-            if kd and not np.all(np.isfinite(vals[:kd])):
-                raise ValueError("function singular at zero with kernel_policy='include'")
-        elif kernel_policy == "exclude":
-            vals = np.zeros_like(lam2)
-            vals[kd:] = np.array([f(v) for v in lam2[kd:]], dtype=float)
-        else:
-            raise ValueError(f"unknown kernel policy {kernel_policy!r}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("operator function produced non-finite values")
-        return self.vectors @ (vals * self.coefficients(x))
+        lam = np.sqrt(self.evals)
+        lam[: self.kernel_dim] = 0.0
+        return lam
 
     def functions(self, x: np.ndarray, fs) -> np.ndarray:
         """Rows f(Delta) x, one per f in ``fs``; each f maps an array of frequencies
@@ -170,7 +151,10 @@ class SpectralDecomposition:
 
     def pseudo_inverse(self, x: np.ndarray) -> np.ndarray:
         """Delta^+ x: the kernel dropped, 1/lambda^2 on the rest."""
-        return self.apply_function(lambda m: 1.0 / m, x, "exclude")
+        kd = self.kernel_dim
+        inv = np.zeros_like(self.lam)  # lam rejects a partial decomposition
+        inv[kd:] = 1.0 / self.evals[kd:]
+        return self.vectors @ (inv * self.coefficients(x))
 
     def project_out_kernel(self, x: np.ndarray) -> np.ndarray:
         K = self.kernel_basis()
@@ -185,7 +169,8 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     'all': dense ``eigh`` of the pencil (up, M), :func:`kernel_block`, stable sort.
     With ``return_factor`` the result is (decomposition, factor): the shifted factor
     (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig made, which
-    :func:`pseudo_inverse` at that ``max_eval`` can reuse; None after a dense eig.
+    ``LanczosCalculus.pseudo_inverse`` at that ``max_eval`` can reuse; None after a
+    dense eig.
     """
     n = op.n
     if count == "all":
@@ -284,52 +269,6 @@ PINV_RTOL = 1e-13
 PINV_MAX_ITER = 30
 
 
-def pseudo_inverse(
-    op: LaplaceOperator,
-    kernel_basis: np.ndarray,
-    max_eval: float,
-    shift_inverse: spla.LinearOperator | None = None,
-):
-    """Delta^+ on kernel-free vectors or blocks, without a spectrum.
-
-    Iterative refinement x <- x + (S - sigma M)^-1 (M b - S x) on one factor
-    ``_shift_inverse(op, sigma)``, sigma = -1e-6 ``max_eval`` (the scale of the
-    eigensolve that gave ``kernel_basis``; the shift ``eig`` uses).  A partial
-    ``eig`` of ``op`` at that ``max_eval`` returns its factor for ``shift_inverse``;
-    without one it is factored here.  Returns apply(b);
-    each call checks b against ``kernel_basis`` like :func:`inverse_sqrt_quadrature`
-    and M-projects the result off it (each
-    solve scales the rounding-size kernel part of b by 1/|sigma|: about 1e-11
-    relative on balls:1 and hopf_link without the projection).
-    """
-    shift_inv = shift_inverse
-    if shift_inv is None:
-        shift_inv = _shift_inverse(op, -1e-6 * max_eval)
-
-    def apply(b: np.ndarray) -> np.ndarray:
-        B = np.atleast_2d(np.asarray(b, dtype=float).T).T
-        _check_kernel_free(op, B, kernel_basis)
-        MB = np.asarray(op.M @ B)
-        scale = np.maximum(np.linalg.norm(MB, axis=0), 1e-300)
-        X = np.zeros_like(B)
-        R = MB
-        for it in range(1, PINV_MAX_ITER + 1):
-            X += shift_inv @ R
-            R = MB - op.S @ X
-            res = (np.linalg.norm(R, axis=0) / scale).max()
-            if res <= PINV_RTOL:
-                break
-        else:
-            raise AssertionError(
-                f"Delta^+ refinement did not converge: residual {res:.2e} > {PINV_RTOL:.2e} "
-                f"after {it} iterations"
-            )
-        X -= kernel_basis @ (kernel_basis.T @ (op.M @ X))
-        return X[:, 0] if np.asarray(b).ndim == 1 else X
-
-    return apply
-
-
 # f(Delta) x by Lanczos stops when, between two checks LANCZOS_CHECK steps apart, no
 # function's Krylov coefficients move by more than LANCZOS_TOL relative to their norm.
 # The basis is M-orthonormal, so that is the relative change of f(Delta) x in the
@@ -371,9 +310,9 @@ class LanczosCalculus:
     at 0 (lam^(+-1/2) times a time moment qualifies); one that is not raises
     ``ValueError`` when there is a kernel.  With ``keep_bases`` each distinct start
     cochain keeps its basis, and later calls extend it only as far as their
-    functions need.  ``pseudo_inverse`` is :func:`pseudo_inverse` on ``kernel_basis``
-    and ``max_eval``, built on first use with ``shift_inverse``, the factor a partial
-    ``eig`` of ``op`` returned at that ``max_eval``, if passed.  Together ``functions``
+    functions need.  ``pseudo_inverse`` applies Delta^+ by refinement on one shifted
+    factor: ``shift_inverse``, the factor a partial ``eig`` of ``op`` returned at
+    ``max_eval``, if passed, or else one made on first use.  Together ``functions``
     and ``pseudo_inverse`` are the call shape :class:`SpectralDecomposition` also
     implements.
     """
@@ -388,16 +327,46 @@ class LanczosCalculus:
     ):
         self.op = op
         self._solve_M = op.ops.mass_factor(op.p).solve
-        self._kernel, self._max_eval, self._shift_inverse = kernel_basis, max_eval, shift_inverse
+        self._kernel, self._max_eval, self._factor = kernel_basis, max_eval, shift_inverse
         self._bases: dict[bytes, _Krylov] | None = {} if keep_bases else None
         self.steps = 0  # Lanczos steps taken, over all start vectors
 
     def kernel_basis(self) -> np.ndarray:
         return self._kernel
 
-    @cached_property
-    def pseudo_inverse(self):
-        return pseudo_inverse(self.op, self._kernel, self._max_eval, self._shift_inverse)
+    def pseudo_inverse(self, b: np.ndarray) -> np.ndarray:
+        """Delta^+ b on a kernel-free vector or block, without a spectrum.
+
+        Iterative refinement x <- x + (S - sigma M)^-1 (M b - S x) on one factor
+        ``_shift_inverse(op, sigma)``, sigma = -1e-6 ``max_eval`` (the scale of the
+        eigensolve that gave the kernel basis; the shift ``eig`` uses).  Each call
+        checks b against the kernel basis like :func:`inverse_sqrt_quadrature` and
+        M-projects the result off it (each solve scales the rounding-size kernel part
+        of b by 1/|sigma|: about 1e-11 relative on balls:1 and hopf_link without the
+        projection).
+        """
+        op, K = self.op, self._kernel
+        if self._factor is None:
+            self._factor = _shift_inverse(op, -1e-6 * self._max_eval)
+        B = np.atleast_2d(np.asarray(b, dtype=float).T).T
+        _check_kernel_free(op, B, K)
+        MB = np.asarray(op.M @ B)
+        scale = np.maximum(np.linalg.norm(MB, axis=0), 1e-300)
+        X = np.zeros_like(B)
+        R = MB
+        for it in range(1, PINV_MAX_ITER + 1):
+            X += self._factor @ R
+            R = MB - op.S @ X
+            res = (np.linalg.norm(R, axis=0) / scale).max()
+            if res <= PINV_RTOL:
+                break
+        else:
+            raise AssertionError(
+                f"Delta^+ refinement did not converge: residual {res:.2e} > {PINV_RTOL:.2e} "
+                f"after {it} iterations"
+            )
+        X -= K @ (K.T @ (op.M @ X))
+        return X[:, 0] if np.asarray(b).ndim == 1 else X
 
     def functions(self, x: np.ndarray, fs) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -671,28 +640,28 @@ def radial_cutoff(r: np.ndarray, eps: float, r_plateau: float, r_zero: float) ->
 
 
 def build_Q_eps(
-    dec: SpectralDecomposition,
+    hb: HarmonicBasis,
     ops: DecOperators,
-    u: np.ndarray,
     eps: float,
     center: np.ndarray,
     r_plateau: float,
     r_zero: float,
 ) -> ProjectorQ:
-    """Assemble Q_eps from the capacity potential u (full vertex cochain).
+    """Assemble Q_eps from the distinguished harmonic basis ``hb`` of ker Delta_1.
 
-    The distinguished harmonic direction is du itself; the basis is rotated so
-    its last element is du/|du| before the rank-one replacement by d(chi u).
-    The pairings of psi_eps with that basis must lie within 0.2 of the last
-    unit vector.
+    The last vector of ``hb`` is du/|du|, u the capacity potential ``hb.potential``
+    (full vertex cochain); the rank-one replacement of that vector by d(chi u)/|du|
+    is psi_eps.  The pairings of psi_eps with the basis must lie within 0.2 of the
+    last unit vector.
     """
     cplx = ops.complex
-    if cplx.dim != 3 or dec.p != 1:
+    if cplx.dim != 3 or hb.p != 1:
         raise ValueError("Q_eps lives on 1-forms of a 3-complex")
-    psi_basis = harmonic_basis_with_distinguished(dec, ops, u)
-    L = psi_basis.shape[1]
-    if L == 0:
-        raise ValueError("no zero modes: use the plain kernel projector")
+    if hb.potential is None:
+        raise ValueError(
+            "Q_eps needs a harmonic basis with a capacity potential: no obstacle boundary"
+        )
+    u = hb.potential
     d0_full = ops.d_full[0]
     du = (d0_full @ u)[ops.kept[1]]
     u_scale = np.sqrt(du @ (ops.mass(1) @ du))  # normalise so d u is the unit mode
@@ -702,13 +671,13 @@ def build_Q_eps(
     psi_eps = (d0_full @ (chi * u / u_scale))[ops.kept[1]]
     q = ProjectorQ(
         eps=eps,
-        psi_basis=psi_basis,
+        psi_basis=hb.vectors,
         psi_eps=psi_eps,
         M=ops.mass(1),
         cutoff_meta={"center": center, "r_plateau": r_plateau, "r_zero": r_zero},
     )
     pair = q.pairings()
-    target = np.zeros(L)
+    target = np.zeros(hb.L)
     target[-1] = 1.0
     dev = np.linalg.norm(pair - target)
     if dev > 0.2:
@@ -717,37 +686,3 @@ def build_Q_eps(
             f"|pairings - e_L| {dev:.2e} > 2.00e-01"
         )
     return q
-
-
-def harmonic_basis_with_distinguished(
-    dec: SpectralDecomposition, ops: DecOperators, u: np.ndarray
-) -> np.ndarray:
-    """M-orthonormal kernel basis whose last vector is du/sqrt(capacity)."""
-    K = dec.kernel_basis()
-    L = K.shape[1]
-    d0_full = ops.d_full[0]
-    du = (d0_full @ u)[ops.kept[1]]
-    M = ops.mass(1)
-    nrm = np.sqrt(du @ (M @ du))
-    psiL = du / nrm
-    coef = K.T @ (M @ psiL)
-    resid = psiL - K @ coef
-    off = np.sqrt(abs(resid @ (M @ resid)))
-    if off > 1e-6:
-        raise ValueError(
-            f"capacity gradient is not in the numerical kernel: |residual| {off:.2e} > 1.00e-06"
-        )
-    # complete psiL to an M-orthonormal basis of the kernel, psiL last
-    Q = np.eye(L) - np.outer(coef, coef)
-    rest = K @ Q
-    gram = rest.T @ (M @ rest)
-    w, U = np.linalg.eigh(gram)
-    keep = w > 1e-10
-    cols = rest @ (U[:, keep] / np.sqrt(w[keep])[None, :])
-    basis = np.column_stack([cols[:, : L - 1], psiL])
-    orth = np.linalg.norm(basis.T @ (M @ basis) - np.eye(L))
-    if orth > 1e-8:
-        raise AssertionError(
-            f"distinguished kernel basis lost orthonormality: {orth:.2e} > 1.00e-08"
-        )
-    return basis

@@ -9,7 +9,7 @@ import pytest
 
 from decem.forms import DecOperators
 from decem.geometries import ball_shell_complex, canned_scenario, qft_box_scenario
-from decem.hodge import capacity_and_psiL
+from decem.hodge import harmonic_basis
 from decem.mesh import carve_obstacle
 from decem.qft import FieldCalculus
 from decem.spectral import assemble_laplacian, build_Q_eps, eig
@@ -27,8 +27,7 @@ class QftBundle:
     dec2: object
     Q: object
     fc: FieldCalculus
-    capacity: float
-    u: np.ndarray
+    hb: object  # harmonic_basis(dec1, ops): its capacity and potential u
 
 
 @pytest.fixture(scope="session")
@@ -39,13 +38,12 @@ def qft_bundle() -> QftBundle:
     L1 = assemble_laplacian(ops, 1)
     L2 = assemble_laplacian(ops, 2)
     dec0, dec1, dec2 = eig(L0), eig(L1), eig(L2)
-    cap, u, _psi = capacity_and_psiL(ops)
+    hb = harmonic_basis(dec1, ops)
     Q = build_Q_eps(
-        dec1, ops, u, eps=1.0, center=np.array([3.0, 3.0, 3.0]),
-        r_plateau=2.0, r_zero=2.8,
+        hb, ops, eps=1.0, center=np.array([3.0, 3.0, 3.0]), r_plateau=2.0, r_zero=2.8,
     )
     fc = FieldCalculus(ops, dec0, dec1, Q=Q)
-    return QftBundle(sc, ops, L0, L1, L2, dec0, dec1, dec2, Q, fc, cap, u)
+    return QftBundle(sc, ops, L0, L1, L2, dec0, dec1, dec2, Q, fc, hb)
 
 
 @pytest.fixture(scope="session")
@@ -68,8 +66,7 @@ class ShellBundle:
     scenario: object
     ops: object
     dec: object  # partial eig of Delta_1, past its kernel
-    capacity: float
-    u: np.ndarray
+    hb: object  # harmonic_basis(dec, ops)
 
 
 @pytest.fixture(scope="session")
@@ -78,8 +75,7 @@ def shell_bundle() -> ShellBundle:
     sc = carve_obstacle(shell, {"core"})
     ops = DecOperators(sc.carved)
     dec = eig(assemble_laplacian(ops, 1), count=6)
-    cap, u, _psi = capacity_and_psiL(ops)
-    return ShellBundle(sc, ops, dec, cap, u)
+    return ShellBundle(sc, ops, dec, harmonic_basis(dec, ops))
 
 
 @dataclass
@@ -100,9 +96,8 @@ def wormhole_bundle() -> WormholeBundle:
     sc = canned_scenario("wormhole_obstacle")
     ops = DecOperators(sc.carved)
     dec1 = eig(assemble_laplacian(ops, 1))
-    _cap, u, _psi = capacity_and_psiL(ops)
     Q = build_Q_eps(
-        dec1, ops, u, eps=1.0, center=np.array([6.0, 3.0, 3.0]),
+        harmonic_basis(dec1, ops), ops, eps=1.0, center=np.array([6.0, 3.0, 3.0]),
         r_plateau=2.0, r_zero=2.6,
     )
     fc = FieldCalculus(ops, None, dec1, Q=Q)

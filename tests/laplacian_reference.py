@@ -1,9 +1,10 @@
 """The dense exact Hodge Laplacian, kept as a test oracle for ``decem.spectral``.
 
-``assemble_laplacian`` below is the engine's earlier exact assembly, unchanged
-but for its return type: it multiplies the down-term out,
-S = d_p^T M_{p+1} d_p + K^T M_{p-1}^-1 K with K = d_{p-1}^T M_p, as one
-dense symmetric array.  The engine never forms S; it keeps the up-term
+``assemble_laplacian`` below is the engine's earlier exact assembly, with the
+same floating-point operations but for its return type and its temporaries: it
+multiplies the down-term out, S = d_p^T M_{p+1} d_p + K^T M_{p-1}^-1 K with
+K = d_{p-1}^T M_p, as one dense symmetric array, adds the up-term at its
+nonzeros and symmetrises in place.  The engine never forms S; it keeps the up-term
 sparse and the down-term factored.  ``inverse_sqrt_quadrature`` is the
 engine's earlier dense branch of the resolvent quadrature: the same nodes,
 each a dense solve with S + l^2 M.
@@ -45,8 +46,16 @@ def assemble_laplacian(ops, p: int) -> DenseLaplacian:
         return DenseLaplacian(p, ((up + up.T) * 0.5).toarray(), M)
     K = (ops.d(p - 1).T @ ops.mass(p)).tocsc()  # (n_{p-1}, n_p)
     Kd = K.toarray()
-    S = Kd.T @ ops.mass_factor(p - 1).solve(Kd) + (up.toarray() if up is not None else 0.0)
-    return DenseLaplacian(p, 0.5 * (S + S.T), M)
+    X = ops.mass_factor(p - 1).solve(Kd)
+    S = Kd.T @ X
+    del Kd, X  # from here the one dense n_p x n_p array is S
+    if up is not None:
+        up = up.tocoo()
+        up.sum_duplicates()
+        S[up.row, up.col] += up.data
+    S += S.T  # numpy buffers the overlapping operand
+    S *= 0.5
+    return DenseLaplacian(p, S, M)
 
 
 def inverse_sqrt_quadrature(L: DenseLaplacian, X: np.ndarray, panels, spectrum_bounds):

@@ -82,7 +82,8 @@ def test_criterion_3_capacity():
 
 
 def test_criterion_4_structural_exactness(qft_bundle):
-    from decem.hodge import HelmholtzSolver, harmonic_basis
+    from decem.hodge import HelmholtzSolver
+    from decem.spectral import LanczosCalculus
 
     b = qft_bundle
     d2 = abs((b.ops.d(1) @ b.ops.d(0))).max()
@@ -92,7 +93,7 @@ def test_criterion_4_structural_exactness(qft_bundle):
         lhs = b.ops.mass(p - 1).toarray() @ b.ops.codifferential(p)
         rhs = (b.ops.d(p - 1).T @ b.ops.mass(p)).toarray()
         adj = max(adj, np.abs(lhs - rhs).max() / np.abs(rhs).max())
-    solver = HelmholtzSolver(b.ops, harmonic_basis(b.dec1, b.ops), b.dec1.max_eval)
+    solver = HelmholtzSolver(b.ops, b.hb, LanczosCalculus(b.L1, b.hb.vectors, b.dec1.max_eval))
     rng = np.random.default_rng(0)
     M = b.ops.mass(1)
     worst = 0.0
@@ -221,7 +222,7 @@ def test_criterion_7_q_eps_suite(shell_bundle, qft_bundle):
     idem, ranks, pair_err = 0.0, [], 0.0
     nd = []
     for eps in (0.8, 0.4, 0.2):
-        q = build_Q_eps(s.dec, s.ops, s.u, eps=eps, center=np.zeros(3),
+        q = build_Q_eps(s.hb, s.ops, eps=eps, center=np.zeros(3),
                         r_plateau=0.6, r_zero=0.75)
         Qm = q.matrix()
         idem = max(idem, np.linalg.norm(Qm @ Qm - Qm))
@@ -248,7 +249,7 @@ def test_criterion_7_q_eps_suite(shell_bundle, qft_bundle):
     ]))
     vals = []
     for eps, (rp, rz) in ((1.0, (2.0, 2.8)), (0.9, (1.9, 2.6)), (1.1, (2.1, 2.9))):
-        Q = build_Q_eps(b.dec1, b.ops, b.u, eps=eps,
+        Q = build_Q_eps(b.hb, b.ops, eps=eps,
                         center=np.array([3.0, 3.0, 3.0]), r_plateau=rp, r_zero=rz)
         fc = FieldCalculus(b.ops, b.dec0, b.dec1, Q=Q)
         vals.append(fc.krein_product(fc.kappa(f1), fc.kappa(f2)))

@@ -274,12 +274,42 @@ def test_run_factors_each_matrix_once(runner, tmp_path, monkeypatch, pipeline, f
     assert len(seen) == factors, shapes
 
 
+@pytest.mark.parametrize(
+    "pipeline, degrees",
+    [("topology", {1: 1, 2: 1}), ("hodge", {1: 1}), ("maxwell", {1: 1}), ("qft", {0: 1, 1: 1})],
+    ids=["topology", "hodge", "maxwell", "qft"],
+)
+def test_run_assembles_each_laplacian_once(monkeypatch, pipeline, degrees):
+    """Each Hodge Laplacian a pipeline needs is assembled once, by degree, and handed to
+    every eigensolve and calculus on it."""
+    import collections
+    import importlib
+
+    import decem.spectral as spectral
+
+    real, seen = spectral.assemble_laplacian, collections.Counter()
+
+    def counting(ops, p):
+        seen[p] += 1
+        return real(ops, p)
+
+    for name in ("cli", "spectral", "hodge", "maxwell", "qft", "stress", "topology"):
+        mod = importlib.import_module(f"decem.{name}")
+        if hasattr(mod, "assemble_laplacian"):
+            monkeypatch.setattr(mod, "assemble_laplacian", counting)
+    code, _summary = run_config({"geometry": "balls:1", "pipeline": pipeline})
+    assert code == 0
+    assert dict(seen) == degrees
+
+
 def test_topology_truncated_kernel_is_a_failed_row(runner, tmp_path, monkeypatch):
     """A partial eig that cuts ker Delta_1 short fails harmonic_match, with no exception."""
     import decem.cli as cli
 
     real = cli.eig
-    monkeypatch.setattr(cli, "eig", lambda op, count: real(op, 2 if op.p == 1 else count))
+    monkeypatch.setattr(
+        cli, "eig", lambda op, count, **kw: real(op, 2 if op.p == 1 else count, **kw)
+    )
     res = runner.invoke(
         main, ["run", "topology", "--geometry", "balls:3", "--output", str(tmp_path)]
     )

@@ -212,10 +212,12 @@ def _delta2_oracle(b, s0, src, t):
     """
     dec2, d1 = b.dec2, b.ops.d(1)
     dE = d1 @ s0.E
-    B = dec2.apply_function(lambda m: np.cos(t * np.sqrt(m)), s0.B)
-    B -= dec2.apply_function(lambda m: t * np.sinc(t * np.sqrt(m) / np.pi), dE)
-    Bdot = -dec2.apply_function(lambda m: np.sqrt(m) * np.sin(t * np.sqrt(m)), s0.B)
-    Bdot -= dec2.apply_function(lambda m: np.cos(t * np.sqrt(m)), dE)
+    cos_B, sin_B = dec2.functions(s0.B, [lambda lam: np.cos(t * lam),
+                                         lambda lam: lam * np.sin(t * lam)])
+    sinc_E, cos_E = dec2.functions(dE, [lambda lam: t * np.sinc(t * lam / np.pi),
+                                        lambda lam: np.cos(t * lam)])
+    B = cos_B - sinc_E
+    Bdot = -sin_B - cos_E
     lam = np.sqrt(dec2.evals)
     lam[: dec2.kernel_dim] = 0.0
     xs, ws = np.polynomial.legendre.leggauss(16)

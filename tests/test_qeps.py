@@ -9,7 +9,7 @@ from decem.spectral import build_Q_eps
 def _build(shell_bundle, eps):
     b = shell_bundle
     return build_Q_eps(
-        b.dec, b.ops, b.u, eps=eps, center=np.zeros(3), r_plateau=0.6, r_zero=0.75
+        b.hb, b.ops, eps=eps, center=np.zeros(3), r_plateau=0.6, r_zero=0.75
     )
 
 
@@ -89,7 +89,7 @@ def test_degenerate_pairing_rejected(shell_bundle):
     # cutoff so tight it kills the boundary plateau -> pairing degenerates
     with pytest.raises(ValueError, match="pairing|domain"):
         build_Q_eps(
-            b.dec, b.ops, b.u, eps=40.0, center=np.zeros(3),
+            b.hb, b.ops, eps=40.0, center=np.zeros(3),
             r_plateau=0.6, r_zero=0.75,
         )
 
@@ -100,7 +100,17 @@ def test_degenerate_pairing_reports_value(shell_bundle):
     b = shell_bundle
     with pytest.raises(ValueError, match=r"\|pairings - e_L\| (\S+) > 2\.00e-01") as exc:
         build_Q_eps(
-            b.dec, b.ops, b.u, eps=40.0, center=np.zeros(3), r_plateau=0.6, r_zero=0.75,
+            b.hb, b.ops, eps=40.0, center=np.zeros(3), r_plateau=0.6, r_zero=0.75,
         )
     dev = float(re.search(r"e_L\| (\S+) >", str(exc.value))[1])
     assert 0.2 < dev < 2.0
+
+
+def test_basis_without_potential_rejected(shell_bundle):
+    """Q_eps replaces the capacity mode, so a basis without its potential is refused."""
+    import dataclasses
+
+    b = shell_bundle
+    bare = dataclasses.replace(b.hb, capacity=None, potential=None)
+    with pytest.raises(ValueError, match="capacity potential"):
+        build_Q_eps(bare, b.ops, eps=0.4, center=np.zeros(3), r_plateau=0.6, r_zero=0.75)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decem.qft import PARTS, FieldCalculus, FormTerm, TestForm
+from decem.qft import PARTS, FieldCalculus, FormTerm, TestForm, _power
 from decem.timeprofiles import Impulse, TimeProfile
 
 
@@ -161,10 +161,9 @@ def test_kappa_positive_on_coclosed(qft_bundle):
     data = b.fc.propagate_G(f)
     dA = b.ops.d(1) @ data.A
     dAd = b.ops.d(1) @ data.Adot
-    inv = lambda m: m**-0.5
-    inv3 = lambda m: m**-1.5
-    want = b.ops.inner(2, b.dec2.apply_function(inv, dA, "exclude"), dA) + b.ops.inner(
-        2, b.dec2.apply_function(inv3, dAd, "exclude"), dAd
+    inv, inv3 = [_power(-1.0)], [_power(-3.0)]  # Delta^(-1/2) and Delta^(-3/2) off the kernel
+    want = b.ops.inner(2, b.dec2.functions(dA, inv)[0], dA) + b.ops.inner(
+        2, b.dec2.functions(dAd, inv3)[0], dAd
     )
     assert abs(val.real - want) <= 1e-8 * max(abs(want), 1.0)
 
@@ -215,7 +214,7 @@ def test_kappa_eps_independence_on_coclosed(qft_bundle):
     f2 = b.fc.codifferential_form(_rand_form2(b, 36))
     vals = []
     for eps, (rp, rz) in ((1.0, (2.0, 2.8)), (0.9, (1.9, 2.6)), (1.1, (2.1, 2.9))):
-        Q = build_Q_eps(b.dec1, b.ops, b.u, eps=eps, center=np.array([3.0, 3.0, 3.0]),
+        Q = build_Q_eps(b.hb, b.ops, eps=eps, center=np.array([3.0, 3.0, 3.0]),
                         r_plateau=rp, r_zero=rz)
         fc = FieldCalculus(b.ops, b.dec0, b.dec1, Q=Q)
         vals.append(fc.krein_product(fc.kappa(f1), fc.kappa(f2)))
@@ -319,12 +318,12 @@ def test_omega2F_impulse_restriction_formula(qft_bundle):
     B = rng.standard_normal(b.ops.n(2))
     f = TestForm.impulse2(E, B)
     got = b.fc.omega2_F(f, f)
-    inv = lambda m: m**-0.5
+    inv = [_power(-1.0)]  # Delta^(-1/2) off the kernel
     dE = b.ops.d(1) @ E
     cB = b.ops.apply_codifferential(2, B)
     want = 0.5 * (
-        b.ops.inner(2, b.dec2.apply_function(inv, dE, "exclude"), dE)
-        + b.ops.inner(1, b.dec1.apply_function(inv, cB, "exclude"), cB)
+        b.ops.inner(2, b.dec2.functions(dE, inv)[0], dE)
+        + b.ops.inner(1, b.dec1.functions(cB, inv)[0], cB)
     )
     assert abs(got - want) <= 1e-8 * max(abs(want), 1.0)
 
@@ -481,12 +480,13 @@ def test_kappa_kernel_leak_reports_value(qft_bundle):
 def lanczos_fc(qft_bundle):
     """The FieldCalculus ``run qft`` builds: Lanczos calculi on the exact Delta_0 and
     Delta_1, with kernels and Q_eps's basis from partial eigs."""
+    from decem.hodge import harmonic_basis
     from decem.spectral import LanczosCalculus, build_Q_eps, eig
 
     b = qft_bundle
     low0, low1 = eig(b.L0, count=10), eig(b.L1, count=10)
-    Q = build_Q_eps(low1, b.ops, b.u, eps=1.0, center=np.array([3.0, 3.0, 3.0]),
-                    r_plateau=2.0, r_zero=2.8)
+    Q = build_Q_eps(harmonic_basis(low1, b.ops), b.ops, eps=1.0,
+                    center=np.array([3.0, 3.0, 3.0]), r_plateau=2.0, r_zero=2.8)
     calc0, calc1 = (LanczosCalculus(op, low.kernel_basis(), low.max_eval, keep_bases=True)
                     for op, low in ((b.L0, low0), (b.L1, low1)))
     return FieldCalculus(b.ops, calc0, calc1, Q=Q)

@@ -18,9 +18,10 @@ from decem.spectral import (
     _symmetric_factor,
     assemble_laplacian,
     eig,
+    LanczosCalculus,
     inverse_sqrt_quadrature,
-    pseudo_inverse,
 )
+from decem.qft import _power
 
 import laplacian_reference
 
@@ -92,19 +93,22 @@ def test_kernel_of_delta0_on_carved_is_trivial():
 
 
 def test_apply_function_policies(qft_bundle):
+    """The kernel policies of the dense synthesis: a function zero at 0 drops the
+    kernel ('exclude'), any other takes its value at 0 there ('include')."""
     b = qft_bundle
     dec = b.dec1
     rng = np.random.default_rng(1)
     x = rng.standard_normal(b.ops.n(1))
-    # f == 1 with exclude: x - P0 x
-    y = dec.apply_function(lambda m: 1.0, x, "exclude")
+    # lam^0 off the kernel, 0 on it: x - P0 x
+    y = dec.functions(x, [_power(0.0)])[0]
     assert np.linalg.norm(y - dec.project_out_kernel(x)) <= 1e-10 * np.linalg.norm(x)
     # cos(0 sqrt(Delta)) x = x
-    z = dec.apply_function(lambda m: np.cos(0.0 * np.sqrt(m)), x, "include")
+    z = dec.functions(x, [lambda lam: np.cos(0.0 * lam)])[0]
     assert np.linalg.norm(z - x) <= 1e-12 * np.linalg.norm(x)
-    # singular function with include on nontrivial kernel -> error
-    with pytest.raises(ValueError):
-        dec.apply_function(lambda m: m**-0.5, x, "include")
+    # a function singular at 0 on a nontrivial kernel -> error
+    with np.errstate(divide="ignore"):
+        with pytest.raises(ValueError):
+            dec.functions(x, [lambda lam: 1.0 / lam])
 
 
 def test_sinc_on_eigenvector(qft_bundle):
@@ -113,7 +117,7 @@ def test_sinc_on_eigenvector(qft_bundle):
     v = dec.vectors[:, i]
     lam = np.sqrt(dec.evals[i])
     t = 0.7
-    y = dec.apply_function(lambda m: t * np.sinc(t * np.sqrt(m) / np.pi), v, "include")
+    y = dec.functions(v, [lambda lam: t * np.sinc(t * lam / np.pi)])[0]
     assert np.linalg.norm(y - np.sin(t * lam) / lam * v) <= 1e-10
 
 
@@ -122,10 +126,10 @@ def test_spectral_mapping_composition(qft_bundle):
     dec = qft_bundle.dec0
     rng = np.random.default_rng(2)
     x = rng.standard_normal(qft_bundle.ops.n(0))
-    f = lambda m: 1.0 / (1.0 + m)
-    g = lambda m: np.sqrt(m)
-    composed = dec.apply_function(f, dec.apply_function(g, x, "include"), "include")
-    product = dec.apply_function(lambda m: f(m) * g(m), x, "include")
+    f = lambda lam: 1.0 / (1.0 + lam**2)
+    g = lambda lam: lam
+    composed = dec.functions(dec.functions(x, [g])[0], [f])[0]
+    product = dec.functions(x, [lambda lam: f(lam) * g(lam)])[0]
     assert np.linalg.norm(composed - product) <= 1e-10 * np.linalg.norm(x)
 
 
@@ -172,7 +176,7 @@ def test_inverse_sqrt_quadrature_random_agreement(qft_bundle):
     )
     worst = 0.0
     for x, y_quad in zip(X.T, Y_quad.T):
-        y_eig = dec.apply_function(lambda m: m**-0.5, x, "exclude")
+        y_eig = dec.functions(x, [_power(-1.0)])[0]
         worst = max(worst, np.linalg.norm(y_quad - y_eig) / np.linalg.norm(y_eig))
     assert worst <= 1e-8
 
@@ -182,7 +186,7 @@ def test_inverse_sqrt_quadrature_panel_refinement(qft_bundle):
     dec = b.dec1
     rng = np.random.default_rng(4)
     x = dec.project_out_kernel(rng.standard_normal(b.ops.n(1)))
-    y_eig = dec.apply_function(lambda m: m**-0.5, x, "exclude")
+    y_eig = dec.functions(x, [_power(-1.0)])[0]
     bounds = (dec.evals[dec.kernel_dim], dec.evals[-1])
     errs = []
     for panels in ((1, 4), (2, 6), (4, 8)):
@@ -362,8 +366,11 @@ def test_partial_decomposition_has_no_operator_functions(qft_bundle):
     assert dec.kernel_dim > 0
     with pytest.raises(ValueError, match="complete exact decomposition"):
         dec.lam
+    x = np.ones(qft_bundle.ops.n(1))
     with pytest.raises(ValueError, match="complete exact decomposition"):
-        dec.apply_function(lambda m: 1.0, np.ones(qft_bundle.ops.n(1)), "exclude")
+        dec.functions(x, [np.cos])
+    with pytest.raises(ValueError, match="complete exact decomposition"):
+        dec.pseudo_inverse(x)
 
 
 def test_quadrature_kernel_component_reports_value(qft_bundle):
@@ -381,9 +388,9 @@ def test_pseudo_inverse_matches_spectral_synthesis(qft_bundle):
     b, dec = qft_bundle, qft_bundle.dec1
     X = np.random.default_rng(8).standard_normal((b.L1.n, 4))
     X = np.column_stack([dec.project_out_kernel(x) for x in X.T])
-    Y = pseudo_inverse(b.L1, dec.kernel_basis(), dec.max_eval)(X)
+    Y = LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval).pseudo_inverse(X)
     for x, y in zip(X.T, Y.T):
-        want = dec.apply_function(lambda m: 1.0 / m, x, "exclude")
+        want = dec.pseudo_inverse(x)
         assert b.ops.norm(1, y - want) <= 1e-10 * b.ops.norm(1, want)
 
 
@@ -393,9 +400,9 @@ def test_pseudo_inverse_rejects_kernel_component(qft_bundle):
     x = K[:, 0] + 1e-3 * b.dec1.vectors[:, -1]
     M = b.L1.M
     rel = np.linalg.norm(K.T @ (M @ x)) / np.sqrt(x @ (M @ x))
-    pinv = pseudo_inverse(b.L1, K, b.dec1.max_eval)
+    calc = LanczosCalculus(b.L1, K, b.dec1.max_eval)
     with pytest.raises(ValueError, match=re.escape(f"relative {rel:.2e} > 1.00e-08")):
-        pinv(x)
+        calc.pseudo_inverse(x)
 
 
 def test_pseudo_inverse_iteration_cap_reports_values(qft_bundle, monkeypatch):
@@ -407,9 +414,9 @@ def test_pseudo_inverse_iteration_cap_reports_values(qft_bundle, monkeypatch):
     one_step = _shift_inverse(b.L1, -1e-6 * dec.max_eval) @ Mx
     want = np.linalg.norm(Mx - b.L1.S @ one_step) / np.linalg.norm(Mx)
     monkeypatch.setattr(spectral, "PINV_MAX_ITER", 1)
-    pinv = pseudo_inverse(b.L1, dec.kernel_basis(), dec.max_eval)
+    calc = LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval)
     with pytest.raises(AssertionError, match=r"residual \S+ > 1\.00e-13 after 1 iterations") as exc:
-        pinv(x)
+        calc.pseudo_inverse(x)
     got = float(re.search(r"residual (\S+) >", str(exc.value))[1])
     assert got == pytest.approx(want, rel=1e-2) and got > 1e-13
 
@@ -501,9 +508,9 @@ def test_lanczos_reuses_a_converged_basis(qft_bundle):
 
 
 def test_distinguished_basis_failures_report_values(qft_bundle, wormhole_bundle, monkeypatch):
-    from decem.hodge import capacity_and_psiL
-    from decem.spectral import harmonic_basis_with_distinguished
+    import decem.hodge as hodge
 
+    # planted: a capacity potential whose gradient is not harmonic
     b = qft_bundle
     u = np.random.default_rng(2).standard_normal(b.ops.complex.n(0))
     M, K = b.ops.mass(1), b.dec1.kernel_basis()
@@ -511,17 +518,18 @@ def test_distinguished_basis_failures_report_values(qft_bundle, wormhole_bundle,
     psi = du / np.sqrt(du @ (M @ du))
     r = psi - K @ (K.T @ (M @ psi))
     off = np.sqrt(abs(r @ (M @ r)))
-    with pytest.raises(ValueError, match=re.escape(f"|residual| {off:.2e} > 1.00e-06")):
-        harmonic_basis_with_distinguished(b.dec1, b.ops, u)
+    with monkeypatch.context() as m:
+        m.setattr(hodge, "capacity_and_psiL", lambda ops: (1.0, u, psi))
+        with pytest.raises(ValueError, match=re.escape(f"|residual| {off:.2e} > 1.00e-06")):
+            hodge.harmonic_basis(b.dec1, b.ops)
 
     # planted: the Gram eigenvectors of the kernel completion come back scaled by 1.01
     w = wormhole_bundle
     assert w.dec1.kernel_dim == 2
-    u = capacity_and_psiL(w.ops)[1]
     real_eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (real_eigh(a)[0], 1.01 * real_eigh(a)[1]))
     with pytest.raises(AssertionError, match=r"lost orthonormality: \S+ > 1\.00e-08") as exc:
-        harmonic_basis_with_distinguished(w.dec1, w.ops, u)
+        hodge.harmonic_basis(w.dec1, w.ops)
     got = float(re.search(r"orthonormality: (\S+) >", str(exc.value))[1])
     assert got == pytest.approx(1.01**2 - 1.0, rel=1e-2)
 
@@ -534,7 +542,7 @@ def topology_ops():
 
 @pytest.mark.parametrize("name", ["balls:3", "hopf_link"])
 @pytest.mark.parametrize("p", [1, 2])
-def test_shift_inverse_matches_explicit_lumped_solve(topology_ops, name, p):
+def test_shift_inverse_matches_explicit_solve(topology_ops, name, p):
     """Two paths to (S - sigma M)^-1 x: the augmented factor against a dense solve with
     the exact S multiplied out (``laplacian_reference``).
 
@@ -543,10 +551,12 @@ def test_shift_inverse_matches_explicit_lumped_solve(topology_ops, name, p):
     """
     ops = topology_ops[name]
     op = assemble_laplacian(ops, p)
-    S = laplacian_reference.assemble_laplacian(ops, p).S
+    A = laplacian_reference.assemble_laplacian(ops, p).S
     sigma = -1e-6 * _norm_estimate(op)
-    ref = sla.cho_factor(S - sigma * op.M.toarray(), overwrite_a=True)  # SPD: sigma < 0
-    del S
+    M = op.M.tocoo()
+    A[M.row, M.col] -= sigma * M.data  # S - sigma M, SPD (sigma < 0), formed in place
+    ref = sla.cho_factor(A.T, overwrite_a=True)  # A is symmetric; A.T is Fortran-ordered
+    del A
     X = np.random.default_rng(7).standard_normal((op.n, 3))
     OPinv = _shift_inverse(op, sigma)
     for x in X.T:
