@@ -8,10 +8,12 @@ is exact for the discrete operators.
 
 Every field is a sum of functions of Delta_1 applied to a few cochains:
 cos(t lam), t sinc(t lam), -lam sin(t lam) and the sinc/cos time moments of the
-sources, lam = sqrt(Delta_1).  ``calc.functions(x, fs)`` evaluates them and
-``calc.pseudo_inverse`` applies Delta_1^+; a complete exact
+sources, lam = sqrt(Delta_1).  ``calc.functions(X, fss)`` evaluates them on a
+block X of start vectors with one function list per column, and
+``calc.pseudo_inverse`` applies Delta_1^+ to a block; a complete exact
 ``SpectralDecomposition`` and the ``LanczosCalculus`` (one Krylov basis per start
-vector, no eigensystem) both implement this call shape.  The magnetic field is
+vector, the bases of a block stepping in lockstep, no eigensystem) both implement
+this call shape.  The magnetic field is
 closed, so it is exact plus harmonic; d intertwines the Laplacians,
 f(Delta_2) d_1 = d_1 f(Delta_1), so its exact part is d_1 c with c = Delta_1^+
 delta~ B a 1-form evolved like E.  Its harmonic part is static, and it is
@@ -102,23 +104,38 @@ def wave(calc, x0: np.ndarray, x1: np.ndarray, terms, times) -> tuple[np.ndarray
 
     u(0) = x0, u'(0) = x1 and ``terms`` holds the forcing pairs (g, c).  u(t) =
     cos(t lam) x0 + t sinc(t lam) x1 + int_0^t sinc((t-s) lam)(t-s) g(s) ds c, with lam
-    = sqrt(Delta).  Each start vector is one ``calc.functions`` call with every
-    function of every time.
+    = sqrt(Delta).  One wave of :func:`waves`.
+    """
+    return waves(calc, [(x0, x1, terms)], times)[0]
+
+
+def waves(calc, data, times) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(u(t), u'(t)) of :func:`wave` for each triple (x0, x1, terms) in ``data``.
+
+    Each start vector of each wave, x0, x1 and every forcing cochain, is one column
+    of a single ``calc.functions`` block call, with every function of every time.
     """
     k = len(times)
     cos = _at(times, lambda lam, t: np.cos(lam * t))
-    F0 = calc.functions(x0, cos + _at(times, lambda lam, t: -lam * np.sin(lam * t)))
-    F1 = calc.functions(x1, _at(times, lambda lam, t: t * np.sinc(lam * t / np.pi)) + cos)
-    val, der = F0[:k] + F1[:k], F0[k:] + F1[k:]
-    for g, c in terms:
-        F = calc.functions(
-            c,
-            _at(times, lambda lam, t: g.sinc_moment(lam, t, (0.0, t)))
-            + _at(times, lambda lam, t: g.cos_moment(lam, t, (0.0, t))),
-        )
-        val += F[:k]
-        der += F[k:]
-    return val, der
+    cols, fss, sizes = [], [], []
+    for x0, x1, terms in data:
+        cols += [x0, x1] + [c for _, c in terms]
+        fss += [
+            cos + _at(times, lambda lam, t: -lam * np.sin(lam * t)),
+            _at(times, lambda lam, t: t * np.sinc(lam * t / np.pi)) + cos,
+        ]
+        fss += [
+            _at(times, lambda lam, t, g=g: g.sinc_moment(lam, t, (0.0, t)))
+            + _at(times, lambda lam, t, g=g: g.cos_moment(lam, t, (0.0, t)))
+            for g, _ in terms
+        ]
+        sizes.append(2 + len(terms))
+    F = iter(calc.functions(np.column_stack(cols), fss))
+    out = []
+    for size in sizes:
+        total = sum(next(F) for _ in range(size))
+        out.append((total[:k], total[k:]))
+    return out
 
 
 def evolve(
@@ -137,7 +154,9 @@ def evolve(
     c = Delta_1^+ delta~ b, for which d_1 c is b's exact part, and c solves the same
     wave equation.  The harmonic part B_h = B0 - d_1 c(0) is static and must be
     co-closed, ||delta~ B_h|| <= CONSTRAINT_TOL * max(||B0||, 1); otherwise a
-    ValueError names the measured value.
+    ValueError names the measured value.  ``calc`` applies Delta_1^+ once, to the
+    block of c(0), c'(0) and the forcing potentials, and the two waves, E and c, are
+    one :func:`waves` call.
     """
     times = [float(t) for t in t_targets]
     d1 = ops.d(1)
@@ -159,10 +178,11 @@ def evolve(
     Edot0 = ops.apply_codifferential(2, B0) - source.j_at(0.0, ops.n(1))
     Bdot0 = -(d1 @ E0)
 
-    def exact_potential(b):
-        return calc.pseudo_inverse(ops.apply_codifferential(2, b))
-
-    c0, c1 = exact_potential(B0), exact_potential(Bdot0)
+    # the exact potentials of B0, Bdot0 and each d_1 j: one Delta_1^+ on their block
+    exact = np.column_stack([B0, Bdot0] + [d1 @ c for _, c in source.j_terms])
+    c0, c1, *c_j = np.ascontiguousarray(
+        calc.pseudo_inverse(ops.apply_codifferential(2, exact)).T
+    )
     B_h = B0 - d1 @ c0
     coclosed = ops.norm(1, ops.apply_codifferential(2, B_h))
     if coclosed > tolB:
@@ -173,9 +193,10 @@ def evolve(
     # forcing terms: alpha = -d rho_hat - dj_hat/dt ; beta = d j_hat
     alpha_terms = [(g.derivative().scaled(-1.0), c) for g, c in source.j_terms]
     alpha_terms += [(g, -(ops.d(0) @ c)) for g, c in source.rho_terms]
-    beta_terms = [(g, exact_potential(d1 @ c)) for g, c in source.j_terms]
-    E, Edot = wave(calc, E0, Edot0, alpha_terms, times)
-    C, Cdot = wave(calc, c0, c1, beta_terms, times)
+    beta_terms = [(g, c) for (g, _), c in zip(source.j_terms, c_j)]
+    (E, Edot), (C, Cdot) = waves(
+        calc, [(E0, Edot0, alpha_terms), (c0, c1, beta_terms)], times
+    )
     return [
         MaxwellState(t=t, E=E[i], B=B_h + d1 @ C[i], Edot=Edot[i], Bdot=d1 @ Cdot[i])
         for i, t in enumerate(times)

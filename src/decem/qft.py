@@ -15,7 +15,10 @@ sqrt(Delta_p): a complete exact ``SpectralDecomposition`` or a
 0.  A test-form term g x c contributes the time moments of g applied to c, and
 the Krein map composes the quarter powers with them, lam^(1/2) times the sinc
 moment and lam^(-1/2) times the cos moment, so the term's cochain c is the only
-start vector.  Both powers are 0 at lam = 0: Delta^(-1/4) drops the kernel.
+start vector.  Both powers are 0 at lam = 0: Delta^(-1/4) drops the kernel.  The
+start vectors of one degree go to the calculus as one block (``functions(X, fss)``,
+one function list per column): the terms of a form in :meth:`FieldCalculus.propagate_G`,
+and the terms of every form in one :meth:`FieldCalculus.kappa` call.
 """
 
 from __future__ import annotations
@@ -205,11 +208,21 @@ class FieldCalculus:
             raise ValueError("propagate_G expects a degree-1 form")
         # rows (value, velocity) per degree: (phi, phidot) and (A, Adot)
         data = {p: np.zeros((2, self.ops.n(p))) for p in (0, 1)}
+        cols = {0: [], 1: []}
         for t in f.terms:
-            p = 0 if t.part == "dt" else 1
-            data[p] += self.calc[p].functions(t.cochain, self._moments(t))
+            cols[0 if t.part == "dt" else 1].append((t.cochain, self._moments(t)))
+        for p in (0, 1):
+            for F in self._functions(p, cols[p]):
+                data[p] += F
         (phi, phidot), (A, Adot) = data[0], data[1]
         return CauchyData(phi, A, phidot, Adot)
+
+    def _functions(self, p: int, cols: list) -> list[np.ndarray]:
+        """``calc[p].functions`` on the (cochain, fs) pairs of ``cols`` as one block."""
+        if not cols:
+            return []
+        X = np.column_stack([c for c, _ in cols])
+        return self.calc[p].functions(X, [fs for _, fs in cols])
 
     # -- pairings ---------------------------------------------------------------------
 
@@ -248,36 +261,62 @@ class FieldCalculus:
 
     # -- the Krein map ------------------------------------------------------------------
 
-    def kappa(self, f: TestForm) -> KreinVector:
+    def kappa(self, f):
         """The Krein vector (Delta_0^(1/4) phi + i Delta_0^(-1/4) phidot,
-        Delta_1^(1/4) A + i Delta_1^(-1/4) Q Adot) of the Cauchy data of Gf.
+        Delta_1^(1/4) A + i Delta_1^(-1/4) Q Adot) of the Cauchy data of Gf; for a list
+        of forms, the list of their Krein vectors.
 
         A term g x c of f adds the time moments of g applied to c (:meth:`_moments`),
         and the quarter powers compose with them, so c is the term's one start vector.
         Q Adot = Adot - Q_0 Adot.
         Delta^(-1/4) drops the kernel, so of Q_0's columns only the cutoff mode psi_eps,
-        which is not harmonic, contributes: one more start vector.
+        which is not harmonic, contributes: one more start vector, shared by all forms.
+        The start vectors of all forms step as one block per degree.
         """
-        if f.degree != 1:
+        forms = [f] if isinstance(f, TestForm) else list(f)
+        if any(g.degree != 1 for g in forms):
             raise ValueError("kappa expects a degree-1 form")
-        calc0, calc1 = self.calc[0], self.calc[1]
-        if calc0.kernel_basis().shape[1]:
+        if self.calc[0].kernel_basis().shape[1]:
             raise AssertionError("scalar Laplacian unexpectedly has zero modes")
         ops = self.ops
-        s, v = np.zeros(ops.n(0), complex), np.zeros(ops.n(1), complex)
-        Adot = np.zeros(ops.n(1))
-        for t in f.terms:
-            sv, cv = self._moments(t)
-            fs = [lambda lam: _QUARTER(lam) * sv(lam), lambda lam: _MINUS_QUARTER(lam) * cv(lam)]
-            if t.part == "dt":
-                F = calc0.functions(t.cochain, fs)
-                s += F[0] + 1j * F[1]
-            else:
-                F = calc1.functions(t.cochain, fs + [cv])
-                v += F[0] + 1j * F[1]
-                Adot += F[2]
+        cols = {0: [], 1: []}
+        for g in forms:
+            for t in g.terms:
+                sv, cv = self._moments(t)
+                fs = [
+                    lambda lam, sv=sv: _QUARTER(lam) * sv(lam),
+                    lambda lam, cv=cv: _MINUS_QUARTER(lam) * cv(lam),
+                ]
+                if t.part == "dt":
+                    cols[0].append((t.cochain, fs))
+                else:
+                    cols[1].append((t.cochain, fs + [cv]))
+        if self.Q is not None:
+            cols[1].append((self.Q.psi_eps, [_MINUS_QUARTER]))
+        F = {p: self._functions(p, cols[p]) for p in (0, 1)}
+        psi_part = F[1].pop()[0] if self.Q is not None else None
+        F = {p: iter(F[p]) for p in (0, 1)}
+        kappas = []
+        for g in forms:
+            s, v = np.zeros(ops.n(0), complex), np.zeros(ops.n(1), complex)
+            Adot = np.zeros(ops.n(1))
+            for t in g.terms:
+                if t.part == "dt":
+                    F0 = next(F[0])
+                    s += F0[0] + 1j * F0[1]
+                else:
+                    F1 = next(F[1])
+                    v += F1[0] + 1j * F1[1]
+                    Adot += F1[2]
+            kappas.append(self._krein_vector(s, v, Adot, psi_part))
+        return kappas[0] if isinstance(f, TestForm) else kappas
+
+    def _krein_vector(self, s, v, Adot, psi_part) -> KreinVector:
+        """The Krein vector from the scalar part s, the vector part v before Q_0 and the
+        velocity Adot; ``psi_part`` is Delta_1^(-1/4) psi_eps (None without Q_eps)."""
+        ops = self.ops
         qa = self._q_apply(Adot)
-        K = calc1.kernel_basis()
+        K = self.calc[1].kernel_basis()
         if K.shape[1]:
             comp = np.linalg.norm(K.T @ (ops.mass(1) @ qa))
             tol = 1e-8 * max(np.linalg.norm(qa), 1e-300)
@@ -288,7 +327,7 @@ class FieldCalculus:
                 )
         if self.Q is not None:
             r = self.Q.psi_basis[:, -1] @ (ops.mass(1) @ Adot)  # psi_eps's coefficient in Q_0
-            v -= 1j * r * calc1.functions(self.Q.psi_eps, [_MINUS_QUARTER])[0]
+            v -= 1j * r * psi_part
         return KreinVector(scalar=s, vector=v)
 
     def krein_product(self, k1: KreinVector, k2: KreinVector) -> complex:
@@ -305,17 +344,19 @@ class FieldCalculus:
         """Reduced field-strength two-point value 0.5 <kappa(delta~ f2), kappa(delta~ f1)>."""
         if f1.degree != 2 or f2.degree != 2:
             raise ValueError("omega2_F expects degree-2 forms")
-        g1, g2 = self.codifferential_form(f1), self.codifferential_form(f2)
-        return 0.5 * self.krein_product(self.kappa(g2), self.kappa(g1))
+        k2, k1 = self.kappa([self.codifferential_form(f) for f in (f2, f1)])
+        return 0.5 * self.krein_product(k2, k1)
 
     def wick_npoint(self, forms: list[TestForm]) -> complex:
-        """Quasifree n-point value: sum over ordered pairings of omega2_F.  A form
-        that appears more than once has its Krein vector computed once."""
+        """Quasifree n-point value: sum over ordered pairings of omega2_F.  The Krein
+        vectors of the distinct forms come from one :meth:`kappa` call."""
         n = len(forms)
         if n % 2 == 1:
             return 0.0 + 0.0j
         distinct = {id(f): f for f in forms}
-        kappa_of = {key: self.kappa(self.codifferential_form(f)) for key, f in distinct.items()}
+        kappa_of = dict(
+            zip(distinct, self.kappa([self.codifferential_form(f) for f in distinct.values()]))
+        )
         kappas = [kappa_of[id(f)] for f in forms]
 
         def pair_value(i, j):

@@ -11,8 +11,11 @@ and on request its shifted factor, to :class:`LanczosCalculus`.
 system: exactly 0 on the kernel.  Without a spectrum, f(Delta) x comes from
 :class:`LanczosCalculus`: the kernel part of x takes f(0), and one Krylov basis
 of the rest serves every f that is finite at 0, with an a-posteriori stopping
-rule; its Delta^+ is iterative refinement on one shifted factor.  Both calculi
-have the call shape ``functions(x, fs)`` and ``pseudo_inverse(x)``.
+rule; the bases of a block of start vectors step in lockstep, sharing each sparse
+product and each mass solve.  Its Delta^+ is iterative refinement on one shifted
+factor.  Both calculi have the call shape ``functions(x, fs)`` (or
+``functions(X, fss)`` on an n x k block, one function list per column) and
+``pseudo_inverse(x)`` on a vector or a block.
 Delta^(-1/2) is :func:`inverse_sqrt_quadrature`.  Every sparse shift-invert,
 refinement and quadrature node factors the quasi-definite
 [[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`), never S - sigma M; each
@@ -139,22 +142,28 @@ class SpectralDecomposition:
         lam[: self.kernel_dim] = 0.0
         return lam
 
-    def functions(self, x: np.ndarray, fs) -> np.ndarray:
+    def functions(self, x: np.ndarray, fs):
         """Rows f(Delta) x, one per f in ``fs``; each f maps an array of frequencies
-        ``lam`` to values and must be finite at 0.  The call shape
-        :class:`LanczosCalculus` also implements."""
-        lam, c = self.lam, self.coefficients(x)
-        vals = np.array([f(lam) for f in fs])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("operator function produced non-finite values")
-        return (vals * c) @ self.vectors.T
+        ``lam`` to values and must be finite at 0.  For an n x k block x, ``fs`` holds
+        one function list per column and the result is the list of the k columns' row
+        arrays.  The call shape :class:`LanczosCalculus` also implements."""
+        lam, C = self.lam, self.coefficients(x)
+        block = C.ndim == 2
+        out = []
+        for c, col_fs in zip(C.T if block else [C], fs if block else [fs]):
+            vals = np.array([f(lam) for f in col_fs])
+            if not np.all(np.isfinite(vals)):
+                raise ValueError("operator function produced non-finite values")
+            out.append((vals * c) @ self.vectors.T)
+        return out if block else out[0]
 
     def pseudo_inverse(self, x: np.ndarray) -> np.ndarray:
-        """Delta^+ x: the kernel dropped, 1/lambda^2 on the rest."""
+        """Delta^+ x on a vector or an n x k block: the kernel dropped, 1/lambda^2 on
+        the rest."""
         kd = self.kernel_dim
         inv = np.zeros_like(self.lam)  # lam rejects a partial decomposition
         inv[kd:] = 1.0 / self.evals[kd:]
-        return self.vectors @ (inv * self.coefficients(x))
+        return self.vectors @ (inv * self.coefficients(x).T).T
 
     def project_out_kernel(self, x: np.ndarray) -> np.ndarray:
         K = self.kernel_basis()
@@ -279,8 +288,9 @@ PINV_MAX_ITER = 30
 LANCZOS_TOL = 1e-13
 LANCZOS_CHECK = 10
 # The steps grow like t sqrt(lambda_max) as well, about 0.7 t sqrt(lambda_max) for the
-# cos term.  The cap bounds each basis Q (600 x n_1 doubles, 67 MB at n_1 = 14036)
-# and reports a run that would need more.
+# cos term.  The cap bounds each basis Q and reports a run that would need more.  The k
+# start vectors of one ``functions`` call step together, so k bases are alive at once:
+# up to k x cap x n_1 doubles (5 x 600 x 14036 doubles, 337 MB, at balls:1 res 2).
 LANCZOS_MAX_STEPS = 600
 
 
@@ -308,10 +318,14 @@ class LanczosCalculus:
     f(Delta) x = f(0) P_H x + |x - P_H x|_M Q f(T) e_1 comes from it, T the
     tridiagonal Q^T S Q, whose Ritz values stay off 0.  So each f need only be finite
     at 0 (lam^(+-1/2) times a time moment qualifies); one that is not raises
-    ``ValueError`` when there is a kernel.  With ``keep_bases`` each distinct start
-    cochain keeps its basis, and later calls extend it only as far as their
-    functions need.  ``pseudo_inverse`` applies Delta^+ by refinement on one shifted
-    factor: ``shift_inverse``, the factor a partial ``eig`` of ``op`` returned at
+    ``ValueError`` when there is a kernel.  ``functions(X, fss)`` takes an n x k
+    block with one function list per column; its k bases step in lockstep, each step
+    one product S Q and one multi-column mass solve, while every column keeps its
+    own alpha, beta, reorthogonalisation, basis and stopping rule.  A single vector
+    is the k = 1 case.  With ``keep_bases`` each distinct start cochain keeps its
+    basis, and later calls extend it only as far as their functions need.
+    ``pseudo_inverse`` applies Delta^+ by refinement on one shifted factor:
+    ``shift_inverse``, the factor a partial ``eig`` of ``op`` returned at
     ``max_eval``, if passed, or else one made on first use.  Together ``functions``
     and ``pseudo_inverse`` are the call shape :class:`SpectralDecomposition` also
     implements.
@@ -368,9 +382,61 @@ class LanczosCalculus:
         X -= K @ (K.T @ (op.M @ X))
         return X[:, 0] if np.asarray(b).ndim == 1 else X
 
-    def functions(self, x: np.ndarray, fs) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        kry = self._krylov(x)
+    def functions(self, x: np.ndarray, fs):
+        """f(Delta) x for a vector x and function list ``fs``, or for an n x k block x
+        with one function list per column (then a list of the columns' results).
+
+        The columns' Krylov bases step in lockstep (:meth:`_step`); each column keeps
+        its own stopping rule, and a column whose basis is kept compares against the
+        check before its current step first, so a converged one takes no step.
+        """
+        X = np.asarray(x, dtype=float)
+        if X.ndim == 1:
+            return self.functions(X[:, None], [fs])[0]
+        krys = [self._krylov(np.ascontiguousarray(col)) for col in X.T]
+        outs = [self._harmonic_part(kry, col_fs) for kry, col_fs in zip(krys, fs)]
+        norm = lambda A: np.linalg.norm(A, axis=1)
+        # per open column: the coefficients at its last check, and their change
+        prev, change = {}, {}
+        for i, kry in enumerate(krys):
+            if kry.nrm:
+                last = max(kry.m - 1, 0) // LANCZOS_CHECK * LANCZOS_CHECK  # before kry.m
+                prev[i] = self._coefficients(kry, last, fs[i]) if last else None
+                change[i] = np.inf
+        while prev:
+            for i in list(prev):
+                kry, m, cap = krys[i], krys[i].m, len(krys[i].Q)
+                if not m:
+                    continue
+                Y = self._coefficients(kry, m, fs[i])
+                if prev[i] is not None:
+                    D = Y.copy()
+                    D[:, : prev[i].shape[1]] -= prev[i]
+                    change[i] = (norm(D) / np.maximum(norm(Y), 1e-300)).max()
+                if kry.invariant or change[i] <= LANCZOS_TOL:
+                    self._check_basis(kry.Q[_sample(m)].T)
+                    outs[i] += Y @ kry.Q[:m]
+                    del prev[i]
+                    continue
+                if m == cap:
+                    raise AssertionError(
+                        f"Lanczos f(Delta) x did not converge: coefficient change "
+                        f"{change[i]:.2e} > {LANCZOS_TOL:.2e} after {cap} steps"
+                    )
+                prev[i] = Y
+            # every open column is below its cap; a kept basis shared by two steps once
+            live = list({id(krys[i]): krys[i] for i in prev}.values())
+            while live:
+                self._step(live)
+                live = [
+                    kry for kry in live
+                    if not kry.invariant and kry.m < len(kry.Q) and kry.m % LANCZOS_CHECK
+                ]
+        return outs
+
+    def _harmonic_part(self, kry: _Krylov, fs) -> np.ndarray:
+        """Rows f(0) P_H x, (len(fs), n); raises for an f not finite at 0 if there is
+        a kernel."""
         out = np.zeros((len(fs), self.op.n))
         if self._kernel.shape[1]:
             f0 = np.array([f(np.zeros(1))[0] for f in fs])
@@ -379,33 +445,7 @@ class LanczosCalculus:
                     "operator function is not finite at 0, where the kernel needs its value"
                 )
             out += np.outer(f0, kry.harmonic)
-        if kry.nrm == 0.0:
-            return out
-        cap = len(kry.Q)
-        norm = lambda A: np.linalg.norm(A, axis=1)
-        last = max(kry.m - 1, 0) // LANCZOS_CHECK * LANCZOS_CHECK  # the check before kry.m
-        prev, change = (self._coefficients(kry, last, fs) if last else None), np.inf
-        while True:
-            m = kry.m
-            if m:
-                Y = self._coefficients(kry, m, fs)
-                if prev is not None:
-                    D = Y.copy()
-                    D[:, : prev.shape[1]] -= prev
-                    change = (norm(D) / np.maximum(norm(Y), 1e-300)).max()
-                if kry.invariant or change <= LANCZOS_TOL:
-                    self._check_basis(kry.Q[_sample(m)].T)
-                    return out + Y @ kry.Q[:m]
-                if m == cap:
-                    raise AssertionError(
-                        f"Lanczos f(Delta) x did not converge: coefficient change {change:.2e} "
-                        f"> {LANCZOS_TOL:.2e} after {cap} steps"
-                    )
-                prev = Y
-            while not kry.invariant and kry.m < cap:
-                self._step(kry)
-                if kry.m % LANCZOS_CHECK == 0:
-                    break
+        return out
 
     def _check_basis(self, V: np.ndarray) -> None:
         """Raise unless the sampled basis columns V are M-orthonormal and M-orthogonal
@@ -437,33 +477,48 @@ class LanczosCalculus:
             self._bases[key] = kry
         return kry
 
-    def _step(self, kry: _Krylov) -> None:
-        """One Lanczos step: T grows by one row, and the next basis row is computed.
+    def _step(self, krys: list[_Krylov]) -> None:
+        """One Lanczos step of each basis in ``krys``: each T grows by one row, and
+        each next basis row is computed.
 
-        M Q is not stored (it would double the basis memory): each M-inner product with
-        the basis takes one product M w instead.
+        The bases share one product S Q and one mass solve on the block of their
+        current rows, and one product M W per Gram-Schmidt pass; the rest is per
+        basis.  M Q is not stored (it would double the basis memory): each M-inner
+        product with a basis takes one product M w instead.
         """
-        op, K, Q, j = self.op, self._kernel, kry.Q, kry.m
-        Sq = op.S @ Q[j]
-        w = self._solve_M(Sq)
-        kry.alpha[j] = Q[j] @ Sq
-        w -= kry.alpha[j] * Q[j] + (kry.beta[j] * Q[j - 1] if j else 0.0)
+        op, K = self.op, self._kernel
+        SQ = op.S @ np.array([kry.Q[kry.m] for kry in krys]).T
+        W = np.ascontiguousarray(self._solve_M(SQ).T)  # row i is basis i's next vector
+        SQ = np.ascontiguousarray(SQ.T)
+        for kry, w, sq in zip(krys, W, SQ):
+            Q, j = kry.Q, kry.m
+            kry.alpha[j] = Q[j] @ sq
+            w -= kry.alpha[j] * Q[j] + (kry.beta[j] * Q[j - 1] if j else 0.0)
+        MW = self._mass_rows(W)
         # Gram-Schmidt against Q and the kernel; a second pass where the first cancelled
         # more than half of |w|_M^2, as it does when the space nears invariance
         # (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976)
-        Mw = op.M @ w
+        todo = list(range(len(krys)))
         for _ in range(2):
-            before = w @ Mw
-            w -= (Q[: j + 1] @ Mw) @ Q[: j + 1] + K @ (K.T @ Mw)
-            Mw = op.M @ w
-            if w @ Mw > 0.5 * before:
+            before = [W[i] @ MW[i] for i in todo]
+            for i in todo:
+                Q, j = krys[i].Q, krys[i].m
+                W[i] -= (Q[: j + 1] @ MW[i]) @ Q[: j + 1] + K @ (K.T @ MW[i])
+            MW[todo] = self._mass_rows(W[todo])
+            todo = [i for i, b in zip(todo, before) if W[i] @ MW[i] <= 0.5 * b]
+            if not todo:
                 break
-        b = np.sqrt(max(w @ Mw, 0.0))
-        m = kry.m = j + 1
-        kry.invariant = m == op.n - K.shape[1] or b == 0.0
-        if not kry.invariant and m < len(Q):
-            Q[m], kry.beta[m] = w / b, b
-        self.steps += 1
+        for kry, w, mw in zip(krys, W, MW):
+            b = np.sqrt(max(w @ mw, 0.0))
+            m = kry.m = kry.m + 1
+            kry.invariant = m == op.n - K.shape[1] or b == 0.0
+            if not kry.invariant and m < len(kry.Q):
+                kry.Q[m], kry.beta[m] = w / b, b
+        self.steps += len(krys)
+
+    def _mass_rows(self, W: np.ndarray) -> np.ndarray:
+        """M w for each row w of W, as rows."""
+        return np.ascontiguousarray((self.op.M @ W.T).T)
 
     @staticmethod
     def _coefficients(kry: _Krylov, m: int, fs) -> np.ndarray:

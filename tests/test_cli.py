@@ -302,6 +302,49 @@ def test_run_assembles_each_laplacian_once(monkeypatch, pipeline, degrees):
     assert dict(seen) == degrees
 
 
+def test_run_maxwell_steps_in_lockstep(monkeypatch):
+    """run maxwell evolves its four start vectors (E0, Edot0, c0, c1) as one block: the
+    Lanczos stepping makes one M_1 solve per lockstep step, at most the longest
+    column's step count, not one per step of every column."""
+    import decem.spectral as spectral
+    from decem.forms import DecOperators
+
+    real_factor, real_functions = DecOperators.mass_factor, spectral.LanczosCalculus.functions
+    real_krylov = spectral.LanczosCalculus._krylov
+    solves, depth, states = {"stepping": 0, "all": 0}, [0], []
+
+    class Counting:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, b):
+            solves["all"] += 1
+            solves["stepping"] += depth[0] > 0
+            return self.factor.solve(b)
+
+    def mass_factor(self, p):
+        return Counting(real_factor(self, p)) if p == 1 else real_factor(self, p)
+
+    def functions(self, x, fs):
+        depth[0] += 1
+        try:
+            return real_functions(self, x, fs)
+        finally:
+            depth[0] -= 1
+
+    def krylov(self, x):
+        states.append(real_krylov(self, x))
+        return states[-1]
+
+    monkeypatch.setattr(DecOperators, "mass_factor", mass_factor)
+    monkeypatch.setattr(spectral.LanczosCalculus, "functions", functions)
+    monkeypatch.setattr(spectral.LanczosCalculus, "_krylov", krylov)
+    code, _summary = run_config({"geometry": "balls:1", "pipeline": "maxwell"})
+    assert code == 0
+    assert len(states) == 4
+    assert 0 < solves["stepping"] <= max(kry.m for kry in states), (solves, [k.m for k in states])
+
+
 def test_topology_truncated_kernel_is_a_failed_row(runner, tmp_path, monkeypatch):
     """A partial eig that cuts ker Delta_1 short fails harmonic_match, with no exception."""
     import decem.cli as cli

@@ -507,6 +507,78 @@ def test_lanczos_reuses_a_converged_basis(qft_bundle):
     assert plain.steps == 2 * first
 
 
+@pytest.fixture(scope="module")
+def balls1_laplacians():
+    """(ops, {p: (Delta_p, its dense eig, its partial eig)}) for p = 0, 1 on balls:1 res 1."""
+    ops = DecOperators(canned_scenario("balls:1").carved)
+    laps = {}
+    for p in (0, 1):
+        op = assemble_laplacian(ops, p)
+        laps[p] = (op, eig(op), eig(op, count=min(10, op.n - 2)))
+    return ops, laps
+
+
+def _block_columns(n, dec, seed):
+    """Five start vectors, the last a repeat of the second, each with its own function
+    list, so that the columns need different numbers of steps."""
+    x = np.random.default_rng(seed).standard_normal((n, 4))
+    t = 10.0 / np.sqrt(dec.evals[dec.kernel_dim])
+    fss = [
+        [lambda lam: np.cos(t * lam), lambda lam: -lam * np.sin(t * lam)],
+        [lambda lam: 0.1 * t * np.sinc(0.1 * t * lam / np.pi)],
+        [lambda lam: np.cos(0.5 * t * lam), _power(0.5)],
+        [lambda lam: np.exp(-lam)],
+        [lambda lam: np.cos(t * lam)],
+    ]
+    return np.column_stack([x, x[:, 1]]), fss
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("calculus", ["dense", "lanczos", "kept"])
+def test_block_functions_match_one_call_per_column(balls1_laplacians, calculus, p):
+    """Two paths to f(Delta) X: one block call against one call per column, on the
+    dense calculus and on the Lanczos calculus without and with ``keep_bases``.  Rows
+    agree to 1e-13 relative in the M-norm; each Lanczos column takes as many steps in
+    the block as alone (a repeated start vector shares its kept basis both ways)."""
+    ops, laps = balls1_laplacians
+    op, dense, low = laps[p]
+    X, fss = _block_columns(op.n, dense, 70 + p)
+
+    def make():
+        if calculus == "dense":
+            return dense, []
+        calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval, keep_bases=calculus == "kept")
+        made, real = [], calc._krylov
+        calc._krylov = lambda x: made.append(real(x)) or made[-1]
+        return calc, made
+
+    block, block_states = make()
+    got = block.functions(X, fss)
+    single, single_states = make()
+    want = [single.functions(x, fs) for x, fs in zip(X.T, fss)]
+    assert len(got) == len(want) == X.shape[1]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        for g_row, w_row in zip(g, w):
+            assert ops.norm(p, g_row - w_row) <= 1e-13 * ops.norm(p, w_row)
+    if calculus != "dense":
+        steps = [kry.m for kry in block_states]
+        assert steps == [kry.m for kry in single_states]
+        assert len(set(steps)) > 1 and block.steps == single.steps
+
+
+def test_dense_pseudo_inverse_takes_a_block(qft_bundle):
+    """The dense Delta^+ on an n x 3 block is Delta^+ of each column."""
+    b, dec = qft_bundle, qft_bundle.dec1
+    X = np.random.default_rng(24).standard_normal((b.L1.n, 3))
+    X = np.column_stack([dec.project_out_kernel(x) for x in X.T])
+    Y = dec.pseudo_inverse(X)
+    assert Y.shape == X.shape
+    for x, y in zip(X.T, Y.T):
+        want = dec.pseudo_inverse(x)
+        assert b.ops.norm(1, y - want) <= 1e-13 * b.ops.norm(1, want)
+
+
 def test_distinguished_basis_failures_report_values(qft_bundle, wormhole_bundle, monkeypatch):
     import decem.hodge as hodge
 
