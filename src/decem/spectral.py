@@ -27,7 +27,7 @@ mass matrix is factored once, by ``DecOperators.mass_factor``.  Q_eps
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -306,6 +306,9 @@ class _Krylov:
     harmonic: np.ndarray  # P_H x, the M-projection onto the kernel basis
     m: int = 0
     invariant: bool = False  # the space is invariant, so T is exact
+    # (Ritz frequencies, eigenvectors) of T_m at the latest two checks m, which a
+    # repeat call on a kept basis or a second column on the same basis checks again
+    ritz: dict = field(default_factory=dict)
 
 
 class LanczosCalculus:
@@ -523,8 +526,12 @@ class LanczosCalculus:
     @staticmethod
     def _coefficients(kry: _Krylov, m: int, fs) -> np.ndarray:
         """Rows |x - P_H x|_M f(T_m) e_1 for the leading m x m block T_m of T."""
-        theta, U = sla.eigh_tridiagonal(kry.alpha[:m], kry.beta[1:m])
-        lam = np.sqrt(np.maximum(theta, 0.0))
+        if m not in kry.ritz:
+            theta, U = sla.eigh_tridiagonal(kry.alpha[:m], kry.beta[1:m])
+            if len(kry.ritz) == 2:
+                del kry.ritz[min(kry.ritz)]
+            kry.ritz[m] = np.sqrt(np.maximum(theta, 0.0)), U
+        lam, U = kry.ritz[m]
         return kry.nrm * (np.array([f(lam) for f in fs]) * U[0]) @ U.T
 
 
