@@ -290,7 +290,8 @@ LANCZOS_CHECK = 10
 # The steps grow like t sqrt(lambda_max) as well, about 0.7 t sqrt(lambda_max) for the
 # cos term.  The cap bounds each basis Q and reports a run that would need more.  The k
 # start vectors of one ``functions`` call step together, so k bases are alive at once:
-# up to k x cap x n_1 doubles (5 x 600 x 14036 doubles, 337 MB, at balls:1 res 2).
+# up to k x cap x n_1 doubles (5 x 600 x 14036 doubles, 337 MB, at balls:1 res 2), and
+# each basis keeps up to two m x m Ritz eigenvector blocks besides.
 LANCZOS_MAX_STEPS = 600
 
 
