@@ -261,7 +261,7 @@ class FieldCalculus:
 
     # -- the Krein map ------------------------------------------------------------------
 
-    def kappa(self, f):
+    def kappa(self, f: TestForm | list[TestForm]) -> KreinVector | list[KreinVector]:
         """The Krein vector (Delta_0^(1/4) phi + i Delta_0^(-1/4) phidot,
         Delta_1^(1/4) A + i Delta_1^(-1/4) Q Adot) of the Cauchy data of Gf; for a list
         of forms, the list of their Krein vectors.
