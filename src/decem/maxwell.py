@@ -7,17 +7,13 @@ continuum derivation (d^2 = 0, adjointness, commutation with the Laplacian)
 is exact for the discrete operators.
 
 Every field is a sum of functions of Delta_1 applied to a few cochains:
-cos(t lam), t sinc(t lam), -lam sin(t lam) and the sinc/cos time moments of the
-sources, lam = sqrt(Delta_1).  ``calc.functions(X, fss)`` evaluates them on a
-block X of start vectors with one function list per column, and
-``calc.pseudo_inverse`` applies Delta_1^+ to a block; a complete exact
-``SpectralDecomposition`` and the ``LanczosCalculus`` (one Krylov basis per start
-vector, the bases of a block stepping in lockstep, no eigensystem) both implement
-this call shape.  The magnetic field is
-closed, so it is exact plus harmonic; d intertwines the Laplacians,
-f(Delta_2) d_1 = d_1 f(Delta_1), so its exact part is d_1 c with c = Delta_1^+
-delta~ B a 1-form evolved like E.  Its harmonic part is static, and it is
-checked to be co-closed before the evolution starts.
+cos(t lam), t sinc(t lam), -lam sin(t lam), their time integrals and the time
+moments of the sources, lam = sqrt(Delta_1).  ``calc.functions(X, fss)``
+evaluates them on a block X of start vectors with one function list per column;
+a complete exact ``SpectralDecomposition`` and the ``LanczosCalculus`` (one
+Krylov basis per start vector, the bases of a block stepping in lockstep, no
+eigensystem) both implement this call shape.  E is one wave.  The field strength
+is closed, so Faraday's law fixes B from E: B(t) = B0 - d_1 int_0^t E.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import numpy as np
 from .forms import DecOperators
 from .timeprofiles import TimeProfile
 
-CONSTRAINT_TOL = 1e-8  # relative bound on the initial constraints and co-closedness
+CONSTRAINT_TOL = 1e-8  # relative bound on the initial constraints and on f = 1 reproducing x
 
 
 @dataclass
@@ -99,43 +95,44 @@ def _at(times, f):
     return [lambda lam, t=t: f(lam, t) for t in times]
 
 
-def wave(calc, x0: np.ndarray, x1: np.ndarray, terms, times) -> tuple[np.ndarray, np.ndarray]:
-    """u(t) and u'(t) at each time, as (len(times), n) arrays, for u'' + Delta u = sum g c.
+def wave(calc, x0: np.ndarray, x1: np.ndarray, terms, times) -> tuple[np.ndarray, ...]:
+    """u(t), u'(t) and int_0^t u at each time, as (len(times), n) arrays, for
+    u'' + Delta u = sum g c with u(0) = x0, u'(0) = x1 and the forcing pairs (g, c)
+    in ``terms``.
 
-    u(0) = x0, u'(0) = x1 and ``terms`` holds the forcing pairs (g, c).  u(t) =
-    cos(t lam) x0 + t sinc(t lam) x1 + int_0^t sinc((t-s) lam)(t-s) g(s) ds c, with lam
-    = sqrt(Delta).  One wave of :func:`waves`.
-    """
-    return waves(calc, [(x0, x1, terms)], times)[0]
-
-
-def waves(calc, data, times) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(u(t), u'(t)) of :func:`wave` for each triple (x0, x1, terms) in ``data``.
-
-    Each start vector of each wave, x0, x1 and every forcing cochain, is one column
-    of a single ``calc.functions`` block call, with every function of every time.
+    u(t) = cos(t lam) x0 + t sinc(t lam) x1 + int_0^t sinc((t-s) lam)(t-s) g(s) ds c,
+    lam = sqrt(Delta).  x0, x1 and every forcing cochain are the columns of one
+    ``calc.functions`` block call, with every function of every time.  The call also
+    evaluates f = 1 on x0 and x1, which an incomplete calculus does not return as x:
+    unless |f(Delta) x - x| <= CONSTRAINT_TOL * max(|x|, 1) in the M-norm of
+    ``calc.M``, a ValueError names the measured value.
     """
     k = len(times)
     cos = _at(times, lambda lam, t: np.cos(lam * t))
-    cols, fss, sizes = [], [], []
-    for x0, x1, terms in data:
-        cols += [x0, x1] + [c for _, c in terms]
-        fss += [
-            cos + _at(times, lambda lam, t: -lam * np.sin(lam * t)),
-            _at(times, lambda lam, t: t * np.sinc(lam * t / np.pi)) + cos,
-        ]
-        fss += [
-            _at(times, lambda lam, t, g=g: g.sinc_moment(lam, t, (0.0, t)))
-            + _at(times, lambda lam, t, g=g: g.cos_moment(lam, t, (0.0, t)))
-            for g, _ in terms
-        ]
-        sizes.append(2 + len(terms))
-    F = iter(calc.functions(np.column_stack(cols), fss))
-    out = []
-    for size in sizes:
-        total = sum(next(F) for _ in range(size))
-        out.append((total[:k], total[k:]))
-    return out
+    tsinc = _at(times, lambda lam, t: t * np.sinc(lam * t / np.pi))
+    tsinc_int = _at(times, lambda lam, t: 0.5 * (t * np.sinc(lam * t / (2 * np.pi))) ** 2)
+    one = [np.ones_like]
+    fss = [
+        cos + _at(times, lambda lam, t: -lam * np.sin(lam * t)) + tsinc + one,
+        tsinc + cos + tsinc_int + one,
+    ]
+    fss += [
+        _at(times, lambda lam, t, g=g: g.sinc_moment(lam, t, (0.0, t)))
+        + _at(times, lambda lam, t, g=g: g.cos_moment(lam, t, (0.0, t)))
+        + _at(times, lambda lam, t, g=g: g.integral_moment(lam, t, (0.0, t)))
+        for g, _ in terms
+    ]
+    rows = calc.functions(np.column_stack([x0, x1] + [c for _, c in terms]), fss)
+    norm = lambda v: np.sqrt(v @ (calc.M @ v))
+    for x, r in zip((x0, x1), rows):
+        err, tol = norm(r[-1] - x), CONSTRAINT_TOL * max(norm(x), 1.0)
+        if err > tol:
+            raise ValueError(
+                f"functional calculus does not reproduce its start vector: "
+                f"|1(Delta) x - x| {err:.2e} > {tol:.2e}"
+            )
+    total = rows[0][:-1] + rows[1][:-1] + sum(rows[2:])
+    return total[:k], total[k : 2 * k], total[2 * k :]
 
 
 def evolve(
@@ -150,13 +147,8 @@ def evolve(
     ``calc`` is the functional calculus of Delta_1: a complete exact
     :class:`~decem.spectral.SpectralDecomposition` or a
     :class:`~decem.spectral.LanczosCalculus`.  E solves the wave equation on
-    1-forms.  B(t) = B_h + d_1 c(t): an exact 2-form b is carried by the 1-form
-    c = Delta_1^+ delta~ b, for which d_1 c is b's exact part, and c solves the same
-    wave equation.  The harmonic part B_h = B0 - d_1 c(0) is static and must be
-    co-closed, ||delta~ B_h|| <= CONSTRAINT_TOL * max(||B0||, 1); otherwise a
-    ValueError names the measured value.  ``calc`` applies Delta_1^+ once, to the
-    block of c(0), c'(0) and the forcing potentials, and the two waves, E and c, are
-    one :func:`waves` call.
+    1-forms, one :func:`wave` call; B follows from Faraday's law, B(t) = B0 - d_1
+    int_0^t E and Bdot = -d_1 E.
     """
     times = [float(t) for t in t_targets]
     d1 = ops.d(1)
@@ -176,29 +168,12 @@ def evolve(
         )
 
     Edot0 = ops.apply_codifferential(2, B0) - source.j_at(0.0, ops.n(1))
-    Bdot0 = -(d1 @ E0)
-
-    # the exact potentials of B0, Bdot0 and each d_1 j: one Delta_1^+ on their block
-    exact = np.column_stack([B0, Bdot0] + [d1 @ c for _, c in source.j_terms])
-    c0, c1, *c_j = np.ascontiguousarray(
-        calc.pseudo_inverse(ops.apply_codifferential(2, exact)).T
-    )
-    B_h = B0 - d1 @ c0
-    coclosed = ops.norm(1, ops.apply_codifferential(2, B_h))
-    if coclosed > tolB:
-        raise ValueError(
-            f"harmonic part of B0 is not co-closed: |delta~ B_h| {coclosed:.2e} > {tolB:.2e}"
-        )
-
-    # forcing terms: alpha = -d rho_hat - dj_hat/dt ; beta = d j_hat
+    # forcing terms: alpha = -d rho_hat - dj_hat/dt
     alpha_terms = [(g.derivative().scaled(-1.0), c) for g, c in source.j_terms]
     alpha_terms += [(g, -(ops.d(0) @ c)) for g, c in source.rho_terms]
-    beta_terms = [(g, c) for (g, _), c in zip(source.j_terms, c_j)]
-    (E, Edot), (C, Cdot) = waves(
-        calc, [(E0, Edot0, alpha_terms), (c0, c1, beta_terms)], times
-    )
+    E, Edot, E_int = wave(calc, E0, Edot0, alpha_terms, times)
     return [
-        MaxwellState(t=t, E=E[i], B=B_h + d1 @ C[i], Edot=Edot[i], Bdot=d1 @ Cdot[i])
+        MaxwellState(t=t, E=E[i], B=B0 - d1 @ E_int[i], Edot=Edot[i], Bdot=-(d1 @ E[i]))
         for i, t in enumerate(times)
     ]
 
@@ -267,8 +242,8 @@ def potential_evolve(
             f"initial potential A0 must be co-closed: |delta~ A0| {div:.2e} > {tol:.2e}"
         )
     zero0 = np.zeros(ops.n(0))
-    phi, phidot = wave(calc0, zero0, zero0, [(g, -c) for g, c in source.rho_terms], times)
-    A, Adot = wave(calc1, A0, Adot0, source.j_terms, times)
+    phi, phidot, _ = wave(calc0, zero0, zero0, [(g, -c) for g, c in source.rho_terms], times)
+    A, Adot, _ = wave(calc1, A0, Adot0, source.j_terms, times)
     return [
         PotentialTrajectory(phi=phi[i], A=A[i], phidot=phidot[i], Adot=Adot[i], t=t)
         for i, t in enumerate(times)

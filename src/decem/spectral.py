@@ -13,9 +13,10 @@ system: exactly 0 on the kernel.  Without a spectrum, f(Delta) x comes from
 of the rest serves every f that is finite at 0, with an a-posteriori stopping
 rule; the bases of a block of start vectors step in lockstep, sharing each sparse
 product and each mass solve.  Its Delta^+ is iterative refinement on one shifted
-factor.  Both calculi have the call shape ``functions(x, fs)`` (or
-``functions(X, fss)`` on an n x k block, one function list per column) and
-``pseudo_inverse(x)`` on a vector or a block.
+factor; the Helmholtz split of ``decem.hodge`` is the one engine caller of Delta^+.
+Both calculi have the call shape ``functions(x, fs)`` (or ``functions(X, fss)`` on
+an n x k block, one function list per column), ``pseudo_inverse(x)`` on a vector or
+a block, and the mass matrix ``M``.
 Delta^(-1/2) is :func:`inverse_sqrt_quadrature`.  Every sparse shift-invert,
 refinement and quadrature node factors the quasi-definite
 [[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`), never S - sigma M; each
@@ -178,8 +179,8 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     'all': dense ``eigh`` of the pencil (up, M), :func:`kernel_block`, stable sort.
     With ``return_factor`` the result is (decomposition, factor): the shifted factor
     (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig made, which
-    ``LanczosCalculus.pseudo_inverse`` at that ``max_eval`` can reuse; None after a
-    dense eig.
+    ``LanczosCalculus.pseudo_inverse`` at that ``max_eval`` can reuse (run hodge's
+    Helmholtz split does); None after a dense eig.
     """
     n = op.n
     if count == "all":
@@ -288,10 +289,11 @@ PINV_MAX_ITER = 30
 LANCZOS_TOL = 1e-13
 LANCZOS_CHECK = 10
 # The steps grow like t sqrt(lambda_max) as well, about 0.7 t sqrt(lambda_max) for the
-# cos term.  The cap bounds each basis Q and reports a run that would need more.  The k
-# start vectors of one ``functions`` call step together, so k bases are alive at once:
-# up to k x cap x n_1 doubles (5 x 600 x 14036 doubles, 337 MB, at balls:1 res 2), and
-# each basis keeps up to two m x m Ritz eigenvector blocks besides.
+# cos term.  The cap bounds each basis Q and reports a run that would need more.  A
+# calculus keeps every basis it builds, and the k start vectors of one ``functions``
+# call step together: up to k x cap x n_1 doubles (5 x 600 x 14036 doubles, 337 MB, at
+# balls:1 res 2) per call, and each basis keeps up to two m x m Ritz eigenvector
+# blocks besides.
 LANCZOS_MAX_STEPS = 600
 
 
@@ -308,7 +310,7 @@ class _Krylov:
     m: int = 0
     invariant: bool = False  # the space is invariant, so T is exact
     # (Ritz frequencies, eigenvectors) of T_m at the latest two checks m, which a
-    # repeat call on a kept basis or a second column on the same basis checks again
+    # repeat call on the basis or a second column on the same basis checks again
     ritz: dict = field(default_factory=dict)
 
 
@@ -326,12 +328,13 @@ class LanczosCalculus:
     block with one function list per column; its k bases step in lockstep, each step
     one product S Q and one multi-column mass solve, while every column keeps its
     own alpha, beta, reorthogonalisation, basis and stopping rule.  A single vector
-    is the k = 1 case.  With ``keep_bases`` each distinct start cochain keeps its
-    basis, and later calls extend it only as far as their functions need.
-    ``pseudo_inverse`` applies Delta^+ by refinement on one shifted factor:
+    is the k = 1 case.  Each distinct start cochain keeps its basis for the
+    calculus's lifetime, and later calls extend it only as far as their functions
+    need.  ``pseudo_inverse`` applies Delta^+ by refinement on one shifted factor:
     ``shift_inverse``, the factor a partial ``eig`` of ``op`` returned at
-    ``max_eval``, if passed, or else one made on first use.  Together ``functions``
-    and ``pseudo_inverse`` are the call shape :class:`SpectralDecomposition` also
+    ``max_eval``, if passed, or else one made on first use; run hodge's Helmholtz
+    split is its one engine caller.  Together ``functions``, ``pseudo_inverse`` and
+    the mass matrix ``M`` are the call shape :class:`SpectralDecomposition` also
     implements.
     """
 
@@ -341,19 +344,19 @@ class LanczosCalculus:
         kernel_basis: np.ndarray,
         max_eval: float,
         shift_inverse: spla.LinearOperator | None = None,
-        keep_bases: bool = False,
     ):
-        self.op = op
+        self.op, self.M = op, op.M
         self._solve_M = op.ops.mass_factor(op.p).solve
         self._kernel, self._max_eval, self._factor = kernel_basis, max_eval, shift_inverse
-        self._bases: dict[bytes, _Krylov] | None = {} if keep_bases else None
+        self._bases: dict[bytes, _Krylov] = {}
         self.steps = 0  # Lanczos steps taken, over all start vectors
 
     def kernel_basis(self) -> np.ndarray:
         return self._kernel
 
     def pseudo_inverse(self, b: np.ndarray) -> np.ndarray:
-        """Delta^+ b on a kernel-free vector or block, without a spectrum.
+        """Delta^+ b on a kernel-free vector or block, without a spectrum (the
+        Helmholtz split's; maxwell and qft apply no Delta^+).
 
         Iterative refinement x <- x + (S - sigma M)^-1 (M b - S x) on one factor
         ``_shift_inverse(op, sigma)``, sigma = -1e-6 ``max_eval`` (the scale of the
@@ -391,8 +394,9 @@ class LanczosCalculus:
         with one function list per column (then a list of the columns' results).
 
         The columns' Krylov bases step in lockstep (:meth:`_step`); each column keeps
-        its own stopping rule, and a column whose basis is kept compares against the
-        check before its current step first, so a converged one takes no step.
+        its own stopping rule, and a column whose basis an earlier call built compares
+        against the check before its current step first, so a converged one takes no
+        step.
         """
         X = np.asarray(x, dtype=float)
         if X.ndim == 1:
@@ -465,7 +469,7 @@ class LanczosCalculus:
     def _krylov(self, x: np.ndarray) -> _Krylov:
         """The Lanczos state of start vector x: kept, or new with its first row."""
         key = x.tobytes()
-        if self._bases is not None and key in self._bases:
+        if key in self._bases:
             return self._bases[key]
         op, K = self.op, self._kernel
         cap = min(LANCZOS_MAX_STEPS, op.n)
@@ -477,8 +481,7 @@ class LanczosCalculus:
         kry = _Krylov(np.empty((cap, op.n)), np.zeros(cap), np.zeros(cap), nrm, harmonic)
         if nrm:
             kry.Q[0] = xp / nrm
-        if self._bases is not None:
-            self._bases[key] = kry
+        self._bases[key] = kry
         return kry
 
     def _step(self, krys: list[_Krylov]) -> None:

@@ -126,6 +126,11 @@ class TimeProfile:
         """int g(s) sin(lambda(t-s))/lambda ds with the lambda->0 limit built in."""
         return self._moment(lam, t, window, kind="sinc")
 
+    def integral_moment(self, lam: np.ndarray, t: float, window=None) -> np.ndarray:
+        """int g(s) (1 - cos(lambda(t-s)))/lambda^2 ds, the t-integral of sinc_moment,
+        with the lambda->0 limit (t-s)^2/2 built in."""
+        return self._moment(lam, t, window, kind="integral")
+
     def _moment(self, lam, t, window, kind) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         out = np.zeros(len(lam))
@@ -137,10 +142,12 @@ class TimeProfile:
                 continue
             s, w = self._nodes(a, b, max_lam)
             g = self(s) * w
-            phase = np.multiply.outer(lam, t - s)
+            ts = t - s
+            phase = np.multiply.outer(lam, ts)
             if kind == "cos":
                 out += np.cos(phase) @ g
-            else:
-                ts = t - s
+            elif kind == "sinc":
                 out += (np.sinc(phase / np.pi) * ts[None, :]) @ g
+            else:
+                out += (0.5 * np.sinc(phase / (2 * np.pi)) ** 2 * ts[None, :] ** 2) @ g
         return out

@@ -303,15 +303,15 @@ def test_run_assembles_each_laplacian_once(monkeypatch, pipeline, degrees):
 
 
 def test_run_maxwell_steps_in_lockstep(monkeypatch):
-    """run maxwell evolves its four start vectors (E0, Edot0, c0, c1) as one block: the
-    Lanczos stepping makes one M_1 solve per lockstep step, at most the longest
-    column's step count, not one per step of every column."""
+    """run maxwell evolves its two start vectors (E0, Edot0) as one block, in one
+    ``functions`` call: the Lanczos stepping makes one M_1 solve per lockstep step, at
+    most the longest column's step count, not one per step of every column."""
     import decem.spectral as spectral
     from decem.forms import DecOperators
 
     real_factor, real_functions = DecOperators.mass_factor, spectral.LanczosCalculus.functions
     real_krylov = spectral.LanczosCalculus._krylov
-    solves, depth, states = {"stepping": 0, "all": 0}, [0], []
+    solves, depth, states, calls = {"stepping": 0, "all": 0}, [0], [], []
 
     class Counting:
         def __init__(self, factor):
@@ -327,6 +327,8 @@ def test_run_maxwell_steps_in_lockstep(monkeypatch):
 
     def functions(self, x, fs):
         depth[0] += 1
+        if depth[0] == 1:
+            calls.append(np.shape(x))
         try:
             return real_functions(self, x, fs)
         finally:
@@ -341,8 +343,21 @@ def test_run_maxwell_steps_in_lockstep(monkeypatch):
     monkeypatch.setattr(spectral.LanczosCalculus, "_krylov", krylov)
     code, _summary = run_config({"geometry": "balls:1", "pipeline": "maxwell"})
     assert code == 0
-    assert len(states) == 4
+    assert len(states) == 2 and len(calls) == 1 and calls[0][1] == 2
     assert 0 < solves["stepping"] <= max(kry.m for kry in states), (solves, [k.m for k in states])
+
+
+def test_run_maxwell_applies_no_pseudo_inverse(monkeypatch):
+    """B comes from Faraday's law, so run maxwell applies Delta^+ on neither calculus."""
+    import decem.spectral as spectral
+
+    def forbidden(self, b):
+        raise AssertionError(f"{type(self).__name__}.pseudo_inverse called")
+
+    for cls in (spectral.LanczosCalculus, spectral.SpectralDecomposition):
+        monkeypatch.setattr(cls, "pseudo_inverse", forbidden)
+    code, _summary = run_config({"geometry": "balls:1", "pipeline": "maxwell"})
+    assert code == 0
 
 
 def test_topology_truncated_kernel_is_a_failed_row(runner, tmp_path, monkeypatch):

@@ -270,7 +270,8 @@ def test_harmonic_B_static_on_solid_torus():
 
 
 def test_non_coclosed_remainder_rejected(qft_bundle):
-    """A D1 eigensystem that misses a mode leaves B0's exact part in B_h."""
+    """A D1 eigensystem that misses a mode does not reproduce Edot0 = delta~ B0, which
+    lies in that mode: f = 1 returns it short by about its whole norm."""
     b = qft_bundle
     dec = b.dec1
     kd = dec.kernel_dim
@@ -281,9 +282,12 @@ def test_non_coclosed_remainder_rejected(qft_bundle):
     broken = dataclasses.replace(dec, vectors=V)
     B0 = b.ops.d(1) @ dec.vectors[:, k]
     s0 = MaxwellState(0.0, np.zeros(b.ops.n(1)), B0)
-    tol = f"{1e-8 * max(b.ops.norm(2, B0), 1.0):.2e}"
-    with pytest.raises(ValueError, match=rf"not co-closed: .* > {tol}$"):
+    Edot0 = b.ops.apply_codifferential(2, B0)
+    tol = f"{1e-8 * max(b.ops.norm(1, Edot0), 1.0):.2e}"
+    with pytest.raises(ValueError, match=rf"reproduce its start vector: .* (\S+) > {tol}$") as exc:
         evolve(broken, b.ops, s0, None, [1.0])
+    value = float(re.search(r"(\S+) > \S+$", str(exc.value))[1])
+    assert value > float(tol)
     evolve(dec, b.ops, s0, None, [1.0])
 
 

@@ -65,7 +65,7 @@ def test_propagate_matches_evolution_oracle(qft_bundle):
     dva = g.cos_moment(lam, t_star, (2.0, 3.0)) * chat
     # backward homogeneous evolution to t = 0
     V = b.dec1.vectors
-    (v0,), (d0,) = wave(b.dec1, V @ val, V @ dva, [], [-t_star])
+    (v0,), (d0,), _ = wave(b.dec1, V @ val, V @ dva, [], [-t_star])
     assert np.linalg.norm(v0 - data.A) <= 1e-9 * max(np.linalg.norm(data.A), 1.0)
     assert np.linalg.norm(d0 - data.Adot) <= 1e-9 * max(np.linalg.norm(data.Adot), 1.0)
 
@@ -487,7 +487,7 @@ def lanczos_fc(qft_bundle):
     low0, low1 = eig(b.L0, count=10), eig(b.L1, count=10)
     Q = build_Q_eps(harmonic_basis(low1, b.ops), b.ops, eps=1.0,
                     center=np.array([3.0, 3.0, 3.0]), r_plateau=2.0, r_zero=2.8)
-    calc0, calc1 = (LanczosCalculus(op, low.kernel_basis(), low.max_eval, keep_bases=True)
+    calc0, calc1 = (LanczosCalculus(op, low.kernel_basis(), low.max_eval)
                     for op, low in ((b.L0, low0), (b.L1, low1)))
     return FieldCalculus(b.ops, calc0, calc1, Q=Q)
 
@@ -565,7 +565,7 @@ def test_lanczos_zero_mode_readout_matches_dense(wormhole_bundle):
     w = wormhole_bundle
     op = assemble_laplacian(w.ops, 1)
     low = eig(op, count=10)
-    calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval, keep_bases=True)
+    calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval)
     fc = FieldCalculus(w.ops, None, calc, Q=w.Q)
     zero = np.zeros(w.ops.n(1))
     e = np.random.default_rng(51).standard_normal(w.ops.n(1))

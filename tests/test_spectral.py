@@ -485,26 +485,21 @@ def test_function_infinite_at_zero_raises(qft_bundle):
 
 
 def test_lanczos_reuses_a_converged_basis(qft_bundle):
-    """With ``keep_bases`` a second call on the same start cochain takes no new steps
-    and returns the same rows; a function that needs more steps extends the basis.
-    Without it every call starts again."""
+    """A second call on the same start cochain takes no new steps and returns the same
+    rows; a function that needs more steps extends the basis."""
     import decem.spectral as spectral
 
     b, dec = qft_bundle, qft_bundle.dec1
     t = 10.0 / np.sqrt(dec.evals[dec.kernel_dim])
     x = np.random.default_rng(23).standard_normal(b.L1.n)
     short = [lambda lam: np.cos(0.1 * t * lam)]
-    calc = spectral.LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval, keep_bases=True)
+    calc = spectral.LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval)
     y = calc.functions(x, short)
     first = calc.steps
     assert first > 0
     assert np.array_equal(calc.functions(x.copy(), short), y) and calc.steps == first
     calc.functions(x, [lambda lam: np.cos(t * lam)])
     assert calc.steps > first
-    plain = spectral.LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval)
-    plain.functions(x, short)
-    plain.functions(x, short)
-    assert plain.steps == 2 * first
 
 
 @pytest.fixture(scope="module")
@@ -534,12 +529,12 @@ def _block_columns(n, dec, seed):
 
 
 @pytest.mark.parametrize("p", [0, 1])
-@pytest.mark.parametrize("calculus", ["dense", "lanczos", "kept"])
+@pytest.mark.parametrize("calculus", ["dense", "lanczos"])
 def test_block_functions_match_one_call_per_column(balls1_laplacians, calculus, p):
     """Two paths to f(Delta) X: one block call against one call per column, on the
-    dense calculus and on the Lanczos calculus without and with ``keep_bases``.  Rows
-    agree to 1e-13 relative in the M-norm; each Lanczos column takes as many steps in
-    the block as alone (a repeated start vector shares its kept basis both ways)."""
+    dense calculus and on the Lanczos calculus.  Rows agree to 1e-13 relative in the
+    M-norm; each Lanczos column takes as many steps in the block as alone (a repeated
+    start vector shares its kept basis both ways)."""
     ops, laps = balls1_laplacians
     op, dense, low = laps[p]
     X, fss = _block_columns(op.n, dense, 70 + p)
@@ -547,7 +542,7 @@ def test_block_functions_match_one_call_per_column(balls1_laplacians, calculus, 
     def make():
         if calculus == "dense":
             return dense, []
-        calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval, keep_bases=calculus == "kept")
+        calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval)
         made, real = [], calc._krylov
         calc._krylov = lambda x: made.append(real(x)) or made[-1]
         return calc, made

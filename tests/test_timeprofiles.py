@@ -59,6 +59,38 @@ def test_sinc_moment_against_quad(lam):
     assert abs(got - want) <= 1e-10
 
 
+def _gauss_legendre_in_t(F, breaks, lam_max):
+    """int F(tau) dtau over [breaks[0], breaks[-1]] by 16-point Gauss-Legendre on panels
+    of at most one radian of phase, split at ``breaks``."""
+    xs, ws = np.polynomial.legendre.leggauss(16)
+    total = 0.0
+    for a, b in zip(breaks[:-1], breaks[1:]):
+        edges = np.linspace(a, b, int(np.ceil((b - a) * max(lam_max, 1.0))) + 2)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            h = 0.5 * (hi - lo)
+            total = total + sum(w * h * F(0.5 * (lo + hi) + h * x) for x, w in zip(xs, ws))
+    return total
+
+
+@pytest.mark.parametrize("t", [0.6, 1.7])
+def test_integral_moment_is_the_t_integral_of_sinc_moment(t):
+    """Two paths to int g(s)(1 - cos(lam(t-s)))/lam^2 ds: integral_moment against a
+    composite Gauss-Legendre integral in t of sinc_moment, split where the window
+    meets the support.  Without a window the integral from t0 = -0.5 is the difference
+    of two moments, so it is bounded relative to their sizes."""
+    g = TimeProfile.bump(0.1, 0.9)
+    lam = np.array([0.0, 0.5, 3.0, 17.0, 60.0])
+    cuts = [c for c in (0.1, 0.9) if c < t] + [t]
+    hi, lo = g.integral_moment(lam, t), g.integral_moment(lam, -0.5)
+    want = _gauss_legendre_in_t(lambda tau: g.sinc_moment(lam, tau), [-0.5] + cuts, lam.max())
+    assert np.all(np.abs(hi - lo - want) <= 1e-12 * (np.abs(hi) + np.abs(lo)))
+    got = g.integral_moment(lam, t, (0.0, t))
+    want = _gauss_legendre_in_t(
+        lambda tau: g.sinc_moment(lam, tau, (0.0, tau)), [0.0] + cuts, lam.max()
+    )
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 def test_window_clipping():
     b = TimeProfile.bump(0.0, 1.0)
     lam = np.array([3.0])
