@@ -529,12 +529,14 @@ def _block_columns(n, dec, seed):
 
 
 @pytest.mark.parametrize("p", [0, 1])
-@pytest.mark.parametrize("calculus", ["dense", "lanczos"])
+@pytest.mark.parametrize("calculus", ["dense", "lanczos", "kept"])
 def test_block_functions_match_one_call_per_column(balls1_laplacians, calculus, p):
     """Two paths to f(Delta) X: one block call against one call per column, on the
-    dense calculus and on the Lanczos calculus.  Rows agree to 1e-13 relative in the
-    M-norm; each Lanczos column takes as many steps in the block as alone (a repeated
-    start vector shares its kept basis both ways)."""
+    dense calculus, on a fresh Lanczos calculus, and on one whose bases an earlier
+    short call on the same columns built ("kept"), so the block extends kept bases.
+    Rows agree to 1e-13 relative in the M-norm; each Lanczos column takes as many
+    steps in the block as alone (a repeated start vector shares its kept basis both
+    ways)."""
     ops, laps = balls1_laplacians
     op, dense, low = laps[p]
     X, fss = _block_columns(op.n, dense, 70 + p)
@@ -543,6 +545,9 @@ def test_block_functions_match_one_call_per_column(balls1_laplacians, calculus, 
         if calculus == "dense":
             return dense, []
         calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval)
+        if calculus == "kept":
+            t = 10.0 / np.sqrt(dense.evals[dense.kernel_dim])
+            calc.functions(X, [[lambda lam: np.cos(0.1 * t * lam)]] * X.shape[1])
         made, real = [], calc._krylov
         calc._krylov = lambda x: made.append(real(x)) or made[-1]
         return calc, made
