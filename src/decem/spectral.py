@@ -3,8 +3,9 @@
 Delta_p has one form (:class:`LaplaceOperator`): a sparse up-term, the mass M
 and a factored down-term K^T M_{p-1}^-1 K.  ``eig(op, "all")`` is a dense ``eigh``
 of the pencil (up, M), the only dense form of Delta_p, completed on its kernel by
-:func:`kernel_block`.  ``eig(op, k)`` is ARPACK shift-invert for the k lowest
-pairs, the kernel and lambda_min among them.  A partial decomposition never
+:func:`kernel_block`; on 1-cochains a tree-cotree gauge (:func:`_gauged_eigh`)
+takes the exact forms out of that ``eigh`` first.  ``eig(op, k)`` is ARPACK
+shift-invert for the k lowest pairs, the kernel and lambda_min among them.  A partial decomposition never
 evaluates operator functions itself: it hands its kernel basis and ``max_eval``,
 and on request its shifted factor, to :class:`LanczosCalculus`.
 ``SpectralDecomposition.lam`` is the one source of frequencies of a complete
@@ -177,6 +178,11 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     """Eigendecomposition of the generalized problem; ``count`` is 'all' or k lowest.
 
     'all': dense ``eigh`` of the pencil (up, M), :func:`kernel_block`, stable sort.
+    On 1-cochains with kept vertices, where up = d_1^T M_2 d_1 annihilates the exact
+    forms, these are gauged out first (:func:`_gauged_eigh`): the ``eigh`` runs on
+    the n_1 - rank d_0 cotree rows, and the exact part of the kernel basis comes as
+    d_0 L^-T with pencil eigenvalue 0.  The kernel count, :func:`kernel_block`, the
+    negative-eigenvalue check and the residual checks then run as for every degree.
     With ``return_factor`` the result is (decomposition, factor): the shifted factor
     (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig made, which
     ``LanczosCalculus.pseudo_inverse`` at that ``max_eval`` can reuse (run hodge's
@@ -184,9 +190,13 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     """
     n = op.n
     if count == "all":
-        evals, vecs = sla.eigh(
-            op.up.toarray(order="F"), op.M.toarray(order="F"), overwrite_a=True, overwrite_b=True
-        )
+        if op.p == 1 and op.ops.n(0):
+            evals, vecs = _gauged_eigh(op)
+        else:
+            evals, vecs = sla.eigh(
+                op.up.toarray(order="F"), op.M.toarray(order="F"),
+                overwrite_a=True, overwrite_b=True,
+            )
         if op.K is not None:
             kd = int(np.sum(np.abs(evals) < KERNEL_THRESHOLD * evals[-1]))
             nu, U = kernel_block(op, vecs[:, :kd])
@@ -227,6 +237,94 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     if return_factor:
         return dec, shift_inv
     return dec
+
+
+def _spanning_forest(d0: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """A breadth-first spanning forest of the kept vertices, d0 the kept incidence.
+
+    The vertices d0 drops (those on the boundary) act as one root: an edge with one
+    kept end joins it.  The forest grows from the root first, then from the lowest
+    unreached vertex of each component that touches no boundary, which is that
+    component's own root.  Returns (tree, cols): tree[i] is the edge that reaches
+    kept vertex cols[i], and cols holds every kept vertex but the component roots.
+    So d0[tree][:, cols] is invertible, range d0[:, cols] = range d0 and
+    rank d0 = len(cols).
+    """
+    n1, n0 = d0.shape
+    counts = np.diff(d0.indptr)
+    ends = np.full((n1, 2), n0)  # vertex n0 stands for the root
+    slot = np.arange(d0.nnz) - np.repeat(d0.indptr[:-1], counts)
+    ends[np.repeat(np.arange(n1), counts), slot] = d0.indices
+    # the incidences sorted by vertex: those of vertex v are start[v]:start[v + 1]
+    order = np.argsort(ends.ravel(), kind="stable")
+    start = np.searchsorted(ends.ravel()[order], np.arange(n0 + 2))
+    other = ends.ravel()[order ^ 1]  # the edge's other end
+    reach = np.full(n0 + 1, -1)  # the tree edge that reaches each vertex, -2 at roots
+    frontier = np.array([n0])
+    while True:
+        reach[frontier] = -2
+        while len(frontier):
+            lo, lens = start[frontier], start[frontier + 1] - start[frontier]
+            inc = np.arange(lens.sum()) + np.repeat(lo - np.cumsum(lens) + lens, lens)
+            inc = inc[reach[other[inc]] == -1]
+            frontier, first = np.unique(other[inc], return_index=True)
+            reach[frontier] = order[inc[first]] // 2
+        left = np.flatnonzero(reach[:n0] == -1)
+        if not len(left):
+            break
+        frontier = left[:1]
+    cols = np.flatnonzero(reach[:n0] >= 0)
+    return reach[cols], cols
+
+
+# columns per block of the lift in _gauged_eigh, so its n x chunk temporaries stay small
+_LIFT_CHUNK = 256
+
+
+def _gauged_eigh(op: LaplaceOperator) -> tuple[np.ndarray, np.ndarray]:
+    """All eigenpairs of the pencil (up, M) on 1-cochains with the exact forms gauged
+    out of the dense ``eigh`` (tree-cotree gauge; Gross & Kotiuga, *Electromagnetic
+    Theory and Computation*, 2004).
+
+    up d_0 = 0, so range d_0 lies in the kernel.  With the forest of
+    :func:`_spanning_forest` (tree edges T, cotree edges C, G = d_0[:, cols] of rank
+    r = |T|) and H = G^T M G = L L^T, every x with G^T M x = 0 is
+    x = E_C y - G H^-1 G_C y, G_C = (G^T M)[:, C], and on those x the pencil is
+    (up_CC, M~), M~ = M_CC - G_C^T H^-1 G_C.  So ``eigh`` runs on c = n - r rows, and
+    its M~-orthonormal y lift to M-orthonormal x.  Returns the eigenvalues [0 (r times),
+    the pencil's on C] and the vectors [G L^-T, the lifts] in one n x n
+    Fortran-ordered array X.  up_CC is written into the first c^2 entries of X, where
+    ``eigh`` leaves its vectors; the lift then moves them out column block by column
+    block, last first, so no second n x n array is ever made.
+    """
+    n, d0 = op.n, op.ops.d(0)
+    tree, cols = _spanning_forest(d0)
+    r, c = len(cols), n - len(cols)
+    cot = np.ones(n, dtype=bool)
+    cot[tree] = False
+    G = d0[:, cols].astype(float)
+    GM = (G.T @ op.M).tocsc()
+    L = sla.cholesky((GM @ G).toarray(), lower=True)
+    Z = sla.solve_triangular(L, GM[:, cot].toarray(), lower=True)  # L^-1 G_C
+    X = np.empty((n, n), order="F")
+    A = X.reshape(-1, order="F")[: c * c].reshape((c, c), order="F")
+    A.fill(0.0)
+    op.up[cot][:, cot].toarray(out=A)
+    # M~ = M_CC - Z^T Z in place, on the lower triangle that eigh reads
+    Mt = sla.blas.dsyrk(
+        -1.0, Z, beta=1.0, c=op.M[cot][:, cot].toarray(order="F"), trans=1, lower=1,
+        overwrite_c=1,
+    )
+    evals, Y = sla.eigh(A, Mt, overwrite_a=True, overwrite_b=True)
+    del A, Mt
+    W = sla.solve_triangular(L, Z @ Y, lower=True, trans="T")  # H^-1 G_C Y
+    # column j of Y ends before column r + j of X starts, so blocks move last first
+    for j in range(c - (c - 1) % _LIFT_CHUNK - 1, -1, -_LIFT_CHUNK):
+        block = Y[:, j : j + _LIFT_CHUNK].copy()
+        X[:, r + j : r + j + _LIFT_CHUNK] = -(G @ W[:, j : j + _LIFT_CHUNK])
+        X[cot, r + j : r + j + _LIFT_CHUNK] += block
+    X[:, :r] = sla.solve_triangular(L, G.T.toarray(), lower=True).T
+    return np.concatenate([np.zeros(r), evals]), X
 
 
 def _start_vector(n: int) -> np.ndarray:

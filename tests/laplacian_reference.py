@@ -7,7 +7,9 @@ K = d_{p-1}^T M_p, as one dense symmetric array, adds the up-term at its
 nonzeros and symmetrises in place.  The engine never forms S; it keeps the up-term
 sparse and the down-term factored.  ``inverse_sqrt_quadrature`` is the
 engine's earlier dense branch of the resolvent quadrature: the same nodes,
-each a dense solve with S + l^2 M.
+each a dense solve with S + l^2 M.  ``dense_pencil_eigs`` is the engine's earlier
+complete ``eig`` on 1-forms: one dense ``eigh`` of the whole pencil (up, M), exact
+forms included, completed on its kernel by ``kernel_block`` for the exact Delta_1.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from decem.spectral import quadrature_rule
+from decem.spectral import KERNEL_THRESHOLD, kernel_block, quadrature_rule
+from decem.spectral import assemble_laplacian as assemble_laplacian_sparse
 
 
 @dataclass
@@ -70,4 +73,24 @@ def inverse_sqrt_quadrature(L: DenseLaplacian, X: np.ndarray, panels, spectrum_b
     out = np.zeros_like(X)
     for wi, li, dli in zip(w, lam, dl):
         out += (2.0 / np.pi) * wi * dli * sla.solve(L.S + (li * li) * M, MX, assume_a="pos")
+    return out
+
+
+def dense_pencil_eigs(ops) -> dict[str, tuple[np.ndarray, np.ndarray, int]]:
+    """(evals, vectors, kernel_dim) of the bare 1-form pencil (d_1^T M_2 d_1, M_1) and
+    of the exact Delta_1, from one dense ``eigh`` of the whole pencil; the exact one is
+    completed on the kernel by ``kernel_block``."""
+    op = assemble_laplacian_sparse(ops, 1)
+    evals, vecs = sla.eigh(op.up.toarray(), op.M.toarray())
+    out = {"bare": (evals, vecs)}
+    kd = int(np.sum(np.abs(evals) < KERNEL_THRESHOLD * evals[-1]))
+    nu, U = kernel_block(op, vecs[:, :kd])
+    vecs = vecs.copy()
+    vecs[:, :kd] = vecs[:, :kd] @ U
+    evals = np.concatenate([nu, evals[kd:]])
+    order = np.argsort(evals, kind="stable")
+    out["exact"] = (evals[order], vecs[:, order])
+    for kind, (evals, vecs) in out.items():
+        evals = np.abs(evals)
+        out[kind] = (evals, vecs, int(np.sum(evals < KERNEL_THRESHOLD * evals[-1])))
     return out

@@ -7,6 +7,7 @@ and the quadrature path as the side operators applied to M^-1.
 """
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from decem.stress import _side_factor, _side_quadrature
@@ -34,3 +35,20 @@ def on_pattern(X: np.ndarray, M: sp.csr_matrix) -> sp.csr_matrix:
     """The dense X sampled on the stored entries of M, with M's pattern."""
     r = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
     return sp.csr_matrix((X[r, M.indices], M.indices.copy(), M.indptr.copy()), shape=M.shape)
+
+
+def dense_decay_table(st, lam_grid, window) -> list[tuple[float, float]]:
+    """||(R_sigma(lam) - R_ref(lam))|_window|| per lam from the formed w x w difference D."""
+    w = len(window)
+    parts = []  # per side: V_w, (M V)_w and the eigenvalues
+    for side, rows in ((st.sigma, window), (st.reference, st.kept_maps[1][window])):
+        pick = sp.eye(side.ops.n(1), format="csr")[rows]
+        L, evals = side.hodge_system(sp.vstack([pick, side.ops.mass(1)[rows]], format="csr"))
+        parts.append((L[:w], L[w:], evals))
+    (a_s, b_s, l_s), (a_r, b_r, l_r) = parts
+    out = []
+    for lam in lam_grid:
+        D = (a_s / (l_s + lam * lam)) @ b_s.T - (a_r / (l_r + lam * lam)) @ b_r.T
+        top = sla.eigh(D @ D.T, eigvals_only=True, subset_by_index=[w - 1, w - 1]) if w else [0.0]
+        out.append((float(lam), float(np.sqrt(max(top[0], 0.0)))))
+    return out

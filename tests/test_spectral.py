@@ -712,3 +712,105 @@ def test_quadrature_matches_dense_resolvent_solves(qft_bundle, p):
     )
     err = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
     assert err.max() <= 1e-10
+
+
+# -- the tree-cotree gauge of the complete eig on 1-cochains ----------------------------
+
+
+def _one_form_pencil(ops, kind):
+    """The stress sides' bare pencil (d1^T M2 d1, M1), or the exact Delta_1."""
+    if kind == "exact":
+        return assemble_laplacian(ops, 1)
+    return LaplaceOperator(1, ops, (ops.d(1).T @ ops.mass(2) @ ops.d(1)).tocsr(), ops.mass(1))
+
+
+def _edge_kernels_on_pattern(evals, V, kd, M):
+    """A+- = V lambda^(+-1/2) V^T over the non-kernel pairs, on the stored entries of M."""
+    r = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    out = []
+    for power in (0.5, -0.5):
+        W = V[:, kd:] * evals[kd:] ** (0.5 * power)
+        out.append((W @ W.T)[r, M.indices])
+    return out
+
+
+def _check_gauged_against_dense(ops):
+    """Both 1-form pencils: eigenvalues, kernel_dim and the coexact edge kernels A+- on
+    the M_1 pattern against one dense eigh of the whole pencil."""
+    oracle = laplacian_reference.dense_pencil_eigs(ops)
+    for kind in ("bare", "exact"):
+        op = _one_form_pencil(ops, kind)
+        dec = eig(op)
+        evals, V, kd = oracle[kind]
+        assert dec.kernel_dim == kd
+        assert np.abs(dec.evals - evals).max() <= 1e-12 * evals[-1]
+        got = _edge_kernels_on_pattern(dec.evals, dec.vectors, dec.kernel_dim, op.M)
+        want = _edge_kernels_on_pattern(evals, V, kd, op.M)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+@pytest.fixture(scope="module")
+def gauge_ops():
+    return {name: DecOperators(canned_scenario(name, 1).carved)
+            for name in ("solid_torus", "balls:1")}
+
+
+@pytest.mark.parametrize("name", ["solid_torus", "balls:1"])
+def test_gauged_eig_matches_dense_pencil(gauge_ops, name):
+    """The cotree eigensolve lifted back against one dense eigh of the whole pencil,
+    for the stress sides' bare pencil and for the exact Delta_1."""
+    _check_gauged_against_dense(gauge_ops[name])
+
+
+@pytest.mark.slow
+def test_gauged_eig_matches_dense_pencil_res2():
+    _check_gauged_against_dense(DecOperators(canned_scenario("cube_obstacle", 2).carved))
+
+
+def test_gauged_eigh_sees_the_cotree_rows(monkeypatch, gauge_ops):
+    """The one dense eigh inside eig(op) on 1-cochains has n_1 - rank d_0 rows."""
+    import decem.spectral as spectral
+
+    shapes, plain = [], sla.eigh
+
+    def recording(a, b=None, **kwargs):
+        shapes.append((a.shape, b.shape))
+        return plain(a, b, **kwargs)
+
+    monkeypatch.setattr(spectral.sla, "eigh", recording)
+    ops = gauge_ops["solid_torus"]
+    eig(_one_form_pencil(ops, "bare"))
+    c = ops.n(1) - np.linalg.matrix_rank(ops.d(0).toarray())
+    assert c < ops.n(1) and shapes == [((c, c), (c, c))]
+
+
+def _torus_and_box():
+    """A periodic 3 x 3 x 3 box (a 3-torus, no boundary) beside an ordinary 2 x 2 x 2 box.
+
+    The torus's vertices form a component that touches no boundary, so rank d_0 is one
+    short of the kept vertex count.  Each cell keeps its unwrapped coordinates.
+    """
+    from decem.mesh import SimplicialComplex
+
+    a, b = box_complex((3, 3, 3)), box_complex((2, 2, 2))
+    ijk = np.round(a.vertices).astype(int) % 3
+    wrap = (ijk[:, 0] * 3 + ijk[:, 1]) * 3 + ijk[:, 2]  # 27 torus vertices
+    return SimplicialComplex.from_top_cells(
+        np.vstack([np.indices((3, 3, 3)).reshape(3, -1).T, b.vertices + 10.0]),
+        np.vstack([wrap[a.simplices[3]], b.simplices[3] + 27]),
+        cell_coords=np.vstack([a.cell_vertex_coords(), b.cell_vertex_coords() + 10.0]),
+    )
+
+
+def test_gauge_roots_a_component_without_boundary_at_its_own_vertex():
+    from decem.spectral import _spanning_forest
+
+    ops = DecOperators(_torus_and_box())
+    d0 = ops.d(0)
+    tree, cols = _spanning_forest(d0)
+    rank = np.linalg.matrix_rank(d0.toarray())
+    assert rank == ops.n(0) - 1 == len(cols) == len(tree)
+    assert abs(np.linalg.det(d0[tree][:, cols].toarray())) == 1.0
+    _check_gauged_against_dense(ops)
+    assert eig(assemble_laplacian(ops, 1)).kernel_dim == 3  # the torus's H^1

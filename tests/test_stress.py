@@ -15,7 +15,7 @@ from decem.stress import (
     resolvent_difference_decay,
     t0k_check,
 )
-from stress_reference import dense_difference_kernel, on_pattern
+from stress_reference import dense_decay_table, dense_difference_kernel, on_pattern
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +218,65 @@ def test_decay_matches_dense_resolvent_solves(tiny_stress):
         Dr = window_resolvent(st.reference, st.kept_maps[1][window], lam)
         want = np.linalg.norm(Ds - Dr, 2)
         assert abs(val - want) <= 1e-10 * want
+
+
+@pytest.fixture(scope="module")
+def balls_stress():
+    return ScenarioStress.build(canned_scenario("balls:1", 1))
+
+
+@pytest.mark.parametrize("bundle", ["tiny_stress", "balls_stress"])
+def test_decay_lanczos_matches_dense_difference(request, bundle):
+    """The Lanczos table against the formed w x w difference D and a dense eigh of
+    D D^T, on the same eigensystems, per lam."""
+    st = request.getfixturevalue(bundle)
+    lam_grid = np.geomspace(1.0, 3 * np.sqrt(st.sigma.dec.evals[-1]), 10)
+    window = interior_window(st)
+    got = resolvent_difference_decay(st, lam_grid, window)
+    want = dense_decay_table(st, lam_grid, window)
+    for (lg, vg), (lw, vw) in zip(got, want):
+        assert lg == lw and abs(vg - vw) <= 1e-12 * vw
+
+
+def test_decay_lanczos_reports_non_convergence(monkeypatch, tiny_stress):
+    """A cap below the window size that the Lanczos reaches unconverged raises with the
+    measured change, the tolerance and the step count."""
+    import re
+
+    import decem.stress as stress
+
+    monkeypatch.setattr(stress, "DECAY_MAX_STEPS", 7)
+    st = tiny_stress
+    assert len(interior_window(st)) > 7
+    with pytest.raises(AssertionError) as err:
+        resolvent_difference_decay(st, np.array([1.0, 5.0]))
+    m = re.search(r"did not converge: top Ritz value change (\S+) > (\S+) after 7 steps", str(err.value))
+    assert m, str(err.value)
+    assert float(m[1]) > float(m[2]) == pytest.approx(stress.DECAY_TOL)
+
+
+def test_nearest_distance_is_the_one_broadcast():
+    """Chunked distances equal the single n x n_b x 3 broadcast bit for bit."""
+    from decem.stress import _DIST_CHUNK, _nearest_distance
+
+    rng = np.random.default_rng(3)
+    points, targets = rng.uniform(0, 7, (3 * _DIST_CHUNK + 5, 3)), rng.uniform(0, 7, (40, 3))
+    want = np.min(np.linalg.norm(points[:, None, :] - targets[None, :, :], axis=2), axis=1)
+    assert np.array_equal(_nearest_distance(points, targets), want)
+
+
+def test_hodge_system_rotates_a_copy(tiny_stress):
+    """hodge_system leaves the side's eigenvectors alone, with and without ``left``."""
+    import scipy.sparse as sp
+
+    side = tiny_stress.sigma
+    before = side.dec.vectors.copy()
+    V, evals = side.hodge_system()
+    left = sp.random(7, side.ops.n(1), density=0.05, random_state=4, format="csr")
+    L, evals_left = side.hodge_system(left)
+    assert np.array_equal(side.dec.vectors, before)
+    assert np.array_equal(evals, evals_left)
+    assert np.abs(L - left @ V).max() <= 1e-12 * np.abs(left @ V).max()
 
 
 def _loop_blocks(ops, p, X, blocks):
