@@ -5,9 +5,10 @@ and a factored down-term K^T M_{p-1}^-1 K.  ``eig(op, "all")`` is a dense ``eigh
 of the pencil (up, M), the only dense form of Delta_p, completed on its kernel by
 :func:`kernel_block`; on 1-cochains a tree-cotree gauge (:func:`_gauged_eigh`)
 takes the exact forms out of that ``eigh`` first.  ``eig(op, k)`` is ARPACK
-shift-invert for the k lowest pairs, the kernel and lambda_min among them.  A partial decomposition never
-evaluates operator functions itself: it hands its kernel basis and ``max_eval``,
-and on request its shifted factor, to :class:`LanczosCalculus`.
+shift-invert for the k lowest pairs, the kernel and lambda_min among them.  A
+partial decomposition never evaluates operator functions itself: it hands its
+kernel basis and ``max_eval``, and on request its shifted factor, to
+:class:`LanczosCalculus`.
 ``SpectralDecomposition.lam`` is the one source of frequencies of a complete
 system: exactly 0 on the kernel.  Without a spectrum, f(Delta) x comes from
 :class:`LanczosCalculus`: the kernel part of x takes f(0), and one Krylov basis
@@ -319,7 +320,7 @@ def _gauged_eigh(op: LaplaceOperator) -> tuple[np.ndarray, np.ndarray]:
     del A, Mt
     W = sla.solve_triangular(L, Z @ Y, lower=True, trans="T")  # H^-1 G_C Y
     # column j of Y ends before column r + j of X starts, so blocks move last first
-    for j in range(c - (c - 1) % _LIFT_CHUNK - 1, -1, -_LIFT_CHUNK):
+    for j in reversed(range(0, c, _LIFT_CHUNK)):
         block = Y[:, j : j + _LIFT_CHUNK].copy()
         X[:, r + j : r + j + _LIFT_CHUNK] = -(G @ W[:, j : j + _LIFT_CHUNK])
         X[cot, r + j : r + j + _LIFT_CHUNK] += block

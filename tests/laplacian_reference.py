@@ -20,8 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from decem.spectral import KERNEL_THRESHOLD, kernel_block, quadrature_rule
-from decem.spectral import assemble_laplacian as assemble_laplacian_sparse
+from decem.spectral import KERNEL_THRESHOLD, LaplaceOperator, kernel_block, quadrature_rule
 
 
 @dataclass
@@ -80,7 +79,7 @@ def dense_pencil_eigs(ops) -> dict[str, tuple[np.ndarray, np.ndarray, int]]:
     """(evals, vectors, kernel_dim) of the bare 1-form pencil (d_1^T M_2 d_1, M_1) and
     of the exact Delta_1, from one dense ``eigh`` of the whole pencil; the exact one is
     completed on the kernel by ``kernel_block``."""
-    op = assemble_laplacian_sparse(ops, 1)
+    op = LaplaceOperator(1, ops, (ops.d(1).T @ ops.mass(2) @ ops.d(1)).tocsr(), ops.mass(1))
     evals, vecs = sla.eigh(op.up.toarray(), op.M.toarray())
     out = {"bare": (evals, vecs)}
     kd = int(np.sum(np.abs(evals) < KERNEL_THRESHOLD * evals[-1]))

@@ -250,7 +250,9 @@ def test_decay_lanczos_reports_non_convergence(monkeypatch, tiny_stress):
     assert len(interior_window(st)) > 7
     with pytest.raises(AssertionError) as err:
         resolvent_difference_decay(st, np.array([1.0, 5.0]))
-    m = re.search(r"did not converge: top Ritz value change (\S+) > (\S+) after 7 steps", str(err.value))
+    m = re.search(
+        r"did not converge: top Ritz value change (\S+) > (\S+) after 7 steps", str(err.value)
+    )
     assert m, str(err.value)
     assert float(m[1]) > float(m[2]) == pytest.approx(stress.DECAY_TOL)
 
