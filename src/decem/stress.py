@@ -48,6 +48,10 @@ from .spectral import (
 )
 
 
+# columns per block of hodge_system's product with ``left``
+_LEFT_CHUNK = 256
+
+
 @dataclass
 class SideData:
     """Operators and the coexact-block eigensystem for one side."""
@@ -74,7 +78,13 @@ class SideData:
         dec = self.dec
         kd = dec.kernel_dim
         nu, U = kernel_block(self.op, dec.vectors[:, :kd])  # reads only op.ops and op.p
-        L = dec.vectors.copy(order="F") if left is None else left @ dec.vectors
+        if left is None:
+            L = dec.vectors.copy(order="F")
+        else:
+            # in column blocks: a sparse product makes a C-ordered copy of its operand
+            L = np.empty((left.shape[0], dec.vectors.shape[1]))
+            for j in range(0, L.shape[1], _LEFT_CHUNK):
+                L[:, j : j + _LEFT_CHUNK] = left @ dec.vectors[:, j : j + _LEFT_CHUNK]
         L[:, :kd] = L[:, :kd] @ U
         return L, np.concatenate([nu, dec.evals[kd:]])
 
@@ -481,8 +491,7 @@ def interior_window(st: ScenarioStress) -> np.ndarray:
 DECAY_TOL = 1e-13
 DECAY_CHECK = 5
 # A grid point whose Krylov space reaches DECAY_MAX_STEPS < w without converging raises.
-# The bases are allocated at this cap, k x cap x w doubles, and only the rows a run
-# reaches are written.
+# The bases grow by doubling up to this cap, k x cap x w doubles.
 DECAY_MAX_STEPS = 400
 
 
@@ -516,7 +525,7 @@ def resolvent_difference_decay(
 
     k = len(grid)
     cap = min(DECAY_MAX_STEPS, w)
-    Q = np.empty((k, cap, w))  # row m of column j is written before it is read
+    Q = np.empty((k, min(4 * DECAY_CHECK, cap), w))  # basis rows, grown as steps need
     alpha, beta = np.zeros((k, cap)), np.zeros((k, cap))
     start = np.random.default_rng(0).standard_normal(w)
     Q[:, 0] = start / np.linalg.norm(start)
@@ -532,6 +541,9 @@ def resolvent_difference_decay(
                 y -= Q[j, : m + 1].T @ (Q[j, : m + 1] @ y)
             beta[j, m] = np.linalg.norm(y)  # couples basis vectors m and m + 1
             if m + 1 < cap and beta[j, m]:
+                if m + 1 == Q.shape[1]:  # double, up to the cap
+                    grow = np.empty((k, min(Q.shape[1], cap - Q.shape[1]), w))
+                    Q = np.concatenate([Q, grow], axis=1)
                 Q[j, m + 1] = y / beta[j, m]
         m += 1
         still = []
