@@ -19,7 +19,7 @@ from . import geometries
 from .forms import DecOperators, MaterialField
 from .io import write_sparse_triplets
 from .mesh import MeshError, carve_obstacle, load_complex
-from .spectral import LanczosCalculus, assemble_laplacian, eig
+from .spectral import LanczosCalculus, _spanning_forest, assemble_laplacian, eig
 
 CONFIG_VERSION = 1
 # integer run parameters and the least value each may take
@@ -192,7 +192,7 @@ def pipeline_topology(cfg, scenario, material):
     report = relative_cohomology_dims(ops)
     kernel_dims = {}
     for p in (1, 2):
-        kernel_dims[p] = _low_modes(assemble_laplacian(ops, p))[0].kernel_dim
+        kernel_dims[p] = _low_modes(assemble_laplacian(ops, p)).kernel_dim
     flags = check_harmonic_match(report, kernel_dims)
     rows = []
     name = cfg["geometry"].get("canned")
@@ -211,9 +211,10 @@ def pipeline_hodge(cfg, scenario, material):
     params = cfg["params"]
     ops = DecOperators(scenario.carved, material)
     op = assemble_laplacian(ops, 1)
-    low, factor = _low_modes(op)
+    # _low_modes's eig, and the shifted factor it makes, which Delta^+ reuses
+    low, factor = eig(op, count=min(10, op.n - 2), return_factor=True)
     hb = harmonic_basis(low, ops)
-    solver = HelmholtzSolver(ops, hb, LanczosCalculus(op, hb.vectors, low.max_eval, factor))
+    solver = HelmholtzSolver(op, hb, factor)
     rows = []
     out = {}
     if scenario.has_obstacle and scenario.carved.dim == 3:
@@ -247,10 +248,9 @@ def pipeline_hodge(cfg, scenario, material):
 
 
 def _low_modes(op):
-    """(low, factor): the partial eig of a Laplacian for its kernel, lambda_min and
-    max_eval, and its shifted factor for Delta^+.  ``low.kernel_basis()`` rejects a
-    kernel that no eigenvalue lies above."""
-    return eig(op, count=min(10, op.n - 2), return_factor=True)
+    """The partial eig of a Laplacian for its kernel and lambda_min.
+    ``low.kernel_basis()`` rejects a kernel that no eigenvalue lies above."""
+    return eig(op, count=min(10, op.n - 2))
 
 
 def pipeline_maxwell(cfg, scenario, material):
@@ -259,14 +259,14 @@ def pipeline_maxwell(cfg, scenario, material):
     params = cfg["params"]
     ops = DecOperators(scenario.carved, material)
     op = assemble_laplacian(ops, 1)
-    low = _low_modes(op)[0]  # maxwell applies no Delta^+: its shifted factor is dropped
+    low = _low_modes(op)
     rng = np.random.default_rng(cfg["seed"])
     E0 = ops.apply_codifferential(2, rng.standard_normal(ops.n(2)))
     B0 = ops.d(1) @ rng.standard_normal(ops.n(1))
     lam_min = float(np.sqrt(low.evals[low.kernel_dim]))
     t_end = params.get("t_end", 10.0 / lam_min)
     times = np.linspace(0.0, t_end, params.get("n_times", 7))
-    calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval)
+    calc = LanczosCalculus(op, low.kernel_basis())
     states = evolve(calc, ops, MaxwellState(0.0, E0, B0), None, times)
     e0 = classical_energy(ops, MaxwellState(0.0, E0, B0))
     drift = max(abs(classical_energy(ops, s) - e0) / e0 for s in states)
@@ -301,9 +301,15 @@ def pipeline_qft(cfg, scenario, material):
     r_plateau = float(qp.get("r_plateau", 0.55 * rmax))
     r_zero = float(qp.get("r_zero", 0.8 * rmax))
     _check_radii(r_plateau, r_zero)
+    # the Krein map needs ker Delta_0 = ker d_0 empty: n_0 = rank d_0, with no eigensolve
+    kernel0 = ops.n(0) - len(_spanning_forest(ops.d(0))[1])
+    if kernel0:
+        raise ConfigError(
+            f"/geometry: Delta_0 has a kernel of dimension {kernel0} (a vertex component "
+            "touches no boundary); qft needs it empty"
+        )
     op0, op1 = assemble_laplacian(ops, 0), assemble_laplacian(ops, 1)
-    # qft applies no Delta^+, so the partial eigs' shifted factors are dropped here
-    low0, low1 = _low_modes(op0)[0], _low_modes(op1)[0]
+    low1 = _low_modes(op1)
     Q = None
     if scenario.has_obstacle and low1.kernel_dim > 0:
         Q = build_Q_eps(
@@ -311,8 +317,8 @@ def pipeline_qft(cfg, scenario, material):
             r_plateau=r_plateau, r_zero=r_zero,
         )
     # each test-form cochain keeps one Krylov basis across the pairings below
-    calc0 = LanczosCalculus(op0, low0.kernel_basis(), low0.max_eval)
-    calc1 = LanczosCalculus(op1, low1.kernel_basis(), low1.max_eval)
+    calc0 = LanczosCalculus(op0, np.zeros((ops.n(0), 0)))
+    calc1 = LanczosCalculus(op1, low1.kernel_basis())
     fc = FieldCalculus(ops, calc0, calc1, Q=Q)
     rng = np.random.default_rng(cfg["seed"])
 

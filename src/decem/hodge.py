@@ -8,9 +8,9 @@ complex, so du/sqrt(<du,du>) is the distinguished harmonic one-form.
 last; run hodge and run qft (through ``spectral.build_Q_eps``) both take it.
 
 The Hodge-Kodaira split needs no complete eigensystem: the harmonic basis
-comes from a partial eigensolve of Delta_p, and Delta^+ is the
-``pseudo_inverse`` of a calculus on Delta_p (in run hodge, shifted sparse solves
-on the factor that eigensolve made).
+comes from a partial eigensolve of Delta_p, and Delta^+ is
+:func:`decem.spectral.pseudo_inverse`, shifted sparse solves on the factor that
+eigensolve made.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import scipy.sparse.linalg as spla
 
 from .forms import DecOperators
 from .mesh import OBSTACLE, boundary_components
-from .spectral import SpectralDecomposition
+from .spectral import LaplaceOperator, SpectralDecomposition, pseudo_inverse
 
 # least gap ratio lambda_{k+1} / lambda_k between a kernel and the rest of the spectrum
 GAP_FLOOR = 1e3
@@ -232,19 +232,18 @@ def threshold_integral(dec: SpectralDecomposition, phi: np.ndarray, delta: float
 
 
 class HelmholtzSolver:
-    """Three-way Hodge-Kodaira split from a harmonic basis and a calculus on Delta_p.
+    """Three-way Hodge-Kodaira split from a harmonic basis and a shifted factor.
 
-    h = H H^T M phi for the M-orthonormal basis H of ``hb``; phi1 = Delta^+ (phi - h)
-    is ``calc.pseudo_inverse``, any calculus on Delta_p whose kernel is span H (run
-    hodge passes a :class:`~decem.spectral.LanczosCalculus` on the partial eig's
-    kernel basis, ``max_eval`` and shifted factor); the exact and coexact parts are
-    d delta~ phi1 and delta~ d phi1.  Their sum is Delta phi1 through the
-    codifferentials, not the calculus's S, so the recomposition checks
+    h = H H^T M phi for the M-orthonormal basis H of ``hb``, whose span is the kernel
+    of ``op``; phi1 = Delta^+ (phi - h) is :func:`~decem.spectral.pseudo_inverse` on
+    ``shift_inverse`` (run hodge passes the factor its partial eig made); the exact
+    and coexact parts are d delta~ phi1 and delta~ d phi1.  Their sum is Delta phi1
+    through the codifferentials, not the operator's S, so the recomposition checks
     Delta Delta^+ = 1 - P_H.
     """
 
-    def __init__(self, ops: DecOperators, hb: HarmonicBasis, calc):
-        self.ops, self.hb, self.calc = ops, hb, calc
+    def __init__(self, op: LaplaceOperator, hb: HarmonicBasis, shift_inverse):
+        self.op, self.ops, self.hb, self.shift_inverse = op, op.ops, hb, shift_inverse
 
     def split(self, phi: np.ndarray) -> HelmholtzSplit:
         ops, p, H = self.ops, self.hb.p, self.hb.vectors
@@ -253,7 +252,7 @@ class HelmholtzSolver:
         rest = phi - harmonic
         # once more: one pass leaves a kernel part of rounding size in |harmonic|, which
         # is not small against |rest| when phi is (nearly) harmonic
-        phi1 = self.calc.pseudo_inverse(rest - H @ (H.T @ (M @ rest)))
+        phi1 = pseudo_inverse(self.op, self.shift_inverse, H, rest - H @ (H.T @ (M @ rest)))
         d = ops.complex.dim
         exact = (
             ops.d(p - 1) @ ops.apply_codifferential(p, phi1) if p > 0 else np.zeros_like(phi)

@@ -10,10 +10,11 @@ Every field is a sum of functions of Delta_1 applied to a few cochains:
 cos(t lam), t sinc(t lam), -lam sin(t lam), their time integrals and the time
 moments of the sources, lam = sqrt(Delta_1).  ``calc.functions(X, fss)``
 evaluates them on a block X of start vectors with one function list per column;
-a complete exact ``SpectralDecomposition`` and the ``LanczosCalculus`` (one
-Krylov basis per start vector, the bases of a block stepping in lockstep, no
-eigensystem) both implement this call shape.  E is one wave.  The field strength
-is closed, so Faraday's law fixes B from E: B(t) = B0 - d_1 int_0^t E.
+a complete exact ``SpectralDecomposition`` and the ``LanczosCalculus`` on Delta_1
+and its kernel basis (one Krylov basis per start vector, the bases of a block
+stepping in lockstep, no eigensystem) both implement this call shape.  E is one
+wave, with no Delta^+.  The field strength is closed, so Faraday's law fixes B
+from E: B(t) = B0 - d_1 int_0^t E.
 """
 
 from __future__ import annotations

@@ -11,14 +11,16 @@ powers of the Hodge Laplacians.
 Every function of Delta_p goes through one calculus per degree,
 ``calc.functions(x, fs)`` with f a function of the frequencies lam =
 sqrt(Delta_p): a complete exact ``SpectralDecomposition`` or a
-``LanczosCalculus``, which deflates the kernel and so needs each f only finite at
-0.  A test-form term g x c contributes the time moments of g applied to c, and
-the Krein map composes the quarter powers with them, lam^(1/2) times the sinc
-moment and lam^(-1/2) times the cos moment, so the term's cochain c is the only
-start vector.  Both powers are 0 at lam = 0: Delta^(-1/4) drops the kernel.  The
-start vectors of one degree go to the calculus as one block (``functions(X, fss)``,
-one function list per column): the terms of a form in :meth:`FieldCalculus.propagate_G`,
-and the terms of every form in one :meth:`FieldCalculus.kappa` call.
+``LanczosCalculus`` on Delta_p and its kernel basis, which deflates the kernel and
+so needs each f only finite at 0 (run qft checks that ker Delta_0 is empty, by
+rank d_0 = n_0; no Delta^+ is applied).  A test-form term g x c contributes the
+time moments of g applied to c, and the Krein map composes the quarter powers with
+them, lam^(1/2) times the sinc moment and lam^(-1/2) times the cos moment, so the
+term's cochain c is the only start vector.  Both powers are 0 at lam = 0:
+Delta^(-1/4) drops the kernel.  The start vectors of one degree go to the calculus
+as one block (``functions(X, fss)``, one function list per column): the terms of a
+form in :meth:`FieldCalculus.propagate_G`, and the terms of every form in one
+:meth:`FieldCalculus.kappa` call.
 """
 
 from __future__ import annotations
@@ -276,8 +278,9 @@ class FieldCalculus:
         forms = [f] if isinstance(f, TestForm) else list(f)
         if any(g.degree != 1 for g in forms):
             raise ValueError("kappa expects a degree-1 form")
-        if self.calc[0].kernel_basis().shape[1]:
-            raise AssertionError("scalar Laplacian unexpectedly has zero modes")
+        kd0 = self.calc[0].kernel_basis().shape[1]
+        if kd0:
+            raise AssertionError(f"scalar Laplacian has zero modes: kernel dimension {kd0} > 0")
         ops = self.ops
         cols = {0: [], 1: []}
         for g in forms:

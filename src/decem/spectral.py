@@ -6,19 +6,18 @@ of the pencil (up, M), the only dense form of Delta_p, completed on its kernel b
 :func:`kernel_block`; on 1-cochains a tree-cotree gauge (:func:`_gauged_eigh`)
 takes the exact forms out of that ``eigh`` first.  ``eig(op, k)`` is ARPACK
 shift-invert for the k lowest pairs, the kernel and lambda_min among them.  A
-partial decomposition never evaluates operator functions itself: it hands its
-kernel basis and ``max_eval``, and on request its shifted factor, to
-:class:`LanczosCalculus`.
-``SpectralDecomposition.lam`` is the one source of frequencies of a complete
-system: exactly 0 on the kernel.  Without a spectrum, f(Delta) x comes from
-:class:`LanczosCalculus`: the kernel part of x takes f(0), and one Krylov basis
-of the rest serves every f that is finite at 0, with an a-posteriori stopping
-rule; the bases of a block of start vectors step in lockstep, sharing each sparse
-product and each mass solve.  Its Delta^+ is iterative refinement on one shifted
-factor; the Helmholtz split of ``decem.hodge`` is the one engine caller of Delta^+.
-Both calculi have the call shape ``functions(x, fs)`` (or ``functions(X, fss)`` on
-an n x k block, one function list per column), ``pseudo_inverse(x)`` on a vector or
-a block, and the mass matrix ``M``.
+partial decomposition never evaluates operator functions itself: its kernel basis
+goes to :class:`LanczosCalculus`, and on request its shifted factor to
+:func:`pseudo_inverse`.  ``SpectralDecomposition.lam`` is the one source of
+frequencies of a complete system: exactly 0 on the kernel.  Without a spectrum,
+f(Delta) x comes from :class:`LanczosCalculus` on Delta_p and its kernel basis: the
+kernel part of x takes f(0), and one Krylov basis of the rest serves every f that is
+finite at 0, with an a-posteriori stopping rule; the bases of a block of start
+vectors step in lockstep, sharing each sparse product and each mass solve.  Both
+calculi have the call shape ``functions(x, fs)`` (or ``functions(X, fss)`` on an
+n x k block, one function list per column) and the mass matrix ``M``.  Delta^+ is
+:func:`pseudo_inverse`, refinement on one shifted factor, for the Helmholtz split of
+``decem.hodge``; the dense ``SpectralDecomposition.pseudo_inverse`` is a test oracle.
 Delta^(-1/2) is :func:`inverse_sqrt_quadrature`.  Every sparse shift-invert,
 refinement and quadrature node factors the quasi-definite
 [[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`), never S - sigma M; each
@@ -186,8 +185,8 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     negative-eigenvalue check and the residual checks then run as for every degree.
     With ``return_factor`` the result is (decomposition, factor): the shifted factor
     (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig made, which
-    ``LanczosCalculus.pseudo_inverse`` at that ``max_eval`` can reuse (run hodge's
-    Helmholtz split does); None after a dense eig.
+    :func:`pseudo_inverse` takes (run hodge's Helmholtz split is the one caller);
+    None after a dense eig.
     """
     n = op.n
     if count == "all":
@@ -378,6 +377,39 @@ PINV_RTOL = 1e-13
 PINV_MAX_ITER = 30
 
 
+def pseudo_inverse(op: LaplaceOperator, shift_inverse: spla.LinearOperator,
+                   kernel_basis: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Delta^+ b on a kernel-free vector or block, without a spectrum.
+
+    Iterative refinement x <- x + (S - sigma M)^-1 (M b - S x) on one factor
+    ``shift_inverse`` = ``_shift_inverse(op, sigma)``: run hodge passes the one its
+    partial ``eig`` made, at sigma = -1e-6 ``max_eval``.  b is checked against
+    ``kernel_basis`` like :func:`inverse_sqrt_quadrature`, and the result is
+    M-projected off it (each solve scales the rounding-size kernel part of b by
+    1/|sigma|: about 1e-11 relative on balls:1 and hopf_link without the projection).
+    """
+    K = kernel_basis
+    B = np.atleast_2d(np.asarray(b, dtype=float).T).T
+    _check_kernel_free(op, B, K)
+    MB = np.asarray(op.M @ B)
+    scale = np.maximum(np.linalg.norm(MB, axis=0), 1e-300)
+    X = np.zeros_like(B)
+    R = MB
+    for it in range(1, PINV_MAX_ITER + 1):
+        X += shift_inverse @ R
+        R = MB - op.S @ X
+        res = (np.linalg.norm(R, axis=0) / scale).max()
+        if res <= PINV_RTOL:
+            break
+    else:
+        raise AssertionError(
+            f"Delta^+ refinement did not converge: residual {res:.2e} > {PINV_RTOL:.2e} "
+            f"after {it} iterations"
+        )
+    X -= K @ (K.T @ (op.M @ X))
+    return X[:, 0] if np.asarray(b).ndim == 1 else X
+
+
 # f(Delta) x by Lanczos stops when, between two checks LANCZOS_CHECK steps apart, no
 # function's Krylov coefficients move by more than LANCZOS_TOL relative to their norm.
 # The basis is M-orthonormal, so that is the relative change of f(Delta) x in the
@@ -429,64 +461,19 @@ class LanczosCalculus:
     own alpha, beta, reorthogonalisation, basis and stopping rule.  A single vector
     is the k = 1 case.  Each distinct start cochain keeps its basis for the
     calculus's lifetime, and later calls extend it only as far as their functions
-    need.  ``pseudo_inverse`` applies Delta^+ by refinement on one shifted factor:
-    ``shift_inverse``, the factor a partial ``eig`` of ``op`` returned at
-    ``max_eval``, if passed, or else one made on first use; run hodge's Helmholtz
-    split is its one engine caller.  Together ``functions``, ``pseudo_inverse`` and
-    the mass matrix ``M`` are the call shape :class:`SpectralDecomposition` also
-    implements.
+    need.  It is built from Delta_p and its kernel basis alone.  ``functions`` and the
+    mass matrix ``M`` are the call shape :class:`SpectralDecomposition` also
+    implements; Delta^+ is :func:`pseudo_inverse`, apart from any calculus.
     """
 
-    def __init__(
-        self,
-        op: LaplaceOperator,
-        kernel_basis: np.ndarray,
-        max_eval: float,
-        shift_inverse: spla.LinearOperator | None = None,
-    ):
-        self.op, self.M = op, op.M
+    def __init__(self, op: LaplaceOperator, kernel_basis: np.ndarray):
+        self.op, self.M, self._kernel = op, op.M, kernel_basis
         self._solve_M = op.ops.mass_factor(op.p).solve
-        self._kernel, self._max_eval, self._factor = kernel_basis, max_eval, shift_inverse
         self._bases: dict[bytes, _Krylov] = {}
         self.steps = 0  # Lanczos steps taken, over all start vectors
 
     def kernel_basis(self) -> np.ndarray:
         return self._kernel
-
-    def pseudo_inverse(self, b: np.ndarray) -> np.ndarray:
-        """Delta^+ b on a kernel-free vector or block, without a spectrum (the
-        Helmholtz split's; maxwell and qft apply no Delta^+).
-
-        Iterative refinement x <- x + (S - sigma M)^-1 (M b - S x) on one factor
-        ``_shift_inverse(op, sigma)``, sigma = -1e-6 ``max_eval`` (the scale of the
-        eigensolve that gave the kernel basis; the shift ``eig`` uses).  Each call
-        checks b against the kernel basis like :func:`inverse_sqrt_quadrature` and
-        M-projects the result off it (each solve scales the rounding-size kernel part
-        of b by 1/|sigma|: about 1e-11 relative on balls:1 and hopf_link without the
-        projection).
-        """
-        op, K = self.op, self._kernel
-        if self._factor is None:
-            self._factor = _shift_inverse(op, -1e-6 * self._max_eval)
-        B = np.atleast_2d(np.asarray(b, dtype=float).T).T
-        _check_kernel_free(op, B, K)
-        MB = np.asarray(op.M @ B)
-        scale = np.maximum(np.linalg.norm(MB, axis=0), 1e-300)
-        X = np.zeros_like(B)
-        R = MB
-        for it in range(1, PINV_MAX_ITER + 1):
-            X += self._factor @ R
-            R = MB - op.S @ X
-            res = (np.linalg.norm(R, axis=0) / scale).max()
-            if res <= PINV_RTOL:
-                break
-        else:
-            raise AssertionError(
-                f"Delta^+ refinement did not converge: residual {res:.2e} > {PINV_RTOL:.2e} "
-                f"after {it} iterations"
-            )
-        X -= K @ (K.T @ (op.M @ X))
-        return X[:, 0] if np.asarray(b).ndim == 1 else X
 
     def functions(self, x: np.ndarray, fs):
         """f(Delta) x for a vector x and function list ``fs``, or for an n x k block x
@@ -639,7 +626,9 @@ class LanczosCalculus:
 
 
 def _norm_estimate(op: LaplaceOperator) -> float:
-    """Upper bound on the largest generalized eigenvalue (a few Lanczos steps)."""
+    """Meant as an upper bound on the largest generalized eigenvalue, not a proven one:
+    1.2 times ARPACK's largest-magnitude estimate at ``tol=1e-2``, or if that does not
+    converge, 1.5 times a 30-step power-iteration norm |M^-1 S x| (with a warning)."""
     Minv = spla.LinearOperator(op.M.shape, matvec=op.ops.mass_factor(op.p).solve, dtype=float)
     try:
         val = spla.eigsh(

@@ -181,20 +181,26 @@ def test_run_hodge_pipeline(runner, tmp_path):
     assert summary["result"]["harmonic_dim"] == 1
 
 
-def _forbid_complete_eig(monkeypatch):
-    """Make eig(op, "all") raise wherever the pipelines reach it."""
+def _forbid_eig(monkeypatch, forbidden):
+    """Make every eig(op, count) for which ``forbidden(op, count)`` holds raise,
+    wherever the pipelines reach it."""
     import decem.cli as cli
     import decem.spectral as spectral
 
     real = spectral.eig
 
-    def sparse_only(op, count="all", **kwargs):
-        if count == "all":
-            raise AssertionError(f"complete eigensolve of degree {op.p}, n = {op.n}")
+    def checked(op, count="all", **kwargs):
+        if forbidden(op, count):
+            raise AssertionError(f"eigensolve of degree {op.p}, n = {op.n}, count {count!r}")
         return real(op, count, **kwargs)
 
-    monkeypatch.setattr(cli, "eig", sparse_only)
-    monkeypatch.setattr(spectral, "eig", sparse_only)  # eig(op, k) with k >= n - 1 recurses
+    monkeypatch.setattr(cli, "eig", checked)
+    monkeypatch.setattr(spectral, "eig", checked)  # eig(op, k) with k >= n - 1 recurses
+
+
+def _forbid_complete_eig(monkeypatch):
+    """Make eig(op, "all") raise wherever the pipelines reach it."""
+    _forbid_eig(monkeypatch, lambda op, count: count == "all")
 
 
 @pytest.mark.parametrize("res_", [1, 2])
@@ -243,14 +249,14 @@ def test_run_qft_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, geometr
 
 
 @pytest.mark.parametrize(
-    "pipeline, factors", [("hodge", 3), ("maxwell", 3), ("qft", 4), ("topology", 5)]
+    "pipeline, factors", [("hodge", 3), ("maxwell", 3), ("qft", 3), ("topology", 5)]
 )
 def test_run_factors_each_matrix_once(runner, tmp_path, monkeypatch, pipeline, factors):
     """Every sparse LU (``splu``), keyed by the matrix it factors, is made once: each
     mass matrix M_p that a Laplacian or a codifferential needs, and the shifted
-    quasi-definite matrix of each partial eig, which Delta^+ reuses.  hodge and maxwell
-    factor M_0, M_1 and the shifted Delta_1; qft M_0, M_1 and the shifted Delta_0 and
-    Delta_1; topology M_0, M_1, M_2 and the shifted Delta_1 and Delta_2."""
+    quasi-definite matrix of each partial eig, which hodge's Delta^+ reuses.  hodge,
+    maxwell and qft factor M_0, M_1 and the shifted Delta_1 (qft eigensolves no
+    Delta_0); topology M_0, M_1, M_2 and the shifted Delta_1 and Delta_2."""
     import collections
 
     import scipy.sparse as sp
@@ -348,16 +354,59 @@ def test_run_maxwell_steps_in_lockstep(monkeypatch):
 
 
 def test_run_maxwell_applies_no_pseudo_inverse(monkeypatch):
-    """B comes from Faraday's law, so run maxwell applies Delta^+ on neither calculus."""
+    """B comes from Faraday's law, so run maxwell applies Delta^+ neither by refinement
+    (``spectral.pseudo_inverse``, wherever it is bound) nor by spectral synthesis."""
+    import importlib
+
     import decem.spectral as spectral
 
-    def forbidden(self, b):
-        raise AssertionError(f"{type(self).__name__}.pseudo_inverse called")
+    def forbidden(*args):
+        raise AssertionError("pseudo_inverse called")
 
-    for cls in (spectral.LanczosCalculus, spectral.SpectralDecomposition):
-        monkeypatch.setattr(cls, "pseudo_inverse", forbidden)
+    for name in ("cli", "spectral", "hodge", "maxwell", "qft", "stress", "topology"):
+        mod = importlib.import_module(f"decem.{name}")
+        if hasattr(mod, "pseudo_inverse"):
+            monkeypatch.setattr(mod, "pseudo_inverse", forbidden)
+    monkeypatch.setattr(spectral.SpectralDecomposition, "pseudo_inverse", forbidden)
     code, _summary = run_config({"geometry": "balls:1", "pipeline": "maxwell"})
     assert code == 0
+
+
+def test_run_qft_makes_no_eigensolve_of_delta0(monkeypatch):
+    """ker Delta_0 comes from the spanning forest (rank d_0 = n_0), so run qft
+    eigensolves Delta_1 alone."""
+    _forbid_eig(monkeypatch, lambda op, count: op.p == 0)
+    code, summary = run_config({"geometry": "balls:1", "pipeline": "qft"})
+    assert code == 0 and summary["passed"]
+
+
+def _simplex_boundary_mesh(path) -> None:
+    """The boundary of a 4-simplex as a decmesh: five vertices in general position in
+    R^3 and the five tetrahedra on four of them, a closed 3-manifold (every triangle
+    on two tetrahedra).  Nothing is on a boundary, so rank d_0 = n_0 - 1."""
+    from itertools import combinations
+
+    from decem.mesh import SimplicialComplex
+
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
+    cells = np.array(list(combinations(range(5), 4)))
+    path.write_text(SimplicialComplex.from_top_cells(verts, cells).to_text())
+
+
+def test_qft_delta0_kernel_exits_2_before_eigensolves(runner, tmp_path, monkeypatch):
+    """A vertex component that touches no boundary gives Delta_0 a kernel, which the
+    Krein map cannot take: run qft names its dimension and exits 2 before any eig."""
+    import yaml
+
+    _forbid_eig(monkeypatch, lambda op, count: True)
+    mesh = tmp_path / "simplex_boundary.decmesh"
+    _simplex_boundary_mesh(mesh)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({"geometry": {"mesh": str(mesh)}}))
+    res = runner.invoke(main, ["run", "qft", "--config", str(path), "--output",
+                               str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "config error: /geometry: Delta_0 has a kernel of dimension 1" in res.output
 
 
 def test_topology_truncated_kernel_is_a_failed_row(runner, tmp_path, monkeypatch):

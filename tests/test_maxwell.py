@@ -384,7 +384,7 @@ def test_lanczos_evolution_matches_dense(qft_bundle, sourced):
         )
     lam_min = float(np.sqrt(dec.evals[dec.kernel_dim]))
     times = np.linspace(0.0, 10.0 / lam_min, 6)
-    calc = LanczosCalculus(b.L1, dec.kernel_basis(), dec.max_eval)
+    calc = LanczosCalculus(b.L1, dec.kernel_basis())
     eps = np.finfo(float).eps
     for s, r in zip(evolve(calc, b.ops, s0, src, times), evolve(dec, b.ops, s0, src, times),
                     strict=True):

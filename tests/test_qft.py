@@ -476,6 +476,18 @@ def test_kappa_kernel_leak_reports_value(qft_bundle):
         fc.kappa(TestForm(1, [FormTerm(Impulse(0.0, 0), "spatial", psi)]))
 
 
+def test_kappa_names_the_delta0_kernel_dimension(qft_bundle):
+    """A Delta_0 calculus with a kernel is an internal fault (run qft rejects such a
+    mesh first); kappa's failure names the kernel dimension it found."""
+    from decem.spectral import LanczosCalculus
+
+    b = qft_bundle
+    fc = FieldCalculus(b.ops, LanczosCalculus(b.L0, np.zeros((b.ops.n(0), 2))), b.dec1)
+    f = TestForm(1, [FormTerm(TimeProfile.bump(-0.3, 0.7), "dt", np.ones(b.ops.n(0)))])
+    with pytest.raises(AssertionError, match="zero modes: kernel dimension 2 > 0"):
+        fc.kappa(f)
+
+
 @pytest.fixture(scope="module")
 def lanczos_fc(qft_bundle):
     """The FieldCalculus ``run qft`` builds: Lanczos calculi on the exact Delta_0 and
@@ -487,7 +499,7 @@ def lanczos_fc(qft_bundle):
     low0, low1 = eig(b.L0, count=10), eig(b.L1, count=10)
     Q = build_Q_eps(harmonic_basis(low1, b.ops), b.ops, eps=1.0,
                     center=np.array([3.0, 3.0, 3.0]), r_plateau=2.0, r_zero=2.8)
-    calc0, calc1 = (LanczosCalculus(op, low.kernel_basis(), low.max_eval)
+    calc0, calc1 = (LanczosCalculus(op, low.kernel_basis())
                     for op, low in ((b.L0, low0), (b.L1, low1)))
     return FieldCalculus(b.ops, calc0, calc1, Q=Q)
 
@@ -565,7 +577,7 @@ def test_lanczos_zero_mode_readout_matches_dense(wormhole_bundle):
     w = wormhole_bundle
     op = assemble_laplacian(w.ops, 1)
     low = eig(op, count=10)
-    calc = LanczosCalculus(op, low.kernel_basis(), low.max_eval)
+    calc = LanczosCalculus(op, low.kernel_basis())
     fc = FieldCalculus(w.ops, None, calc, Q=w.Q)
     zero = np.zeros(w.ops.n(1))
     e = np.random.default_rng(51).standard_normal(w.ops.n(1))
