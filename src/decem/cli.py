@@ -24,6 +24,10 @@ from .spectral import LanczosCalculus, _spanning_forest, assemble_laplacian, eig
 CONFIG_VERSION = 1
 # integer run parameters and the least value each may take
 PARAM_LEAST = {"n_random": 1, "n_times": 2, "n_lam": 2}
+# every key a pipeline reads from params (hodge, maxwell, qft, stress)
+PARAM_KEYS = {"capacity_expected", "capacity_tol", "n_random", "helmholtz_tol", "t_end",
+              "n_times", "residual_tol", "q_eps", "identity_tol", "trace_tol", "t0k_tol",
+              "decay", "lam_min", "n_lam"}
 
 
 class ConfigError(Exception):
@@ -67,16 +71,26 @@ def validate_config(cfg: dict) -> dict:
     for key in ("t_end", "lam_min", "capacity_expected"):
         if key in params:
             _check_positive(params[key], f"/params/{key}")
+    if "decay" in params and not isinstance(params["decay"], bool):
+        raise ConfigError(f"/params/decay: must be true or false, got {params['decay']!r}")
     if "q_eps" in params:
         _check_q_eps(params["q_eps"])
+    _check_known(params, PARAM_KEYS, "/params")
     return cfg
+
+
+def _check_known(table: dict, known: set, path: str) -> None:
+    """A config error naming the first key of ``table`` (sorted) that no pipeline reads."""
+    unknown = sorted(map(str, set(table) - known))
+    if unknown:
+        raise ConfigError(f"{path}/{unknown[0]}: unknown key; known are {sorted(known)}")
 
 
 def _check_q_eps(qp) -> None:
     """Q_eps's cutoff parameters, each checked where given.
 
-    eps and the radii are positive finite numbers with r_zero > r_plateau, and
-    center is a finite 3-vector.
+    eps and the radii are positive finite numbers with r_zero > r_plateau, center
+    is a finite 3-vector, and no other key is allowed.
     """
     if not isinstance(qp, dict):
         raise ConfigError(f"/params/q_eps: must be a mapping, got {qp!r}")
@@ -93,6 +107,7 @@ def _check_q_eps(qp) -> None:
         and np.all(np.isfinite(center))
     ):
         raise ConfigError(f"/params/q_eps/center: must be a finite 3-vector, got {center!r}")
+    _check_known(qp, {"eps", "r_plateau", "r_zero", "center"}, "/params/q_eps")
 
 
 def _check_radii(r_plateau: float, r_zero: float) -> None:

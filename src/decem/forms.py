@@ -230,7 +230,7 @@ class DecOperators:
             keep = np.ones(cplx.n(p), dtype=bool)
             keep[masked] = False
             self.kept[p] = np.nonzero(keep)[0]
-        # caches keyed by (kind, degree): kept slices, factors, codifferentials
+        # caches keyed by (kind, degree): kept slices and factors
         self._cache: dict[tuple[str, int], object] = {}
 
     # matrix access -----------------------------------------------------------
@@ -266,13 +266,6 @@ class DecOperators:
         if np.iscomplexobj(x):
             return solve(rhs.real) + 1j * solve(rhs.imag)
         return solve(rhs)
-
-    def codifferential(self, p: int) -> np.ndarray:
-        """Dense codifferential matrix (cached)."""
-        if ("codiff", p) not in self._cache:
-            rhs = (self.d(p - 1).T @ self.mass(p)).toarray()
-            self._cache["codiff", p] = self.mass_factor(p - 1).solve(rhs)
-        return self._cache["codiff", p]
 
     def inner(self, p: int, x: np.ndarray, y: np.ndarray) -> float | complex:
         return np.vdot(y, self.mass(p) @ x) if np.iscomplexobj(x) or np.iscomplexobj(y) else float(

@@ -13,9 +13,11 @@ frequencies of a complete system: exactly 0 on the kernel.  Without a spectrum,
 f(Delta) x comes from :class:`LanczosCalculus` on Delta_p and its kernel basis: the
 kernel part of x takes f(0), and one Krylov basis of the rest serves every f that is
 finite at 0, with an a-posteriori stopping rule; the bases of a block of start
-vectors step in lockstep, sharing each sparse product and each mass solve.  Both
-calculi have the call shape ``functions(x, fs)`` (or ``functions(X, fss)`` on an
-n x k block, one function list per column) and the mass matrix ``M``.  Delta^+ is
+vectors step in lockstep, sharing each sparse product and each mass solve.  Its
+engine :class:`Lanczos` (steps and stopping rule) also takes the stress decay
+table's norm of D D^T.  The dense and the Lanczos calculus have the call shape
+``functions(x, fs)`` (or ``functions(X, fss)`` on an n x k block, one function list
+per column) and the mass matrix ``M``.  Delta^+ is
 :func:`pseudo_inverse`, refinement on one shifted factor, for the Helmholtz split of
 ``decem.hodge``; the dense ``SpectralDecomposition.pseudo_inverse`` is a test oracle.
 Delta^(-1/2) is :func:`inverse_sqrt_quadrature`.  Every sparse shift-invert,
@@ -277,8 +279,9 @@ def _spanning_forest(d0: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return reach[cols], cols
 
 
-# columns per block of the lift in _gauged_eigh, so its n x chunk temporaries stay small
-_LIFT_CHUNK = 256
+# columns per block where an n x n product or copy goes block by block (the lift in
+# _gauged_eigh, stress's hodge_system(left)), so its n x block temporaries stay small
+COLUMN_BLOCK = 256
 
 
 def _gauged_eigh(op: LaplaceOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -319,16 +322,17 @@ def _gauged_eigh(op: LaplaceOperator) -> tuple[np.ndarray, np.ndarray]:
     del A, Mt
     W = sla.solve_triangular(L, Z @ Y, lower=True, trans="T")  # H^-1 G_C Y
     # column j of Y ends before column r + j of X starts, so blocks move last first
-    for j in reversed(range(0, c, _LIFT_CHUNK)):
-        block = Y[:, j : j + _LIFT_CHUNK].copy()
-        X[:, r + j : r + j + _LIFT_CHUNK] = -(G @ W[:, j : j + _LIFT_CHUNK])
-        X[cot, r + j : r + j + _LIFT_CHUNK] += block
+    for j in reversed(range(0, c, COLUMN_BLOCK)):
+        block = Y[:, j : j + COLUMN_BLOCK].copy()
+        X[:, r + j : r + j + COLUMN_BLOCK] = -(G @ W[:, j : j + COLUMN_BLOCK])
+        X[cot, r + j : r + j + COLUMN_BLOCK] += block
     X[:, :r] = sla.solve_triangular(L, G.T.toarray(), lower=True).T
     return np.concatenate([np.zeros(r), evals]), X
 
 
 def _start_vector(n: int) -> np.ndarray:
-    """Fixed-seed ARPACK start vector (not ones: symmetry can hide eigenvectors)."""
+    """Fixed-seed start vector of ARPACK and of the stress decay table's Lanczos (not
+    ones: symmetry can hide eigenvectors)."""
     return np.random.default_rng(0).standard_normal(n)
 
 
@@ -410,13 +414,16 @@ def pseudo_inverse(op: LaplaceOperator, shift_inverse: spla.LinearOperator,
     return X[:, 0] if np.asarray(b).ndim == 1 else X
 
 
-# f(Delta) x by Lanczos stops when, between two checks LANCZOS_CHECK steps apart, no
-# function's Krylov coefficients move by more than LANCZOS_TOL relative to their norm.
-# The basis is M-orthonormal, so that is the relative change of f(Delta) x in the
-# M-norm.  1e-13 is five decades under maxwell's 1e-8 gates and 2.5-5 times the
-# rounding floor where the change stops falling: 2-4e-14 for cos(t sqrt(Delta_1)) at
-# t = 10 / lambda_min on balls:1 at res 1 and 2 (reached after 120 and 200 steps).
-# That floor grows like t sqrt(lambda_max).
+# Lanczos stops when, between two checks LANCZOS_CHECK steps apart, a basis's measure
+# moves by at most LANCZOS_TOL relative to its norm, or when its Krylov space is
+# invariant.  For f(Delta) x the measure is each function's Krylov coefficients: the
+# basis is M-orthonormal, so that is the relative change of f(Delta) x in the M-norm.
+# 1e-13 is five decades under maxwell's 1e-8 gates and 2.5-5 times the rounding floor
+# where the change stops falling: 2-4e-14 for cos(t sqrt(Delta_1)) at t = 10 / lambda_min
+# on balls:1 at res 1 and 2 (reached after 120 and 200 steps).  That floor grows like
+# t sqrt(lambda_max).  The stress decay table's measure is the top Ritz value of D D^T,
+# ten times under the 1e-12 its tests ask of the norm; a grid point takes 20-50 steps on
+# the eight canned geometries at res 1 (balls:1 20-40 on 562 window edges).
 LANCZOS_TOL = 1e-13
 LANCZOS_CHECK = 10
 # The steps grow like t sqrt(lambda_max) as well, about 0.7 t sqrt(lambda_max) for the
@@ -428,13 +435,13 @@ LANCZOS_CHECK = 10
 LANCZOS_MAX_STEPS = 600
 
 
-@dataclass
+@dataclass(eq=False)
 class _Krylov:
     """Lanczos state of one start vector x: the M-orthonormal basis rows Q[:m] of the
-    Krylov space of M^-1 S from x - P_H x, and T = tridiag(beta, alpha, beta)."""
+    Krylov space from x - P_H x, and T = tridiag(beta, alpha, beta)."""
 
-    Q: np.ndarray  # (cap, n); Q[m] is the next row once computed
-    alpha: np.ndarray
+    Q: np.ndarray  # (rows, n), rows <= cap; Q[m] is the next row once computed
+    alpha: np.ndarray  # (cap,), cap = min(LANCZOS_MAX_STEPS, n)
     beta: np.ndarray  # beta[j] couples rows j - 1 and j
     nrm: float  # |x - P_H x|_M
     harmonic: np.ndarray  # P_H x, the M-projection onto the kernel basis
@@ -445,106 +452,83 @@ class _Krylov:
     ritz: dict = field(default_factory=dict)
 
 
-class LanczosCalculus:
-    """f(Delta_p) x by Lanczos in the M-inner product.
+class Lanczos:
+    """Lockstep Lanczos in the M-inner product, deflated against an M-orthonormal
+    kernel basis: ``decem``'s one Krylov engine.  ``apply(Q, krys)`` maps the n x k
+    block of the current rows of the bases ``krys`` to (A Q, M^-1 A Q), A symmetric; a
+    basis may have an A of its own (the stress decay's D(lam) D(lam)^T, M = 1)."""
 
-    ``functions(x, fs)`` deflates x: its M-projection P_H x onto ``kernel_basis``
-    takes the value f(0), and the rest starts one M-orthonormal Krylov basis Q of
-    M^-1 S (S from the operator's sparse parts, M^-1 by ``ops.mass_factor(p)``),
-    reorthogonalised at every step against Q and the kernel basis.  Every
-    f(Delta) x = f(0) P_H x + |x - P_H x|_M Q f(T) e_1 comes from it, T the
-    tridiagonal Q^T S Q, whose Ritz values stay off 0.  So each f need only be finite
-    at 0 (lam^(+-1/2) times a time moment qualifies); one that is not raises
-    ``ValueError`` when there is a kernel.  ``functions(X, fss)`` takes an n x k
-    block with one function list per column; its k bases step in lockstep, each step
-    one product S Q and one multi-column mass solve, while every column keeps its
-    own alpha, beta, reorthogonalisation, basis and stopping rule.  A single vector
-    is the k = 1 case.  Each distinct start cochain keeps its basis for the
-    calculus's lifetime, and later calls extend it only as far as their functions
-    need.  It is built from Delta_p and its kernel basis alone.  ``functions`` and the
-    mass matrix ``M`` are the call shape :class:`SpectralDecomposition` also
-    implements; Delta^+ is :func:`pseudo_inverse`, apart from any calculus.
-    """
-
-    def __init__(self, op: LaplaceOperator, kernel_basis: np.ndarray):
-        self.op, self.M, self._kernel = op, op.M, kernel_basis
-        self._solve_M = op.ops.mass_factor(op.p).solve
-        self._bases: dict[bytes, _Krylov] = {}
+    def __init__(self, apply, M: sp.spmatrix, kernel_basis: np.ndarray):
+        self._apply, self.M, self._kernel = apply, M, kernel_basis
         self.steps = 0  # Lanczos steps taken, over all start vectors
 
-    def kernel_basis(self) -> np.ndarray:
-        return self._kernel
+    def start(self, x: np.ndarray, rows: int | None = None) -> _Krylov:
+        """The state of start vector x, with its first row: x is M-projected off the
+        kernel basis and normalised.  Q is allocated at the cap, or with ``rows`` rows
+        that double as steps need, up to the cap."""
+        M, K, n = self.M, self._kernel, self.M.shape[0]
+        cap = min(LANCZOS_MAX_STEPS, n)
+        xp, harmonic = x, np.zeros(n)
+        for _ in range(2):  # twice, like each step: x may be harmonic up to rounding
+            h = K @ (K.T @ (M @ xp))
+            xp, harmonic = xp - h, harmonic + h
+        nrm = np.sqrt(xp @ (M @ xp))
+        rows = min(rows or cap, cap)
+        kry = _Krylov(np.empty((rows, n)), np.zeros(cap), np.zeros(cap), nrm, harmonic)
+        if nrm:
+            kry.Q[0] = xp / nrm
+        return kry
 
-    def functions(self, x: np.ndarray, fs):
-        """f(Delta) x for a vector x and function list ``fs``, or for an n x k block x
-        with one function list per column (then a list of the columns' results).
-
-        The columns' Krylov bases step in lockstep (:meth:`_step`); each column keeps
-        its own stopping rule, and a column whose basis an earlier call built compares
-        against the check before its current step first, so a converged one takes no
-        step.
-        """
-        X = np.asarray(x, dtype=float)
-        if X.ndim == 1:
-            return self.functions(X[:, None], [fs])[0]
-        krys = [self._krylov(np.ascontiguousarray(col)) for col in X.T]
-        outs = [self._harmonic_part(kry, col_fs) for kry, col_fs in zip(krys, fs)]
+    def converge(self, krys: list[_Krylov], measure, quantity: str, subject) -> list:
+        """Step the columns' bases ``krys`` (columns may share one) in lockstep until the
+        rows of each column's ``measure(i, kry, m)`` on T_m move by at most LANCZOS_TOL
+        relative between checks, or its space is invariant (a kept basis compares with its
+        check before first).  Returns per column (m, measure) at convergence, None for x
+        in the kernel; at the cap raises with ``subject(i)``, ``quantity`` and the values."""
         norm = lambda A: np.linalg.norm(A, axis=1)
-        # per open column: the coefficients at its last check, and their change
+        done = [None] * len(krys)
+        # per open column: the measure at its last check, and its change
         prev, change = {}, {}
         for i, kry in enumerate(krys):
             if kry.nrm:
                 last = max(kry.m - 1, 0) // LANCZOS_CHECK * LANCZOS_CHECK  # before kry.m
-                prev[i] = self._coefficients(kry, last, fs[i]) if last else None
+                prev[i] = measure(i, kry, last) if last else None
                 change[i] = np.inf
         while prev:
             for i in list(prev):
-                kry, m, cap = krys[i], krys[i].m, len(krys[i].Q)
+                kry, m, cap = krys[i], krys[i].m, len(krys[i].alpha)
                 if not m:
                     continue
-                Y = self._coefficients(kry, m, fs[i])
+                Y = measure(i, kry, m)
                 if prev[i] is not None:
                     D = Y.copy()
                     D[:, : prev[i].shape[1]] -= prev[i]
                     change[i] = (norm(D) / np.maximum(norm(Y), 1e-300)).max()
                 if kry.invariant or change[i] <= LANCZOS_TOL:
                     self._check_basis(kry.Q[_sample(m)].T)
-                    outs[i] += Y @ kry.Q[:m]
+                    done[i] = m, Y
                     del prev[i]
                     continue
                 if m == cap:
                     raise AssertionError(
-                        f"Lanczos f(Delta) x did not converge: coefficient change "
+                        f"{subject(i)} did not converge: {quantity} change "
                         f"{change[i]:.2e} > {LANCZOS_TOL:.2e} after {cap} steps"
                     )
                 prev[i] = Y
             # every open column is below its cap; a kept basis shared by two steps once
             live = list({id(krys[i]): krys[i] for i in prev}.values())
             while live:
-                self._step(live)
+                self.step(live)
                 live = [
                     kry for kry in live
-                    if not kry.invariant and kry.m < len(kry.Q) and kry.m % LANCZOS_CHECK
+                    if not kry.invariant and kry.m < len(kry.alpha) and kry.m % LANCZOS_CHECK
                 ]
-        return outs
-
-    def _harmonic_part(self, kry: _Krylov, fs) -> np.ndarray:
-        """Rows f(0) P_H x, (len(fs), n); raises for an f not finite at 0 if there is
-        a kernel."""
-        out = np.zeros((len(fs), self.op.n))
-        if self._kernel.shape[1]:
-            f0 = np.array([f(np.zeros(1))[0] for f in fs])
-            if not np.all(np.isfinite(f0)):
-                raise ValueError(
-                    "operator function is not finite at 0, where the kernel needs its value"
-                )
-            out += np.outer(f0, kry.harmonic)
-        return out
+        return done
 
     def _check_basis(self, V: np.ndarray) -> None:
         """Raise unless the sampled basis columns V are M-orthonormal and M-orthogonal
         to the kernel basis, each to 1e-10 per column."""
-        MV = self.op.M @ V
+        MV = self.M @ V
         _check_orthonormal(V, MV, "Lanczos basis")
         leak, tol = np.linalg.norm(self._kernel.T @ MV), 1e-10 * max(1.0, V.shape[1])
         if leak > tol:
@@ -552,40 +536,23 @@ class LanczosCalculus:
                 f"Lanczos basis not M-orthogonal to the kernel: {leak:.2e} > {tol:.2e}"
             )
 
-    def _krylov(self, x: np.ndarray) -> _Krylov:
-        """The Lanczos state of start vector x: kept, or new with its first row."""
-        key = x.tobytes()
-        if key in self._bases:
-            return self._bases[key]
-        op, K = self.op, self._kernel
-        cap = min(LANCZOS_MAX_STEPS, op.n)
-        xp, harmonic = x, np.zeros(op.n)
-        for _ in range(2):  # twice, like each step: x may be harmonic up to rounding
-            h = K @ (K.T @ (op.M @ xp))
-            xp, harmonic = xp - h, harmonic + h
-        nrm = np.sqrt(xp @ (op.M @ xp))
-        kry = _Krylov(np.empty((cap, op.n)), np.zeros(cap), np.zeros(cap), nrm, harmonic)
-        if nrm:
-            kry.Q[0] = xp / nrm
-        self._bases[key] = kry
-        return kry
-
-    def _step(self, krys: list[_Krylov]) -> None:
+    def step(self, krys: list[_Krylov]) -> None:
         """One Lanczos step of each basis in ``krys``: each T grows by one row, and
         each next basis row is computed.
 
-        The bases share one product S Q and one mass solve on the block of their
-        current rows, and one product M W per Gram-Schmidt pass; the rest is per
-        basis.  M Q is not stored (it would double the basis memory): each M-inner
-        product with a basis takes one product M w instead.
+        The bases share one ``apply`` on the block of their current rows, and one
+        product M W per Gram-Schmidt pass; the rest is per basis.  M Q is not stored
+        (it would double the basis memory): each M-inner product with a basis takes
+        one product M w instead.
         """
-        op, K = self.op, self._kernel
-        SQ = op.S @ np.array([kry.Q[kry.m] for kry in krys]).T
-        W = np.ascontiguousarray(self._solve_M(SQ).T)  # row i is basis i's next vector
-        SQ = np.ascontiguousarray(SQ.T)
-        for kry, w, sq in zip(krys, W, SQ):
+        K, n = self._kernel, self.M.shape[0]
+        AQ, W = self._apply(np.array([kry.Q[kry.m] for kry in krys]).T, krys)
+        # row i is basis i's next vector (AQ may alias W: each row is read before it changes)
+        W = np.ascontiguousarray(W.T)
+        AQ = np.ascontiguousarray(AQ.T)
+        for kry, w, aq in zip(krys, W, AQ):
             Q, j = kry.Q, kry.m
-            kry.alpha[j] = Q[j] @ sq
+            kry.alpha[j] = Q[j] @ aq
             w -= kry.alpha[j] * Q[j] + (kry.beta[j] * Q[j - 1] if j else 0.0)
         MW = self._mass_rows(W)
         # Gram-Schmidt against Q and the kernel; a second pass where the first cancelled
@@ -604,14 +571,90 @@ class LanczosCalculus:
         for kry, w, mw in zip(krys, W, MW):
             b = np.sqrt(max(w @ mw, 0.0))
             m = kry.m = kry.m + 1
-            kry.invariant = m == op.n - K.shape[1] or b == 0.0
-            if not kry.invariant and m < len(kry.Q):
+            kry.invariant = m == n - K.shape[1] or b == 0.0
+            if not kry.invariant and m < len(kry.alpha):
+                if m == len(kry.Q):  # double, up to the cap
+                    grow = np.empty((min(m, len(kry.alpha) - m), n))
+                    kry.Q = np.concatenate([kry.Q, grow])
                 kry.Q[m], kry.beta[m] = w / b, b
         self.steps += len(krys)
 
     def _mass_rows(self, W: np.ndarray) -> np.ndarray:
         """M w for each row w of W, as rows."""
-        return np.ascontiguousarray((self.op.M @ W.T).T)
+        return np.ascontiguousarray((self.M @ W.T).T)
+
+
+class LanczosCalculus(Lanczos):
+    """f(Delta_p) x by Lanczos in the M-inner product.
+
+    ``functions(x, fs)`` deflates x: its M-projection P_H x onto ``kernel_basis``
+    takes the value f(0), and the rest starts one M-orthonormal Krylov basis Q of
+    M^-1 S (S from the operator's sparse parts, M^-1 by ``ops.mass_factor(p)``),
+    reorthogonalised at every step against Q and the kernel basis.  Every
+    f(Delta) x = f(0) P_H x + |x - P_H x|_M Q f(T) e_1 comes from it, T the
+    tridiagonal Q^T S Q, whose Ritz values stay off 0.  So each f need only be finite
+    at 0 (lam^(+-1/2) times a time moment qualifies); one that is not raises
+    ``ValueError`` when there is a kernel.  ``functions(X, fss)`` takes an n x k
+    block with one function list per column; its k bases step in lockstep on the
+    :class:`Lanczos` engine, each step one product S Q and one multi-column mass
+    solve, while every column keeps its own alpha, beta, reorthogonalisation, basis
+    and stopping rule (its measure: the coefficients f(T) e_1).  A single vector is
+    the k = 1 case.  Each distinct start cochain keeps its basis for the calculus's
+    lifetime, and later calls extend it only as far as their functions need.  It is
+    built from Delta_p and its kernel basis alone.  ``functions`` and the mass matrix
+    ``M`` are the call shape :class:`SpectralDecomposition` also implements; Delta^+
+    is :func:`pseudo_inverse`, apart from any calculus.
+    """
+
+    def __init__(self, op: LaplaceOperator, kernel_basis: np.ndarray):
+        solve_M = op.ops.mass_factor(op.p).solve
+
+        def apply(Q, _krys):
+            SQ = op.S @ Q
+            return SQ, solve_M(SQ)
+
+        super().__init__(apply, op.M, kernel_basis)
+        self._bases: dict[bytes, _Krylov] = {}
+
+    def kernel_basis(self) -> np.ndarray:
+        return self._kernel
+
+    def functions(self, x: np.ndarray, fs):
+        """f(Delta) x for a vector x and function list ``fs``, or for an n x k block x
+        with one function list per column (then a list of the columns' results).  Each
+        column's rows come from its basis at the step where it converged, which a basis
+        shared with a later column may have passed."""
+        X = np.asarray(x, dtype=float)
+        if X.ndim == 1:
+            return self.functions(X[:, None], [fs])[0]
+        krys = [self._krylov(np.ascontiguousarray(col)) for col in X.T]
+        outs = [self._harmonic_part(kry, col_fs) for kry, col_fs in zip(krys, fs)]
+        measure = lambda i, kry, m: self._coefficients(kry, m, fs[i])
+        done = self.converge(krys, measure, "coefficient", lambda i: "Lanczos f(Delta) x")
+        for out, kry, res in zip(outs, krys, done):
+            if res:
+                out += res[1] @ kry.Q[: res[0]]
+        return outs
+
+    def _harmonic_part(self, kry: _Krylov, fs) -> np.ndarray:
+        """Rows f(0) P_H x, (len(fs), n); raises for an f not finite at 0 if there is
+        a kernel."""
+        out = np.zeros((len(fs), self.M.shape[0]))
+        if self._kernel.shape[1]:
+            f0 = np.array([f(np.zeros(1))[0] for f in fs])
+            if not np.all(np.isfinite(f0)):
+                raise ValueError(
+                    "operator function is not finite at 0, where the kernel needs its value"
+                )
+            out += np.outer(f0, kry.harmonic)
+        return out
+
+    def _krylov(self, x: np.ndarray) -> _Krylov:
+        """The Lanczos state of start vector x: kept, or new with its first row."""
+        key = x.tobytes()
+        if key not in self._bases:
+            self._bases[key] = self.start(x)
+        return self._bases[key]
 
     @staticmethod
     def _coefficients(kry: _Krylov, m: int, fs) -> np.ndarray:

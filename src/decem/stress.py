@@ -11,8 +11,9 @@ gauge hands the exact forms d0 C^0 to the kernel directly, so the dense ``eigh``
 sees only the cotree block; the second path is
 ``spectral.inverse_sqrt_quadrature`` on the same pencil.  The decay table
 completes each side to Delta_1 with ``spectral.kernel_block``, as ``eig`` does,
-and takes the norm of the windowed resolvent difference by a Lanczos on its thin
-window factors, never forming it.
+and takes the norm of the windowed resolvent difference on its thin window factors,
+never forming it, by ``spectral.Lanczos``, the Krylov engine of the f(Delta) x
+calculus, with its stepping, reorthogonalisation and stopping rule.
 
 Every difference is carried as its symmetric integral kernel X, with the
 operator D = X M.  A side's kernel is V g V^T (V the coexact eigenvectors),
@@ -40,16 +41,16 @@ import scipy.sparse as sp
 from .forms import DecOperators, MaterialField
 from .mesh import ObstacleScenario
 from .spectral import (
+    COLUMN_BLOCK,
+    LANCZOS_CHECK,
+    Lanczos,
     LaplaceOperator,
     SpectralDecomposition,
+    _start_vector,
     eig,
     inverse_sqrt_quadrature,
     kernel_block,
 )
-
-
-# columns per block of hodge_system's product with ``left``
-_LEFT_CHUNK = 256
 
 
 @dataclass
@@ -83,8 +84,8 @@ class SideData:
         else:
             # in column blocks: a sparse product makes a C-ordered copy of its operand
             L = np.empty((left.shape[0], dec.vectors.shape[1]))
-            for j in range(0, L.shape[1], _LEFT_CHUNK):
-                L[:, j : j + _LEFT_CHUNK] = left @ dec.vectors[:, j : j + _LEFT_CHUNK]
+            for j in range(0, L.shape[1], COLUMN_BLOCK):
+                L[:, j : j + COLUMN_BLOCK] = left @ dec.vectors[:, j : j + COLUMN_BLOCK]
         L[:, :kd] = L[:, :kd] @ U
         return L, np.concatenate([nu, dec.evals[kd:]])
 
@@ -481,20 +482,6 @@ def interior_window(st: ScenarioStress) -> np.ndarray:
     return np.nonzero(_nearest_distance(mids, cplx.vertices[bnodes]) > 1.0)[0]
 
 
-# The decay table's Lanczos on D D^T stops, per grid point, when its top Ritz value has
-# moved by at most DECAY_TOL relative between two checks DECAY_CHECK steps apart, or when
-# its Krylov space is invariant or complete (w steps), where the value is exact.  The
-# value is lambda_max(D D^T), the squared norm.  1e-13 is ten times under the 1e-12
-# agreement with the dense w x w difference that the tests ask of the norm, and about
-# 20 times the largest change between checks once converged (5.3e-15 on balls:1 at res
-# 1; 15-30 steps there, 15-20 on solid_torus, cube_obstacle and concentric_spheres).
-DECAY_TOL = 1e-13
-DECAY_CHECK = 5
-# A grid point whose Krylov space reaches DECAY_MAX_STEPS < w without converging raises.
-# The bases grow by doubling up to this cap, k x cap x w doubles.
-DECAY_MAX_STEPS = 400
-
-
 def resolvent_difference_decay(
     st: ScenarioStress, lam_grid: np.ndarray, window: np.ndarray | None = None
 ) -> list[tuple[float, float]]:
@@ -506,11 +493,12 @@ def resolvent_difference_decay(
     each side gives the thin window factors a = V_w and b = (M V)_w
     (``hodge_system(left)``), and the w x w difference is
     D(lam) = a_s C_s(lam) b_s^T - a_r C_r(lam) b_r^T, C = (Lambda + lam^2)^-1.  D is
-    never formed: its spectral norm is sqrt(lambda_max(D D^T)) from a fixed-seed
-    Lanczos on D D^T, fully reorthogonalised, with one start vector for every grid
-    point.  The grid points step together, each step applying D^T and then D to the
-    block of their current basis vectors through the factors (one product with each
-    factor per side), and each stops by its own rule (``DECAY_TOL``).
+    never formed: its spectral norm is sqrt(lambda_max(D D^T)) from the
+    ``spectral.Lanczos`` engine on D D^T (M = 1, no kernel), with one fixed-seed start
+    vector for every grid point.  The grid points step together, each step applying
+    D^T and then D to the block of their current basis vectors through the factors
+    (one product with each factor per side), and each stops when its top Ritz value
+    settles (``spectral.LANCZOS_TOL``).
     """
     if window is None:
         window = interior_window(st)
@@ -523,62 +511,29 @@ def resolvent_difference_decay(
         L, evals = side.hodge_system(sp.vstack([pick, side.ops.mass(1)[rows]], format="csr"))
         factors.append((L[:w], L[w:], 1.0 / (evals[:, None] + grid[None, :] ** 2)))
 
-    k = len(grid)
-    cap = min(DECAY_MAX_STEPS, w)
-    Q = np.empty((k, min(4 * DECAY_CHECK, cap), w))  # basis rows, grown as steps need
-    alpha, beta = np.zeros((k, cap)), np.zeros((k, cap))
-    start = np.random.default_rng(0).standard_normal(w)
-    Q[:, 0] = start / np.linalg.norm(start)
-    top = np.zeros(k)
-    prev = np.full(k, np.inf)
-    live = list(range(k))
-    m = 0
-    while live:
-        Y = _decay_gram(factors, Q[live, m].T, live)
-        for y, j in zip(Y.T, live):
-            alpha[j, m] = Q[j, m] @ y
-            for _ in range(2):  # full reorthogonalisation, twice
-                y -= Q[j, : m + 1].T @ (Q[j, : m + 1] @ y)
-            beta[j, m] = np.linalg.norm(y)  # couples basis vectors m and m + 1
-            if m + 1 < cap and beta[j, m]:
-                if m + 1 == Q.shape[1]:  # double, up to the cap
-                    grow = np.empty((k, min(Q.shape[1], cap - Q.shape[1]), w))
-                    Q = np.concatenate([Q, grow], axis=1)
-                Q[j, m + 1] = y / beta[j, m]
-        m += 1
-        still = []
-        for j in live:
-            exact = m == w or not beta[j, m - 1]
-            if not exact and m % DECAY_CHECK and m < cap:
-                still.append(j)
-                continue
-            top[j] = sla.eigvalsh_tridiagonal(
-                alpha[j, :m], beta[j, : m - 1], select="i", select_range=(m - 1, m - 1)
-            )[0]
-            change = abs(top[j] - prev[j]) / max(abs(top[j]), 1e-300)
-            if exact or change <= DECAY_TOL:
-                continue
-            if m == cap:
-                raise AssertionError(
-                    f"decay Lanczos at lam = {grid[j]:.6g} did not converge: top Ritz value "
-                    f"change {change:.2e} > {DECAY_TOL:.2e} after {m} steps"
-                )
-            prev[j] = top[j]
-            still.append(j)
-        live = still
-    return [(float(lam), float(np.sqrt(max(t, 0.0)))) for lam, t in zip(grid, top)]
+    def gram(Q, krys):  # (A Q, M^-1 A Q), A = D D^T at each basis's grid point, M = 1
+        cols = [point[id(kry)] for kry in krys]
+        for trans in (True, False):  # D^T = b C a^T, then D = a C b^T
+            acc = 0.0
+            for sgn, (a, b, C) in zip((1.0, -1.0), factors):
+                left, right = (b, a) if trans else (a, b)
+                acc = acc + sgn * (left @ ((right.T @ Q) * C[:, cols]))
+            Q = acc
+        return Q, Q
 
+    def top_ritz(_j, kry, m):  # lambda_max(T_m), as a 1 x 1 measure
+        T = kry.alpha[:m], kry.beta[1:m]
+        return sla.eigvalsh_tridiagonal(*T, select="i", select_range=(m - 1, m - 1))[None]
 
-def _decay_gram(factors, X: np.ndarray, cols: list[int]) -> np.ndarray:
-    """D(lam_j) D(lam_j)^T x_j for each column x_j of X, j running over ``cols``: D^T
-    and then D, each through one product with each side's two window factors."""
-    for trans in (True, False):  # D^T = b C a^T, then D = a C b^T
-        acc = 0.0
-        for sgn, (a, b, C) in zip((1.0, -1.0), factors):
-            left, right = (b, a) if trans else (a, b)
-            acc = acc + sgn * (left @ ((right.T @ X) * C[:, cols]))
-        X = acc
-    return X
+    engine = Lanczos(gram, sp.identity(w, format="csr"), np.zeros((w, 0)))
+    # bases grown from 2 checks' rows: allocated at the cap, 1.2 MB more resident (balls:1)
+    krys = [engine.start(_start_vector(w), 2 * LANCZOS_CHECK) for _ in grid]
+    point = {id(kry): j for j, kry in enumerate(krys)}
+    done = engine.converge(
+        krys, top_ritz, "top Ritz value", lambda j: f"decay Lanczos at lam = {grid[j]:.6g}"
+    )
+    return [(float(lam), float(np.sqrt(max(top[0, 0], 0.0)))) for lam, (_m, top) in
+            zip(grid, done)]
 
 
 def loglog_slope(table: list[tuple[float, float]]) -> float:

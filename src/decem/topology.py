@@ -133,7 +133,6 @@ class CohomologyReport:
     """Per-degree relative cohomology dimensions with optional cross-checks."""
 
     dims: dict[int, int]
-    ranks: dict[int, int]
     harmonic_dims: dict[int, int] | None = None
     expected: dict[int, int] | None = None
 
@@ -167,16 +166,9 @@ class CohomologyReport:
 def relative_cohomology_dims(ops: DecOperators) -> CohomologyReport:
     """Exact dims of H^p of the relative (fully masked) cochain complex."""
     d = ops.complex.dim
-    ranks = {}
-    for p in range(d):
-        ranks[p] = integer_rank(ops.d(p))
-    dims = {}
-    for p in range(d + 1):
-        n = ops.n(p)
-        rk_out = ranks.get(p, 0)  # rank of d_p (0 for p = d)
-        rk_in = ranks.get(p - 1, 0)
-        dims[p] = n - rk_out - rk_in
-    return CohomologyReport(dims=dims, ranks=ranks)
+    ranks = {p: integer_rank(ops.d(p)) for p in range(d)}  # rank d_p; d_d = 0
+    dims = {p: ops.n(p) - ranks.get(p, 0) - ranks.get(p - 1, 0) for p in range(d + 1)}
+    return CohomologyReport(dims=dims)
 
 
 def expected_dims(geometry_id: str) -> dict[int, int]:

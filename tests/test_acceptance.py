@@ -90,7 +90,7 @@ def test_criterion_4_structural_exactness(qft_bundle):
     exact_d2 = d2 == 0
     adj = 0.0
     for p in (1, 2, 3):
-        lhs = b.ops.mass(p - 1).toarray() @ b.ops.codifferential(p)
+        lhs = b.ops.mass(p - 1).toarray() @ b.ops.apply_codifferential(p, np.eye(b.ops.n(p)))
         rhs = (b.ops.d(p - 1).T @ b.ops.mass(p)).toarray()
         adj = max(adj, np.abs(lhs - rhs).max() / np.abs(rhs).max())
     solver = HelmholtzSolver(b.L1, b.hb, _shift_inverse(b.L1, -1e-6 * b.dec1.max_eval))

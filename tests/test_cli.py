@@ -560,6 +560,10 @@ def test_run_stress_cube_obstacle_summary_pinned():
          "/params/residual_tol: tolerance must be positive and finite"),
         ("qft", {"params": {"identity_tol": True}},
          "/params/identity_tol: tolerance must be a number"),
+        ("stress", {"params": {"trace_tl": 1e-30}}, "/params/trace_tl: unknown key"),
+        ("qft", {"params": {"q_eps": {"radius": 5}}}, "/params/q_eps/radius: unknown key"),
+        ("stress", {"params": {"decay": "no"}}, "/params/decay: must be true or false"),
+        ("stress", {"params": {"decay": 0}}, "/params/decay: must be true or false"),
     ],
 )
 def test_bad_run_config_exits_2_naming_key(runner, tmp_path, pipeline, patch, where):

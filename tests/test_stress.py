@@ -243,9 +243,9 @@ def test_decay_lanczos_reports_non_convergence(monkeypatch, tiny_stress):
     measured change, the tolerance and the step count."""
     import re
 
-    import decem.stress as stress
+    import decem.spectral as spectral
 
-    monkeypatch.setattr(stress, "DECAY_MAX_STEPS", 7)
+    monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 7)
     st = tiny_stress
     assert len(interior_window(st)) > 7
     with pytest.raises(AssertionError) as err:
@@ -254,7 +254,35 @@ def test_decay_lanczos_reports_non_convergence(monkeypatch, tiny_stress):
         r"did not converge: top Ritz value change (\S+) > (\S+) after 7 steps", str(err.value)
     )
     assert m, str(err.value)
-    assert float(m[1]) > float(m[2]) == pytest.approx(stress.DECAY_TOL)
+    assert float(m[1]) > float(m[2]) == pytest.approx(spectral.LANCZOS_TOL)
+
+
+def test_decay_steps_on_the_shared_lanczos_engine(monkeypatch, balls_stress):
+    """The decay table takes every step through ``spectral.Lanczos.step`` (counted), one
+    basis per grid point, and each converged basis passes the calculus's sampled
+    orthonormality check."""
+    import decem.spectral as spectral
+
+    stepped, engines, real = [], set(), spectral.Lanczos.step
+
+    def step(self, krys):
+        stepped.append(list(krys))
+        engines.add(self)
+        return real(self, krys)
+
+    monkeypatch.setattr(spectral.Lanczos, "step", step)
+    st = balls_stress
+    grid = np.geomspace(1.0, 3 * np.sqrt(st.sigma.dec.evals[-1]), 10)
+    w = len(interior_window(st))
+    table = resolvent_difference_decay(st, grid)
+    bases = {id(kry): kry for krys in stepped for kry in krys}
+    assert len(table) == len(grid) == len(bases) and len(engines) == 1
+    (engine,) = engines
+    assert engine.steps == sum(len(krys) for krys in stepped)
+    for kry in bases.values():
+        assert 0 < kry.m <= min(spectral.LANCZOS_MAX_STEPS, w)
+        assert kry.m == sum(kry in krys for krys in stepped)
+        engine._check_basis(kry.Q[spectral._sample(kry.m)].T)
 
 
 def test_nearest_distance_is_the_one_broadcast():
