@@ -158,6 +158,11 @@ def build_scenario(cfg: dict):
             return carve_obstacle(ref, set())
         return geometries.canned_scenario(name, res)
     if "mesh" in geo:
+        tags = geo.get("obstacle_tags", [])
+        if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):
+            raise ConfigError(
+                f"/geometry/obstacle_tags: must be a list of region tags, got {tags!r}"
+            )
         fmt = geo.get("format", "decmesh")
         try:
             if fmt == "decmesh":
@@ -167,7 +172,14 @@ def build_scenario(cfg: dict):
                 cplx = load_complex(geo["mesh"], fmt)
         except FileNotFoundError as exc:
             raise ConfigError(f"/geometry/mesh: no such mesh file: {exc.filename}") from exc
-        return carve_obstacle(cplx, set(geo.get("obstacle_tags", [])))
+        regions = set(cplx.regions)
+        for tag in tags:
+            if tag not in regions:
+                raise ConfigError(
+                    f"/geometry/obstacle_tags: {tag!r} names no region of the mesh; "
+                    f"its regions are {sorted(regions)}"
+                )
+        return carve_obstacle(cplx, set(tags))
     raise ConfigError("/geometry: needs 'canned' or 'mesh'")
 
 

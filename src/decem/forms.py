@@ -10,7 +10,7 @@ by removing every degree of freedom sitting inside a marked boundary facet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import factorial
 
@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import SimplicialComplex, faces_of
+from .mesh import Isometry, SimplicialComplex, faces_of
 
 
 @dataclass
@@ -184,6 +184,12 @@ def _symmetric_factor(A) -> spla.SuperLU:
     )
 
 
+def _signed_permutation(img: np.ndarray, sgn: np.ndarray) -> sp.csr_matrix:
+    """P with P e_i = sgn[i] e_img[i]."""
+    n = len(img)
+    return sp.csr_matrix((sgn.astype(float), (img, np.arange(n))), shape=(n, n))
+
+
 # -- operator bundle ---------------------------------------------------------------
 
 
@@ -214,7 +220,9 @@ class DecOperators:
     is assembled per degree, on first use, and then kept; a command that
     needs one degree never assembles the others.  ``cell_geometry`` is
     :func:`_cell_geometry` of the complex, computed once, eagerly, for every
-    per-cell assembly.
+    per-cell assembly.  :meth:`character_bases` splits the kept DOFs by the
+    symmetries of the complex that keep eps and mu; they are looked for only when
+    it is first called.
     """
 
     def __init__(self, cplx: SimplicialComplex, material: MaterialField | None = None):
@@ -254,6 +262,82 @@ class DecOperators:
         if ("factor", p) not in self._cache:
             self._cache["factor", p] = _symmetric_factor(self.mass(p))
         return self._cache["factor", p]
+
+    # symmetry ------------------------------------------------------------------
+
+    @cached_property
+    def _generators(self) -> list[Isometry]:
+        """A maximal set of commuting involutions among the complex's isometries that
+        keep eps and mu on every cell, taken greedily in the order of
+        :meth:`SimplicialComplex.isometries`."""
+        cplx, d = self.complex, self.complex.dim
+        eps = np.array([self.material.eps_of(t) for t in cplx.regions])
+        mu = np.array([self.material.mu_of(t) for t in cplx.regions])
+        gens, span = [], [np.eye(d)]
+        for g in cplx.isometries():
+            cells, A = g.maps[d][0], g.A
+            if (np.array_equal(eps[cells], eps) and np.array_equal(mu[cells], mu)
+                    and np.array_equal(A @ A, np.eye(d))
+                    and all(np.array_equal(A @ h.A, h.A @ A) for h in gens)
+                    and not any(np.array_equal(A, s) for s in span)):
+                gens.append(g)
+                span += [A @ s for s in span]
+        return gens
+
+    def _group(self, p: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The symmetry group of the operators on the kept p-DOFs, identity first: per
+        element the signed permutation P e_i = sign[i] e_image[i] as (image, sign), with
+        P d_p = d_p P.  Element e is the product of the generators in the bits of e, so
+        there are 2^k; a complex without symmetry gives the identity alone.  Raises
+        unless each generator keeps M_p, P^T M_p P = M_p, to 1e-12 relative."""
+        if ("group", p) not in self._cache:
+            pos, kept, n, M = self.kept_pos(p), self.kept[p], self.n(p), self.mass(p)
+            elems = [(np.arange(n), np.ones(n, dtype=np.int64))]
+            for g in self._generators:
+                img, sgn = g.maps[p]
+                gi, gs = pos[img[kept]], sgn[kept]
+                P = _signed_permutation(gi, gs)
+                err = abs(P.T @ M @ P - M).max() / abs(M).max() if M.nnz else 0.0
+                if err > 1e-12:
+                    raise AssertionError(
+                        f"M_{p} is not invariant under the symmetry {g.A.astype(int).tolist()}: "
+                        f"relative {err:.2e} > 1.00e-12"
+                    )
+                # g after each element so far: P_g P_e e_i = s_e(i) s_g(e(i)) e_g(e(i))
+                elems += [(gi[ei], es * gs[ei]) for ei, es in elems]
+            self._cache["group", p] = elems
+        return self._cache["group", p]
+
+    def character_bases(self, p: int) -> list[sp.csc_matrix]:
+        """One orthonormal basis B_m of the kept p-DOFs per character
+        chi_m(e) = (-1)^popcount(m & e) of the symmetry group, m = 0 .. 2^k - 1.
+
+        P_e B_m = chi_m(e) B_m (P_e of :meth:`_group`), so an operator that commutes with the group is block
+        diagonal on [B_0, B_1, ...], and d_p B_m lies in the span of B_m of degree
+        p + 1.  The columns of B_m are the nonzero projections sum_e chi_m(e) P_e e_i
+        of the orbit representatives i (the lowest DOF of each orbit), normalised:
+        +-1/sqrt(|orbit|) on each DOF of the orbit.  The column counts sum to n_p; a
+        basis may have none.  Made on first use and kept.
+        """
+        if ("bases", p) not in self._cache:
+            elems = self._group(p)
+            n = self.n(p)
+            reps = np.flatnonzero(np.min([img for img, _ in elems], axis=0) == np.arange(n))
+            rows = np.concatenate([img[reps] for img, _ in elems])
+            cols = np.tile(np.arange(len(reps)), len(elems))
+            bases = []
+            for m in range(len(elems)):
+                chi = [(-1) ** bin(m & e).count("1") for e in range(len(elems))]
+                vals = np.concatenate([c * sgn[reps] for c, (_, sgn) in zip(chi, elems)])
+                # duplicates are summed in integers, so a vanishing projection is exact
+                B = sp.csc_matrix((vals, (rows, cols)), shape=(n, len(reps)))
+                B.eliminate_zeros()
+                B = B[:, np.diff(B.indptr) > 0].astype(float)
+                size = np.diff(B.indptr)
+                B.data = np.sign(B.data) / np.sqrt(np.repeat(size, size))
+                bases.append(B)
+            self._cache["bases", p] = bases
+        return self._cache["bases", p]
 
     # calculus ------------------------------------------------------------------
 

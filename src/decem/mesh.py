@@ -16,8 +16,8 @@ limit raises :class:`MeshError`; no degree-d lookup is needed to build,
 validate, carve or assemble a d-dimensional complex.
 
 Complexes are immutable after construction: all derived quantities (packed
-keys, per-cell face tables, coface counts, boundary facets) are computed once
-and cached.
+keys, per-cell face tables, coface counts, boundary facets, isometries) are
+computed once and cached.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations, product
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -65,6 +65,39 @@ def _canonical_rows(rows: np.ndarray, unique: bool = False) -> np.ndarray:
     return rows
 
 
+# A vertex matches the image of another under a candidate isometry when they lie
+# within this fraction of the shortest edge.  The canned meshes' vertices map exactly
+# onto each other, and reflecting a coordinate about the box centre rounds it by
+# about 1e-16 of its size.  A looser match would admit near-symmetries under which
+# the mass matrices are not invariant to the 1e-12 that ``DecOperators`` checks.
+ISOMETRY_RTOL = 1e-13
+
+
+@dataclass(eq=False)
+class Isometry:
+    """x -> centre + A (x - centre), A a signed axis permutation, as a map of a
+    complex onto itself.  ``maps[p]`` is (image, sign): p-simplex i goes to p-simplex
+    image[i], and sign[i] = +-1 compares the image's sorted-vertex orientation with
+    that of the mapped vertices."""
+
+    A: np.ndarray
+    maps: dict[int, tuple[np.ndarray, np.ndarray]]
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque, sortable key per row of integer-valued floats."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+def _sort_parity(rows: np.ndarray) -> np.ndarray:
+    """+-1 per row: the parity of the permutation that sorts it (distinct entries)."""
+    sign = np.ones(len(rows), dtype=np.int64)
+    for i, j in combinations(range(rows.shape[1]), 2):
+        sign *= np.where(rows[:, i] < rows[:, j], 1, -1)
+    return sign
+
+
 @dataclass
 class SimplicialComplex:
     """Simplicial complex of dimension ``dim`` embedded in R^ambient.
@@ -84,6 +117,7 @@ class SimplicialComplex:
     _keys: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _face_ids: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     _bfacets: np.ndarray | None = field(default=None, repr=False)
+    _isometries: list[Isometry] | None = field(default=None, repr=False)
 
     # -- construction -------------------------------------------------------
 
@@ -240,6 +274,57 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return int(sum((-1) ** p * self.n(p) for p in range(self.dim + 1)))
 
+    def isometries(self) -> list[Isometry]:
+        """The isometries of the complex, identity first, found on first call and kept.
+
+        The candidates are the 2^d d! signed axis permutations about the centre of
+        the used vertices' bounding box.  One is kept when it maps the used vertices
+        onto themselves (to ``ISOMETRY_RTOL`` of the shortest edge), every p-simplex
+        onto a p-simplex and each boundary marker's facets onto that marker's.  Region
+        tags are not compared.  The list is empty for a glued complex (with
+        ``cell_coords``), whose vertex coordinates do not give its metric.
+        """
+        if self._isometries is None:
+            self._isometries = [] if self.cell_coords is not None else self._find_isometries()
+        return self._isometries
+
+    def _find_isometries(self) -> list[Isometry]:
+        d, used = self.dim, self.simplices[0][:, 0]
+        ends = self.vertices[self.simplices[1]]
+        h = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).min()
+        X = self.vertices[used]
+        X = X - 0.5 * (X.min(axis=0) + X.max(axis=0))
+        # vertices are matched by their cells on a grid of h/4 about the centre, then
+        # checked against the tolerance: a near-match split by a grid line is missed,
+        # which only loses a symmetry
+        keys = _row_keys(np.rint(X / (0.25 * h)))
+        order = np.argsort(keys)
+        keys = keys[order]
+        vmap = np.full(len(self.vertices), -1, dtype=np.int64)
+        found = []
+        for perm in permutations(range(d)):
+            for signs in product((1, -1), repeat=d):
+                A = np.zeros((d, d))
+                A[np.arange(d), perm] = signs
+                Y = X @ A.T
+                at = np.searchsorted(keys, _row_keys(np.rint(Y / (0.25 * h))))
+                near = order[np.minimum(at, len(order) - 1)]
+                if np.abs(X[near] - Y).max() > ISOMETRY_RTOL * h:
+                    continue
+                vmap[used] = used[near]
+                maps = {}
+                for p in range(d + 1):
+                    rows = vmap[self.simplices[p]]
+                    pos, hit = self._find(p, rows)
+                    if not hit.all():
+                        break
+                    maps[p] = pos, _sort_parity(rows)
+                else:
+                    if all(np.array_equal(np.sort(maps[d - 1][0][f]), np.sort(f))
+                           for f in self.boundary_markers.values()):
+                        found.append(Isometry(A, maps))
+        return found
+
     # -- validation ----------------------------------------------------------
 
     def check_closure(self) -> None:
@@ -352,47 +437,81 @@ def load_complex(source: str | bytes | io.IOBase, fmt: str = "decmesh") -> Simpl
 
 
 def _parse_decmesh(text: str) -> SimplicialComplex:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """The decmesh text of :meth:`SimplicialComplex.to_text`.  A malformed line raises
+    :class:`MeshError` naming its section and its line number."""
+    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), 1)]
+    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
     pos = 0
 
-    def take() -> str:
+    def take() -> tuple[int, str]:
         nonlocal pos
         if pos >= len(lines):
             raise MeshError("unexpected end of mesh file")
-        ln = lines[pos]
         pos += 1
-        return ln
+        return lines[pos - 1]
 
-    header = take()
-    if not header.startswith("decmesh"):
+    def numbers(section: str, kind, tokens: list[str], line: tuple[int, str]) -> list:
+        try:
+            vals = [kind(x) for x in tokens]
+        except ValueError:
+            raise MeshError(f"{section}, line {line[0]}: {line[1]!r} is not a row of "
+                            f"{kind.__name__}s") from None
+        if kind is int and any(abs(v) >= 2**63 for v in vals):
+            raise MeshError(f"{section}, line {line[0]}: {line[1]!r} has an int that does "
+                            "not fit in 64 bits")
+        return vals
+
+    def row(section: str, kind, width: int) -> list:
+        line = take()
+        vals = numbers(section, kind, line[1].split(), line)
+        if len(vals) != width:
+            raise MeshError(f"{section}, line {line[0]}: {line[1]!r} has {len(vals)} "
+                            f"entries, not {width}")
+        return vals
+
+    def header(line: tuple[int, str], key: str, counts: int, least: int = 0) -> list[int]:
+        """The ``counts`` integers after ``key`` on a section's first line."""
+        tok = line[1].split()
+        vals = numbers(key, int, tok[1:], line)
+        if tok[0] != key or len(vals) != counts or min(vals, default=least) < least:
+            raise MeshError(f"{key}, line {line[0]}: {line[1]!r} is not a {key!r} line "
+                            f"with {counts} count(s) >= {least}")
+        return vals
+
+    if not take()[1].startswith("decmesh"):
         raise MeshError("not a decmesh file")
-    dim = int(take().split()[1])
-    nv = int(take().split()[1])
-    vertices = np.array([[float(x) for x in take().split()] for _ in range(nv)])
+    [dim] = header(take(), "dim", 1, least=1)
+    [nv] = header(take(), "vertices", 1)
+    vertices = np.array([row("vertices", float, dim) for _ in range(nv)]).reshape(nv, dim)
+    if not np.isfinite(vertices).all():
+        raise MeshError("vertices: a coordinate is not finite")
     simplices: dict[int, np.ndarray] = {}
     regions: list[str] | None = None
     markers_raw: list[tuple[str, tuple]] = []
     while pos < len(lines):
-        ln = take()
-        tok = ln.split()
+        line = take()
+        tok = line[1].split()
         if tok[0] == "simplices":
-            p, n = int(tok[1]), int(tok[2])
-            rows = np.array(
-                [[int(x) for x in take().split()] for _ in range(n)], dtype=np.int64
-            ).reshape(n, p + 1)
+            p, n = header(line, "simplices", 2)
+            if not 1 <= p <= dim:
+                raise MeshError(f"simplices, line {line[0]}: degree {p} is not in 1..{dim}")
+            rows = np.array([row(f"simplices {p}", int, p + 1) for _ in range(n)],
+                            dtype=np.int64).reshape(n, p + 1)
             if np.any(rows < 0) or np.any(rows >= nv):
                 raise MeshError(f"simplex vertex id out of range in degree {p}")
             simplices[p] = _canonical_rows(rows)
             if len(_canonical_rows(rows, unique=True)) != n:
                 raise MeshError(f"duplicate simplex in degree {p}")
         elif tok[0] == "regions":
-            n = int(tok[1])
-            regions = [("" if t == "-" else t) for t in (take() for _ in range(n))]
+            [n] = header(line, "regions", 1)
+            regions = [("" if t == "-" else t) for _, t in (take() for _ in range(n))]
         elif tok[0] == "boundary":
-            while pos < len(lines) and lines[pos] != "end":
-                parts = take().split()
-                markers_raw.append((parts[0], tuple(sorted(int(x) for x in parts[1:]))))
+            header(line, "boundary", 0)
+            while pos < len(lines) and lines[pos][1] != "end":
+                marker = take()
+                parts = marker[1].split()
+                ids = numbers("boundary", int, parts[1:], marker)
+                markers_raw.append((parts[0], tuple(sorted(ids))))
         elif tok[0] == "end":
             break
         else:

@@ -3,8 +3,9 @@
 Delta_p has one form (:class:`LaplaceOperator`): a sparse up-term, the mass M
 and a factored down-term K^T M_{p-1}^-1 K.  ``eig(op, "all")`` is a dense ``eigh``
 of the pencil (up, M), the only dense form of Delta_p, completed on its kernel by
-:func:`kernel_block`; on 1-cochains a tree-cotree gauge (:func:`_gauged_eigh`)
-takes the exact forms out of that ``eigh`` first.  ``eig(op, k)`` is ARPACK
+:func:`kernel_block`; on 1-cochains (:func:`_gauged_eigh`) the pencil splits into
+the blocks of the mesh's symmetry group, and a tree-cotree gauge takes the exact
+forms out of each block's ``eigh`` first.  ``eig(op, k)`` is ARPACK
 shift-invert for the k lowest pairs, the kernel and lambda_min among them.  A
 partial decomposition never evaluates operator functions itself: its kernel basis
 goes to :class:`LanczosCalculus`, and on request its shifted factor to
@@ -180,11 +181,13 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     """Eigendecomposition of the generalized problem; ``count`` is 'all' or k lowest.
 
     'all': dense ``eigh`` of the pencil (up, M), :func:`kernel_block`, stable sort.
-    On 1-cochains with kept vertices, where up = d_1^T M_2 d_1 annihilates the exact
-    forms, these are gauged out first (:func:`_gauged_eigh`): the ``eigh`` runs on
-    the n_1 - rank d_0 cotree rows, and the exact part of the kernel basis comes as
-    d_0 L^-T with pencil eigenvalue 0.  The kernel count, :func:`kernel_block`, the
-    negative-eigenvalue check and the residual checks then run as for every degree.
+    On 1-cochains with kept vertices (:func:`_gauged_eigh`) the pencil splits into
+    one block per character of the mesh's symmetry group (one block without
+    symmetry), and up = d_1^T M_2 d_1 annihilates the exact forms, which are gauged
+    out of each block: the ``eigh``s run on n_1 - rank d_0 cotree rows in all, and the
+    exact part of the kernel basis comes as d_0 L^-T with pencil eigenvalue 0.  The
+    kernel count, :func:`kernel_block`, the negative-eigenvalue check and the
+    residual checks then run on the merged, lifted system as for every degree.
     With ``return_factor`` the result is (decomposition, factor): the shifted factor
     (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig made, which
     :func:`pseudo_inverse` takes (run hodge's Helmholtz split is the one caller);
@@ -280,54 +283,104 @@ def _spanning_forest(d0: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 # columns per block where an n x n product or copy goes block by block (the lift in
-# _gauged_eigh, stress's hodge_system(left)), so its n x block temporaries stay small
+# _gauged_block, stress's hodge_system(left)), so its n x block temporaries stay small
 COLUMN_BLOCK = 256
 
 
 def _gauged_eigh(op: LaplaceOperator) -> tuple[np.ndarray, np.ndarray]:
-    """All eigenpairs of the pencil (up, M) on 1-cochains with the exact forms gauged
-    out of the dense ``eigh`` (tree-cotree gauge; Gross & Kotiuga, *Electromagnetic
-    Theory and Computation*, 2004).
+    """All eigenpairs of the pencil (up, M) on 1-cochains, one symmetry block at a time,
+    with the exact forms gauged out of each block's dense ``eigh``.
 
-    up d_0 = 0, so range d_0 lies in the kernel.  With the forest of
-    :func:`_spanning_forest` (tree edges T, cotree edges C, G = d_0[:, cols] of rank
-    r = |T|) and H = G^T M G = L L^T, every x with G^T M x = 0 is
-    x = E_C y - G H^-1 G_C y, G_C = (G^T M)[:, C], and on those x the pencil is
-    (up_CC, M~), M~ = M_CC - G_C^T H^-1 G_C.  So ``eigh`` runs on c = n - r rows, and
-    its M~-orthonormal y lift to M-orthonormal x.  Returns the eigenvalues [0 (r times),
-    the pencil's on C] and the vectors [G L^-T, the lifts] in one n x n
-    Fortran-ordered array X.  up_CC is written into the first c^2 entries of X, where
-    ``eigh`` leaves its vectors; the lift then moves them out column block by column
-    block, last first, so no second n x n array is ever made.
+    up and M commute with the mesh's symmetry group and d_0 intertwines it, so on the
+    character bases B_m of ``ops.character_bases`` the pencil is block diagonal, and
+    the exact forms of block m are spanned by d_0 B0_m (Bossavit, *Comput. Methods
+    Appl. Mech. Engrg.* 56, 1986).  :func:`_gauged_block` solves each block into its
+    own n_m columns of one n x n Fortran-ordered array X; a mesh without symmetry is
+    one block, B = 1.  The columns are then permuted in place, so that X holds the
+    M-orthonormal vectors of the eigenvalues [0 (r times, r = rank d_0), the pencil's
+    on the gauged blocks in ascending order]: first the exact ones, block by block,
+    then the rest.  Beside X, only one block's arrays are alive at a time.
     """
     n, d0 = op.n, op.ops.d(0)
-    tree, cols = _spanning_forest(d0)
-    r, c = len(cols), n - len(cols)
-    cot = np.ones(n, dtype=bool)
+    X = np.empty((n, n), order="F")
+    exact, coexact, evals, start = [], [], [], 0
+    for B, B0 in zip(op.ops.character_bases(1), op.ops.character_bases(0)):
+        nb = B.shape[1]
+        if nb:
+            r, evals_b = _gauged_block(op, B, B.T @ d0 @ B0, X[:, start : start + nb])
+            exact.append(np.arange(start, start + r))
+            coexact.append(np.arange(start + r, start + nb))
+            evals.append(evals_b)
+            start += nb
+    evals = np.concatenate(evals)
+    order = np.argsort(evals, kind="stable")
+    exact = np.concatenate(exact)
+    _permute_columns(X, np.concatenate([exact, np.concatenate(coexact)[order]]))
+    return np.concatenate([np.zeros(len(exact)), evals[order]]), X
+
+
+def _permute_columns(X: np.ndarray, source: np.ndarray) -> None:
+    """X[:, k] <- X[:, source[k]] for every k, in place, one cycle at a time with one
+    column of scratch."""
+    done = source == np.arange(len(source))
+    for k in np.flatnonzero(~done):
+        if done[k]:
+            continue
+        first, cur = X[:, k].copy(), k
+        while source[cur] != k:
+            X[:, cur] = X[:, source[cur]]
+            done[cur], cur = True, source[cur]
+        X[:, cur], done[cur] = first, True
+
+
+def _gauged_block(op: LaplaceOperator, B: sp.spmatrix, D: sp.spmatrix,
+                  X: np.ndarray) -> tuple[int, np.ndarray]:
+    """The tree-cotree gauged ``eigh`` of the pencil (B^T up B, B^T M B) of one symmetry
+    block (Gross & Kotiuga, *Electromagnetic Theory and Computation*, 2004).
+
+    D = B^T d_0 B0 spans the block's exact forms; each row has at most two nonzeros
+    (an orbit of edges meets at most two orbits of vertices), so D is the incidence of
+    a graph whose one-entry rows join the root, and :func:`_spanning_forest` gauges it
+    as it does d_0.  With tree rows T, cotree rows C, G = D[:, cols] of rank r = |T|
+    and H = G^T M G = L L^T (M, up the block's), every y with G^T M y = 0 is
+    y = E_C z - G H^-1 G_C z, G_C = (G^T M)[:, C], and on those y the pencil is
+    (up_CC, M~), M~ = M_CC - G_C^T H^-1 G_C.  So ``eigh`` runs on the c cotree rows,
+    and its M~-orthonormal z lift to M-orthonormal B y.  Writes [B G L^-T, the lifts]
+    into the n x (r + c) Fortran-contiguous X and returns (r, the c eigenvalues).
+    up_CC is written into the first c^2 entries of X, where ``eigh`` leaves its
+    vectors; the lift then moves them out column block by column block, last first,
+    so the block makes no n x n array of its own.
+    """
+    D = D.tocsr()
+    # D's entries sum equal terms +-1/sqrt(|edge orbit| |vertex orbit|) >= 1/8: drop
+    # the rounding left where they cancel
+    D.data[np.abs(D.data) < 1e-12] = 0.0
+    D.eliminate_zeros()
+    up, M = (B.T @ op.up @ B).tocsr(), (B.T @ op.M @ B).tocsr()
+    tree, cols = _spanning_forest(D)
+    r, c = len(cols), B.shape[1] - len(cols)
+    cot = np.ones(B.shape[1], dtype=bool)
     cot[tree] = False
-    G = d0[:, cols].astype(float)
-    GM = (G.T @ op.M).tocsc()
+    G = D[:, cols]
+    GM = (G.T @ M).tocsc()
     L = sla.cholesky((GM @ G).toarray(), lower=True)
     Z = sla.solve_triangular(L, GM[:, cot].toarray(), lower=True)  # L^-1 G_C
-    X = np.empty((n, n), order="F")
     A = X.reshape(-1, order="F")[: c * c].reshape((c, c), order="F")
     A.fill(0.0)
-    op.up[cot][:, cot].toarray(out=A)
-    # M~ = M_CC - Z^T Z in place, on the lower triangle that eigh reads
-    Mt = sla.blas.dsyrk(
-        -1.0, Z, beta=1.0, c=op.M[cot][:, cot].toarray(order="F"), trans=1, lower=1,
-        overwrite_c=1,
-    )
+    up[cot][:, cot].toarray(out=A)
+    Mt = M[cot][:, cot].toarray(order="F")
+    if r:  # M~ = M_CC - Z^T Z in place, on the lower triangle that eigh reads
+        Mt = sla.blas.dsyrk(-1.0, Z, beta=1.0, c=Mt, trans=1, lower=1, overwrite_c=1)
     evals, Y = sla.eigh(A, Mt, overwrite_a=True, overwrite_b=True)
     del A, Mt
     W = sla.solve_triangular(L, Z @ Y, lower=True, trans="T")  # H^-1 G_C Y
     # column j of Y ends before column r + j of X starts, so blocks move last first
     for j in reversed(range(0, c, COLUMN_BLOCK)):
-        block = Y[:, j : j + COLUMN_BLOCK].copy()
-        X[:, r + j : r + j + COLUMN_BLOCK] = -(G @ W[:, j : j + COLUMN_BLOCK])
-        X[cot, r + j : r + j + COLUMN_BLOCK] += block
-    X[:, :r] = sla.solve_triangular(L, G.T.toarray(), lower=True).T
-    return np.concatenate([np.zeros(r), evals]), X
+        lift = -(G @ W[:, j : j + COLUMN_BLOCK])
+        lift[cot] += Y[:, j : j + COLUMN_BLOCK]
+        X[:, r + j : r + j + COLUMN_BLOCK] = B @ lift
+    X[:, :r] = B @ sla.solve_triangular(L, G.T.toarray(), lower=True).T
+    return r, evals
 
 
 def _start_vector(n: int) -> np.ndarray:

@@ -6,9 +6,10 @@ coexact block of the Laplacian, where Delta coincides with delta~ d.  Both
 sides are therefore built from the generalized pencil (d^T M2 d, M1): zero
 modes and exact forms sit in its kernel and drop out exactly, which realizes
 the kernel-exclusion policy of the continuum formula.  Each side's pencil is
-eigensolved by ``spectral.eig`` (with its residual checks), whose tree-cotree
-gauge hands the exact forms d0 C^0 to the kernel directly, so the dense ``eigh``
-sees only the cotree block; the second path is
+eigensolved by ``spectral.eig`` (with its residual checks), which splits it into
+the blocks of the mesh's symmetry group and, in each, hands the exact forms d0 C^0
+to the kernel directly by a tree-cotree gauge, so the dense ``eigh``s see only the
+cotree rows of each block; the second path is
 ``spectral.inverse_sqrt_quadrature`` on the same pencil.  The decay table
 completes each side to Delta_1 with ``spectral.kernel_block``, as ``eig`` does,
 and takes the norm of the windowed resolvent difference on its thin window factors,
@@ -60,7 +61,7 @@ class SideData:
     ops: DecOperators
     op: LaplaceOperator  # pencil (d1^T M2 d1, M1) on kept edges
     # eig(op): the kernel is the closed 1-forms, the exact ones d0 L^-T from the gauge
-    # and the harmonic ones from the cotree eigh; the rest is the coexact block
+    # and the harmonic ones from the blocks' cotree eighs; the rest is the coexact block
     dec: SpectralDecomposition
 
     def positive_bounds(self) -> tuple[float, float]:

@@ -437,6 +437,43 @@ def test_missing_mesh_path_config_error(runner, tmp_path):
     assert str(missing) in res.output
 
 
+def _cube_obstacle_mesh_config(tmp_path, obstacle_tags):
+    """A config that loads cube_obstacle's reference mesh (regions "cube" and "")."""
+    import yaml
+
+    from decem.geometries import canned_scenario
+
+    mesh = tmp_path / "cube.decmesh"
+    mesh.write_text(canned_scenario("cube_obstacle", 1).reference.to_text())
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(
+        {"geometry": {"mesh": str(mesh), "obstacle_tags": obstacle_tags}}
+    ))
+    return str(path)
+
+
+@pytest.mark.parametrize("tags, reason", [
+    ("cube", "must be a list of region tags, got 'cube'"),
+    (5, "must be a list of region tags, got 5"),
+    (["cube", 5], "must be a list of region tags, got ['cube', 5]"),
+    (["nope"], "'nope' names no region of the mesh; its regions are ['', 'cube']"),
+])
+def test_bad_obstacle_tags_exit_2_with_a_reason(runner, tmp_path, tags, reason):
+    res = runner.invoke(main, ["run", "topology", "--config",
+                               _cube_obstacle_mesh_config(tmp_path, tags)])
+    assert res.exit_code == 2, res.output
+    assert f"config error: /geometry/obstacle_tags: {reason}" in res.output
+
+
+def test_obstacle_tags_naming_a_region_carve_it(runner, tmp_path):
+    res = runner.invoke(main, ["run", "topology", "--config",
+                               _cube_obstacle_mesh_config(tmp_path, ["cube"]),
+                               "--output", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["result"]["dims"]["1"] == 1  # the carved cube adds one relative class
+
+
 def test_internal_key_error_is_not_config_error(runner, monkeypatch):
     import decem.cli as cli
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decem.forms as forms
 from decem.forms import DecOperators, MaterialField, build_d, build_mass, local_mass_blocks
-from decem.geometries import box2d_complex, box_complex
+from decem.geometries import box2d_complex, box_complex, canned_scenario
 from decem.mesh import SimplicialComplex
 
 TET = SimplicialComplex.from_top_cells(
@@ -243,3 +244,71 @@ def test_masses_on_first_use_are_bitwise_fresh(order):
         first = ops.mass_full[p]
         assert ops.mass_full[p] is first
         assert _bitwise_equal(first, build_mass(box, mat, p, forms._cell_geometry(box)))
+
+
+# -- the symmetry group of the operators ----------------------------------------------
+
+
+def _symmetries(ops, p):
+    """The operators' symmetry group as signed permutation matrices of the kept p-DOFs."""
+    return [forms._signed_permutation(img, sgn) for img, sgn in ops._group(p)]
+
+
+@pytest.mark.parametrize("name, blocks", [("balls:1", 4), ("solid_torus", 4),
+                                          ("wormhole_obstacle", 1)])
+def test_symmetry_blocks_per_canned_geometry(name, blocks):
+    """Both sides of each geometry split into this many nonempty character blocks, whose
+    bases together are orthonormal and complete.  The glued wormhole has no symmetry."""
+    sc = canned_scenario(name, 1)
+    for cplx in (sc.carved, sc.reference):
+        ops = DecOperators(cplx)
+        bases = ops.character_bases(1)
+        assert len(bases) == len(_symmetries(ops, 1)) == blocks
+        assert all(B.shape[1] for B in bases)
+        B = sp.hstack(bases).toarray()
+        assert B.shape == (ops.n(1), ops.n(1))
+        assert np.abs(B.T @ B - np.eye(ops.n(1))).max() <= 1e-15
+
+
+def test_material_that_breaks_a_symmetry_drops_it():
+    """The central inversion of the 3 x 2 x 2 box swaps its two regions: kept in vacuum,
+    dropped when their eps and mu differ, which leaves the y-z swap."""
+    box, mat = _two_region_box()
+    assert len(_symmetries(DecOperators(box), 1)) == 4
+    ops = DecOperators(box, mat)
+    assert len(_symmetries(ops, 1)) == 2
+    assert [g.A.tolist() for g in ops._generators] == [[[1, 0, 0], [0, 0, 1], [0, 1, 0]]]
+
+
+@pytest.fixture(scope="module")
+def torus_ops():
+    return DecOperators(canned_scenario("solid_torus", 1).carved)
+
+
+def test_symmetries_commute_with_d_exactly(torus_ops):
+    ops = torus_ops
+    for p in range(ops.complex.dim):
+        d = ops.d(p)
+        for P, Q in zip(_symmetries(ops, p), _symmetries(ops, p + 1)):
+            assert abs(Q @ d - d @ P).max() == 0.0
+
+
+def test_symmetries_keep_the_masses(torus_ops):
+    ops = torus_ops
+    for p in range(ops.complex.dim + 1):
+        M = ops.mass(p)
+        for P in _symmetries(ops, p):
+            err = abs(P.T @ M @ P - M).max() / abs(M).max()
+            assert err <= 1e-12, f"P^T M_{p} P = M_{p}: relative {err:.2e} > 1.00e-12"
+
+
+def test_symmetry_that_breaks_the_mass_raises_with_its_measure():
+    """A mass matrix that a symmetry does not keep fails the group's check, which names
+    the measured deviation and the tolerance."""
+    ops = DecOperators(canned_scenario("solid_torus", 1).carved)
+    M = ops.mass(1).copy()
+    M[0, 0] *= 1 + 1e-9
+    ops._cache["mass", 1] = M
+    with pytest.raises(AssertionError, match=r"M_1 is not invariant .*: relative "
+                                             r"[0-9.]+e-1[01] > 1\.00e-12"):
+        ops.character_bases(1)

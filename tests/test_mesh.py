@@ -426,3 +426,69 @@ def test_dump_mesh_golden(name):
     text = hashlib.sha256(c.to_text().encode()).hexdigest()
     meta = hashlib.sha256(c.metadata_json().encode()).hexdigest()
     assert [text, meta] == want
+
+
+# -- malformed decmesh text -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("line, text, message", [
+    (1, "dim three", "dim, line 2: 'dim three' is not a row of ints"),
+    (2, "vertices", "vertices, line 3: 'vertices' is not a 'vertices' line with 1 count(s) >= 0"),
+    (4, "1.0 0.0 zero", "vertices, line 5: '1.0 0.0 zero' is not a row of floats"),
+    (4, "1.0 0.0", "vertices, line 5: '1.0 0.0' has 2 entries, not 3"),
+    (4, "1.0 nan 0.0", "vertices: a coordinate is not finite"),
+    (7, "simplices 1 six", "simplices, line 8: 'simplices 1 six' is not a row of ints"),
+    (7, "simplices 4 6", "simplices, line 8: degree 4 is not in 1..3"),
+    (8, "0 1 2", "simplices 1, line 9: '0 1 2' has 3 entries, not 2"),
+    (8, "0 99999999999999999999",
+     "simplices 1, line 9: '0 99999999999999999999' has an int that does not fit in 64 bits"),
+    (26, "outer 0 1 x", "boundary, line 27: 'outer 0 1 x' is not a row of ints"),
+])
+def test_malformed_decmesh_line_names_section_and_line(line, text, message):
+    lines = TET.to_text().splitlines()
+    lines[line] = text
+    with pytest.raises(MeshError) as info:
+        load_complex("\n".join(lines) + "\n")
+    assert str(info.value) == message
+
+
+_MUTATION_TOKENS = ["x", "-1", "1.5", "nan", "inf", "", "99999999999999999999", "0", "3", "end"]
+
+
+def _mutated(lines: list[str], rng) -> list[str]:
+    """One seeded line edit: delete, repeat, swap with the next, replace or drop a
+    token, or append one."""
+    lines = list(lines)
+    i, op = int(rng.integers(len(lines))), int(rng.integers(6))
+    tok = lines[i].split()
+    if op == 0:
+        del lines[i]
+    elif op == 1:
+        lines.insert(i, lines[i])
+    elif op == 2:
+        tok[int(rng.integers(len(tok)))] = _MUTATION_TOKENS[int(rng.integers(10))]
+        lines[i] = " ".join(tok)
+    elif op == 3:
+        del tok[int(rng.integers(len(tok)))]
+        lines[i] = " ".join(tok)
+    elif op == 4:
+        lines[i] += " 7"
+    else:
+        j = min(i + 1, len(lines) - 1)
+        lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
+def test_mutated_decmesh_loads_or_raises_mesh_error():
+    """400 seeded line mutations of cube_obstacle's reference decmesh: each loads or
+    raises MeshError, never another exception (a bare ValueError among them)."""
+    lines = canned_scenario("cube_obstacle", 1).reference.to_text().splitlines()
+    rng = np.random.default_rng(2026)
+    outcomes = {"loaded": 0, "MeshError": 0}
+    for _ in range(400):
+        try:
+            load_complex("\n".join(_mutated(lines, rng)) + "\n")
+            outcomes["loaded"] += 1
+        except MeshError:
+            outcomes["MeshError"] += 1
+    assert outcomes["MeshError"] > 250 and outcomes["loaded"] > 50, outcomes

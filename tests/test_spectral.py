@@ -771,7 +771,8 @@ def test_gauged_eig_matches_dense_pencil_res2():
 
 
 def test_gauged_eigh_sees_the_cotree_rows(monkeypatch, gauge_ops):
-    """The one dense eigh inside eig(op) on 1-cochains has n_1 - rank d_0 rows."""
+    """The dense eighs inside eig(op) on 1-cochains, one per symmetry block (4 on
+    solid_torus), have n_1 - rank d_0 rows in all."""
     import decem.spectral as spectral
 
     shapes, plain = [], sla.eigh
@@ -784,7 +785,32 @@ def test_gauged_eigh_sees_the_cotree_rows(monkeypatch, gauge_ops):
     ops = gauge_ops["solid_torus"]
     eig(_one_form_pencil(ops, "bare"))
     c = ops.n(1) - np.linalg.matrix_rank(ops.d(0).toarray())
-    assert c < ops.n(1) and shapes == [((c, c), (c, c))]
+    assert c < ops.n(1) and len(shapes) == 4
+    assert all(a == b and a[0] == a[1] for a, b in shapes)
+    assert sum(a[0] for a, _ in shapes) == c
+
+
+def test_gauged_eig_on_a_box_with_an_off_centre_obstacle():
+    """No isometry of the 5 x 4 x 3 box keeps its off-centre block, so the carved side
+    is one block; the reference box keeps its central inversion, two blocks."""
+    from decem.mesh import carve_obstacle
+
+    def tag(c):
+        return "block" if all(1 < x < 2 for x in c) else ""
+
+    sc = carve_obstacle(box_complex((5, 4, 3), 1, tag), {"block"})
+    for cplx, blocks in ((sc.carved, 1), (sc.reference, 2)):
+        ops = DecOperators(cplx)
+        assert len(ops.character_bases(1)) == blocks
+        _check_gauged_against_dense(ops)
+
+
+def test_gauged_eig_with_blocks_that_hold_no_vertex():
+    """The 2 x 2 x 2 box keeps one vertex, which only the trivial character's block
+    holds: the other three blocks have no exact forms to gauge."""
+    ops = DecOperators(box_complex((2, 2, 2)))
+    assert [B.shape[1] for B in ops.character_bases(0)] == [1, 0, 0, 0]
+    _check_gauged_against_dense(ops)
 
 
 def _torus_and_box():
