@@ -437,6 +437,29 @@ def test_missing_mesh_path_config_error(runner, tmp_path):
     assert str(missing) in res.output
 
 
+@pytest.mark.parametrize("config, mesh, where", [
+    ("dir", None, "not a readable YAML document"),
+    (b"geometry: [balls:1\n", None, "not a readable YAML document"),
+    (b"geometry: balls:1\n\xff\n", None, "not a readable YAML document"),
+    (None, "dir", "/geometry/mesh: cannot read"),
+    (None, b"\xff\xfe decmesh", "/geometry/mesh: cannot read"),
+], ids=["config-dir", "config-not-yaml", "config-not-utf8", "mesh-dir", "mesh-not-utf8"])
+def test_unreadable_config_or_mesh_exits_2(runner, tmp_path, config, mesh, where):
+    import yaml
+
+    def written(name, content):
+        if content == "dir":
+            return str(tmp_path)
+        (tmp_path / name).write_bytes(content)
+        return str(tmp_path / name)
+
+    if mesh is not None:
+        config = yaml.safe_dump({"geometry": {"mesh": written("m.decmesh", mesh)}}).encode()
+    res = runner.invoke(main, ["run", "topology", "--config", written("cfg.yaml", config)])
+    assert res.exit_code == 2, res.output
+    assert where in res.output
+
+
 def _cube_obstacle_mesh_config(tmp_path, obstacle_tags):
     """A config that loads cube_obstacle's reference mesh (regions "cube" and "")."""
     import yaml
@@ -472,6 +495,126 @@ def test_obstacle_tags_naming_a_region_carve_it(runner, tmp_path):
     assert res.exit_code == 0, res.output
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["result"]["dims"]["1"] == 1  # the carved cube adds one relative class
+
+
+def test_empty_mesh_config_carves_nothing(tmp_path):
+    """``empty: true`` keeps a mesh config's obstacle_tags uncarved, as ``--empty`` does for
+    the canned cube_obstacle."""
+    from decem.cli import load_config
+
+    cfg = {**load_config(_cube_obstacle_mesh_config(tmp_path, ["cube"])), "empty": True}
+    for geometry in (cfg["geometry"], "cube_obstacle"):
+        code, summary = run_config({**cfg, "geometry": geometry, "pipeline": "topology"})
+        assert code == 0 and summary["result"]["dims"]["1"] == 0, geometry
+        assert summary["config"]["empty"] is True
+
+
+def test_geometry_option_overrides_the_config(runner, tmp_path):
+    res = runner.invoke(main, ["run", "topology", "--config",
+                               _cube_obstacle_mesh_config(tmp_path, ["cube"]),
+                               "--geometry", "balls:3", "--output", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["config"]["geometry"] == {"canned": "balls:3"}
+    assert summary["result"]["dims"]["1"] == 3
+
+
+def _stub_pipelines(monkeypatch):
+    """Every pipeline replaced by one that runs nothing and passes."""
+    import decem.cli as cli
+
+    for name in list(cli.PIPELINES):
+        monkeypatch.setitem(cli.PIPELINES, name, lambda cfg, scenario, material: {"assertions": []})
+
+
+def test_validate_config_leaves_its_argument_alone(monkeypatch):
+    import copy
+
+    _stub_pipelines(monkeypatch)
+    cfg = {"geometry": "balls:1", "pipeline": "qft", "material": {"ball0": {"eps": 2.0}},
+           "params": {"q_eps": {"center": [0.0, 0.0, 0.0]}}}
+    before = copy.deepcopy(cfg)
+    once = validate_config(cfg)
+    assert cfg == before
+    assert validate_config(once) == once
+    assert once["geometry"] == {"canned": "balls:1"} and once["params"]["q_eps"]["eps"] == 1.0
+    run_config(cfg)
+    assert cfg == before
+
+
+_CONFIG_VALUES = [None, True, False, "x", [], ["x"], {}, {"x": 1}, float("nan"), float("inf"),
+                  -float("inf"), 0, -1, -2.5]
+_CONFIG_KEYS = ["x", "pipline", "resolution", "muu", "radius", "some_tol", "", 7]
+
+
+def _config_paths(tree, path=()):
+    """The path of every key or list index in a config tree."""
+    for key, val in tree.items() if isinstance(tree, dict) else enumerate(tree):
+        yield path + (key,)
+        if isinstance(val, (dict, list)):
+            yield from _config_paths(val, path + (key,))
+
+
+def _mutated_config(cfg: dict, rng) -> dict:
+    """One seeded edit of a copy of ``cfg``: delete a key, add a key beside it, retype
+    its value, or nest the value in a mapping or a list."""
+    import copy
+
+    cfg = copy.deepcopy(cfg)
+    paths = list(_config_paths(cfg))
+    path = paths[int(rng.integers(len(paths)))]
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key, op = path[-1], int(rng.integers(4))
+    value = _CONFIG_VALUES[int(rng.integers(len(_CONFIG_VALUES)))]
+    if op == 0 and isinstance(parent, dict):
+        del parent[key]
+    elif op == 1 and isinstance(parent, dict):
+        parent[_CONFIG_KEYS[int(rng.integers(len(_CONFIG_KEYS)))]] = value
+    elif op == 2:
+        parent[key] = value
+    else:
+        parent[key] = {"x": parent[key]} if rng.random() < 0.5 else [parent[key]]
+    return cfg
+
+
+def test_mutated_config_runs_or_raises_config_error(tmp_path, monkeypatch):
+    """300 seeded mutations each of a canned and a mesh config, every key given: each
+    run (the pipeline stubbed) returns or raises ConfigError or MeshError, never
+    another exception."""
+    from decem.cli import load_config
+    from decem.mesh import MeshError
+
+    _stub_pipelines(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DECEM_OUTPUT_DIR", raising=False)
+    params = {
+        "capacity_expected": 1.0, "capacity_tol": 0.05, "n_random": 2, "helmholtz_tol": 1e-10,
+        "t_end": 1.0, "n_times": 3, "residual_tol": 1e-8, "identity_tol": 1e-8,
+        "q_eps": {"eps": 1.0, "center": [2.0, 2.0, 2.0], "r_plateau": 1.0, "r_zero": 2.0},
+        "trace_tol": 1e-10, "t0k_tol": 1e-8, "decay": True, "lam_min": 1.0, "n_lam": 3,
+    }
+    canned = {"version": 1, "pipeline": "topology", "geometry": {"canned": "cube_obstacle"},
+              "res": 1, "seed": 0, "empty": False, "material": {"": {"eps": 2.0, "mu": 1.5}},
+              "params": params, "output_dir": "out"}
+    mesh = load_config(_cube_obstacle_mesh_config(tmp_path, ["cube"]))
+    mesh["geometry"]["format"] = "decmesh"
+    mesh = {**canned, "geometry": mesh["geometry"], "material": {"cube": {"mu": 3.0}}}
+    rng = np.random.default_rng(2027)
+    outcomes, escaped = {"ran": 0, "ConfigError": 0, "MeshError": 0}, []
+    for cfg in (canned, mesh):
+        for _ in range(300):
+            mutated = _mutated_config(cfg, rng)
+            try:
+                run_config(mutated)
+                outcomes["ran"] += 1
+            except (ConfigError, MeshError) as exc:
+                outcomes[type(exc).__name__] += 1
+            except Exception as exc:  # any other exception is the failure
+                escaped.append((mutated, repr(exc)))
+    assert not escaped, (len(escaped), escaped[:3])
+    assert outcomes["ConfigError"] > 300 and outcomes["ran"] > 100, outcomes
 
 
 def test_internal_key_error_is_not_config_error(runner, monkeypatch):
@@ -601,18 +744,40 @@ def test_run_stress_cube_obstacle_summary_pinned():
         ("qft", {"params": {"q_eps": {"radius": 5}}}, "/params/q_eps/radius: unknown key"),
         ("stress", {"params": {"decay": "no"}}, "/params/decay: must be true or false"),
         ("stress", {"params": {"decay": 0}}, "/params/decay: must be true or false"),
+        ("topology", {"pipline": "topology"}, "/pipline: unknown key"),
+        ("topology", {"geometry": {"canned": "balls:1", "resolution": 2}},
+         "/geometry/resolution: unknown key"),
+        ("topology", {"material": {"x": {"muu": 2}}}, "/material/x/muu: unknown key"),
+        ("topology", {"material": {"x": {"eps": 2.0}}},
+         "/material: 'x' names no region of the mesh; its regions are"),
+        ("topology", {"empty": "yes"}, "/empty: must be true or false"),
+        ("topology", {"geometry": {"canned": "balls:1", "mesh": "balls.decmesh"}},
+         "/geometry: needs exactly one of 'canned' or 'mesh'"),
+        ("topology", {"version": True}, "/version: must be one of"),
+        ("topology", {"pipeline": ["hodge"]}, "/pipeline: must be one of"),
+        ("topology", {"output_dir": 5}, "/output_dir: must be a string"),
+        ("topology", {"geometry": {"canned": "balls:1", "format": "decmesh"}},
+         "/geometry/format: needs a mesh"),
+        ("topology", {"geometry": {"canned": "balls:1", "obstacle_tags": ["ball0"]}},
+         "/geometry/obstacle_tags: needs a mesh"),
     ],
 )
 def test_bad_run_config_exits_2_naming_key(runner, tmp_path, pipeline, patch, where):
     import yaml
 
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump({"geometry": "balls:1", **patch}))
-    res = runner.invoke(main, ["run", pipeline, "--config", str(path)])
-    assert res.exit_code == 2, res.output
-    assert f"config error: {where}" in res.output
+    cfg = {"geometry": "balls:1", **patch}
+    # the command's PIPELINE argument takes the place of the file's pipeline
+    if "pipeline" not in patch:
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        res = runner.invoke(main, ["run", pipeline, "--config", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"config error: {where}" in res.output
     with pytest.raises(ConfigError, match=where):
-        validate_config({"geometry": "balls:1", **patch})
+        if "names no region" in where:  # checked against the mesh once it is built
+            run_config({"pipeline": pipeline, **cfg})
+        else:
+            validate_config(cfg)
 
 
 @pytest.mark.parametrize(
