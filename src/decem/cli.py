@@ -36,11 +36,33 @@ class ConfigError(Exception):
     pass
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """``yaml.SafeLoader`` that rejects a mapping giving one key twice, which
+    ``yaml.safe_load`` resolves silently to the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _value in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # merged keys may be overridden
+            key = self.construct_object(key_node)
+            try:
+                repeated = key in seen
+            except TypeError:
+                continue  # an unhashable key: the base loader reports it
+            if repeated:
+                raise ConfigError(f"{self.name}, line {key_node.start_mark.line + 1}: "
+                                  f"key {key!r} is given twice")
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: str):
-    """The YAML document at ``path``, parsed but not checked (``run_config`` checks it)."""
+    """The YAML document at ``path``, parsed but not checked (``run_config`` checks it);
+    a mapping that repeats a key is a ``ConfigError``."""
     try:
         with open(path) as fh:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, _UniqueKeyLoader)
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"{path}: not a readable YAML document: {exc}") from exc
 

@@ -419,7 +419,7 @@ def load_complex(source: str | bytes | io.IOBase, fmt: str = "decmesh") -> Simpl
     """Parse a mesh from text.  ``fmt`` is ``decmesh`` or ``tetgen``.
 
     For tetgen, ``source`` must be the path prefix of the ``.node``/``.ele``
-    pair (optionally with a ``.face`` file carrying boundary markers).
+    pair; boundary facets get the ``OUTER`` marker.
     """
     if fmt == "tetgen":
         return _load_tetgen(str(source))
@@ -436,6 +436,21 @@ def load_complex(source: str | bytes | io.IOBase, fmt: str = "decmesh") -> Simpl
     return _parse_decmesh(text)
 
 
+def _numbers(where: str, line: tuple[int, str], kind, tokens: list[str]) -> list:
+    """The tokens of a mesh file's ``line`` (its number and text) as ``kind``s.  A
+    token that is not one, or an int past 64 bits, raises :class:`MeshError` naming
+    ``where`` (a section or a file), the line number and the text."""
+    try:
+        vals = [kind(x) for x in tokens]
+    except ValueError:
+        raise MeshError(f"{where}, line {line[0]}: {line[1]!r} is not a row of "
+                        f"{kind.__name__}s") from None
+    if kind is int and any(abs(v) >= 2**63 for v in vals):
+        raise MeshError(f"{where}, line {line[0]}: {line[1]!r} has an int that does "
+                        "not fit in 64 bits")
+    return vals
+
+
 def _parse_decmesh(text: str) -> SimplicialComplex:
     """The decmesh text of :meth:`SimplicialComplex.to_text`.  A malformed line raises
     :class:`MeshError` naming its section and its line number."""
@@ -450,20 +465,9 @@ def _parse_decmesh(text: str) -> SimplicialComplex:
         pos += 1
         return lines[pos - 1]
 
-    def numbers(section: str, kind, tokens: list[str], line: tuple[int, str]) -> list:
-        try:
-            vals = [kind(x) for x in tokens]
-        except ValueError:
-            raise MeshError(f"{section}, line {line[0]}: {line[1]!r} is not a row of "
-                            f"{kind.__name__}s") from None
-        if kind is int and any(abs(v) >= 2**63 for v in vals):
-            raise MeshError(f"{section}, line {line[0]}: {line[1]!r} has an int that does "
-                            "not fit in 64 bits")
-        return vals
-
     def row(section: str, kind, width: int) -> list:
         line = take()
-        vals = numbers(section, kind, line[1].split(), line)
+        vals = _numbers(section, line, kind, line[1].split())
         if len(vals) != width:
             raise MeshError(f"{section}, line {line[0]}: {line[1]!r} has {len(vals)} "
                             f"entries, not {width}")
@@ -472,7 +476,7 @@ def _parse_decmesh(text: str) -> SimplicialComplex:
     def header(line: tuple[int, str], key: str, counts: int, least: int = 0) -> list[int]:
         """The ``counts`` integers after ``key`` on a section's first line."""
         tok = line[1].split()
-        vals = numbers(key, int, tok[1:], line)
+        vals = _numbers(key, line, int, tok[1:])
         if tok[0] != key or len(vals) != counts or min(vals, default=least) < least:
             raise MeshError(f"{key}, line {line[0]}: {line[1]!r} is not a {key!r} line "
                             f"with {counts} count(s) >= {least}")
@@ -510,7 +514,7 @@ def _parse_decmesh(text: str) -> SimplicialComplex:
             while pos < len(lines) and lines[pos][1] != "end":
                 marker = take()
                 parts = marker[1].split()
-                ids = numbers("boundary", int, parts[1:], marker)
+                ids = _numbers("boundary", marker, int, parts[1:])
                 markers_raw.append((parts[0], tuple(sorted(ids))))
         elif tok[0] == "end":
             break
@@ -546,26 +550,66 @@ def _parse_decmesh(text: str) -> SimplicialComplex:
 
 
 def _load_tetgen(prefix: str) -> SimplicialComplex:
-    def rows(path: str) -> list[list[str]]:
-        with open(path) as fh:
-            out = []
-            for ln in fh:
-                ln = ln.split("#")[0].strip()
-                if ln:
-                    out.append(ln.split())
-            return out
+    """The tetgen ``.node``/``.ele`` pair at ``prefix``.  Each header's counts fix its
+    rows and their widths, ids run on from the first point's, 0 or 1, and a cell's first
+    attribute names its region.  A malformed line raises :class:`MeshError` naming its
+    file, its line number and the reason."""
 
-    node = rows(prefix + ".node")
-    nv, ndim = int(node[0][0]), int(node[0][1])
-    base = int(node[1][0])
-    vertices = np.array([[float(x) for x in r[1 : 1 + ndim]] for r in node[1 : 1 + nv]])
-    ele = rows(prefix + ".ele")
-    nt, npc = int(ele[0][0]), int(ele[0][1])
-    has_attr = len(ele[1]) > 1 + npc
-    cells = np.array(
-        [[int(x) - base for x in r[1 : 1 + npc]] for r in ele[1 : 1 + nt]], dtype=np.int64
-    )
-    regions = [f"r{int(float(r[1 + npc]))}" if has_attr else "" for r in ele[1 : 1 + nt]]
+    def fail(path: str, line: tuple[int, str], reason: str):
+        raise MeshError(f"{path}, line {line[0]}: {line[1]!r} {reason}")
+
+    def read(ext: str) -> tuple[str, list[int], list[tuple[int, str]]]:
+        """The file's path, its header counts and its lines, header first; the rows
+        after it are as many as the first count."""
+        path = prefix + ext
+        with open(path) as fh:
+            lines = [(i, ln.split("#")[0].strip()) for i, ln in enumerate(fh, 1)]
+        lines = [ln for ln in lines if ln[1]]
+        if not lines:
+            raise MeshError(f"{path}: no header line")
+        head = _numbers(path, lines[0], int, lines[0][1].split())
+        if len(head) < 2 or min(head[:2]) < 1 or min(head) < 0:
+            fail(path, lines[0], "is not a header of two counts >= 1 and more >= 0")
+        if len(lines) - 1 != head[0]:
+            raise MeshError(f"{path}: the header counts {head[0]} rows, the file has "
+                            f"{len(lines) - 1}")
+        return path, head, lines
+
+    def table(path: str, lines, width: int, kind, cols: slice) -> np.ndarray:
+        """Columns ``cols`` of the rows after the header, each row ``width`` entries."""
+        out = []
+        for line in lines[1:]:
+            tok = line[1].split()
+            if len(tok) != width:
+                fail(path, line, f"has {len(tok)} entries, not {width}")
+            out.append(_numbers(path, line, kind, tok[cols]))
+            if not np.isfinite(out[-1]).all():
+                fail(path, line, "has a number that is not finite")
+        return np.array(out, dtype=kind).reshape(len(out), cols.stop - cols.start)
+
+    path, head, node = read(".node")
+    nv, ndim = head[:2]
+    width = 1 + sum(head[1:4])  # id, coordinates, attributes, boundary marker
+    ids = table(path, node, width, int, slice(0, 1)).ravel()
+    base = int(ids[0]) if ids[0] in (0, 1) else 0
+    off = ids != base + np.arange(nv)
+    if off.any():
+        fail(path, node[1 + int(np.argmax(off))], "breaks the run of point ids from 0 or 1")
+    vertices = table(path, node, width, float, slice(1, 1 + ndim))
+    path, head, ele = read(".ele")
+    if head[1] != ndim + 1:
+        fail(path, ele[0], f"has {head[1]} points per cell, not {ndim + 1}")
+    width = 2 + ndim + (head[2] if len(head) > 2 else 0)  # id, points, attributes
+    cells = table(path, ele, width, int, slice(1, 2 + ndim)) - base
+    bad = np.any((cells < 0) | (cells >= nv), axis=1)
+    bad |= np.any(np.diff(np.sort(cells, axis=1), axis=1) == 0, axis=1)
+    if bad.any():
+        fail(path, ele[1 + int(np.argmax(bad))],
+             f"names a point twice or outside {base}..{base + nv - 1}")
+    regions = [""] * head[0]
+    if width > 2 + ndim:
+        attrs = table(path, ele, width, float, slice(2 + ndim, 3 + ndim))
+        regions = [f"r{int(a)}" for a in attrs[:, 0]]
     return SimplicialComplex.from_top_cells(vertices, cells, regions)
 
 

@@ -18,16 +18,16 @@ calculus, with its stepping, reorthogonalisation and stopping rule.
 
 Every difference is carried as its symmetric integral kernel X, with the
 operator D = X M.  A side's kernel is V g V^T (V the coexact eigenvectors),
-so no mass solve is needed.  Every reader of X (the per-cell traces, the
-Maxwell tensor and tr(X M)) uses entries within one cell only, so X lives on
-the cell pattern: the stored entries of the kept M_p, carried as a sparse
-matrix.  Each side forms only the two coexact edge kernels A+- =
-V Lambda^(+-1/2) V^T; D1 samples A+, and D2 is formed through d1, because
-(d1 V) Lambda^-1/2 (d1 V)^T = d1 A- d1^T sums the signed edge entries of A-
-over each pair of faces.  The kernel lives in the shared Whitney basis: the
-reference side is restricted to the carved kept DOFs by index selection
-alone.  This keeps M-self-adjointness, and the per-cell traces tr(X_c M_c)
-sum to the global trace tr(X M) exactly.
+so no mass solve is needed.  Every reader of X (the per-cell traces and the
+Maxwell tensor) uses entries within one cell only, so X is carried as its
+per-cell blocks: ``kernel_blocks`` gathers each cell's 6 edge rows G of V
+and adds G Lambda^1/2 G^T for D1 and (D G) Lambda^-1/2 (D G)^T for D2, D the
+local d1 of one cell.  No n1 x n1 product is formed; the only large
+temporary is one side's C-ordered copy of V at a time.  The kernel lives in
+the shared Whitney basis: the reference side's rows are those of the
+injected carved edges, which keeps M-self-adjointness.  The global tr(X M)
+of the trace identity is summed from the eigenpairs, not from the blocks, so
+the identity compares two independent paths.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .forms import DecOperators, MaterialField
-from .mesh import ObstacleScenario
+from .forms import DecOperators, MaterialField, build_d
+from .mesh import ObstacleScenario, SimplicialComplex
 from .spectral import (
     COLUMN_BLOCK,
     LANCZOS_CHECK,
@@ -52,6 +52,13 @@ from .spectral import (
     inverse_sqrt_quadrature,
     kernel_block,
 )
+
+# Rows per chunk of the nearest-boundary distances, so the chunk x n_b x 3 temporary
+# stays near a megabyte where the whole broadcast is tens of megabytes at res 2.
+_DIST_CHUNK = 64
+# Carved cells per chunk of the kernel blocks: a chunk gathers chunk x 6 rows of a
+# side's coexact eigenvectors, a few megabytes at res 2.
+_CELL_CHUNK = 64
 
 
 @dataclass
@@ -154,57 +161,58 @@ def _side_factor(side: SideData, power: float, through_d: bool,
     return V * (dec.evals[kd:] ** (0.5 * power))[None, :]
 
 
-def _kernel_terms(side: SideData, which: str, rows: np.ndarray | None = None):
-    """One side's D1 or D2 kernel in factored form (A, idx, sgn).
+def kernel_blocks(st: ScenarioStress) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell blocks of the kernels X1 (n_cells, 6, 6) and X2 (n_cells, 4, 4) of D1 and
+    D2 (D = X M), on each carved cell's edges and faces in ``face_ids`` order.
 
-    Entry (r, c) of the kernel is sum_ab sgn[r, a] sgn[c, b] A[idx[r, a], idx[c, b]],
-    where A = V lambda^(+-1/2) V^T is the coexact kernel on the edges the DOFs
-    touch.  D1 reads A+ with each DOF its own edge.  D2 reads A- through the
-    <= 3 signed edges of each face, since (d1 V) lambda^-1/2 (d1 V)^T = d1 A- d1^T.
-    ``rows`` keeps only those kept p-DOFs of the side, in that order.
+    Each side adds G Lambda^1/2 G^T to X1 and (D G) Lambda^-1/2 (D G)^T to X2, with G
+    the cell's 6 edge rows of its coexact eigenvectors and D the local d1, the same for
+    every cell because simplices are sorted rows.  The reference side's rows are those
+    of the injected edges.  Entries at masked edges and faces are zero.
     """
-    if which == "D1":
-        n = side.ops.n(1) if rows is None else len(rows)
-        W = _side_factor(side, 0.5, False, rows=rows)
-        return W @ W.T, np.arange(n)[:, None], np.ones((n, 1))
-    d1 = side.ops.d(1) if rows is None else side.ops.d(1)[rows]
-    edges, inv = np.unique(d1.indices, return_inverse=True)
-    counts = np.diff(d1.indptr)
-    face = np.repeat(np.arange(d1.shape[0]), counts)
-    slot = np.arange(d1.nnz) - d1.indptr[face]
-    idx = np.zeros((d1.shape[0], max(int(counts.max(initial=0)), 1)), dtype=np.int64)
-    sgn = np.zeros(idx.shape)
-    idx[face, slot] = inv
-    sgn[face, slot] = d1.data
-    W = _side_factor(side, -0.5, False, rows=edges)
-    return W @ W.T, idx, sgn
+    cplx = st.sigma.ops.complex
+    edges = cplx.face_ids(1)
+    X1, X2 = np.zeros((len(edges), 6, 6)), np.zeros((len(edges), 4, 4))
+    if st.reference is st.sigma:
+        return X1, X2
+    D = build_d(SimplicialComplex.from_top_cells(np.eye(4, 3, -1), [[0, 1, 2, 3]]), 1).toarray()
+    for sgn, side, ids in ((1.0, st.sigma, edges),
+                           (-1.0, st.reference, st.scenario.injections[1][edges])):
+        kd = side.dec.kernel_dim
+        V = np.zeros((side.ops.n(1) + 1, side.ops.n(1) - kd))  # masked edges read row -1
+        V[:-1] = side.dec.vectors[:, kd:]
+        pos = side.ops.kept_pos(1)[ids]
+        lam = side.dec.evals[kd:]
+        for i in range(0, len(edges), _CELL_CHUNK):
+            G = V[pos[i : i + _CELL_CHUNK]]
+            F = D @ G
+            X1[i : i + _CELL_CHUNK] += sgn * ((G * lam**0.5) @ G.transpose(0, 2, 1))
+            X2[i : i + _CELL_CHUNK] += sgn * ((F * lam**-0.5) @ F.transpose(0, 2, 1))
+        del V  # before the next side allocates its copy
+    for X, keep in ((X1, st.sigma.ops.kept_pos(1)[edges] >= 0),
+                    (X2, st.sigma.ops.kept_pos(2)[cplx.face_ids(2)] >= 0)):
+        X *= keep[:, :, None] & keep[:, None, :]
+    return X1, X2
 
 
-def _entries(terms, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Kernel entries at the DOF pairs (r[k], c[k]) from :func:`_kernel_terms`."""
-    A, idx, sgn = terms
-    return np.einsum("ka,kab,kb->k", sgn[r], A[idx[r][:, :, None], idx[c][:, None, :]], sgn[c])
+def kernel_trace(st: ScenarioStress, p: int) -> float:
+    """tr(X_p M_p) from the side eigenpairs: sum_k lambda_k^(+-1/2) v_k^T (R^T M_p R) v_k.
 
-
-def difference_kernel(st: ScenarioStress, which: str) -> sp.csr_matrix:
-    """Kernel X of D1 or D2 (D = X M) on the pattern of the carved side's kept M_p.
-
-    Every reader of X uses entries within one cell only, and those are exactly
-    the stored entries of M_p.  The reference side is restricted to the shared
-    kept DOFs by index selection.
+    R keeps the side's rows for the carved kept edges (p = 1), or is those rows of d1
+    (p = 2); on the reference side they are ``kept_maps[p]``.  The sum runs in
+    COLUMN_BLOCK column blocks and never reads :func:`kernel_blocks`.
     """
-    if which not in ("D1", "D2"):
-        raise ValueError("which must be 'D1' or 'D2'")
-    p = 1 if which == "D1" else 2
-    M = st.sigma.ops.mass(p)
-    r = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    c = M.indices
-    vals = np.zeros(M.nnz)
-    if st.reference is not st.sigma:
-        vals = _entries(_kernel_terms(st.sigma, which), r, c) - _entries(
-            _kernel_terms(st.reference, which, st.kept_maps[p]), r, c
-        )
-    return sp.csr_matrix((vals, c.copy(), M.indptr.copy()), shape=M.shape)
+    if st.reference is st.sigma:
+        return 0.0
+    M, out = st.sigma.ops.mass(p), 0.0
+    for sgn, side, rows in ((1.0, st.sigma, slice(None)), (-1.0, st.reference, st.kept_maps[p])):
+        dec, d1 = side.dec, side.ops.d(1)[rows]
+        for j in range(dec.kernel_dim, len(dec.evals), COLUMN_BLOCK):
+            Y = dec.vectors[:, j : j + COLUMN_BLOCK]
+            Y = d1 @ Y if p == 2 else Y[rows]
+            g = dec.evals[j : j + COLUMN_BLOCK] ** (0.5 if p == 1 else -0.5)
+            out += sgn * float(g @ np.einsum("ij,ij->j", Y, M @ Y))
+    return out
 
 
 def _side_quadrature(side: SideData, which: str, X: np.ndarray) -> np.ndarray:
@@ -252,27 +260,11 @@ def quadrature_agreement(st: ScenarioStress, which: str = "D1") -> float:
 # -- local traces --------------------------------------------------------------------
 
 
-def _cell_gather(ops: DecOperators, p: int, X: sp.csr_matrix) -> np.ndarray:
-    """(n_cells, k, k) local blocks of the kernel X on each cell's p-faces.
-
-    X is sparse on the pattern of the kept M_p, which holds every pair of kept
-    faces of one cell.  Entries at masked (non-kept) faces are zero.
-    """
-    pos = ops.kept_pos(p)[ops.complex.face_ids(p)]
-    kept = pos >= 0
-    pos = np.where(kept, pos, 0)
-    k = pos.shape[1]
-    r = np.broadcast_to(pos[:, :, None], (len(pos), k, k)).ravel()
-    c = np.broadcast_to(pos[:, None, :], (len(pos), k, k)).ravel()
-    vals = np.asarray(X.tocsr()[r, c]).reshape(len(pos), k, k)
-    return vals * (kept[:, :, None] & kept[:, None, :])
-
-
-def cell_traces(st: ScenarioStress, X: sp.csr_matrix, p: int) -> np.ndarray:
-    """Attribute tr(X M) (kernel X on kept p-DOFs) to cells of the carved mesh."""
-    ops = st.sigma.ops
-    _, blocks = ops.local_mass(p)
-    return np.einsum("cij,cji->c", _cell_gather(ops, p, X), blocks)
+def cell_traces(st: ScenarioStress, X: np.ndarray, p: int) -> np.ndarray:
+    """Attribute tr(X M) to the carved cells: tr(X_c M_c) per cell, from the kernel's
+    per-cell blocks X (:func:`kernel_blocks`) and the local mass blocks."""
+    _, blocks = st.sigma.ops.local_mass(p)
+    return np.einsum("cij,cji->c", X, blocks)
 
 
 @dataclass
@@ -285,10 +277,10 @@ class StressReport:
     trace_d2: float
     t1_cells: np.ndarray
     t2_cells: np.ndarray
-    # difference kernels (D = X M), sparse on the pattern of the kept M_1 / M_2;
-    # X2 is formed through d1 from the edge kernel
-    X1: sp.csr_matrix = field(repr=False)
-    X2: sp.csr_matrix = field(repr=False)
+    # per-cell blocks of the difference kernels (D = X M) on each cell's 6 edges and
+    # 4 faces, from kernel_blocks; zero at masked DOFs
+    X1: np.ndarray = field(repr=False)
+    X2: np.ndarray = field(repr=False)
     divergence: dict | None = None
 
     @property
@@ -315,12 +307,8 @@ class StressReport:
         return json.dumps(obj, sort_keys=True, indent=1)
 
 
-def local_energy_density(st: ScenarioStress, X1: sp.csr_matrix | None = None,
-                         X2: sp.csr_matrix | None = None) -> StressReport:
-    if X1 is None:
-        X1 = difference_kernel(st, "D1")
-    if X2 is None:
-        X2 = difference_kernel(st, "D2")
+def local_energy_density(st: ScenarioStress) -> StressReport:
+    X1, X2 = kernel_blocks(st)
     ops = st.sigma.ops
     t1 = cell_traces(st, X1, 1)
     t2 = cell_traces(st, X2, 2)
@@ -328,8 +316,8 @@ def local_energy_density(st: ScenarioStress, X1: sp.csr_matrix | None = None,
     return StressReport(
         t00=-0.25 * (t1 + t2) / vols,
         cell_volumes=vols,
-        trace_d1=float(ops.mass(1).multiply(X1).sum()),  # tr(X M), M symmetric
-        trace_d2=float(ops.mass(2).multiply(X2).sum()),
+        trace_d1=kernel_trace(st, 1),
+        trace_d2=kernel_trace(st, 2),
         t1_cells=t1,
         t2_cells=t2,
         X1=X1,
@@ -389,15 +377,10 @@ def maxwell_tensor(st: ScenarioStress, report: StressReport) -> np.ndarray:
     H = np.zeros((len(report.t00), 3, 3))
     for p, X in ((1, report.X1), (2, report.X2)):
         _, blocks = ops.component_blocks(p)
-        H += 0.5 * np.einsum("cil,ciljk->cjk", _cell_gather(ops, p, X), blocks)
+        H += 0.5 * np.einsum("cil,ciljk->cjk", X, blocks)
     H /= report.cell_volumes[:, None, None]
     H += np.eye(3)[None, :, :] * report.t00[:, None, None]
     return H
-
-
-# Rows per chunk of the nearest-boundary distances, so the chunk x n_b x 3 temporary
-# stays near a megabyte where the whole broadcast is tens of megabytes at res 2.
-_DIST_CHUNK = 64
 
 
 def _nearest_distance(points: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Dense reference kernels for the stress tests.
 
-The engine evaluates each difference kernel only on the cell pattern (the
-stored entries of the kept M_p).  These helpers build the full matrices the
-tests compare against: the eig path as W W^T - W0 W0^T from the side factors,
-and the quadrature path as the side operators applied to M^-1.
+The engine carries each difference kernel as its per-cell blocks
+(``stress.kernel_blocks``).  These helpers build the full matrices the tests
+compare against: the eig path as W W^T - W0 W0^T from the side factors, and
+the quadrature path as the side operators applied to M^-1; ``on_cells``
+gathers a full matrix into the engine's per-cell block layout.
 """
 
 import numpy as np
@@ -31,10 +32,12 @@ def dense_difference_kernel(st, which: str, via: str = "eig") -> np.ndarray:
     return a - _side_quadrature(st.reference, which, E)[j]
 
 
-def on_pattern(X: np.ndarray, M: sp.csr_matrix) -> sp.csr_matrix:
-    """The dense X sampled on the stored entries of M, with M's pattern."""
-    r = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-    return sp.csr_matrix((X[r, M.indices], M.indices.copy(), M.indptr.copy()), shape=M.shape)
+def on_cells(X: np.ndarray, ops, p: int) -> np.ndarray:
+    """(n_cells, k, k) blocks of the dense kernel X on each cell's p-faces, in
+    ``face_ids`` order, zero at masked faces."""
+    pos = ops.kept_pos(p)[ops.complex.face_ids(p)]
+    kept = pos >= 0
+    return X[pos[:, :, None], pos[:, None, :]] * (kept[:, :, None] & kept[:, None, :])
 
 
 def dense_decay_table(st, lam_grid, window) -> list[tuple[float, float]]:

@@ -460,6 +460,24 @@ def test_unreadable_config_or_mesh_exits_2(runner, tmp_path, config, mesh, where
     assert where in res.output
 
 
+@pytest.mark.parametrize("text, line, key", [
+    ("geometry: balls:1\nres: 2\nres: 1\n", 3, "res"),
+    ("geometry: balls:1\nparams:\n  n_lam: 3\n  lam_min: 1.0\n  n_lam: 4\n", 5, "n_lam"),
+], ids=["top-level", "params"])
+def test_repeated_yaml_key_exits_2_naming_key_and_line(runner, tmp_path, text, line, key):
+    """A key given twice in one mapping is a config error, not a silent last value; a
+    merged key may still be overridden."""
+    from decem.cli import load_config
+
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    res = runner.invoke(main, ["run", "stress", "--config", str(path)])
+    assert res.exit_code == 2, res.output
+    assert f"config error: {path}, line {line}: key {key!r} is given twice" in res.output
+    path.write_text("base: &b {n_lam: 3}\nparams:\n  <<: *b\n  n_lam: 4\n")
+    assert load_config(str(path))["params"] == {"n_lam": 4}
+
+
 def _cube_obstacle_mesh_config(tmp_path, obstacle_tags):
     """A config that loads cube_obstacle's reference mesh (regions "cube" and "")."""
     import yaml

@@ -125,6 +125,76 @@ def test_tetgen_import(tmp_path):
     assert [c.n(p) for p in range(4)] == [4, 6, 4, 1]
 
 
+def _tetgen_pair(cplx, attrs: bool = True) -> tuple[list[str], list[str]]:
+    """The ``.node`` and ``.ele`` lines of a 3-complex, ids from 1, the cells' regions
+    as attributes r0, r1, ... (numbered in order of first use)."""
+    node = [f"{cplx.n(0)} 3 0 0"] + [
+        f"{i + 1} {x:.17g} {y:.17g} {z:.17g}" for i, (x, y, z) in enumerate(cplx.vertices)]
+    tags = list(dict.fromkeys(cplx.regions))
+    ele = [f"{cplx.n(3)} 4 {int(attrs)}"] + [
+        " ".join(map(str, [c + 1, *(cell + 1)] + ([tags.index(t)] if attrs else [])))
+        for c, (cell, t) in enumerate(zip(cplx.simplices[3], cplx.regions))]
+    return node, ele
+
+
+def _load_pair(tmp_path, node: list[str], ele: list[str]):
+    (tmp_path / "m.node").write_text("\n".join(node) + "\n")
+    (tmp_path / "m.ele").write_text("\n".join(ele) + "\n")
+    return load_complex(str(tmp_path / "m"), fmt="tetgen")
+
+
+def test_tetgen_pair_round_trips_regions(tmp_path):
+    ref = canned_scenario("cube_obstacle", 1).reference
+    got = _load_pair(tmp_path, *_tetgen_pair(ref))
+    assert np.array_equal(got.simplices[3], ref.simplices[3])
+    assert np.array_equal(got.vertices, ref.vertices)
+    assert sorted(set(got.regions)) == ["r0", "r1"]
+
+
+@pytest.mark.parametrize("which, line, text, message", [
+    ("node", 2, "2 1.0 zero 0.0", "m.node, line 3: '2 1.0 zero 0.0' is not a row of floats"),
+    ("node", 2, "2 1.0 inf 0.0", "m.node, line 3: '2 1.0 inf 0.0' has a number that is not "
+     "finite"),
+    ("node", 2, "7 1.0 0.0 0.0", "m.node, line 3: '7 1.0 0.0 0.0' breaks the run of point "
+     "ids from 0 or 1"),
+    ("node", 0, "4 3 0", "m.node: the header counts 4 rows, the file has 5"),
+    ("node", 0, "5 0 0 0", "m.node, line 1: '5 0 0 0' is not a header of two counts >= 1 "
+     "and more >= 0"),
+    ("ele", 1, "1 1 2 3", "m.ele, line 2: '1 1 2 3' has 4 entries, not 5"),
+    ("ele", 1, "1 1 2 3 9", "m.ele, line 2: '1 1 2 3 9' names a point twice or outside 1..5"),
+    ("ele", 1, "1 1 2 3 3", "m.ele, line 2: '1 1 2 3 3' names a point twice or outside 1..5"),
+    ("ele", 0, "2 3 0", "m.ele, line 1: '2 3 0' has 3 points per cell, not 4"),
+])
+def test_malformed_tetgen_line_names_file_and_line(tmp_path, which, line, text, message):
+    """Each malformed row raises MeshError naming its file, its line and the reason
+    (a 3-id row once loaded as a 2-complex, a point id past the count once failed as a
+    missing 2-simplex)."""
+    pair = {"node": ["5 3 0 0", "1 0 0 0", "2 1 0 0", "3 0 1 0", "4 0 0 1", "5 1 1 1"],
+            "ele": ["2 4 0", "1 1 2 3 4", "2 2 3 4 5"]}
+    pair[which][line] = text
+    with pytest.raises(MeshError) as info:
+        _load_pair(tmp_path, pair["node"], pair["ele"])
+    assert str(info.value) == f"{tmp_path}/{message}"
+
+
+def test_mutated_tetgen_pair_loads_or_raises_mesh_error(tmp_path):
+    """300 seeded line mutations of one file of a tetgen pair (a 2x2x2 box with one
+    region attribute per cell): each loads or raises MeshError, never another
+    exception."""
+    pair = _tetgen_pair(box_complex((2, 2, 2), tag_fn=lambda c: "a" if c[0] < 1 else ""))
+    rng = np.random.default_rng(2028)
+    outcomes = {"loaded": 0, "MeshError": 0}
+    for _ in range(300):
+        which = int(rng.integers(2))
+        files = [_mutated(f, rng) if k == which else f for k, f in enumerate(pair)]
+        try:
+            _load_pair(tmp_path, *files)
+            outcomes["loaded"] += 1
+        except MeshError:
+            outcomes["MeshError"] += 1
+    assert outcomes["MeshError"] > 150 and outcomes["loaded"] > 20, outcomes
+
+
 def test_carve_empty_tags_is_identity():
     box = box_complex((3, 3, 3))
     sc = carve_obstacle(box, set())

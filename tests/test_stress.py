@@ -5,9 +5,9 @@ from decem.geometries import canned_scenario, empty_box_scenario, stress_box_sce
 from decem.stress import (
     ScenarioStress,
     cell_traces,
-    difference_kernel,
     divergence_residual,
     interior_window,
+    kernel_blocks,
     local_energy_density,
     loglog_slope,
     maxwell_tensor,
@@ -15,7 +15,7 @@ from decem.stress import (
     resolvent_difference_decay,
     t0k_check,
 )
-from stress_reference import dense_decay_table, dense_difference_kernel, on_pattern
+from stress_reference import dense_decay_table, dense_difference_kernel, on_cells
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +27,9 @@ def tiny_stress():
 
 def test_empty_obstacle_all_zero():
     st = ScenarioStress.build(empty_box_scenario((4, 4, 4)))
-    X1 = difference_kernel(st, "D1")
-    X2 = difference_kernel(st, "D2")
+    X1, X2 = kernel_blocks(st)
     assert np.abs(X1).max() == 0 and np.abs(X2).max() == 0
-    rep = local_energy_density(st, X1, X2)
+    rep = local_energy_density(st)
     assert np.abs(rep.t00).max() <= 1e-10
     H = maxwell_tensor(st, rep)
     assert np.abs(H).max() <= 1e-10
@@ -318,16 +317,20 @@ def _loop_blocks(ops, p, X, blocks):
         yield c, X[np.ix_(gidx, gidx)], blocks[c][np.ix_(lidx, lidx)]
 
 
-def test_cell_gather_matches_per_cell_loops(tiny_stress):
-    """Vectorised traces and Maxwell tensor against per-cell loops, on kernels
+def test_cell_gather_matches_per_cell_loops(monkeypatch, tiny_stress):
+    """Vectorised traces and Maxwell tensor against per-cell loops, on kernel blocks
     that are not symmetric (so a transposed local block shows)."""
+    import decem.stress as stress
+
     st = tiny_stress
     ops = st.sigma.ops
     rng = np.random.default_rng(7)
     X1 = rng.standard_normal((ops.n(1), ops.n(1)))
     X2 = rng.standard_normal((ops.n(2), ops.n(2)))
-    # only entries on the pattern of the kept M_p are read
-    rep = local_energy_density(st, on_pattern(X1, ops.mass(1)), on_pattern(X2, ops.mass(2)))
+    # only the entries within one cell are read
+    monkeypatch.setattr(stress, "kernel_blocks", lambda _st: (on_cells(X1, ops, 1),
+                                                             on_cells(X2, ops, 2)))
+    rep = local_energy_density(st)
     H = maxwell_tensor(st, rep)
     want_H = np.zeros_like(H)
     for p, X in ((1, X1), (2, X2)):
@@ -335,7 +338,7 @@ def test_cell_gather_matches_per_cell_loops(tiny_stress):
         _, mblocks = ops.local_mass(p)
         for c, Xc, mc in _loop_blocks(ops, p, X, mblocks):
             want_t[c] = np.trace(Xc @ mc)
-        got_t = cell_traces(st, on_pattern(X, ops.mass(p)), p)
+        got_t = cell_traces(st, on_cells(X, ops, p), p)
         assert np.abs(got_t - want_t).max() <= 1e-12 * np.abs(want_t).max()
         _, kblocks = ops.component_blocks(p)
         for c, Xc, kc in _loop_blocks(ops, p, X, kblocks):
@@ -370,22 +373,78 @@ def test_divergence_matches_per_vertex_loop(tiny_stress):
     assert np.abs(div["values"] - want).max() <= 1e-12 * np.abs(want).max()
 
 
-# -- the pattern engine against its dense and per-sample references ----------------------
+# -- the block engine against its dense and per-sample references ------------------------
 
 
-@pytest.mark.parametrize("bundle", ["tiny_stress", "stress_bundle"])
+@pytest.fixture(scope="module")
+def medium_stress():
+    """A carved block beside a slab of eps = 2, mu = 1.5 that is not carved: the
+    stress sides in an inhomogeneous medium.  Returns (st, scenario)."""
+    from decem.forms import MaterialField
+    from decem.geometries import box_complex
+    from decem.mesh import carve_obstacle
+
+    def tag(c):
+        if 1 < c[0] < 2 and 2 < c[1] < 3 and 2 < c[2] < 3:
+            return "block"
+        return "slab" if 3 < c[0] < 5 else ""
+
+    sc = carve_obstacle(box_complex((6, 5, 5), tag_fn=tag), {"block"})
+    return ScenarioStress.build(sc, MaterialField(eps={"slab": 2.0}, mu={"slab": 1.5})), sc
+
+
+@pytest.mark.parametrize("bundle", ["tiny_stress", "stress_bundle", "medium_stress"])
 @pytest.mark.parametrize("which", ["D1", "D2"])
 def test_pattern_kernels_match_dense_reference(request, bundle, which):
-    """The engine's kernel on the cell pattern equals the dense W W^T - W0 W0^T
-    sampled on that pattern (D2 is formed through d1 by the engine)."""
+    """The engine's per-cell kernel blocks equal the dense W W^T - W0 W0^T gathered on
+    each cell's kept DOFs, and are zero at its masked ones (D2 is formed through the
+    local d1 by the engine)."""
     st = request.getfixturevalue(bundle)
-    if bundle == "stress_bundle":
+    if bundle != "tiny_stress":
         st = st[0]
-    M = st.sigma.ops.mass(1 if which == "D1" else 2)
-    X = difference_kernel(st, which)
-    want = on_pattern(dense_difference_kernel(st, which), M)
-    assert np.array_equal(X.indptr, M.indptr) and np.array_equal(X.indices, M.indices)
-    assert np.abs(X.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+    p = 1 if which == "D1" else 2
+    ops = st.sigma.ops
+    X = kernel_blocks(st)[p - 1]
+    cells = list(_loop_blocks(ops, p, dense_difference_kernel(st, which), X))
+    scale = max(np.abs(want).max() for _c, want, _got in cells)
+    for _c, want, got in cells:
+        assert np.abs(got - want).max() <= 1e-12 * scale
+    pos = ops.kept_pos(p)[ops.complex.face_ids(p)]
+    masked = (pos < 0)[:, :, None] | (pos < 0)[:, None, :]
+    assert not X[masked].any()
+
+
+def test_trace_identity_sees_one_wrong_block(monkeypatch, tiny_stress):
+    """tr(X M) comes from the eigenpairs, not from the blocks, so one perturbed cell
+    block breaks the trace identity."""
+    import decem.stress as stress
+
+    real = stress.kernel_blocks
+
+    def perturbed(st):
+        X1, X2 = real(st)
+        c = np.argmax(np.abs(X1).max(axis=(1, 2)))
+        X1[c] += 1e-3 * np.abs(X1[c]).max() * np.eye(6)
+        return X1, X2
+
+    assert local_energy_density(tiny_stress).trace_identity_error() <= 1e-10
+    monkeypatch.setattr(stress, "kernel_blocks", perturbed)
+    assert local_energy_density(tiny_stress).trace_identity_error() > 1e-10
+
+
+def test_inhomogeneous_stress_rows_pass(tmp_path, medium_stress):
+    """A stress run on the slab mesh: its trace_identity and t0k rows pass."""
+    from decem.cli import run_config
+
+    _st, sc = medium_stress
+    mesh = tmp_path / "slab.decmesh"
+    mesh.write_text(sc.reference.to_text())
+    _code, summary = run_config({
+        "pipeline": "stress", "geometry": {"mesh": str(mesh), "obstacle_tags": ["block"]},
+        "material": {"slab": {"eps": 2.0, "mu": 1.5}}, "params": {"decay": False},
+    })
+    rows = {r["name"]: r for r in summary["result"]["assertions"]}
+    assert rows["trace_identity"]["ok"] and rows["t0k"]["ok"], rows
 
 
 def _t0k_loop(st, unsymmetrize):
