@@ -190,6 +190,29 @@ def _signed_permutation(img: np.ndarray, sgn: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((sgn.astype(float), (img, np.arange(n))), shape=(n, n))
 
 
+def group_character_bases(elems: list[tuple[np.ndarray, np.ndarray]],
+                          chis) -> list[sp.csc_matrix]:
+    """One orthonormal basis per character chi (one +-1 per element) of the group
+    ``elems`` of signed permutations (image, sign) of n DOFs, identity first: the
+    nonzero projections sum_e chi(e) P_e e_i of the orbit representatives i (the lowest
+    DOF of each orbit), normalised to +-1/sqrt(|orbit|) on each DOF of the orbit."""
+    n = len(elems[0][0])
+    reps = np.flatnonzero(np.min([img for img, _ in elems], axis=0) == np.arange(n))
+    rows = np.concatenate([img[reps] for img, _ in elems])
+    cols = np.tile(np.arange(len(reps)), len(elems))
+    bases = []
+    for chi in chis:
+        vals = np.concatenate([c * sgn[reps] for c, (_, sgn) in zip(chi, elems)])
+        # duplicates are summed in integers, so a vanishing projection is exact
+        B = sp.csc_matrix((vals, (rows, cols)), shape=(n, len(reps)))
+        B.eliminate_zeros()
+        B = B[:, np.diff(B.indptr) > 0].astype(float)
+        size = np.diff(B.indptr)
+        B.data = np.sign(B.data) / np.sqrt(np.repeat(size, size))
+        bases.append(B)
+    return bases
+
+
 # -- operator bundle ---------------------------------------------------------------
 
 
@@ -314,30 +337,21 @@ class DecOperators:
 
         P_e B_m = chi_m(e) B_m (P_e of :meth:`_group`), so an operator that commutes with the group is block
         diagonal on [B_0, B_1, ...], and d_p B_m lies in the span of B_m of degree
-        p + 1.  The columns of B_m are the nonzero projections sum_e chi_m(e) P_e e_i
-        of the orbit representatives i (the lowest DOF of each orbit), normalised:
-        +-1/sqrt(|orbit|) on each DOF of the orbit.  The column counts sum to n_p; a
-        basis may have none.  Made on first use and kept.
+        p + 1.  The columns of B_m are those of :func:`group_character_bases`.
+        The column counts sum to n_p; a basis may have none.  Made on first use and kept.
         """
         if ("bases", p) not in self._cache:
-            elems = self._group(p)
-            n = self.n(p)
-            reps = np.flatnonzero(np.min([img for img, _ in elems], axis=0) == np.arange(n))
-            rows = np.concatenate([img[reps] for img, _ in elems])
-            cols = np.tile(np.arange(len(reps)), len(elems))
-            bases = []
-            for m in range(len(elems)):
-                chi = [(-1) ** bin(m & e).count("1") for e in range(len(elems))]
-                vals = np.concatenate([c * sgn[reps] for c, (_, sgn) in zip(chi, elems)])
-                # duplicates are summed in integers, so a vanishing projection is exact
-                B = sp.csc_matrix((vals, (rows, cols)), shape=(n, len(reps)))
-                B.eliminate_zeros()
-                B = B[:, np.diff(B.indptr) > 0].astype(float)
-                size = np.diff(B.indptr)
-                B.data = np.sign(B.data) / np.sqrt(np.repeat(size, size))
-                bases.append(B)
-            self._cache["bases", p] = bases
+            k = len(self._group(p))
+            chis = [[(-1) ** bin(m & e).count("1") for e in range(k)] for m in range(k)]
+            self._cache["bases", p] = group_character_bases(self._group(p), chis)
         return self._cache["bases", p]
+
+    def symmetry_axes(self) -> list[np.ndarray]:
+        """The signed axis permutation A of each element of :meth:`_group`, in its order."""
+        axes = [np.eye(self.complex.dim)]
+        for g in self._generators:
+            axes += [g.A @ A for A in axes]
+        return axes
 
     # calculus ------------------------------------------------------------------
 

@@ -26,6 +26,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
+from math import factorial
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -267,8 +268,6 @@ class SimplicialComplex:
         d = self.dim
         if e.shape[2] != d:
             raise MeshError("ambient dimension must equal complex dimension")
-        from math import factorial
-
         return np.abs(np.linalg.det(e)) / factorial(d)
 
     def euler_characteristic(self) -> int:
@@ -451,6 +450,13 @@ def _numbers(where: str, line: tuple[int, str], kind, tokens: list[str]) -> list
     return vals
 
 
+def _zero_volume(coords: np.ndarray) -> np.ndarray:
+    """Which simplices, given by their (n, d + 1, d) vertex coordinates, have volume
+    <= 0 by the test of ``forms._cell_geometry``, which rejects them."""
+    e = np.transpose(coords[:, 1:, :] - coords[:, :1, :], (0, 2, 1))
+    return np.abs(np.linalg.det(e)) / factorial(coords.shape[2]) <= 0
+
+
 def _parse_decmesh(text: str) -> SimplicialComplex:
     """The decmesh text of :meth:`SimplicialComplex.to_text`.  A malformed line raises
     :class:`MeshError` naming its section and its line number."""
@@ -524,6 +530,11 @@ def _parse_decmesh(text: str) -> SimplicialComplex:
         if p not in simplices:
             raise MeshError(f"missing simplices of degree {p}")
     simplices[0] = np.unique(simplices[dim]).reshape(-1, 1)
+    flat = _zero_volume(vertices[simplices[dim]])
+    if flat.any():
+        cell = simplices[dim][int(np.argmax(flat))]
+        raise MeshError(f"simplices {dim}: cell {tuple(map(int, cell))} has zero volume; "
+                        f"its vertices are at {vertices[cell].tolist()}")
     cplx = SimplicialComplex(
         dim=dim,
         vertices=vertices,
@@ -606,6 +617,11 @@ def _load_tetgen(prefix: str) -> SimplicialComplex:
     if bad.any():
         fail(path, ele[1 + int(np.argmax(bad))],
              f"names a point twice or outside {base}..{base + nv - 1}")
+    flat = _zero_volume(vertices[cells])
+    if flat.any():
+        i = int(np.argmax(flat))
+        fail(path, ele[1 + i], f"is a cell of zero volume; its points are at "
+                               f"{vertices[cells[i]].tolist()}")
     regions = [""] * head[0]
     if width > 2 + ndim:
         attrs = table(path, ele, width, float, slice(2 + ndim, 3 + ndim))

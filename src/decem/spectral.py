@@ -109,6 +109,10 @@ class SpectralDecomposition:
     M: sp.csr_matrix
     kernel_dim: int
     max_eval: float
+    # per column, the index m of its symmetry block in ops.character_bases(p), -1 where
+    # kernel_block mixes the blocks; eig(op, "all") fills it on 1-cochains and leaves
+    # None where it runs one dense eigh (other degrees) or a partial eig
+    characters: np.ndarray | None = None
 
     @property
     def complete(self) -> bool:
@@ -187,16 +191,17 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     out of each block: the ``eigh``s run on n_1 - rank d_0 cotree rows in all, and the
     exact part of the kernel basis comes as d_0 L^-T with pencil eigenvalue 0.  The
     kernel count, :func:`kernel_block`, the negative-eigenvalue check and the
-    residual checks then run on the merged, lifted system as for every degree.
+    residual checks then run on the merged, lifted system as for every degree.  The
+    block of each column is ``characters`` (-1 on a kernel that kernel_block rotates).
     With ``return_factor`` the result is (decomposition, factor): the shifted factor
     (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig made, which
     :func:`pseudo_inverse` takes (run hodge's Helmholtz split is the one caller);
     None after a dense eig.
     """
-    n = op.n
+    n, chars = op.n, None
     if count == "all":
         if op.p == 1 and op.ops.n(0):
-            evals, vecs = _gauged_eigh(op)
+            evals, vecs, chars = _gauged_eigh(op)
         else:
             evals, vecs = sla.eigh(
                 op.up.toarray(order="F"), op.M.toarray(order="F"),
@@ -209,6 +214,9 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
             evals = np.concatenate([nu, evals[kd:]])
             order = np.argsort(evals, kind="stable")
             evals, vecs = evals[order], vecs[:, order]
+            if chars is not None:
+                chars[:kd] = -1
+                chars = chars[order]
         max_eval = float(evals[-1]) if n else 0.0
         shift_inv = None
     else:
@@ -237,6 +245,7 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
         M=op.M,
         kernel_dim=kernel_dim,
         max_eval=max_eval,
+        characters=chars,
     )
     _check_residuals(op, dec)
     if return_factor:
@@ -283,11 +292,12 @@ def _spanning_forest(d0: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 # columns per block where an n x n product or copy goes block by block (the lift in
-# _gauged_block, stress's hodge_system(left)), so its n x block temporaries stay small
+# _gauged_block, stress's hodge_system(left), kernel_trace and t0k_check), so its
+# n x block temporaries stay small
 COLUMN_BLOCK = 256
 
 
-def _gauged_eigh(op: LaplaceOperator) -> tuple[np.ndarray, np.ndarray]:
+def _gauged_eigh(op: LaplaceOperator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All eigenpairs of the pencil (up, M) on 1-cochains, one symmetry block at a time,
     with the exact forms gauged out of each block's dense ``eigh``.
 
@@ -299,24 +309,28 @@ def _gauged_eigh(op: LaplaceOperator) -> tuple[np.ndarray, np.ndarray]:
     one block, B = 1.  The columns are then permuted in place, so that X holds the
     M-orthonormal vectors of the eigenvalues [0 (r times, r = rank d_0), the pencil's
     on the gauged blocks in ascending order]: first the exact ones, block by block,
-    then the rest.  Beside X, only one block's arrays are alive at a time.
+    then the rest.  Beside X, only one block's arrays are alive at a time.  Returns
+    the eigenvalues, X and the character index m of each column's block.
     """
     n, d0 = op.n, op.ops.d(0)
     X = np.empty((n, n), order="F")
+    chars = np.empty(n, dtype=np.int64)  # the block of each column of X as solved
     exact, coexact, evals, start = [], [], [], 0
-    for B, B0 in zip(op.ops.character_bases(1), op.ops.character_bases(0)):
+    for m, (B, B0) in enumerate(zip(op.ops.character_bases(1), op.ops.character_bases(0))):
         nb = B.shape[1]
         if nb:
             r, evals_b = _gauged_block(op, B, B.T @ d0 @ B0, X[:, start : start + nb])
             exact.append(np.arange(start, start + r))
             coexact.append(np.arange(start + r, start + nb))
             evals.append(evals_b)
+            chars[start : start + nb] = m
             start += nb
     evals = np.concatenate(evals)
     order = np.argsort(evals, kind="stable")
     exact = np.concatenate(exact)
-    _permute_columns(X, np.concatenate([exact, np.concatenate(coexact)[order]]))
-    return np.concatenate([np.zeros(len(exact)), evals[order]]), X
+    source = np.concatenate([exact, np.concatenate(coexact)[order]])
+    _permute_columns(X, source)
+    return np.concatenate([np.zeros(len(exact)), evals[order]]), X, chars[source]
 
 
 def _permute_columns(X: np.ndarray, source: np.ndarray) -> None:
@@ -475,8 +489,9 @@ def pseudo_inverse(op: LaplaceOperator, shift_inverse: spla.LinearOperator,
 # where the change stops falling: 2-4e-14 for cos(t sqrt(Delta_1)) at t = 10 / lambda_min
 # on balls:1 at res 1 and 2 (reached after 120 and 200 steps).  That floor grows like
 # t sqrt(lambda_max).  The stress decay table's measure is the top Ritz value of D D^T,
-# ten times under the 1e-12 its tests ask of the norm; a grid point takes 20-50 steps on
-# the eight canned geometries at res 1 (balls:1 20-40 on 562 window edges).
+# ten times under the 1e-12 its tests ask of the norm; a grid point takes 19-40 steps in
+# each symmetry block on the eight canned geometries at res 1 (balls:1 20-30 on blocks
+# of 130-151 of its 562 window edges).
 LANCZOS_TOL = 1e-13
 LANCZOS_CHECK = 10
 # The steps grow like t sqrt(lambda_max) as well, about 0.7 t sqrt(lambda_max) for the

@@ -12,9 +12,13 @@ to the kernel directly by a tree-cotree gauge, so the dense ``eigh``s see only t
 cotree rows of each block; the second path is
 ``spectral.inverse_sqrt_quadrature`` on the same pencil.  The decay table
 completes each side to Delta_1 with ``spectral.kernel_block``, as ``eig`` does,
-and takes the norm of the windowed resolvent difference on its thin window factors,
-never forming it, by ``spectral.Lanczos``, the Krylov engine of the f(Delta) x
-calculus, with its stepping, reorthogonalisation and stopping rule.
+and takes the norm of the windowed resolvent difference one symmetry block at a
+time: the window is a union of orbits of the group both sides share, so the
+difference is block diagonal in the window's character bases, and block m reads
+only the kernel columns and the coexact columns of character m (``eig``'s
+``characters``).  Each block's norm comes from its thin factors, never forming the
+difference, by ``spectral.Lanczos``, the Krylov engine of the f(Delta) x calculus,
+with its stepping, reorthogonalisation and stopping rule.
 
 Every difference is carried as its symmetric integral kernel X, with the
 operator D = X M.  A side's kernel is V g V^T (V the coexact eigenvectors),
@@ -34,12 +38,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .forms import DecOperators, MaterialField, build_d
+from .forms import DecOperators, MaterialField, build_d, group_character_bases
 from .mesh import ObstacleScenario, SimplicialComplex
 from .spectral import (
     COLUMN_BLOCK,
@@ -75,27 +80,35 @@ class SideData:
         kd = self.dec.kernel_dim
         return float(self.dec.evals[kd]), float(self.dec.evals[-1])
 
-    def hodge_system(self, left: sp.spmatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+    @cached_property
+    def _kernel_rotation(self) -> tuple[np.ndarray, np.ndarray]:
+        """``spectral.kernel_block`` on the pencil's kernel, made once per side."""
+        return kernel_block(self.op, self.dec.vectors[:, : self.dec.kernel_dim])
+
+    def hodge_system(self, left: sp.spmatrix | None = None,
+                     columns: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Complete M1-orthonormal eigensystem [Z U, V_c], [nu, lambda_c] of Delta_1.
 
         (nu, U) is ``spectral.kernel_block`` on the pencil's kernel Z (the closed
-        forms); the blocks stay in this order.  With ``left`` (a matrix of n1
-        columns) the vectors come premultiplied, left [Z U, V_c], and the full
-        system is never formed.  U rotates the kernel columns of that product in
-        place; only ``left=None`` copies the side's vectors.
+        forms); the blocks stay in this order.  ``columns`` (ascending indices of the
+        decomposition past its kernel) keeps only those columns of V_c.  With ``left``
+        (a matrix of n1 columns) the vectors come premultiplied, left [Z U, V_c], and
+        the full system is never formed.  U rotates the kernel columns of that product
+        in place; only ``left=None`` copies the side's vectors.
         """
         dec = self.dec
         kd = dec.kernel_dim
-        nu, U = kernel_block(self.op, dec.vectors[:, :kd])  # reads only op.ops and op.p
+        nu, U = self._kernel_rotation
+        cols = np.arange(len(dec.evals)) if columns is None else np.r_[np.arange(kd), columns]
         if left is None:
-            L = dec.vectors.copy(order="F")
+            L = np.asfortranarray(dec.vectors[:, cols])
         else:
             # in column blocks: a sparse product makes a C-ordered copy of its operand
-            L = np.empty((left.shape[0], dec.vectors.shape[1]))
-            for j in range(0, L.shape[1], COLUMN_BLOCK):
-                L[:, j : j + COLUMN_BLOCK] = left @ dec.vectors[:, j : j + COLUMN_BLOCK]
+            L = np.empty((left.shape[0], len(cols)))
+            for j in range(0, len(cols), COLUMN_BLOCK):
+                L[:, j : j + COLUMN_BLOCK] = left @ dec.vectors[:, cols[j : j + COLUMN_BLOCK]]
         L[:, :kd] = L[:, :kd] @ U
-        return L, np.concatenate([nu, dec.evals[kd:]])
+        return L, np.concatenate([nu, dec.evals[cols[kd:]]])
 
 
 def build_side(cplx, material: MaterialField) -> SideData:
@@ -147,8 +160,8 @@ def _side_factor(side: SideData, power: float, through_d: bool,
     """W = V lambda^(power/2) on the coexact block, so that V g V^T = W W^T.
 
     ``through_d`` replaces V by d1 V; ``rows`` keeps only those rows of W.
-    D1 = Delta^-1/2 delta~ d is power 1/2 on 1-forms, D2 = d Delta^-1/2 delta~
-    is power -1/2 through d, and t0k_check uses Delta^-1/2 on 1-forms.
+    D1 = Delta^-1/2 delta~ d is power 1/2 on 1-forms and D2 = d Delta^-1/2 delta~
+    is power -1/2 through d.
     """
     dec = side.dec
     kd = dec.kernel_dim
@@ -332,7 +345,8 @@ def t0k_check(st: ScenarioStress, unsymmetrize: float = 0.0) -> float:
     M-self-adjointness of the half-power kernels; the residual measures that
     cancellation on 12 random samples (seed 0, drawn E_0, B_0, E_1, ...) for
     the difference of the two states (the reference side sees the data through
-    zero-extension).  The samples run as one block of 12 columns; worst and
+    zero-extension).  The samples run as one block of 12 columns, and each side
+    applies V Lambda^-1/2 V^T M to them COLUMN_BLOCK eigenvectors at a time; worst and
     scale are taken per sample.  ``unsymmetrize`` is a control: the carved
     side's operator becomes G (I + u triu(1)).
     """
@@ -343,12 +357,16 @@ def t0k_check(st: ScenarioStress, unsymmetrize: float = 0.0) -> float:
     B = np.column_stack([b for _e, b in draws])
 
     def half_power(side, skew):
-        W, M = _side_factor(side, -0.5, False), side.ops.mass(1)
+        dec, M = side.dec, side.ops.mass(1)
 
         def apply(x):
             # (triu(1) x)_i = sum_{j>i} x_j, column by column
             x = x + skew * (np.sum(x, axis=0) - np.cumsum(x, axis=0))
-            return W @ (W.T @ (M @ x))
+            Mx, out = M @ x, np.zeros_like(x)
+            for j in range(dec.kernel_dim, len(dec.evals), COLUMN_BLOCK):  # V Lambda^-1/2 V^T
+                V = dec.vectors[:, j : j + COLUMN_BLOCK]
+                out += V @ ((V.T @ Mx) * dec.evals[j : j + COLUMN_BLOCK, None] ** -0.5)
+            return out
 
         return apply
 
@@ -466,34 +484,106 @@ def interior_window(st: ScenarioStress) -> np.ndarray:
     return np.nonzero(_nearest_distance(mids, cplx.vertices[bnodes]) > 1.0)[0]
 
 
+def window_blocks(st: ScenarioStress, window: np.ndarray) -> list[tuple[sp.csc_matrix, list]]:
+    """The decay's symmetry blocks: per character of the group that both sides share,
+    the window's orthonormal character basis Bw (w x w_m, rows in window order) and,
+    per side, the ascending indices of its coexact columns of that character.
+
+    The shared group holds the elements with the same axis matrix A on both sides
+    (``DecOperators.symmetry_axes``); the injection must intertwine their actions on
+    the kept edges, signs included, so Bw serves the window rows of both sides.  The
+    window must be a union of its orbits.  Each side's character m
+    (``SpectralDecomposition.characters``) restricts to one character of the shared
+    group, and a column whose decomposition has no characters goes into every block.
+    Without a shared symmetry there is one block, Bw = 1.
+    """
+    sides, inj = (st.sigma, st.reference), st.kept_maps[1]
+    groups = [side.ops._group(1) for side in sides]
+    axes = [side.ops.symmetry_axes() for side in sides]
+    pairs = [(es, er) for es, A in enumerate(axes[0]) for er, A0 in enumerate(axes[1])
+             if np.array_equal(A, A0)]  # identity first
+    at = np.full(st.sigma.ops.n(1), -1)
+    at[window] = np.arange(len(window))
+    elems = []
+    for es, er in pairs:
+        (img, sgn), (img0, sgn0) = groups[0][es], groups[1][er]
+        if not (np.array_equal(img0[inj], inj[img]) and np.array_equal(sgn0[inj], sgn)):
+            raise ValueError(f"the injection does not intertwine the symmetry "
+                             f"{axes[0][es].astype(int).tolist()} of the two sides")
+        out = np.flatnonzero(at[img[window]] < 0)
+        if len(out):
+            i = int(window[out[0]])
+            orbit = sorted({int(groups[0][e][0][i]) for e, _ in pairs})
+            raise ValueError(f"the interior window is not a union of symmetry orbits: the "
+                             f"orbit {orbit} of kept edge {i} leaves it")
+        elems.append((at[img[window]], sgn[window]))
+
+    def restrict(m, k):  # side k's character m on the shared group
+        return tuple((-1) ** bin(m & pair[k]).count("1") for pair in pairs)
+
+    chis = sorted({restrict(m, 0) for m in range(len(groups[0]))}, reverse=True)
+    cols = []
+    for k, side in enumerate(sides):
+        dec, kd = side.dec, side.dec.kernel_dim
+        if dec.characters is None:
+            block = np.full(len(dec.evals) - kd, -1)
+        else:
+            of_m = np.array([chis.index(restrict(m, k)) for m in range(len(groups[k]))])
+            block = of_m[dec.characters[kd:]]
+        cols.append([kd + np.flatnonzero((block == b) | (block < 0)) for b in range(len(chis))])
+    return [(Bw, [c[b] for c in cols])
+            for b, Bw in enumerate(group_character_bases(elems, chis))]
+
+
 def resolvent_difference_decay(
     st: ScenarioStress, lam_grid: np.ndarray, window: np.ndarray | None = None
 ) -> list[tuple[float, float]]:
     """Table of ||(R_sigma(lam) - R_ref(lam))|_window|| over the grid, on 1-forms.
 
     R is the full Hodge-Laplacian resolvent as an operator on cochains,
-    (S + lam^2 M)^-1 M = V (Lambda + lam^2)^-1 (M V)^T from each side's
-    complete eigensystem; the restriction is index selection on the window, so
-    each side gives the thin window factors a = V_w and b = (M V)_w
-    (``hodge_system(left)``), and the w x w difference is
-    D(lam) = a_s C_s(lam) b_s^T - a_r C_r(lam) b_r^T, C = (Lambda + lam^2)^-1.  D is
-    never formed: its spectral norm is sqrt(lambda_max(D D^T)) from the
-    ``spectral.Lanczos`` engine on D D^T (M = 1, no kernel), with one fixed-seed start
-    vector for every grid point.  The grid points step together, each step applying
-    D^T and then D to the block of their current basis vectors through the factors
-    (one product with each factor per side), and each stops when its top Ritz value
-    settles (``spectral.LANCZOS_TOL``).
+    (S + lam^2 M)^-1 M = V (Lambda + lam^2)^-1 (M V)^T from each side's complete
+    eigensystem, and D(lam) is the w x w difference of the two on the window.  Both
+    resolvents commute with the symmetry group the two sides share, and the window is
+    a union of its orbits, so in the window's character bases Bw_m
+    (:func:`window_blocks`) D is block diagonal and ||D|| = max_m ||Bw_m^T D Bw_m||.
+    A coexact eigenvector of another character has no part in block m, so block m
+    takes, per side, the kernel columns Z U (which mix the characters) and the coexact
+    columns of character m, through Bw_m^T on the window rows: thin factors
+    a = Bw_m^T V_w and b = Bw_m^T (M V)_w (``hodge_system(left, columns)``), and
+    Bw_m^T D Bw_m = a_s C_s(lam) b_s^T - a_r C_r(lam) b_r^T, C = (Lambda + lam^2)^-1.
+    No block is formed: its spectral norm is sqrt(lambda_max) of its D D^T from one
+    ``spectral.Lanczos`` engine per block (M = 1, no kernel), with one fixed-seed start
+    vector for every grid point.  A block's grid points step together, each step
+    applying D^T and then D to the block of their current basis vectors through the
+    factors (one product with each factor per side), and each stops when its top Ritz
+    value settles (``spectral.LANCZOS_TOL``).  A mesh without a shared symmetry is one
+    block on every column.
     """
     if window is None:
         window = interior_window(st)
     w, grid = len(window), np.asarray(lam_grid, dtype=float)
     if not w:
         return [(float(lam), 0.0) for lam in grid]
-    factors = []  # per side: a, b and C, one column of C per grid point
-    for side, rows in ((st.sigma, window), (st.reference, st.kept_maps[1][window])):
-        pick = sp.eye(side.ops.n(1), format="csr")[rows]
-        L, evals = side.hodge_system(sp.vstack([pick, side.ops.mass(1)[rows]], format="csr"))
-        factors.append((L[:w], L[w:], 1.0 / (evals[:, None] + grid[None, :] ** 2)))
+    top = np.zeros(len(grid))
+    rows = []  # per side: the window rows of 1 and of M
+    for side, r in ((st.sigma, window), (st.reference, st.kept_maps[1][window])):
+        rows.append(sp.vstack([sp.eye(side.ops.n(1), format="csr")[r], side.ops.mass(1)[r]]))
+    for Bw, cols in window_blocks(st, window):
+        wm = Bw.shape[1]
+        if not wm:
+            continue
+        factors = []  # per side: a, b and C, one column of C per grid point
+        for side, R, c in zip((st.sigma, st.reference), rows, cols):
+            L, evals = side.hodge_system((sp.block_diag([Bw.T, Bw.T]) @ R).tocsr(), c)
+            factors.append((L[:wm], L[wm:], 1.0 / (evals[:, None] + grid[None, :] ** 2)))
+        top = np.maximum(top, _top_eigenvalues(factors, grid))
+    return [(float(lam), float(np.sqrt(max(t, 0.0)))) for lam, t in zip(grid, top)]
+
+
+def _top_eigenvalues(factors: list, grid: np.ndarray) -> np.ndarray:
+    """lambda_max(D D^T) per grid point, D = a_s C_s b_s^T - a_r C_r b_r^T from the two
+    sides' ``factors`` (a, b, C), by one Lanczos engine stepping the grid in lockstep."""
+    wm = factors[0][0].shape[0]
 
     def gram(Q, krys):  # (A Q, M^-1 A Q), A = D D^T at each basis's grid point, M = 1
         cols = [point[id(kry)] for kry in krys]
@@ -509,15 +599,14 @@ def resolvent_difference_decay(
         T = kry.alpha[:m], kry.beta[1:m]
         return sla.eigvalsh_tridiagonal(*T, select="i", select_range=(m - 1, m - 1))[None]
 
-    engine = Lanczos(gram, sp.identity(w, format="csr"), np.zeros((w, 0)))
+    engine = Lanczos(gram, sp.identity(wm, format="csr"), np.zeros((wm, 0)))
     # bases grown from 2 checks' rows: allocated at the cap, 1.2 MB more resident (balls:1)
-    krys = [engine.start(_start_vector(w), 2 * LANCZOS_CHECK) for _ in grid]
+    krys = [engine.start(_start_vector(wm), 2 * LANCZOS_CHECK) for _ in grid]
     point = {id(kry): j for j, kry in enumerate(krys)}
     done = engine.converge(
         krys, top_ritz, "top Ritz value", lambda j: f"decay Lanczos at lam = {grid[j]:.6g}"
     )
-    return [(float(lam), float(np.sqrt(max(top[0, 0], 0.0)))) for lam, (_m, top) in
-            zip(grid, done)]
+    return np.array([t[0, 0] for _m, t in done])
 
 
 def loglog_slope(table: list[tuple[float, float]]) -> float:

@@ -426,6 +426,24 @@ def test_topology_truncated_kernel_is_a_failed_row(runner, tmp_path, monkeypatch
     assert got == {"harmonic_match_p1": (False, 2), "harmonic_match_p2": (True, 0)}
 
 
+def test_zero_volume_cell_exits_2(runner, tmp_path):
+    """A decmesh with a flat cell (the 2 x 2 x 2 box, centre moved onto (1, 1, 0)) exits 2
+    naming the cell; the assembly used to fail on it with a bare ValueError."""
+    import yaml
+
+    from decem.geometries import box_complex
+
+    box = box_complex((2, 2, 2))
+    box.vertices[int(np.argmin(np.linalg.norm(box.vertices - 1.0, axis=1)))] = (1, 1, 0)
+    mesh, path = tmp_path / "flat.decmesh", tmp_path / "cfg.yaml"
+    mesh.write_text(box.to_text())
+    path.write_text(yaml.safe_dump({"geometry": {"mesh": str(mesh)}}))
+    res = runner.invoke(main, ["run", "topology", "--config", str(path), "--output",
+                               str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert "has zero volume; its vertices are at" in res.output
+
+
 def test_missing_mesh_path_config_error(runner, tmp_path):
     import yaml
 

@@ -143,6 +143,27 @@ def _load_pair(tmp_path, node: list[str], ele: list[str]):
     return load_complex(str(tmp_path / "m"), fmt="tetgen")
 
 
+def _flat_box():
+    """The 2 x 2 x 2 box with its centre vertex moved onto (1, 1, 0), a vertex of its
+    bottom face: the cells that held both are flat."""
+    box = box_complex((2, 2, 2))
+    box.vertices[int(np.argmin(np.linalg.norm(box.vertices - 1.0, axis=1)))] = (1, 1, 0)
+    return box
+
+
+def test_zero_volume_cell_raises_mesh_error_at_load(tmp_path):
+    """A flat cell fails as MeshError when its decmesh or tetgen file is loaded, naming
+    the cell and where its vertices are, not later as a bare ValueError from the
+    assembly."""
+    box = _flat_box()
+    with pytest.raises(MeshError, match=r"^simplices 3: cell \(\d+, \d+, \d+, \d+\) has zero "
+                                        r"volume; its vertices are at \[\[.*\]\]$"):
+        load_complex(box.to_text())
+    with pytest.raises(MeshError, match=r"m\.ele, line \d+: '[\d ]+' is a cell of zero "
+                                        r"volume; its points are at \[\[.*\]\]$"):
+        _load_pair(tmp_path, *_tetgen_pair(box, attrs=False))
+
+
 def test_tetgen_pair_round_trips_regions(tmp_path):
     ref = canned_scenario("cube_obstacle", 1).reference
     got = _load_pair(tmp_path, *_tetgen_pair(ref))

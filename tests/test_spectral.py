@@ -790,6 +790,22 @@ def test_gauged_eigh_sees_the_cotree_rows(monkeypatch, gauge_ops):
     assert sum(a[0] for a, _ in shapes) == c
 
 
+def test_eig_reports_the_character_block_of_each_column(gauge_ops):
+    """eig(op, "all") on 1-cochains gives each column the index of its character block;
+    on Delta_1 the kernel that kernel_block rotates reads -1 and the other columns keep
+    their blocks.  The dense eigh of another degree gives none."""
+    ops = gauge_ops["solid_torus"]
+    bare = eig(_one_form_pencil(ops, "bare"))
+    sizes = [B.shape[1] for B in ops.character_bases(1)]
+    assert np.bincount(bare.characters).tolist() == sizes and len(sizes) == 4
+    full = eig(_one_form_pencil(ops, "exact"))
+    kd = bare.kernel_dim
+    assert np.sum(full.characters < 0) == kd
+    assert np.array_equal(np.bincount(full.characters[full.characters >= 0]),
+                          np.bincount(bare.characters[kd:]))
+    assert eig(assemble_laplacian(ops, 0)).characters is None
+
+
 def test_gauged_eig_on_a_box_with_an_off_centre_obstacle():
     """No isometry of the 5 x 4 x 3 box keeps its off-centre block, so the carved side
     is one block; the reference box keeps its central inversion, two blocks."""

@@ -14,6 +14,7 @@ from decem.stress import (
     quadrature_agreement,
     resolvent_difference_decay,
     t0k_check,
+    window_blocks,
 )
 from stress_reference import dense_decay_table, dense_difference_kernel, on_cells
 
@@ -224,13 +225,21 @@ def balls_stress():
     return ScenarioStress.build(canned_scenario("balls:1", 1))
 
 
-@pytest.mark.parametrize("bundle", ["tiny_stress", "balls_stress"])
+@pytest.mark.parametrize("bundle", ["tiny_stress", "balls_stress", "hopf_link",
+                                    "wormhole_obstacle", "slab_stress"])
 def test_decay_lanczos_matches_dense_difference(request, bundle):
-    """The Lanczos table against the formed w x w difference D and a dense eigh of
-    D D^T, on the same eigensystems, per lam."""
-    st = request.getfixturevalue(bundle)
+    """The Lanczos table, block by block, against the formed w x w difference D and a
+    dense eigh of D D^T, on the same eigensystems, per lam: where the two sides' groups
+    differ (cube_obstacle: 2 and 4 elements; hopf_link), where there is no symmetry
+    (the glued wormhole: one block) and where a material slab breaks one."""
+    if bundle.endswith("_stress"):
+        st = request.getfixturevalue(bundle)
+    else:
+        st = ScenarioStress.build(canned_scenario(bundle, 1))
     lam_grid = np.geomspace(1.0, 3 * np.sqrt(st.sigma.dec.evals[-1]), 10)
     window = interior_window(st)
+    blocks = {"tiny_stress": 2, "balls_stress": 4, "slab_stress": 2, "hopf_link": 2}
+    assert len(window_blocks(st, window)) == blocks.get(bundle, 1)
     got = resolvent_difference_decay(st, lam_grid, window)
     want = dense_decay_table(st, lam_grid, window)
     for (lg, vg), (lw, vw) in zip(got, want):
@@ -246,7 +255,7 @@ def test_decay_lanczos_reports_non_convergence(monkeypatch, tiny_stress):
 
     monkeypatch.setattr(spectral, "LANCZOS_MAX_STEPS", 7)
     st = tiny_stress
-    assert len(interior_window(st)) > 7
+    assert min(B.shape[1] for B, _ in window_blocks(st, interior_window(st))) > 7
     with pytest.raises(AssertionError) as err:
         resolvent_difference_decay(st, np.array([1.0, 5.0]))
     m = re.search(
@@ -258,30 +267,107 @@ def test_decay_lanczos_reports_non_convergence(monkeypatch, tiny_stress):
 
 def test_decay_steps_on_the_shared_lanczos_engine(monkeypatch, balls_stress):
     """The decay table takes every step through ``spectral.Lanczos.step`` (counted), one
-    basis per grid point, and each converged basis passes the calculus's sampled
-    orthonormality check."""
+    engine per symmetry block and one basis per block and grid point, each at most as
+    long as its block; each converged basis passes the calculus's sampled orthonormality
+    check."""
     import decem.spectral as spectral
 
-    stepped, engines, real = [], set(), spectral.Lanczos.step
+    stepped, real = [], spectral.Lanczos.step
 
     def step(self, krys):
-        stepped.append(list(krys))
-        engines.add(self)
+        stepped.append((self, list(krys)))
         return real(self, krys)
 
     monkeypatch.setattr(spectral.Lanczos, "step", step)
     st = balls_stress
     grid = np.geomspace(1.0, 3 * np.sqrt(st.sigma.dec.evals[-1]), 10)
-    w = len(interior_window(st))
+    sizes = [B.shape[1] for B, _ in window_blocks(st, interior_window(st)) if B.shape[1]]
     table = resolvent_difference_decay(st, grid)
-    bases = {id(kry): kry for krys in stepped for kry in krys}
-    assert len(table) == len(grid) == len(bases) and len(engines) == 1
-    (engine,) = engines
-    assert engine.steps == sum(len(krys) for krys in stepped)
-    for kry in bases.values():
-        assert 0 < kry.m <= min(spectral.LANCZOS_MAX_STEPS, w)
-        assert kry.m == sum(kry in krys for krys in stepped)
+    bases = {id(kry): (engine, kry) for engine, krys in stepped for kry in krys}
+    engines = {engine for engine, _ in stepped}
+    assert len(table) == len(grid) and len(engines) == len(sizes) == 4
+    assert len(bases) == len(sizes) * len(grid)
+    assert sorted(engine.M.shape[0] for engine in engines) == sorted(sizes)
+    for engine in engines:
+        assert engine.steps == sum(len(krys) for e, krys in stepped if e is engine)
+    for engine, kry in bases.values():
+        assert 0 < kry.m <= min(spectral.LANCZOS_MAX_STEPS, engine.M.shape[0])
+        assert kry.m == sum(kry in krys for _e, krys in stepped)
         engine._check_basis(kry.Q[spectral._sample(kry.m)].T)
+
+
+@pytest.fixture(scope="module")
+def slab_stress():
+    """A centred carved block in a 6 x 6 x 6 box beside a slab of eps = 2 (4 < x < 6):
+    the slab halves the symmetry group of both sides, 4 elements to 2."""
+    from decem.forms import DecOperators, MaterialField
+    from decem.geometries import box_complex
+    from decem.mesh import carve_obstacle
+
+    def tag(c):
+        if all(2 < x < 4 for x in c):
+            return "block"
+        return "slab" if 4 < c[0] < 6 else ""
+
+    sc = carve_obstacle(box_complex((6, 6, 6), tag_fn=tag), {"block"})
+    slab = MaterialField(eps={"slab": 2.0})
+    for cplx in (sc.carved, sc.reference):
+        assert len(DecOperators(cplx).symmetry_axes()) == 4
+        assert len(DecOperators(cplx, slab).symmetry_axes()) == 2
+    return ScenarioStress.build(sc, slab)
+
+
+@pytest.mark.parametrize("name", ["balls:1", "solid_torus"])
+def test_coexact_columns_lie_in_their_character_block(request, name):
+    """eig's character index of each coexact column names the only character basis
+    that the column has a part in."""
+    if name == "balls:1":
+        st = request.getfixturevalue("balls_stress")
+    else:
+        st = ScenarioStress.build(canned_scenario(name, 1))
+    for side in (st.sigma, st.reference):
+        dec, bases = side.dec, side.ops.character_bases(1)
+        kd = dec.kernel_dim
+        chars = dec.characters[kd:]
+        assert sorted(set(chars)) == list(range(len(bases))) == [0, 1, 2, 3]
+        for m in range(len(bases)):
+            V = dec.vectors[:, kd:][:, chars == m]
+            for m2, B in enumerate(bases):
+                if m2 != m:
+                    assert np.linalg.norm(B.T @ V, axis=0).max() <= 1e-12
+
+
+def test_decay_window_must_be_a_union_of_orbits(balls_stress):
+    """A window that cuts a symmetry orbit raises, naming the orbit."""
+    window = interior_window(balls_stress)
+    with pytest.raises(ValueError, match=r"not a union of symmetry orbits: the orbit "
+                                         r"\[\d+(, \d+)+\] of kept edge \d+ leaves it"):
+        resolvent_difference_decay(balls_stress, np.array([1.0]), window[1:])
+
+
+def test_decay_block_factors_hold_only_their_coexact_columns(monkeypatch, balls_stress):
+    """No block's factor is wider than the kernel plus that block's coexact columns, and
+    the blocks share out each side's coexact columns."""
+    import decem.stress as stress
+
+    calls, real = [], stress.SideData.hodge_system
+
+    def recording(self, left=None, columns=None):
+        L, evals = real(self, left, columns)
+        calls.append((self, columns, L.shape[1]))
+        return L, evals
+
+    monkeypatch.setattr(stress.SideData, "hodge_system", recording)
+    st = balls_stress
+    resolvent_difference_decay(st, np.array([1.0, 5.0]))
+    for side in (st.sigma, st.reference):
+        dec, kd = side.dec, side.dec.kernel_dim
+        mine = [(cols, width) for s, cols, width in calls if s is side]
+        assert len(mine) == 4
+        for cols, width in mine:
+            assert width <= kd + np.sum(dec.characters[kd:] == dec.characters[cols[0]])
+        got = np.sort(np.concatenate([cols for cols, _ in mine]))
+        assert np.array_equal(got, np.arange(kd, len(dec.evals)))
 
 
 def test_nearest_distance_is_the_one_broadcast():
