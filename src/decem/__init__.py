@@ -8,9 +8,11 @@ forms        incidence and weighted mass matrices, codifferential, masks
 spectral     Hodge Laplacians, operator functions, the Q_eps projector
 topology     exact relative cohomology over the rationals
 hodge        harmonic bases, capacity mode, Helmholtz split
+timeprofiles compactly supported time profiles, impulses, oscillatory moments
 maxwell      spectral Cauchy evolution of the Maxwell system
 qft          Krein structure, propagator pairings, quasifree n-point values
 stress       renormalised stress-energy versus the reference state
+io           the sparse triplet writer of export-matrices
 cli          scenario runner
 """
 

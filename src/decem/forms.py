@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import Isometry, SimplicialComplex, faces_of
+from .mesh import Isometry, SimplicialComplex, faces_of, simplex_volumes
 
 
 @dataclass
@@ -49,10 +49,6 @@ class MaterialField:
         e, m = self.eps_of(tag), self.mu_of(tag)
         return e * e * m / (e * m) ** p
 
-    def bounds(self, tags) -> tuple[float, float]:
-        vals = [self.eps_of(t) * self.mu_of(t) for t in set(tags)]
-        return (min(vals), max(vals))
-
     def is_vacuum(self) -> bool:
         return all(v == 1.0 for v in self.eps.values()) and all(
             v == 1.0 for v in self.mu.values()
@@ -66,10 +62,10 @@ def _cell_geometry(cplx: SimplicialComplex):
     """Volumes, barycentric gradients and Gram matrices for every top cell."""
     coords = cplx.cell_vertex_coords()
     d = cplx.dim
-    e = np.transpose(coords[:, 1:, :] - coords[:, :1, :], (0, 2, 1))  # (nc, d, d) columns
-    vols = np.abs(np.linalg.det(e)) / factorial(d)
+    vols = simplex_volumes(coords)
     if np.any(vols <= 0):
         raise ValueError("degenerate cell in complex")
+    e = np.transpose(coords[:, 1:, :] - coords[:, :1, :], (0, 2, 1))  # (nc, d, d) columns
     einv = np.linalg.inv(e)  # rows j of einv = gradient of lambda_{j+1}
     grads = np.empty((len(coords), d + 1, d))
     grads[:, 1:, :] = einv

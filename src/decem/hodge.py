@@ -43,10 +43,6 @@ class HarmonicBasis:
     def L(self) -> int:
         return self.vectors.shape[1]
 
-    @property
-    def distinguished(self) -> bool:
-        return self.capacity is not None
-
 
 @dataclass
 class HelmholtzSplit:

@@ -262,14 +262,6 @@ class SimplicialComplex:
             return self.cell_coords
         return self.vertices[self.simplices[self.dim]]
 
-    def cell_volumes(self) -> np.ndarray:
-        coords = self.cell_vertex_coords()
-        e = coords[:, 1:, :] - coords[:, :1, :]
-        d = self.dim
-        if e.shape[2] != d:
-            raise MeshError("ambient dimension must equal complex dimension")
-        return np.abs(np.linalg.det(e)) / factorial(d)
-
     def euler_characteristic(self) -> int:
         return int(sum((-1) ** p * self.n(p) for p in range(self.dim + 1)))
 
@@ -450,11 +442,12 @@ def _numbers(where: str, line: tuple[int, str], kind, tokens: list[str]) -> list
     return vals
 
 
-def _zero_volume(coords: np.ndarray) -> np.ndarray:
-    """Which simplices, given by their (n, d + 1, d) vertex coordinates, have volume
-    <= 0 by the test of ``forms._cell_geometry``, which rejects them."""
+def simplex_volumes(coords: np.ndarray) -> np.ndarray:
+    """|det E| / d! of each simplex given by its (n, d + 1, d) vertex coordinates, E the
+    d x d matrix of edge columns v_i - v_0: the cell volumes of the Whitney assembly
+    (``forms._cell_geometry``), which the loaders check before a cell reaches it."""
     e = np.transpose(coords[:, 1:, :] - coords[:, :1, :], (0, 2, 1))
-    return np.abs(np.linalg.det(e)) / factorial(coords.shape[2]) <= 0
+    return np.abs(np.linalg.det(e)) / factorial(coords.shape[2])
 
 
 def _parse_decmesh(text: str) -> SimplicialComplex:
@@ -530,7 +523,7 @@ def _parse_decmesh(text: str) -> SimplicialComplex:
         if p not in simplices:
             raise MeshError(f"missing simplices of degree {p}")
     simplices[0] = np.unique(simplices[dim]).reshape(-1, 1)
-    flat = _zero_volume(vertices[simplices[dim]])
+    flat = simplex_volumes(vertices[simplices[dim]]) <= 0
     if flat.any():
         cell = simplices[dim][int(np.argmax(flat))]
         raise MeshError(f"simplices {dim}: cell {tuple(map(int, cell))} has zero volume; "
@@ -617,7 +610,7 @@ def _load_tetgen(prefix: str) -> SimplicialComplex:
     if bad.any():
         fail(path, ele[1 + int(np.argmax(bad))],
              f"names a point twice or outside {base}..{base + nv - 1}")
-    flat = _zero_volume(vertices[cells])
+    flat = simplex_volumes(vertices[cells]) <= 0
     if flat.any():
         i = int(np.argmax(flat))
         fail(path, ele[1 + i], f"is a cell of zero volume; its points are at "
@@ -777,33 +770,3 @@ def glue_vertices(cplx: SimplicialComplex, vmap: Mapping[int, int]) -> Simplicia
     return SimplicialComplex.from_top_cells(
         new_vertices, new_cells, cplx.regions, cell_coords=coords
     )
-
-
-def orientable(cplx: SimplicialComplex) -> bool:
-    """Check for a consistent orientation of the top cells (sign propagation)."""
-    d = cplx.dim
-    fids = cplx.face_ids(d - 1)
-    inc = (-1) ** (d - np.arange(d + 1))  # face j omits vertex d - j
-    # the cofaces of facet f sit at flat slots order[start[f]:start[f + 1]]
-    order = np.argsort(fids.ravel(), kind="stable")
-    start = np.searchsorted(fids.ravel()[order], np.arange(cplx.n(d - 1) + 1))
-    sign = np.zeros(len(fids), dtype=np.int64)
-    for root in range(len(fids)):
-        if sign[root]:
-            continue
-        sign[root] = 1
-        stack = [root]
-        while stack:
-            c = stack.pop()
-            for j, f in enumerate(fids[c]):
-                for slot in order[start[f] : start[f + 1]]:
-                    c2, j2 = divmod(int(slot), d + 1)
-                    if c2 == c:
-                        continue
-                    want = -sign[c] * inc[j] * inc[j2]
-                    if sign[c2] == 0:
-                        sign[c2] = want
-                        stack.append(c2)
-                    elif sign[c2] != want:
-                        return False
-    return True

@@ -74,17 +74,6 @@ class TestForm:
             [FormTerm(t.profile.shift(dt), t.part, t.cochain) for t in self.terms],
         )
 
-    @classmethod
-    def impulse2(cls, e_part: np.ndarray, b_part: np.ndarray) -> "TestForm":
-        """(E ^ dt + B) x delta(t): Cauchy-data semantics."""
-        return cls(
-            2,
-            [
-                FormTerm(Impulse(), "e", e_part),
-                FormTerm(Impulse(), "b", b_part),
-            ],
-        )
-
 
 @dataclass
 class CauchyData:

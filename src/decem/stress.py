@@ -36,7 +36,6 @@ the identity compares two independent paths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -85,28 +84,24 @@ class SideData:
         """``spectral.kernel_block`` on the pencil's kernel, made once per side."""
         return kernel_block(self.op, self.dec.vectors[:, : self.dec.kernel_dim])
 
-    def hodge_system(self, left: sp.spmatrix | None = None,
+    def hodge_system(self, left: sp.spmatrix,
                      columns: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Complete M1-orthonormal eigensystem [Z U, V_c], [nu, lambda_c] of Delta_1.
+        """The complete M1-orthonormal eigensystem [Z U, V_c], [nu, lambda_c] of Delta_1,
+        premultiplied: left [Z U, V_c] for ``left`` a sparse matrix of n1 columns.
 
         (nu, U) is ``spectral.kernel_block`` on the pencil's kernel Z (the closed
         forms); the blocks stay in this order.  ``columns`` (ascending indices of the
-        decomposition past its kernel) keeps only those columns of V_c.  With ``left``
-        (a matrix of n1 columns) the vectors come premultiplied, left [Z U, V_c], and
-        the full system is never formed.  U rotates the kernel columns of that product
-        in place; only ``left=None`` copies the side's vectors.
+        decomposition past its kernel) keeps only those columns of V_c.  U rotates the
+        kernel columns of the product in place; the side's vectors are left alone.
         """
         dec = self.dec
         kd = dec.kernel_dim
         nu, U = self._kernel_rotation
         cols = np.arange(len(dec.evals)) if columns is None else np.r_[np.arange(kd), columns]
-        if left is None:
-            L = np.asfortranarray(dec.vectors[:, cols])
-        else:
-            # in column blocks: a sparse product makes a C-ordered copy of its operand
-            L = np.empty((left.shape[0], len(cols)))
-            for j in range(0, len(cols), COLUMN_BLOCK):
-                L[:, j : j + COLUMN_BLOCK] = left @ dec.vectors[:, cols[j : j + COLUMN_BLOCK]]
+        # in column blocks: a sparse product makes a C-ordered copy of its operand
+        L = np.empty((left.shape[0], len(cols)))
+        for j in range(0, len(cols), COLUMN_BLOCK):
+            L[:, j : j + COLUMN_BLOCK] = left @ dec.vectors[:, cols[j : j + COLUMN_BLOCK]]
         L[:, :kd] = L[:, :kd] @ U
         return L, np.concatenate([nu, dec.evals[cols[kd:]]])
 
@@ -294,7 +289,6 @@ class StressReport:
     # 4 faces, from kernel_blocks; zero at masked DOFs
     X1: np.ndarray = field(repr=False)
     X2: np.ndarray = field(repr=False)
-    divergence: dict | None = None
 
     @property
     def total_energy(self) -> float:
@@ -305,27 +299,13 @@ class StressReport:
         scale = max(abs(target), abs(self.total_energy), 1e-300)
         return abs(self.total_energy - target) / scale
 
-    def to_json(self) -> str:
-        obj = {
-            "total_energy": self.total_energy,
-            "trace_d1": self.trace_d1,
-            "trace_d2": self.trace_d2,
-            "trace_identity_error": self.trace_identity_error(),
-            "n_cells": int(len(self.t00)),
-        }
-        if self.divergence is not None:
-            obj["divergence"] = {
-                k: v for k, v in self.divergence.items() if np.isscalar(v)
-            }
-        return json.dumps(obj, sort_keys=True, indent=1)
-
 
 def local_energy_density(st: ScenarioStress) -> StressReport:
     X1, X2 = kernel_blocks(st)
     ops = st.sigma.ops
     t1 = cell_traces(st, X1, 1)
     t2 = cell_traces(st, X2, 2)
-    vols = ops.complex.cell_volumes()
+    vols = ops.cell_geometry[0]
     return StressReport(
         t00=-0.25 * (t1 + t2) / vols,
         cell_volumes=vols,
@@ -467,7 +447,6 @@ def divergence_residual(st: ScenarioStress, H: np.ndarray | None = None,
         "vertices": usable,
         "values": est,
     }
-    report.divergence = out
     return out
 
 

@@ -1,8 +1,10 @@
 """Compactly supported time profiles and oscillatory quadrature.
 
-Profiles are stored as Chebyshev pieces on panels.  Polynomial profiles are
-represented exactly; smooth callables are interpolated to machine precision.
-Integrals against cos(lambda (t-s)) and sinc-type kernels are evaluated by
+A ``TimeProfile`` is stored as Chebyshev pieces on panels.  Its constructors
+are polynomial (the bumps of the qft test forms and of the Maxwell sources), so
+a profile is represented exactly, and so are its derivatives, shifts and
+scalings.  An ``Impulse`` is a Dirac profile, for test forms with Cauchy-data
+semantics.  Integrals against cos(lambda (t-s)) and sinc-type kernels are evaluated by
 panel-split Gauss-Legendre with the split chosen so no sub-panel sees more
 than ~6 radians of phase, which keeps the rule accurate to machine precision
 for every eigenvalue at once.
@@ -43,17 +45,6 @@ class TimeProfile:
         self.support = (self.panels[0][0], self.panels[-1][1])
 
     # -- constructors ------------------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, f, support: tuple[float, float], n_panels: int = 1, degree: int = 32):
-        a0, b0 = support
-        edges = np.linspace(a0, b0, n_panels + 1)
-        panels = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            g = lambda u: np.asarray(f(0.5 * (a + b) + 0.5 * (b - a) * u))
-            coeffs = C.chebinterpolate(g, degree)
-            panels.append((a, b, coeffs))
-        return cls(panels)
 
     @classmethod
     def polynomial(cls, power_coeffs, support: tuple[float, float]):

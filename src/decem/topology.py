@@ -10,9 +10,6 @@ spectral kernel counts can be checked against.
 from __future__ import annotations
 
 import heapq
-import json
-import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 import scipy.sparse as sp
@@ -128,60 +125,22 @@ def _fraction_rank(a: list[list[Fraction]]) -> int:
     return rank
 
 
-@dataclass
-class CohomologyReport:
-    """Per-degree relative cohomology dimensions with optional cross-checks."""
-
-    dims: dict[int, int]
-    harmonic_dims: dict[int, int] | None = None
-    expected: dict[int, int] | None = None
-
-    def match_flags(self) -> dict[int, bool]:
-        if self.harmonic_dims is None:
-            return {}
-        top = max(self.dims)
-        return {
-            p: self.dims[p] == self.harmonic_dims.get(p)
-            for p in sorted(self.harmonic_dims)
-            if 1 <= p <= top - 1
-        }
-
-    def to_json(self) -> str:
-        rows = []
-        for p in sorted(self.dims):
-            rows.append(
-                {
-                    "p": p,
-                    "dim_rel": self.dims[p],
-                    "dim_harmonic": None
-                    if self.harmonic_dims is None
-                    else self.harmonic_dims.get(p),
-                    "expected": None if self.expected is None else self.expected.get(p),
-                    "match": self.match_flags().get(p),
-                }
-            )
-        return json.dumps(rows, sort_keys=True, indent=1)
-
-
-def relative_cohomology_dims(ops: DecOperators) -> CohomologyReport:
-    """Exact dims of H^p of the relative (fully masked) cochain complex."""
+def relative_cohomology_dims(ops: DecOperators) -> dict[int, int]:
+    """Exact dims {p: dim H^p} of the relative (fully masked) cochain complex."""
     d = ops.complex.dim
     ranks = {p: integer_rank(ops.d(p)) for p in range(d)}  # rank d_p; d_d = 0
-    dims = {p: ops.n(p) - ranks.get(p, 0) - ranks.get(p - 1, 0) for p in range(d + 1)}
-    return CohomologyReport(dims=dims)
+    return {p: ops.n(p) - ranks.get(p, 0) - ranks.get(p - 1, 0) for p in range(d + 1)}
 
 
 def expected_dims(geometry_id: str) -> dict[int, int]:
-    """The expected dims of H^1 and H^2 of a canned geometry (``balls(N)`` means ``balls:N``)."""
-    geo = CANNED.get(re.sub(r"^balls\((\d+)\)$", r"balls:\1", geometry_id))
+    """The expected dims of H^1 and H^2 of a canned geometry."""
+    geo = CANNED.get(geometry_id)
     if geo is None:
         raise KeyError(f"no expected dimension table for {geometry_id!r}")
     return {1: geo.expected_h1, 2: geo.expected_h2}
 
 
-def check_harmonic_match(
-    report: CohomologyReport, kernel_dims: dict[int, int]
-) -> dict[int, bool]:
-    """Equality flags dim H^p == dim ker Delta_p for 1 <= p <= d-1."""
-    report.harmonic_dims = dict(kernel_dims)
-    return report.match_flags()
+def check_harmonic_match(dims: dict[int, int], kernel_dims: dict[int, int]) -> dict[int, bool]:
+    """Equality flags dim H^p == dim ker Delta_p for the degrees 1 <= p <= d-1 of
+    ``kernel_dims``, with ``dims`` from :func:`relative_cohomology_dims`."""
+    return {p: dims[p] == kernel_dims[p] for p in sorted(kernel_dims) if 1 <= p < max(dims)}

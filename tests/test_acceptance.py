@@ -44,12 +44,12 @@ def test_criterion_1_cohomology_ground_truth(canned_ops):
     details = []
     for name in GEOMETRIES:
         t0 = time.time()
-        rep = relative_cohomology_dims(canned_ops[name])
+        dims = relative_cohomology_dims(canned_ops[name])
         elapsed = time.time() - t0
         want = expected_dims(name)
-        good = all(rep.dims[p] == v for p, v in want.items()) and elapsed <= 300
+        good = all(dims[p] == v for p, v in want.items()) and elapsed <= 300
         ok &= good
-        details.append(f"{name}:H1={rep.dims[1]},H2={rep.dims[2]} ({elapsed:.1f}s)")
+        details.append(f"{name}:H1={dims[1]},H2={dims[2]} ({elapsed:.1f}s)")
     _report("1 (cohomology ground truth)", ok, "; ".join(details))
 
 
@@ -58,10 +58,10 @@ def test_criterion_2_discrete_hodge_theorem(canned_ops):
     details = []
     for name in GEOMETRIES:
         ops = canned_ops[name]
-        rep = relative_cohomology_dims(ops)
+        dims = relative_cohomology_dims(ops)
         for p in (1, 2):
             dec = eig(assemble_laplacian(ops, p), count=min(10, ops.n(p) - 2))
-            good = dec.kernel_dim == rep.dims[p] and dec.gap_ratio >= 1e3
+            good = dec.kernel_dim == dims[p] and dec.gap_ratio >= 1e3
             ok &= good
             details.append(f"{name} p={p}: ker={dec.kernel_dim} gap={dec.gap_ratio:.0e}")
     _report("2 (discrete Hodge theorem)", ok, "; ".join(details[:6]) + " ...")

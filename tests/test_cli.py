@@ -74,10 +74,15 @@ def test_missing_geometry_config_error(runner):
 
 
 def test_validate_config_rejects_bad_tolerance():
-    with pytest.raises(ConfigError, match="tolerance"):
+    with pytest.raises(ConfigError, match="helmholtz_tol: tolerance must be positive"):
         validate_config(
-            {"geometry": "balls:1", "pipeline": "hodge", "params": {"some_tol": -1.0}}
+            {"geometry": "balls:1", "pipeline": "hodge", "params": {"helmholtz_tol": -1.0}}
         )
+    for val in (-1.0, 1e-3):  # a tolerance no pipeline reads
+        with pytest.raises(ConfigError, match="/params/some_tol: unknown key"):
+            validate_config(
+                {"geometry": "balls:1", "pipeline": "hodge", "params": {"some_tol": val}}
+            )
 
 
 def test_validate_config_rejects_bad_version():
@@ -865,3 +870,33 @@ def test_q_eps_default_radius_below_given_plateau_exits_2(runner, monkeypatch):
     validate_config(dict(cfg))
     with pytest.raises(ConfigError, match="/params/q_eps/r_zero: must exceed r_plateau = 1000.0"):
         run_config(cfg)
+
+
+def _summary_bytes(pipeline: str, threads: int, outdir) -> bytes:
+    """summary.json of ``decem run <pipeline> --geometry cube_obstacle`` (res 1, seed 0)
+    from a child process with ``threads`` OpenBLAS threads."""
+    import subprocess
+    import sys
+
+    import decem
+
+    src = os.path.dirname(os.path.dirname(decem.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "DECEM_OUTPUT_DIR": str(outdir),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "decem.cli", "run", pipeline, "--geometry", "cube_obstacle"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode in (0, 1), proc.stderr  # 1: cube_obstacle's stress decay_slope
+    return (outdir / "summary.json").read_bytes()
+
+
+def test_summary_bytes_per_blas_thread_count(tmp_path):
+    """The byte-stability contract of the module docstring, one child process per run:
+    topology, hodge, maxwell and qft give the same bytes at 1 and 2 BLAS threads;
+    stress repeats its own bytes at 2 threads."""
+    for pipeline in ("topology", "hodge", "maxwell", "qft"):
+        one = _summary_bytes(pipeline, 1, tmp_path / f"{pipeline}-1")
+        assert _summary_bytes(pipeline, 2, tmp_path / f"{pipeline}-2") == one, pipeline
+    first = _summary_bytes("stress", 2, tmp_path / "stress-a")
+    assert _summary_bytes("stress", 2, tmp_path / "stress-b") == first

@@ -205,12 +205,6 @@ def test_material_positivity_validation():
         MaterialField(eps={"x": -1.0})
 
 
-def test_material_bounds():
-    mat = MaterialField(eps={"a": 2.0}, mu={"a": 3.0})
-    lo, hi = mat.bounds(["a", ""])
-    assert lo == 1.0 and hi == 6.0
-
-
 def _bitwise_equal(a, b) -> bool:
     a, b = a.tocsr(), b.tocsr()
     return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("indptr", "indices", "data"))

@@ -78,7 +78,7 @@ def test_harmonic_basis_no_obstacle_empty(qft_bundle):
 def test_harmonic_basis_one_ball(qft_bundle):
     b = qft_bundle
     hb = harmonic_basis(b.dec1, b.ops)
-    assert hb.L == 1 and hb.distinguished
+    assert hb.L == 1 and hb.capacity is not None
     cap, u, _psi = capacity_and_psiL(b.ops)
     assert abs(hb.capacity - cap) <= 1e-10 * cap
     assert np.array_equal(hb.potential, u)

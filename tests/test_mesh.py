@@ -11,7 +11,6 @@ from decem.mesh import (
     carve_obstacle,
     glue_vertices,
     load_complex,
-    orientable,
 )
 
 TET = SimplicialComplex.from_top_cells(
@@ -313,8 +312,6 @@ def test_wormhole_glue_structure():
     # gluing removed both sphere components: only obstacle + outer remain
     comps = boundary_components(sc.carved)
     assert sorted(m for m, _ in comps) == ["obstacle", "outer"]
-    assert orientable(sc.reference)
-    assert orientable(sc.carved)
 
 
 def test_wormhole_res2_notched_glue_rejected():
@@ -397,34 +394,13 @@ def _tuple_dict_oracle(cplx):
                     stack += [j for j in by_ridge[r] if j not in seen]
                     seen.update(by_ridge[r])
             comps.append(sorted(comp))
-    # orientability: propagate cell signs across shared facets
-    cofaces: dict = {}
-    for c, s in enumerate(cplx.simplices[d]):
-        for k, f in enumerate(faces(s)):
-            cofaces.setdefault(f, []).append((c, (-1) ** k))
-    sign, ok = {}, True
-    for root in range(cplx.n(d)):
-        if root in sign:
-            continue
-        sign[root], stack = 1, [root]
-        while stack:
-            c = stack.pop()
-            for k, f in enumerate(faces(cplx.simplices[d][c])):
-                for c2, s2 in cofaces[f]:
-                    want = -sign[c] * (-1) ** k * s2
-                    if c2 == c:
-                        continue
-                    if c2 not in sign:
-                        sign[c2] = want
-                        stack.append(c2)
-                    ok &= sign[c2] == want
-    return index, d_p, bf, bsub, face_ids, sorted(comps), ok
+    return index, d_p, bf, bsub, face_ids, sorted(comps)
 
 
 def _check_against_oracle(cplx):
     from decem.forms import build_d
 
-    index, d_p, bf, bsub, face_ids, comps, ok = _tuple_dict_oracle(cplx)
+    index, d_p, bf, bsub, face_ids, comps = _tuple_dict_oracle(cplx)
     d = cplx.dim
     for p in range(d + 1):
         rows = list(index[p])
@@ -437,7 +413,6 @@ def _check_against_oracle(cplx):
         assert np.array_equal(cplx.boundary_subsimplices(p), bsub[p])
     assert np.array_equal(cplx.boundary_facets(), bf)
     assert sorted(c.tolist() for _, c in boundary_components(cplx)) == comps
-    assert orientable(cplx) == ok
     return index
 
 
@@ -453,12 +428,11 @@ def test_array_lookups_match_tuple_dicts(name):
         assert np.array_equal(sc.injections[p], want)
 
 
-def test_moebius_band_is_not_orientable():
+def test_moebius_band_lookups_and_boundary():
     # the five-vertex Moebius band: triangles {i, i+1, i+2} mod 5, one boundary circle
     cells = np.array([[i, (i + 1) % 5, (i + 2) % 5] for i in range(5)])
     band = SimplicialComplex.from_top_cells(np.zeros((5, 2)), cells)
     _check_against_oracle(band)
-    assert not orientable(band)
     assert len(boundary_components(band)) == 1
 
 

@@ -316,7 +316,7 @@ def test_omega2F_impulse_restriction_formula(qft_bundle):
     rng = np.random.default_rng(56)
     E = rng.standard_normal(b.ops.n(1))
     B = rng.standard_normal(b.ops.n(2))
-    f = TestForm.impulse2(E, B)
+    f = TestForm(2, [FormTerm(Impulse(), "e", E), FormTerm(Impulse(), "b", B)])
     got = b.fc.omega2_F(f, f)
     inv = [_power(-1.0)]  # Delta^(-1/2) off the kernel
     dE = b.ops.d(1) @ E

@@ -101,13 +101,6 @@ def test_window_clipping():
     assert abs(full[0] - half[0]) > 1e-6  # the clip matters
 
 
-def test_from_callable_interpolates():
-    f = lambda t: np.exp(-((np.asarray(t) - 0.5) ** 2) * 8)
-    p = TimeProfile.from_callable(f, (0.0, 1.0), n_panels=2, degree=40)
-    ts = np.linspace(0.01, 0.99, 23)
-    assert np.allclose(p(ts), f(ts), atol=1e-12)
-
-
 def test_impulse_algebra():
     i = Impulse(0.5, 0)
     assert i.derivative().order == 1
