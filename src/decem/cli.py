@@ -252,10 +252,9 @@ def pipeline_hodge(cfg, scenario, material):
     params = cfg["params"]
     ops = DecOperators(scenario.carved, material)
     op = assemble_laplacian(ops, 1)
-    # _low_modes's eig, and the shifted factor it makes, which Delta^+ reuses
-    low, factor = eig(op, count=min(10, op.n - 2), return_factor=True)
-    hb = harmonic_basis(low, ops)
-    solver = HelmholtzSolver(op, hb, factor)
+    # the eigensolve gives the harmonic basis alone; the split is two sparse SPD solves
+    hb = harmonic_basis(_low_modes(op), ops)
+    solver = HelmholtzSolver(op, hb)
     rows, out = [], {}
     if scenario.has_obstacle and scenario.carved.dim == 3:
         cap = hb.capacity
@@ -299,13 +298,14 @@ def pipeline_maxwell(cfg, scenario, material):
     ops = DecOperators(scenario.carved, material)
     op = assemble_laplacian(ops, 1)
     low = _low_modes(op)
+    kernel = low.kernel_basis()  # first: it rejects a kernel with no eigenvalue above
     rng = np.random.default_rng(cfg["seed"])
     E0 = ops.apply_codifferential(2, rng.standard_normal(ops.n(2)))
     B0 = ops.d(1) @ rng.standard_normal(ops.n(1))
     lam_min = float(np.sqrt(low.evals[low.kernel_dim]))
     t_end = params.get("t_end", 10.0 / lam_min)
     times = np.linspace(0.0, t_end, params["n_times"])
-    calc = LanczosCalculus(op, low.kernel_basis())
+    calc = LanczosCalculus(op, kernel)
     states = evolve(calc, ops, MaxwellState(0.0, E0, B0), None, times)
     e0 = classical_energy(ops, MaxwellState(0.0, E0, B0))
     drift = max(abs(classical_energy(ops, s) - e0) / e0 for s in states)

@@ -7,10 +7,11 @@ complex, so du/sqrt(<du,du>) is the distinguished harmonic one-form.
 :func:`harmonic_basis` is the one builder of the harmonic basis, with that mode
 last; run hodge and run qft (through ``spectral.build_Q_eps``) both take it.
 
-The Hodge-Kodaira split needs no complete eigensystem: the harmonic basis
-comes from a partial eigensolve of Delta_p, and Delta^+ is
-:func:`decem.spectral.pseudo_inverse`, shifted sparse solves on the factor that
-eigensolve made.
+The Hodge-Kodaira split of a 1-cochain needs no eigensystem beyond that basis, and
+no Delta^+: :class:`HelmholtzSolver` takes the exact part from one scalar solve on
+the spanning forest's columns of d_0, and the coexact part from one tree-cotree
+gauged curl-curl solve (Gross & Kotiuga, *Electromagnetic Theory and Computation*,
+2004).
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .forms import DecOperators
+from .forms import DecOperators, _symmetric_factor
 from .mesh import OBSTACLE, boundary_components
-from .spectral import LaplaceOperator, SpectralDecomposition, pseudo_inverse
+from .spectral import LaplaceOperator, SpectralDecomposition, _spanning_forest
 
 # least gap ratio lambda_{k+1} / lambda_k between a kernel and the rest of the spectrum
 GAP_FLOOR = 1e3
@@ -228,34 +230,42 @@ def threshold_integral(dec: SpectralDecomposition, phi: np.ndarray, delta: float
 
 
 class HelmholtzSolver:
-    """Three-way Hodge-Kodaira split from a harmonic basis and a shifted factor.
+    """Three-way Hodge-Kodaira split of 1-cochains from a harmonic basis and two sparse
+    SPD solves, each factored once here.
 
-    h = H H^T M phi for the M-orthonormal basis H of ``hb``, whose span is the kernel
-    of ``op``; phi1 = Delta^+ (phi - h) is :func:`~decem.spectral.pseudo_inverse` on
-    ``shift_inverse`` (run hodge passes the factor its partial eig made); the exact
-    and coexact parts are d delta~ phi1 and delta~ d phi1.  Their sum is Delta phi1
-    through the codifferentials, not the operator's S, so the recomposition checks
-    Delta Delta^+ = 1 - P_H.
+    With ``tree, cols = _spanning_forest(d_0)`` and G = d_0[:, cols] (range G =
+    range d_0): the harmonic part is h = H H^T M phi for the M-orthonormal basis H of
+    ``hb``; the exact part is G u, (G^T M G) u = G^T M phi, SPD since G has full
+    column rank; and with c = phi - h - G u the coexact part is M^-1 up[:, C] y,
+    up[C, C] y = (M c)_C.  C is the cotree less L gauge edges.  up on the cotree is
+    singular on the L closed forms that vanish on the tree, z = h - G U with
+    (G U)_tree = h_tree; the gauge edges are those a pivoted QR of Z_cotree^T picks,
+    so up[:, C] is injective and up[C, C] SPD.  M c lies in range up = range up[:, C]
+    only if c is M-orthogonal to every closed form, so the recomposition reads 0 only
+    if H spans the whole kernel.
     """
 
-    def __init__(self, op: LaplaceOperator, hb: HarmonicBasis, shift_inverse):
-        self.op, self.ops, self.hb, self.shift_inverse = op, op.ops, hb, shift_inverse
+    def __init__(self, op: LaplaceOperator, hb: HarmonicBasis):
+        self.op, self.hb = op, hb
+        H, d0 = hb.vectors, op.ops.d(0)
+        tree, cols = _spanning_forest(d0)
+        self.G = d0[:, cols].tocsc()
+        self._solve_exact = _symmetric_factor(self.G.T @ op.M @ self.G).solve
+        cotree = np.setdiff1d(np.arange(op.n), tree)
+        U = spla.spsolve(self.G[tree], H[tree]).reshape(len(tree), -1)
+        Z = H[cotree] - self.G[cotree] @ U
+        gauge = sla.qr(Z.T, mode="r", pivoting=True)[1][: hb.L]
+        self.C = np.delete(cotree, gauge)
+        self.up_C = op.up[:, self.C]
+        self._solve_coexact = _symmetric_factor(self.up_C[self.C]).solve
 
     def split(self, phi: np.ndarray) -> HelmholtzSplit:
-        ops, p, H = self.ops, self.hb.p, self.hb.vectors
-        M = ops.mass(p)
-        harmonic = H @ (H.T @ (M @ phi))
-        rest = phi - harmonic
-        # once more: one pass leaves a kernel part of rounding size in |harmonic|, which
-        # is not small against |rest| when phi is (nearly) harmonic
-        phi1 = pseudo_inverse(self.op, self.shift_inverse, H, rest - H @ (H.T @ (M @ rest)))
-        d = ops.complex.dim
-        exact = (
-            ops.d(p - 1) @ ops.apply_codifferential(p, phi1) if p > 0 else np.zeros_like(phi)
-        )
-        coexact = (
-            ops.apply_codifferential(p + 1, ops.d(p) @ phi1) if p < d else np.zeros_like(phi)
-        )
+        M, H, G = self.op.M, self.hb.vectors, self.G
+        Mphi = M @ phi
+        harmonic = H @ (H.T @ Mphi)
+        exact = G @ self._solve_exact(G.T @ Mphi)
+        y = self._solve_coexact((Mphi - M @ (harmonic + exact))[self.C])
+        coexact = self.op.ops.mass_factor(1).solve(self.up_C @ y)
         return HelmholtzSplit(
             phi=np.array(phi, copy=True),
             harmonic=harmonic,

@@ -8,25 +8,23 @@ the blocks of the mesh's symmetry group, and a tree-cotree gauge takes the exact
 forms out of each block's ``eigh`` first.  ``eig(op, k)`` is ARPACK
 shift-invert for the k lowest pairs, the kernel and lambda_min among them.  A
 partial decomposition never evaluates operator functions itself: its kernel basis
-goes to :class:`LanczosCalculus`, and on request its shifted factor to
-:func:`pseudo_inverse`.  ``SpectralDecomposition.lam`` is the one source of
-frequencies of a complete system: exactly 0 on the kernel.  Without a spectrum,
-f(Delta) x comes from :class:`LanczosCalculus` on Delta_p and its kernel basis: the
-kernel part of x takes f(0), and one Krylov basis of the rest serves every f that is
-finite at 0, with an a-posteriori stopping rule; the bases of a block of start
-vectors step in lockstep, sharing each sparse product and each mass solve.  Its
-engine :class:`Lanczos` (steps and stopping rule) also takes the stress decay
-table's norm of D D^T.  The dense and the Lanczos calculus have the call shape
-``functions(x, fs)`` (or ``functions(X, fss)`` on an n x k block, one function list
-per column) and the mass matrix ``M``.  Delta^+ is
-:func:`pseudo_inverse`, refinement on one shifted factor, for the Helmholtz split of
-``decem.hodge``; the dense ``SpectralDecomposition.pseudo_inverse`` is a test oracle.
-Delta^(-1/2) is :func:`inverse_sqrt_quadrature`.  Every sparse shift-invert,
-refinement and quadrature node factors the quasi-definite
-[[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`), never S - sigma M; each
-mass matrix is factored once, by ``DecOperators.mass_factor``.  Q_eps
-(:func:`build_Q_eps`) takes the distinguished harmonic basis that
-``hodge.harmonic_basis`` builds.
+goes to :class:`LanczosCalculus` and to ``hodge.harmonic_basis``.
+``SpectralDecomposition.lam`` is the one source of frequencies of a complete system:
+exactly 0 on the kernel.  Without a spectrum, f(Delta) x comes from
+:class:`LanczosCalculus` on Delta_p and its kernel basis: the kernel part of x takes
+f(0), and one Krylov basis of the rest serves every f that is finite at 0, with an
+a-posteriori stopping rule; the bases of a block of start vectors step in lockstep,
+sharing each sparse product and each mass solve.  Its engine :class:`Lanczos` (steps
+and stopping rule) also takes the stress decay table's norm of D D^T.  The dense and
+the Lanczos calculus have the call shape ``functions(x, fs)`` (or ``functions(X,
+fss)`` on an n x k block, one function list per column) and the mass matrix ``M``.
+The dense ``SpectralDecomposition.pseudo_inverse`` (Delta^+) is a test oracle of the
+Helmholtz split, which ``decem.hodge`` makes without it.  Delta^(-1/2) is
+:func:`inverse_sqrt_quadrature`.  Every sparse shift-invert and quadrature node
+factors the quasi-definite [[up - sigma M, K^T], [K, -W]] (:func:`_shift_inverse`),
+never S - sigma M; each mass matrix is factored once, by
+``DecOperators.mass_factor``.  Q_eps (:func:`build_Q_eps`) takes the distinguished
+harmonic basis that ``hodge.harmonic_basis`` builds.
 """
 
 from __future__ import annotations
@@ -181,7 +179,7 @@ class SpectralDecomposition:
         return x - K @ (K.T @ (self.M @ x))
 
 
-def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
+def eig(op: LaplaceOperator, count="all"):
     """Eigendecomposition of the generalized problem; ``count`` is 'all' or k lowest.
 
     'all': dense ``eigh`` of the pencil (up, M), :func:`kernel_block`, stable sort.
@@ -193,10 +191,8 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
     kernel count, :func:`kernel_block`, the negative-eigenvalue check and the
     residual checks then run on the merged, lifted system as for every degree.  The
     block of each column is ``characters`` (-1 on a kernel that kernel_block rotates).
-    With ``return_factor`` the result is (decomposition, factor): the shifted factor
-    (S - sigma M)^-1, sigma = -1e-6 ``max_eval``, that a partial eig made, which
-    :func:`pseudo_inverse` takes (run hodge's Helmholtz split is the one caller);
-    None after a dense eig.
+    A partial eig is ARPACK shift-invert on (S - sigma M)^-1, sigma = -1e-6 times
+    :func:`_norm_estimate`, which :func:`_shift_inverse` factors.
     """
     n, chars = op.n, None
     if count == "all":
@@ -218,16 +214,15 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
                 chars[:kd] = -1
                 chars = chars[order]
         max_eval = float(evals[-1]) if n else 0.0
-        shift_inv = None
     else:
         k = int(count)
         if k >= n - 1:
-            return eig(op, "all", return_factor)
+            return eig(op, "all")
         max_eval = _norm_estimate(op)
         sigma = -1e-6 * max_eval
-        shift_inv = _shift_inverse(op, sigma)
         evals, vecs = spla.eigsh(
-            op.S, k=k, M=op.M, sigma=sigma, which="LM", OPinv=shift_inv, v0=_start_vector(op.n),
+            op.S, k=k, M=op.M, sigma=sigma, which="LM", OPinv=_shift_inverse(op, sigma),
+            v0=_start_vector(op.n),
         )
         order = np.argsort(evals)
         evals, vecs = evals[order], vecs[:, order]
@@ -248,8 +243,6 @@ def eig(op: LaplaceOperator, count="all", return_factor: bool = False):
         characters=chars,
     )
     _check_residuals(op, dec)
-    if return_factor:
-        return dec, shift_inv
     return dec
 
 
@@ -433,52 +426,6 @@ def _check_kernel_free(op: LaplaceOperator, X: np.ndarray, kernel_basis: np.ndar
         raise ValueError(
             f"input has a kernel component; project it out first: relative {rel:.2e} > 1.00e-08"
         )
-
-
-# Delta^+ stops when |M b - S x| <= PINV_RTOL |M b| in every column.  The residual is M
-# times the error of Delta Delta^+ b = b, which the Helmholtz split's recomposition
-# check measures: 1e-13 is three decades under its 1e-10 gate and two above the
-# rounding floor the refinement settles at (about 1e-15 on balls:1, hopf_link and
-# cube_obstacle at res 1 and 2).
-PINV_RTOL = 1e-13
-# Each step contracts the error on eigenvalue lambda by tau / (lambda + tau), tau the
-# shift; 30 steps reach PINV_RTOL for contractions up to 0.36, i.e. lambda_1 >= 1.8 tau
-# (3-4 steps sufficed on the eight canned geometries at res 1).  A smaller lambda_1
-# lies within 1.8e-6 max_eval of the kernel: report it, do not iterate on.
-PINV_MAX_ITER = 30
-
-
-def pseudo_inverse(op: LaplaceOperator, shift_inverse: spla.LinearOperator,
-                   kernel_basis: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Delta^+ b on a kernel-free vector or block, without a spectrum.
-
-    Iterative refinement x <- x + (S - sigma M)^-1 (M b - S x) on one factor
-    ``shift_inverse`` = ``_shift_inverse(op, sigma)``: run hodge passes the one its
-    partial ``eig`` made, at sigma = -1e-6 ``max_eval``.  b is checked against
-    ``kernel_basis`` like :func:`inverse_sqrt_quadrature`, and the result is
-    M-projected off it (each solve scales the rounding-size kernel part of b by
-    1/|sigma|: about 1e-11 relative on balls:1 and hopf_link without the projection).
-    """
-    K = kernel_basis
-    B = np.atleast_2d(np.asarray(b, dtype=float).T).T
-    _check_kernel_free(op, B, K)
-    MB = np.asarray(op.M @ B)
-    scale = np.maximum(np.linalg.norm(MB, axis=0), 1e-300)
-    X = np.zeros_like(B)
-    R = MB
-    for it in range(1, PINV_MAX_ITER + 1):
-        X += shift_inverse @ R
-        R = MB - op.S @ X
-        res = (np.linalg.norm(R, axis=0) / scale).max()
-        if res <= PINV_RTOL:
-            break
-    else:
-        raise AssertionError(
-            f"Delta^+ refinement did not converge: residual {res:.2e} > {PINV_RTOL:.2e} "
-            f"after {it} iterations"
-        )
-    X -= K @ (K.T @ (op.M @ X))
-    return X[:, 0] if np.asarray(b).ndim == 1 else X
 
 
 # Lanczos stops when, between two checks LANCZOS_CHECK steps apart, a basis's measure
@@ -670,8 +617,7 @@ class LanczosCalculus(Lanczos):
     the k = 1 case.  Each distinct start cochain keeps its basis for the calculus's
     lifetime, and later calls extend it only as far as their functions need.  It is
     built from Delta_p and its kernel basis alone.  ``functions`` and the mass matrix
-    ``M`` are the call shape :class:`SpectralDecomposition` also implements; Delta^+
-    is :func:`pseudo_inverse`, apart from any calculus.
+    ``M`` are the call shape :class:`SpectralDecomposition` also implements.
     """
 
     def __init__(self, op: LaplaceOperator, kernel_basis: np.ndarray):

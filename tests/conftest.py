@@ -49,7 +49,7 @@ def qft_bundle() -> QftBundle:
 @pytest.fixture(scope="session")
 def stress_bundle():
     """(st, X1, X2, rep): X1 and X2 are the dense reference kernels, and rep is
-    built by the engine from its own pattern kernels."""
+    built by the engine from its own ``kernel_blocks``."""
     from decem.geometries import stress_box_scenario
     from decem.stress import ScenarioStress, local_energy_density
     from stress_reference import dense_difference_kernel

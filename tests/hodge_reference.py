@@ -1,10 +1,11 @@
 """The dense spectral Helmholtz split, kept as a test oracle for ``decem.hodge``.
 
-``dense_split`` is the engine's earlier ``HelmholtzSolver.split``: the
-harmonic part from the kernel of a complete exact decomposition, and
-Delta^+ by spectral synthesis, ``dec.pseudo_inverse``.  The
-engine builds no complete decomposition for the split; it takes the kernel
-from a partial eigensolve and applies Delta^+ by sparse shifted solves.
+``dense_split`` is the split by its definition: the harmonic part from the kernel
+of a complete exact decomposition, and phi1 = Delta^+ phi by spectral synthesis,
+``dec.pseudo_inverse``, so that the exact and coexact parts are d delta~ phi1 and
+delta~ d phi1.  The engine builds no complete decomposition and applies no Delta^+:
+it takes the kernel from a partial eigensolve, the exact part from a scalar solve and
+the coexact part from a gauged cotree solve.
 """
 
 from __future__ import annotations

@@ -83,7 +83,6 @@ def test_criterion_3_capacity():
 
 def test_criterion_4_structural_exactness(qft_bundle):
     from decem.hodge import HelmholtzSolver
-    from decem.spectral import _shift_inverse
 
     b = qft_bundle
     d2 = abs((b.ops.d(1) @ b.ops.d(0))).max()
@@ -93,7 +92,7 @@ def test_criterion_4_structural_exactness(qft_bundle):
         lhs = b.ops.mass(p - 1).toarray() @ b.ops.apply_codifferential(p, np.eye(b.ops.n(p)))
         rhs = (b.ops.d(p - 1).T @ b.ops.mass(p)).toarray()
         adj = max(adj, np.abs(lhs - rhs).max() / np.abs(rhs).max())
-    solver = HelmholtzSolver(b.L1, b.hb, _shift_inverse(b.L1, -1e-6 * b.dec1.max_eval))
+    solver = HelmholtzSolver(b.L1, b.hb)
     rng = np.random.default_rng(0)
     M = b.ops.mass(1)
     worst = 0.0

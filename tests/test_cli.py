@@ -194,10 +194,10 @@ def _forbid_eig(monkeypatch, forbidden):
 
     real = spectral.eig
 
-    def checked(op, count="all", **kwargs):
+    def checked(op, count="all"):
         if forbidden(op, count):
             raise AssertionError(f"eigensolve of degree {op.p}, n = {op.n}, count {count!r}")
-        return real(op, count, **kwargs)
+        return real(op, count)
 
     monkeypatch.setattr(cli, "eig", checked)
     monkeypatch.setattr(spectral, "eig", checked)  # eig(op, k) with k >= n - 1 recurses
@@ -210,7 +210,7 @@ def _forbid_complete_eig(monkeypatch):
 
 @pytest.mark.parametrize("res_", [1, 2])
 def test_run_hodge_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, res_):
-    """The split needs the kernel and Delta^+ on a few vectors, not a complete eigensystem
+    """The split needs the kernel and two sparse solves, not a complete eigensystem
     (res 2 has n_1 = 2934)."""
     _forbid_complete_eig(monkeypatch)
     res = runner.invoke(
@@ -254,14 +254,15 @@ def test_run_qft_runs_no_dense_eigensolve(runner, tmp_path, monkeypatch, geometr
 
 
 @pytest.mark.parametrize(
-    "pipeline, factors", [("hodge", 3), ("maxwell", 3), ("qft", 3), ("topology", 5)]
+    "pipeline, factors", [("hodge", 5), ("maxwell", 3), ("qft", 3), ("topology", 5)]
 )
 def test_run_factors_each_matrix_once(runner, tmp_path, monkeypatch, pipeline, factors):
     """Every sparse LU (``splu``), keyed by the matrix it factors, is made once: each
     mass matrix M_p that a Laplacian or a codifferential needs, and the shifted
-    quasi-definite matrix of each partial eig, which hodge's Delta^+ reuses.  hodge,
-    maxwell and qft factor M_0, M_1 and the shifted Delta_1 (qft eigensolves no
-    Delta_0); topology M_0, M_1, M_2 and the shifted Delta_1 and Delta_2."""
+    quasi-definite matrix of each partial eig.  hodge, maxwell and qft factor M_0, M_1
+    and the shifted Delta_1 (qft eigensolves no Delta_0), and hodge's split adds its
+    scalar G^T M_1 G and its gauged cotree up_CC (148^2 and 1393^2 on balls:1);
+    topology M_0, M_1, M_2 and the shifted Delta_1 and Delta_2."""
     import collections
 
     import scipy.sparse as sp
@@ -358,23 +359,49 @@ def test_run_maxwell_steps_in_lockstep(monkeypatch):
     assert 0 < solves["stepping"] <= max(kry.m for kry in states), (solves, [k.m for k in states])
 
 
-def test_run_maxwell_applies_no_pseudo_inverse(monkeypatch):
-    """B comes from Faraday's law, so run maxwell applies Delta^+ neither by refinement
-    (``spectral.pseudo_inverse``, wherever it is bound) nor by spectral synthesis."""
-    import importlib
-
+@pytest.mark.parametrize("pipeline", ["maxwell", "hodge"])
+def test_run_applies_no_pseudo_inverse(monkeypatch, pipeline):
+    """Neither run maxwell (B comes from Faraday's law) nor run hodge (the split is a
+    scalar and a gauged cotree solve) applies Delta^+ by spectral synthesis."""
     import decem.spectral as spectral
 
     def forbidden(*args):
         raise AssertionError("pseudo_inverse called")
 
-    for name in ("cli", "spectral", "hodge", "maxwell", "qft", "stress", "topology"):
-        mod = importlib.import_module(f"decem.{name}")
-        if hasattr(mod, "pseudo_inverse"):
-            monkeypatch.setattr(mod, "pseudo_inverse", forbidden)
     monkeypatch.setattr(spectral.SpectralDecomposition, "pseudo_inverse", forbidden)
-    code, _summary = run_config({"geometry": "balls:1", "pipeline": "maxwell"})
+    code, _summary = run_config({"geometry": "balls:1", "pipeline": pipeline})
     assert code == 0
+
+
+def test_run_maxwell_rejects_a_truncated_kernel(monkeypatch):
+    """A partial eig of 2 pairs on balls:3 (dim H^1 = 3) has every eigenvalue in the
+    kernel: run maxwell says the kernel may be truncated before it reads lambda_min."""
+    import decem.cli as cli
+
+    monkeypatch.setattr(cli, "_low_modes", lambda op: cli.eig(op, count=2))
+    with pytest.raises(ValueError, match="the kernel may be truncated"):
+        run_config({"geometry": "balls:3", "pipeline": "maxwell"})
+
+
+@pytest.mark.parametrize("geometry", ["balls:2", "hopf_link"])
+def test_run_hodge_recomposition_catches_an_incomplete_basis(monkeypatch, geometry):
+    """With the first harmonic vector dropped, M c has a closed-form part that no
+    up y reaches, so the recomposition row fails."""
+    import decem.hodge as hodge
+
+    real = hodge.harmonic_basis
+
+    def dropped(dec, ops):
+        hb = real(dec, ops)
+        hb.vectors = hb.vectors[:, 1:]
+        return hb
+
+    monkeypatch.setattr(hodge, "harmonic_basis", dropped)
+    code, summary = run_config({"geometry": geometry, "pipeline": "hodge"})
+    rows = {r["name"]: r for r in summary["result"]["assertions"]}
+    assert code == 1
+    assert not rows["helmholtz_recomposition"]["ok"]
+    assert rows["helmholtz_recomposition"]["value"] > 0.5
 
 
 def test_run_qft_makes_no_eigensolve_of_delta0(monkeypatch):

@@ -20,7 +20,6 @@ from decem.spectral import (
     eig,
     LanczosCalculus,
     inverse_sqrt_quadrature,
-    pseudo_inverse,
 )
 from decem.qft import _power
 
@@ -382,55 +381,6 @@ def test_quadrature_kernel_component_reports_value(qft_bundle):
     rel = np.linalg.norm(K.T @ (M @ x)) / np.sqrt(x @ (M @ x))
     with pytest.raises(ValueError, match=re.escape(f"relative {rel:.2e} > 1.00e-08")):
         inverse_sqrt_quadrature(b.L1, x, kernel_basis=K, spectrum_bounds=(1.0, 2.0))
-
-
-def test_pseudo_inverse_matches_spectral_synthesis(qft_bundle):
-    """Two paths to Delta^+ on a block: shifted refinement against 1/m on the complete system."""
-    b, dec = qft_bundle, qft_bundle.dec1
-    X = np.random.default_rng(8).standard_normal((b.L1.n, 4))
-    X = np.column_stack([dec.project_out_kernel(x) for x in X.T])
-    factor = _shift_inverse(b.L1, -1e-6 * dec.max_eval)
-    Y = pseudo_inverse(b.L1, factor, dec.kernel_basis(), X)
-    for x, y in zip(X.T, Y.T):
-        want = dec.pseudo_inverse(x)
-        assert b.ops.norm(1, y - want) <= 1e-10 * b.ops.norm(1, want)
-
-
-def test_pseudo_inverse_rejects_kernel_component(qft_bundle):
-    b = qft_bundle
-    K = b.dec1.kernel_basis()
-    x = K[:, 0] + 1e-3 * b.dec1.vectors[:, -1]
-    M = b.L1.M
-    rel = np.linalg.norm(K.T @ (M @ x)) / np.sqrt(x @ (M @ x))
-    factor = _shift_inverse(b.L1, -1e-6 * b.dec1.max_eval)
-    with pytest.raises(ValueError, match=re.escape(f"relative {rel:.2e} > 1.00e-08")):
-        pseudo_inverse(b.L1, factor, K, x)
-
-
-def test_pseudo_inverse_iteration_cap_reports_values(qft_bundle, monkeypatch):
-    import decem.spectral as spectral
-
-    b, dec = qft_bundle, qft_bundle.dec1
-    x = dec.project_out_kernel(np.random.default_rng(9).standard_normal(b.L1.n))
-    Mx = b.L1.M @ x
-    factor = _shift_inverse(b.L1, -1e-6 * dec.max_eval)
-    one_step = factor @ Mx
-    want = np.linalg.norm(Mx - b.L1.S @ one_step) / np.linalg.norm(Mx)
-    monkeypatch.setattr(spectral, "PINV_MAX_ITER", 1)
-    with pytest.raises(AssertionError, match=r"residual \S+ > 1\.00e-13 after 1 iterations") as exc:
-        pseudo_inverse(b.L1, factor, dec.kernel_basis(), x)
-    got = float(re.search(r"residual (\S+) >", str(exc.value))[1])
-    assert got == pytest.approx(want, rel=1e-2) and got > 1e-13
-
-
-def test_partial_eig_returns_its_shifted_factor(qft_bundle):
-    """A partial eig of the exact Delta_1 returns (S - sigma M)^-1 at its own sigma =
-    -1e-6 max_eval, bit for bit against a fresh factor; a dense eig returns none."""
-    b = qft_bundle
-    low, factor = eig(b.L1, count=10, return_factor=True)
-    x = np.random.default_rng(10).standard_normal(b.L1.n)
-    assert np.array_equal(factor @ x, _shift_inverse(b.L1, -1e-6 * low.max_eval) @ x)
-    assert eig(b.L1, "all", return_factor=True)[1] is None
 
 
 def _krylov_reference(op, x, f, m):

@@ -166,7 +166,7 @@ def test_interior_window_avoids_boundaries(stress_bundle):
     assert mids.min() > 0.9 and mids.max() < 6.1
 
 
-def test_report_json(stress_bundle):
+def test_report_trace_identity(stress_bundle):
     st, _X1, _X2, rep = stress_bundle
     assert rep.trace_identity_error() <= 1e-10
     assert len(rep.t00) == st.sigma.ops.complex.n(3)

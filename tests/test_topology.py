@@ -103,7 +103,7 @@ def test_refinement_stability_torus():
         assert dims[1] == 1 and dims[2] == 1
 
 
-def test_report_json():
+def test_dims_and_flags_balls():
     sc = canned_scenario("balls:1")
     ops = DecOperators(sc.carved)
     dims = relative_cohomology_dims(ops)
